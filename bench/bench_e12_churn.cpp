@@ -123,8 +123,8 @@ void print_rows(benchjson::Harness& harness) {
       {"churn star n=193", &star_workload, spec_of(16, 32, 1207)},
   };
   std::printf("## E12: dynamic maximal matching under churn, incremental repair vs oracle\n");
-  std::printf("%-32s %-6s %8s %12s %8s %8s %10s %14s\n", "instance", "engine", "threads",
-              "wall (ms)", "ops", "repairs", "touched", "avoided");
+  std::printf("%-32s %-6s %8s %12s %8s %8s %8s %10s %14s\n", "instance", "engine", "threads",
+              "wall (ms)", "ops", "ns/op", "repairs", "touched", "avoided");
   for (const ChurnCase& c : cases) {
     const graph::EdgeColouredGraph g = c.make();
     benchjson::Record sync_row;
@@ -147,10 +147,12 @@ void print_rows(benchjson::Harness& harness) {
         std::fprintf(stderr, "e12: %s counters differ between engines\n", c.label);
         std::abort();
       }
-      std::printf("%-32s %-6s %8d %12.2f %8lld %8lld %10lld %14lld\n", c.label,
+      std::printf("%-32s %-6s %8d %12.2f %8lld %8.0f %8lld %10lld %14lld\n", c.label,
                   local::engine_kind_name(e.kind), e.threads, record.wall_ns / 1e6,
-                  record.churn_ops, record.repairs, record.touched_nodes,
-                  record.recompute_avoided);
+                  record.churn_ops,
+                  record.churn_ops > 0 ? record.wall_ns / static_cast<double>(record.churn_ops)
+                                       : 0.0,
+                  record.repairs, record.touched_nodes, record.recompute_avoided);
     }
   }
   std::printf("\n");

@@ -1,5 +1,7 @@
 #include "dyn/dynamic_matcher.hpp"
 
+#include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "algo/greedy.hpp"
@@ -35,19 +37,26 @@ void DynamicMatcher::touch(graph::NodeIndex v) {
 }
 
 void DynamicMatcher::rematch(graph::NodeIndex v) {
-  // Greedy repair: lowest incident colour whose neighbour is also free.
-  // incident_colours is sorted ascending, so the first hit is the match —
-  // the same preference order the one-shot greedy algorithm uses.
-  for (const Colour c : g_.incident_colours(v)) {
-    const auto w = g_.neighbour(v, c);
-    touch(*w);
-    if (outputs_[static_cast<std::size_t>(*w)] == local::kUnmatched) {
-      outputs_[static_cast<std::size_t>(v)] = c;
-      outputs_[static_cast<std::size_t>(*w)] = c;
-      ++stats_.repairs;
-      return;
+  // Greedy repair: match along the lowest colour whose neighbour is also
+  // free — the same preference order the one-shot greedy algorithm uses.
+  // Adjacency order is not colour order, so first find that colour, then
+  // touch every neighbour a colour-ascending scan would have read: those
+  // at or below it (all of them when no neighbour is free).
+  const std::span<const graph::HalfEdge> halves = g_.half_edges(v);
+  const graph::HalfEdge* best = nullptr;
+  for (const graph::HalfEdge& h : halves) {
+    if (outputs_[static_cast<std::size_t>(h.to)] == local::kUnmatched &&
+        (best == nullptr || h.colour < best->colour)) {
+      best = &h;
     }
   }
+  for (const graph::HalfEdge& h : halves) {
+    if (best == nullptr || h.colour <= best->colour) touch(h.to);
+  }
+  if (best == nullptr) return;
+  outputs_[static_cast<std::size_t>(v)] = best->colour;
+  outputs_[static_cast<std::size_t>(best->to)] = best->colour;
+  ++stats_.repairs;
 }
 
 void DynamicMatcher::apply_one(const ChurnOp& op) {
@@ -81,7 +90,11 @@ void DynamicMatcher::apply_one(const ChurnOp& op) {
 }
 
 void DynamicMatcher::apply(const ChurnBatch& batch) {
-  ++batch_stamp_;
+  // A wrapped stamp would match every never-touched node's 0; start over.
+  if (++batch_stamp_ == 0) {
+    std::fill(touch_stamp_.begin(), touch_stamp_.end(), 0u);
+    batch_stamp_ = 1;
+  }
   touched_this_batch_ = 0;
   for (const ChurnOp& op : batch.ops) apply_one(op);
   ++stats_.batches;

@@ -17,8 +17,12 @@
 //     the reverse — so maximality, intact everywhere else before the op,
 //     is restored by inspecting just N(u) ∪ N(v).
 //
-// Each repair therefore touches O(Δ) nodes.  The stats() counters measure
-// exactly that locality and are pure functions of (instance, plan) —
+// Each repair therefore touches O(Δ) nodes, and each op also costs O(Δ)
+// wall time: EdgeColouredGraph::add_edge / remove_edge scan only the
+// endpoints' half-edges (plus, for a delete, those of the edge moved into
+// the freed slot), and a re-match is a linear pass over one node's
+// half-edges — nothing scales with n or m.  The stats() counters measure
+// that locality and are pure functions of (instance, plan) —
 // engine-, thread- and schedule-independent — which is what the e12 bench
 // baseline gates exactly.  recompute() is the from-scratch oracle: a full
 // LOCAL greedy run on the current graph through the session API, every
@@ -111,7 +115,8 @@ class DynamicMatcher {
   std::vector<Colour> outputs_;
   RepairStats stats_;
   // Per-batch distinct-node accounting: a node is "touched" once per
-  // batch, however many ops of the batch visit it.
+  // batch, however many ops of the batch visit it.  When batch_stamp_
+  // wraps, every stamp is zeroed and the count restarts at 1.
   std::vector<std::uint32_t> touch_stamp_;
   std::uint32_t batch_stamp_ = 0;
   std::uint64_t touched_this_batch_ = 0;

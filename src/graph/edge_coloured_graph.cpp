@@ -70,9 +70,11 @@ EdgeColouredGraph::EdgeColouredGraph(int n, int k, std::vector<Edge> edges)
   std::vector<std::size_t> deg(adjacency_.size(), 0);
   for (const Half3& h : halves) ++deg[static_cast<std::size_t>(h.at)];
   for (std::size_t v = 0; v < adjacency_.size(); ++v) adjacency_[v].reserve(deg[v]);
-  for (const Edge& e : edges) {
-    adjacency_[static_cast<std::size_t>(e.u)].push_back({e.v, e.colour});
-    adjacency_[static_cast<std::size_t>(e.v)].push_back({e.u, e.colour});
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const Edge& e = edges[i];
+    const auto slot = static_cast<std::int32_t>(i);
+    adjacency_[static_cast<std::size_t>(e.u)].push_back({e.v, slot, e.colour});
+    adjacency_[static_cast<std::size_t>(e.v)].push_back({e.u, slot, e.colour});
   }
   edges_ = std::move(edges);
 }
@@ -86,11 +88,11 @@ void EdgeColouredGraph::add_edge(NodeIndex u, NodeIndex v, Colour colour) {
   check_node(v);
   if (u == v) throw std::invalid_argument("EdgeColouredGraph: self-loops not allowed");
   if (colour < 1 || colour > k_) throw std::invalid_argument("EdgeColouredGraph: colour out of range");
-  for (const Half& h : adjacency_[u]) {
+  for (const HalfEdge& h : adjacency_[u]) {
     if (h.colour == colour) throw std::logic_error("EdgeColouredGraph: colour already used at u");
     if (h.to == v) throw std::logic_error("EdgeColouredGraph: parallel edge");
   }
-  for (const Half& h : adjacency_[v]) {
+  for (const HalfEdge& h : adjacency_[v]) {
     if (h.colour == colour) throw std::logic_error("EdgeColouredGraph: colour already used at v");
   }
   // edge_count() narrows to int; refuse the edge that would wrap it rather
@@ -98,44 +100,52 @@ void EdgeColouredGraph::add_edge(NodeIndex u, NodeIndex v, Colour colour) {
   if (edges_.size() >= static_cast<std::size_t>(std::numeric_limits<int>::max())) {
     throw std::length_error("EdgeColouredGraph: edge count would exceed 32 bits");
   }
-  adjacency_[u].push_back({v, colour});
-  adjacency_[v].push_back({u, colour});
+  const auto slot = static_cast<std::int32_t>(edges_.size());
+  adjacency_[u].push_back({v, slot, colour});
+  adjacency_[v].push_back({u, slot, colour});
   edges_.push_back({u, v, colour});
 }
 
 void EdgeColouredGraph::remove_edge(NodeIndex u, NodeIndex v) {
   check_node(u);
   check_node(v);
-  const auto drop_half = [this](NodeIndex at, NodeIndex to) {
-    auto& halves = adjacency_[static_cast<std::size_t>(at)];
-    for (std::size_t i = 0; i < halves.size(); ++i) {
-      if (halves[i].to == to) {
-        halves[i] = halves.back();
-        halves.pop_back();
-        return true;
+  auto& at_u = adjacency_[static_cast<std::size_t>(u)];
+  auto& at_v = adjacency_[static_cast<std::size_t>(v)];
+  const auto to = [](NodeIndex w) { return [w](const HalfEdge& h) { return h.to == w; }; };
+  const auto hu = std::find_if(at_u.begin(), at_u.end(), to(v));
+  if (hu == at_u.end()) throw std::invalid_argument("EdgeColouredGraph: remove_edge on a non-edge");
+  const auto hv = std::find_if(at_v.begin(), at_v.end(), to(u));
+  // Checked before anything moves, so a mismatch leaves the graph as it was.
+  const std::int32_t slot = hu->slot;
+  const auto last = static_cast<std::int32_t>(edges_.size()) - 1;
+  const auto holds_uv = [&](const Edge& e) {
+    return (e.u == u && e.v == v) || (e.u == v && e.v == u);
+  };
+  if (hv == at_v.end() || hv->slot != slot || slot < 0 || slot > last ||
+      !holds_uv(edges_[static_cast<std::size_t>(slot)])) {
+    throw std::logic_error("EdgeColouredGraph: adjacency/edge-list mismatch");
+  }
+  Edge& freed = edges_[static_cast<std::size_t>(slot)];
+  *hu = at_u.back();
+  at_u.pop_back();
+  *hv = at_v.back();
+  at_v.pop_back();
+  // The last edge moves into the freed slot; re-point its two half-edges.
+  if (slot != last) {
+    freed = edges_.back();
+    for (const NodeIndex end : {freed.u, freed.v}) {
+      for (HalfEdge& h : adjacency_[static_cast<std::size_t>(end)]) {
+        if (h.slot == last) h.slot = slot;
       }
     }
-    return false;
-  };
-  if (!drop_half(u, v)) {
-    throw std::invalid_argument("EdgeColouredGraph: remove_edge on a non-edge");
   }
-  drop_half(v, u);
-  for (std::size_t i = 0; i < edges_.size(); ++i) {
-    const Edge& e = edges_[i];
-    if ((e.u == u && e.v == v) || (e.u == v && e.v == u)) {
-      edges_[i] = edges_.back();
-      edges_.pop_back();
-      return;
-    }
-  }
-  throw std::logic_error("EdgeColouredGraph: adjacency/edge-list mismatch");
+  edges_.pop_back();
 }
 
 std::optional<Colour> EdgeColouredGraph::edge_colour(NodeIndex u, NodeIndex v) const {
   check_node(u);
   check_node(v);
-  for (const Half& h : adjacency_[static_cast<std::size_t>(u)]) {
+  for (const HalfEdge& h : adjacency_[static_cast<std::size_t>(u)]) {
     if (h.to == v) return h.colour;
   }
   return std::nullopt;
@@ -144,7 +154,7 @@ std::optional<Colour> EdgeColouredGraph::edge_colour(NodeIndex u, NodeIndex v) c
 bool EdgeColouredGraph::has_edge(NodeIndex u, NodeIndex v) const {
   check_node(u);
   check_node(v);
-  for (const Half& h : adjacency_[u]) {
+  for (const HalfEdge& h : adjacency_[u]) {
     if (h.to == v) return true;
   }
   return false;
@@ -152,7 +162,7 @@ bool EdgeColouredGraph::has_edge(NodeIndex u, NodeIndex v) const {
 
 std::optional<NodeIndex> EdgeColouredGraph::neighbour(NodeIndex v, Colour c) const {
   check_node(v);
-  for (const Half& h : adjacency_[v]) {
+  for (const HalfEdge& h : adjacency_[v]) {
     if (h.colour == c) return h.to;
   }
   return std::nullopt;
@@ -162,9 +172,14 @@ std::vector<Colour> EdgeColouredGraph::incident_colours(NodeIndex v) const {
   check_node(v);
   std::vector<Colour> out;
   out.reserve(adjacency_[v].size());
-  for (const Half& h : adjacency_[v]) out.push_back(h.colour);
+  for (const HalfEdge& h : adjacency_[v]) out.push_back(h.colour);
   std::sort(out.begin(), out.end());
   return out;
+}
+
+std::span<const HalfEdge> EdgeColouredGraph::half_edges(NodeIndex v) const {
+  check_node(v);
+  return adjacency_[static_cast<std::size_t>(v)];
 }
 
 int EdgeColouredGraph::degree(NodeIndex v) const {
@@ -181,7 +196,7 @@ int EdgeColouredGraph::max_degree() const {
 bool EdgeColouredGraph::is_properly_coloured() const {
   for (const auto& halves : adjacency_) {
     std::vector<Colour> colours;
-    for (const Half& h : halves) colours.push_back(h.colour);
+    for (const HalfEdge& h : halves) colours.push_back(h.colour);
     std::sort(colours.begin(), colours.end());
     if (std::adjacent_find(colours.begin(), colours.end()) != colours.end()) return false;
   }

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,14 @@ using NodeIndex = std::int32_t;
 struct Edge {
   NodeIndex u = 0;
   NodeIndex v = 0;
+  Colour colour = gk::kNoColour;
+};
+
+/// One endpoint's view of an edge: the node at the other end, the edge's
+/// index in edges() (its slot), and its colour.
+struct HalfEdge {
+  NodeIndex to = 0;
+  std::int32_t slot = 0;
   Colour colour = gk::kNoColour;
 };
 
@@ -49,11 +58,15 @@ class EdgeColouredGraph {
 
   /// Removes the edge {u, v} (given in either orientation; the colour is
   /// whatever the live edge carries).  Throws std::invalid_argument when no
-  /// such edge exists.  The colouring stays proper by construction —
-  /// removing an edge can only free colours.  Cost: O(deg(u) + deg(v)) on
-  /// the adjacency lists plus an O(m) scan of the edge list; both sides
-  /// are swap-popped, so edges() order is NOT preserved across removals
-  /// (callers indexing into edges() must re-read after a removal).
+  /// such edge exists, and std::logic_error, with the graph unchanged, if
+  /// the half-edges and the edge list disagree.  The colouring stays
+  /// proper by construction — removing an edge can only free colours.
+  /// Cost: O(deg(u) + deg(v) + deg(a) + deg(b)) = O(Δ), where {a, b} is
+  /// the last edge of edges(); nothing scans the edge list.  Order
+  /// contract: if {u, v} sits at edges()[i], the last edge moves into slot
+  /// i and the list shrinks by one (edges()[i] = edges().back(), then
+  /// pop); the half-edge lists of u and v are swap-popped the same way.
+  /// Callers indexing into edges() must re-read after a removal.
   void remove_edge(NodeIndex u, NodeIndex v);
 
   /// Colour of the edge {u, v}, if present (either orientation).
@@ -68,6 +81,11 @@ class EdgeColouredGraph {
   /// Sorted colours incident to v (the node's entire initial knowledge).
   std::vector<Colour> incident_colours(NodeIndex v) const;
 
+  /// v's half-edges in adjacency order (insertion order, permuted by
+  /// removals' swap-pops; not colour order).  Valid until the next
+  /// add_edge or remove_edge.
+  std::span<const HalfEdge> half_edges(NodeIndex v) const;
+
   int degree(NodeIndex v) const;
   int max_degree() const;
 
@@ -80,15 +98,10 @@ class EdgeColouredGraph {
   std::string str() const;
 
  private:
-  struct Half {
-    NodeIndex to;
-    Colour colour;
-  };
-
   void check_node(NodeIndex v) const;
 
   int k_;
-  std::vector<std::vector<Half>> adjacency_;
+  std::vector<std::vector<HalfEdge>> adjacency_;
   std::vector<Edge> edges_;
 };
 

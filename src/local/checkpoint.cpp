@@ -1,14 +1,18 @@
 #include "local/checkpoint.hpp"
 
+#include <algorithm>
 #include <ostream>
 
 #include "io/serialize.hpp"
+#include "util/hash.hpp"
 
 namespace dmm::local {
 
 namespace {
 
-constexpr std::uint32_t kCheckpointVersion = 1;
+// Version 2: graph_fingerprint became an order-independent sum of per-edge
+// hashes, so a version-1 file's fingerprint would no longer match its graph.
+constexpr std::uint32_t kCheckpointVersion = 2;
 
 void write_flags(io::ByteWriter& w, const std::vector<std::uint8_t>& flags) {
   w.bytes(std::string_view(reinterpret_cast<const char*>(flags.data()), flags.size()));
@@ -32,15 +36,17 @@ std::vector<std::uint8_t> read_flags(io::ByteReader& r, std::size_t expected,
 }  // namespace
 
 std::uint64_t graph_fingerprint(const graph::EdgeColouredGraph& g) {
-  io::ByteWriter w;
-  w.varint(static_cast<std::uint64_t>(g.node_count()));
-  w.varint(static_cast<std::uint64_t>(g.k()));
+  // Node indices are non-negative 31-bit values, so (lo, hi) packs into one
+  // word without loss; the colour is mixed in after a first avalanche.
+  std::uint64_t sum = 0;
   for (const graph::Edge& e : g.edges()) {
-    w.varint(static_cast<std::uint64_t>(e.u));
-    w.varint(static_cast<std::uint64_t>(e.v));
-    w.u8(e.colour);
+    const auto lo = static_cast<std::uint64_t>(std::min(e.u, e.v));
+    const auto hi = static_cast<std::uint64_t>(std::max(e.u, e.v));
+    sum += mix64(mix64(lo << 32 | hi) ^ e.colour);
   }
-  return io::fnv1a64(w.buffer().data(), w.buffer().size());
+  const std::uint64_t shape = static_cast<std::uint64_t>(g.node_count()) << 32 |
+                              static_cast<std::uint32_t>(g.k());
+  return mix64(sum ^ mix64(shape));
 }
 
 void EngineCheckpoint::write(std::ostream& out) const {

@@ -49,9 +49,12 @@ class CheckpointError : public std::runtime_error {
       : std::runtime_error("dmm::local checkpoint error: " + what) {}
 };
 
-/// FNV-1a over (node_count, k, edge list) — the identity a checkpoint is
-/// pinned to.  Edge order matters: the same construction yields the same
-/// fingerprint, a different instance practically never does.
+/// The identity a checkpoint is pinned to: (node_count, k) mixed with the
+/// wrap-around sum of a 64-bit hash of each edge's (min(u, v), max(u, v),
+/// colour).  It depends only on the edge set, not on edge order or
+/// orientation, so the same graph reached by different insert/delete
+/// histories fingerprints equal; a different instance practically never
+/// does.  One pass over edges(), recomputed on every call.
 std::uint64_t graph_fingerprint(const graph::EdgeColouredGraph& g);
 
 struct EngineCheckpoint {

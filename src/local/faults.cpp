@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace dmm::local {
@@ -17,16 +18,6 @@ bool event_before(const FaultEvent& a, const FaultEvent& b) {
   // A restart sorts before a crash at the same (round, node), so a plan
   // that restarts and immediately re-crashes a node is well-defined.
   return a.up && !b.up;
-}
-
-/// splitmix64 finaliser: a full-avalanche mix of one 64-bit word.
-std::uint64_t mix64(std::uint64_t h) noexcept {
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ull;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebull;
-  h ^= h >> 31;
-  return h;
 }
 
 }  // namespace

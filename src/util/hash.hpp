@@ -29,6 +29,16 @@ inline std::uint64_t fnv1a(const std::vector<std::uint8_t>& v) noexcept {
   return fnv1a(v.data(), v.size());
 }
 
+/// splitmix64 finaliser: a full-avalanche mix of one 64-bit word.
+inline std::uint64_t mix64(std::uint64_t h) noexcept {
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ull;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebull;
+  h ^= h >> 31;
+  return h;
+}
+
 /// boost-style hash_combine.
 inline void hash_combine(std::size_t& seed, std::size_t value) noexcept {
   seed ^= value + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2);

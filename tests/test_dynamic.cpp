@@ -184,6 +184,63 @@ TEST(Dynamic, DeleteOfMatchedEdgeRematchesBothEndpoints) {
   EXPECT_TRUE(m.check().ok());
 }
 
+TEST(Dynamic, RematchTakesLowestFreeColourWhateverTheAdjacencyOrder) {
+  // Hub 0 with neighbours 1 (colour 1), 2 (colour 2), 4 (colour 3),
+  // 5 (colour 4) and 7 (colour 5).  Nodes 2 and 5 are also matched on
+  // colour 1 to 3 and 6, so greedy matches the hub to 1 and leaves 4 and 7
+  // free.
+  graph::EdgeColouredGraph g(8, 5);
+  g.add_edge(0, 1, 1);
+  g.add_edge(0, 2, 2);
+  g.add_edge(0, 4, 3);
+  g.add_edge(0, 5, 4);
+  g.add_edge(0, 7, 5);
+  g.add_edge(2, 3, 1);
+  g.add_edge(5, 6, 1);
+  // Scramble the hub's adjacency by removal and re-insertion: colours now
+  // run 5, 2, 4, 3, 1, so the first free neighbour in adjacency order (7,
+  // colour 5) is not the lowest-colour one (4, colour 3).
+  g.remove_edge(0, 1);
+  g.remove_edge(0, 4);
+  g.add_edge(0, 4, 3);
+  g.add_edge(0, 1, 1);
+  std::vector<Colour> order;
+  for (const graph::HalfEdge& h : g.half_edges(0)) order.push_back(h.colour);
+  ASSERT_EQ(order, (std::vector<Colour>{5, 2, 4, 3, 1}));
+
+  DynamicMatcher m(g);
+  ASSERT_EQ(m.outputs(), (std::vector<Colour>{1, 1, 1, 1, local::kUnmatched, 1, 1,
+                                              local::kUnmatched}));
+  const auto touched_by = [&](ChurnOp op) {
+    const dyn::RepairStats before = m.stats();
+    m.apply(ChurnBatch{{op}});
+    EXPECT_TRUE(m.check().ok()) << m.check().describe();
+    const std::uint64_t touched = m.stats().touched_nodes - before.touched_nodes;
+    EXPECT_EQ(m.stats().recompute_avoided - before.recompute_avoided, 8 - touched);
+    return touched;
+  };
+
+  // Free colours 3 and 5 at the hub: it re-matches on 3.  Touched: the
+  // endpoints 0 and 1, plus the neighbours at or below colour 3 (2 and 4).
+  EXPECT_EQ(touched_by(delete_op(0, 1, 1)), 4u);
+  EXPECT_EQ(m.outputs()[0], 3);
+  EXPECT_EQ(m.outputs()[4], 3);
+  EXPECT_EQ(m.outputs()[7], local::kUnmatched);
+  EXPECT_EQ(m.stats().repairs, 1u);
+
+  // Only colour 5 is free now: re-match on it, touching every neighbour
+  // (2, 5, 7) besides the endpoints 0 and 4.
+  EXPECT_EQ(touched_by(delete_op(0, 4, 3)), 5u);
+  EXPECT_EQ(m.outputs()[0], 5);
+  EXPECT_EQ(m.outputs()[7], 5);
+  EXPECT_EQ(m.stats().repairs, 2u);
+
+  // No free neighbour left: the hub stays free after reading all of them.
+  EXPECT_EQ(touched_by(delete_op(0, 7, 5)), 4u);
+  EXPECT_EQ(m.outputs()[0], local::kUnmatched);
+  EXPECT_EQ(m.stats().repairs, 2u);
+}
+
 TEST(Dynamic, InsertBetweenTwoFreeNodesMatchesOnTheSpot) {
   // Two isolated matched pairs plus two free nodes; inserting an edge
   // between the free pair must match it immediately.

@@ -11,6 +11,7 @@
 #include <cstdlib>
 
 #include "algo/greedy.hpp"
+#include "dyn/dynamic_matcher.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
 #include "verify/matching.hpp"
@@ -69,6 +70,33 @@ TEST(EngineScale, GreedyTenMillionNodes) {
   // init) must no longer be the dominant phase of the run.
   EXPECT_LT(run.init_ns, wall_ns / 2)
       << "init " << run.init_ns / 1e6 << " ms of " << wall_ns / 1e6 << " ms total";
+}
+
+// DynamicMatcher's per-batch touch stamp is 32 bits: batch 2³² wraps it to
+// 0, where a never-touched node's stamp already sits.  Without a reset that
+// batch would count its touched nodes as seen before.  Heavy (2³² applies),
+// so it shares the DMM_SCALE_TESTS gate.
+TEST(EngineScale, ChurnBatchStampSurvivesWraparound) {
+  if (std::getenv("DMM_SCALE_TESTS") == nullptr) {
+    GTEST_SKIP() << "set DMM_SCALE_TESTS=1 to run 2^32 churn batches";
+  }
+  // Path 0-1-2-3 with colours 1,2,1: greedy matches {0,1} and {2,3}.
+  graph::EdgeColouredGraph g(4, 2);
+  g.add_edge(0, 1, 1);
+  g.add_edge(1, 2, 2);
+  g.add_edge(2, 3, 1);
+  dyn::DynamicMatcher matcher(g);
+  const dyn::ChurnBatch empty;
+  constexpr std::uint64_t kEmpty = (std::uint64_t{1} << 32) - 1;
+  for (std::uint64_t b = 0; b < kEmpty; ++b) matcher.apply(empty);
+  ASSERT_EQ(matcher.stats().touched_nodes, 0u);
+  // Deleting {0,1} frees 0 and 1; 1 reads its only other neighbour, 2.
+  matcher.apply(dyn::ChurnBatch{{dyn::ChurnOp{dyn::ChurnOp::Kind::kDelete, 0, 1, 1}}});
+  const dyn::RepairStats& s = matcher.stats();
+  EXPECT_EQ(s.batches, kEmpty + 1);
+  EXPECT_EQ(s.touched_nodes, 3u);
+  EXPECT_EQ(s.touched_nodes + s.recompute_avoided, s.batches * 4);
+  EXPECT_TRUE(matcher.check().ok());
 }
 
 TEST(EngineScale, ThreadedRunIsIdentical) {

@@ -27,6 +27,7 @@
 
 #include "algo/greedy.hpp"
 #include "algo/truncated_greedy.hpp"
+#include "dyn/churn.hpp"
 #include "engine_test_util.hpp"
 #include "graph/generators.hpp"
 #include "io/serialize.hpp"
@@ -151,7 +152,9 @@ TEST(Faults, PermanentCrashRemovesNodeFromTheRun) {
     EXPECT_EQ(r.halt_round[2], -1) << engine_kind_name(kind);
     // Everyone else still halts with a recorded round.
     for (std::size_t v = 0; v < r.outputs.size(); ++v) {
-      if (v != 2) EXPECT_GE(r.halt_round[v], 0) << engine_kind_name(kind) << " node " << v;
+      if (v != 2) {
+        EXPECT_GE(r.halt_round[v], 0) << engine_kind_name(kind) << " node " << v;
+      }
     }
   }
 }
@@ -469,6 +472,106 @@ TEST(Checkpoint, WrongInstanceIsRejected) {
         engine.restore(captured.checkpoints.front());
       },
       CheckpointError);
+}
+
+TEST(Checkpoint, FingerprintDependsOnlyOnTheEdgeSet) {
+  // Path 0-1-2-3 with colours 1,2,1, built three ways: in order; in
+  // reverse with every edge flipped; and through a detour that inserts and
+  // removes extra edges, which leaves edges() in yet another order.
+  graph::EdgeColouredGraph forward(5, 3);
+  forward.add_edge(0, 1, 1);
+  forward.add_edge(1, 2, 2);
+  forward.add_edge(2, 3, 1);
+  graph::EdgeColouredGraph flipped(5, 3);
+  flipped.add_edge(3, 2, 1);
+  flipped.add_edge(2, 1, 2);
+  flipped.add_edge(1, 0, 1);
+  graph::EdgeColouredGraph detour(5, 3);
+  detour.add_edge(1, 2, 2);
+  detour.add_edge(0, 4, 3);
+  detour.add_edge(2, 3, 1);
+  detour.add_edge(0, 1, 1);
+  detour.remove_edge(4, 0);  // {0,1} moves into slot 1
+  ASSERT_EQ(detour.edges()[0].u, 1);  // edges() order differs from forward's
+  const std::uint64_t fp = graph_fingerprint(forward);
+  EXPECT_EQ(graph_fingerprint(flipped), fp);
+  EXPECT_EQ(graph_fingerprint(detour), fp);
+
+  // Recolouring one edge, or changing n or k, changes the fingerprint.
+  graph::EdgeColouredGraph recoloured = forward;
+  recoloured.remove_edge(1, 2);
+  recoloured.add_edge(1, 2, 3);
+  EXPECT_NE(graph_fingerprint(recoloured), fp);
+  graph::EdgeColouredGraph wider(5, 4);
+  graph::EdgeColouredGraph bigger(6, 3);
+  for (const graph::Edge& e : forward.edges()) {
+    wider.add_edge(e.u, e.v, e.colour);
+    bigger.add_edge(e.u, e.v, e.colour);
+  }
+  EXPECT_NE(graph_fingerprint(wider), fp);
+  EXPECT_NE(graph_fingerprint(bigger), fp);
+}
+
+TEST(Checkpoint, SurvivesChurnThroughAPlanAndItsInverse) {
+  Rng rng(31);
+  const graph::EdgeColouredGraph g = graph::random_coloured_graph(200, 6, 0.7, rng);
+  const CapturedRun captured =
+      run_with_checkpoints(EngineKind::kSync, g, algo::greedy_program_factory(), 16, nullptr);
+  ASSERT_FALSE(captured.checkpoints.empty());
+  const EngineCheckpoint& cp = captured.checkpoints.front();
+
+  dyn::ChurnSpec spec;
+  spec.batches = 8;
+  spec.ops_per_batch = 16;
+  spec.seed = 5;
+  const dyn::ChurnPlan plan = dyn::ChurnPlan::random(g, spec);
+  graph::EdgeColouredGraph churned = g;
+  const auto apply = [&](const dyn::ChurnOp& op, bool invert) {
+    if ((op.kind == dyn::ChurnOp::Kind::kInsert) != invert) {
+      churned.add_edge(op.u, op.v, op.colour);
+    } else {
+      churned.remove_edge(op.u, op.v);
+    }
+  };
+  for (const dyn::ChurnBatch& b : plan.batches()) {
+    for (const dyn::ChurnOp& op : b.ops) apply(op, false);
+  }
+  for (auto b = plan.batches().rbegin(); b != plan.batches().rend(); ++b) {
+    for (auto op = b->ops.rbegin(); op != b->ops.rend(); ++op) apply(*op, true);
+  }
+
+  // Same edge set, different edge order: the checkpoint still applies.
+  ASSERT_EQ(churned.edge_count(), g.edge_count());
+  bool reordered = false;
+  for (std::size_t i = 0; i < g.edges().size(); ++i) {
+    const graph::Edge& a = g.edges()[i];
+    const graph::Edge& b = churned.edges()[i];
+    reordered = reordered || a.u != b.u || a.v != b.v || a.colour != b.colour;
+  }
+  ASSERT_TRUE(reordered);
+  EXPECT_NO_THROW(cp.require_matches(churned));
+}
+
+TEST(Checkpoint, VersionOneFilesAreUnsupported) {
+  // A version-1 file's fingerprint was an order-dependent hash, so it is
+  // refused by version before any fingerprint comparison.
+  const graph::EdgeColouredGraph g = graph::worst_case_chain(4).long_path;
+  const CapturedRun captured =
+      run_with_checkpoints(EngineKind::kSync, g, algo::greedy_program_factory(), 16, nullptr);
+  ASSERT_FALSE(captured.checkpoints.empty());
+  std::stringstream current;
+  captured.checkpoints.front().write(current);
+  std::stringstream v1;
+  for (const char* type : {"CKPH", "CKPN", "CKPP"}) {
+    io::write_frame(v1, type, 1, io::read_frame(current, type).payload);
+  }
+  try {
+    EngineCheckpoint::read(v1);
+    FAIL() << "a version-1 checkpoint was accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version 1"), std::string::npos)
+        << e.what();
+  }
 }
 
 /// Runs forever-ish with no save_state override.

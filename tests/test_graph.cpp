@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <optional>
+#include <utility>
+
+#include "util/rng.hpp"
+
 namespace dmm::graph {
 namespace {
 
@@ -138,6 +144,113 @@ TEST(EdgeColouredGraph, RemoveEdgeRejectsNonEdges) {
   g.remove_edge(0, 1);
   EXPECT_THROW(g.remove_edge(0, 1), std::invalid_argument);  // already gone
   EXPECT_EQ(g.edge_count(), 0);
+}
+
+// Model test for the edge-order contract: a seeded stream of add_edge /
+// remove_edge against a plain edge vector that swap-pops on removal.  Every
+// accessor must agree with the model after every op, and each half-edge
+// must name the slot its edge occupies in edges().
+TEST(EdgeColouredGraph, EdgeOrderAndSlotsMatchSwapPopModel) {
+  constexpr int kN = 32;
+  constexpr int kK = 5;
+  Rng rng(20121);
+  std::vector<Edge> model;
+  // Dense views of the model, rebuilt after every op.
+  std::array<std::array<int, kN>, kN> slot_of{};            // -1: no edge
+  std::array<std::array<int, kK + 1>, kN> neighbour_of{};  // -1: colour free
+  const auto rebuild_views = [&] {
+    for (auto& row : slot_of) row.fill(-1);
+    for (auto& row : neighbour_of) row.fill(-1);
+    for (std::size_t i = 0; i < model.size(); ++i) {
+      const Edge& e = model[i];
+      slot_of[e.u][e.v] = slot_of[e.v][e.u] = static_cast<int>(i);
+      neighbour_of[e.u][e.colour] = e.v;
+      neighbour_of[e.v][e.colour] = e.u;
+    }
+  };
+  const auto proper = [&](NodeIndex u, NodeIndex v, gk::Colour c) {
+    return u != v && slot_of[u][v] < 0 && neighbour_of[u][c] < 0 && neighbour_of[v][c] < 0;
+  };
+  // Start from a bulk-constructed graph so its slots are covered too.
+  rebuild_views();
+  for (int i = 0; i < 40; ++i) {
+    const auto u = static_cast<NodeIndex>(rng.index(kN));
+    const auto v = static_cast<NodeIndex>(rng.index(kN));
+    const auto c = static_cast<gk::Colour>(1 + rng.index(kK));
+    if (proper(u, v, c)) {
+      model.push_back({u, v, c});
+      rebuild_views();
+    }
+  }
+  EdgeColouredGraph g(kN, kK, model);
+
+  int inserts = 0;
+  int removals = 0;
+  int rejected = 0;
+  for (int op = 0; op < 6000;) {
+    auto u = static_cast<NodeIndex>(rng.index(kN));
+    auto v = static_cast<NodeIndex>(rng.index(kN));
+    if (rng.chance(0.5)) {
+      const auto c = static_cast<gk::Colour>(1 + rng.index(kK));
+      if (!proper(u, v, c)) continue;
+      g.add_edge(u, v, c);
+      model.push_back({u, v, c});
+      ++inserts;
+    } else if (!model.empty() && rng.chance(0.75)) {
+      // Remove a live edge, named in a random orientation.
+      const auto i = rng.index(model.size());
+      u = model[i].u;
+      v = model[i].v;
+      if (rng.chance(0.5)) std::swap(u, v);
+      g.remove_edge(u, v);
+      model[i] = model.back();
+      model.pop_back();
+      ++removals;
+    } else if (const int i = slot_of[u][v]; i >= 0) {
+      g.remove_edge(u, v);
+      model[static_cast<std::size_t>(i)] = model.back();
+      model.pop_back();
+      ++removals;
+    } else {
+      // Rejected: the comparison below checks that nothing moved.
+      EXPECT_THROW(g.remove_edge(u, v), std::invalid_argument) << "op " << op;
+      ++rejected;
+    }
+    ++op;
+    rebuild_views();
+
+    ASSERT_EQ(g.edges().size(), model.size()) << "op " << op;
+    for (std::size_t i = 0; i < model.size(); ++i) {
+      ASSERT_EQ(g.edges()[i].u, model[i].u) << "op " << op << " slot " << i;
+      ASSERT_EQ(g.edges()[i].v, model[i].v) << "op " << op << " slot " << i;
+      ASSERT_EQ(g.edges()[i].colour, model[i].colour) << "op " << op << " slot " << i;
+    }
+    for (NodeIndex a = 0; a < kN; ++a) {
+      int degree = 0;
+      for (gk::Colour c = 1; c <= kK; ++c) {
+        const int b = neighbour_of[a][c];
+        degree += b >= 0 ? 1 : 0;
+        ASSERT_EQ(g.neighbour(a, c), b >= 0 ? std::optional<NodeIndex>(b) : std::nullopt)
+            << "op " << op << " node " << a;
+      }
+      ASSERT_EQ(g.degree(a), degree) << "op " << op << " node " << a;
+      for (const HalfEdge& h : g.half_edges(a)) {
+        ASSERT_EQ(h.slot, slot_of[a][h.to]) << "op " << op << " node " << a;
+        ASSERT_EQ(h.colour, model[static_cast<std::size_t>(h.slot)].colour) << "op " << op;
+      }
+      for (NodeIndex b = 0; b < kN; ++b) {
+        const int i = slot_of[a][b];
+        ASSERT_EQ(g.has_edge(a, b), i >= 0) << "op " << op;
+        ASSERT_EQ(g.edge_colour(a, b),
+                  i >= 0 ? std::optional<gk::Colour>(model[static_cast<std::size_t>(i)].colour)
+                         : std::nullopt)
+            << "op " << op;
+      }
+    }
+  }
+  EXPECT_GT(inserts, 2000);
+  EXPECT_GT(removals, 2000);
+  EXPECT_GT(rejected, 500);
 }
 
 TEST(EdgeColouredGraph, EdgeColourReadsEitherOrientation) {
