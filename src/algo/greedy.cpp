@@ -149,8 +149,16 @@ void GreedyProgram::load_state(std::string_view in) {
   if (in.size() != 2 || static_cast<unsigned char>(in[0]) > 1) {
     throw std::invalid_argument("GreedyProgram::load_state: malformed state blob");
   }
-  matched_ = in[0] != '\0';
-  output_ = static_cast<Colour>(static_cast<unsigned char>(in[1]));
+  // init ran first, so the incident row is known: a run only ever leaves
+  // an unmatched node at ⊥ and a matched one on an incident colour.
+  const bool matched = in[0] != '\0';
+  const auto output = static_cast<Colour>(static_cast<unsigned char>(in[1]));
+  const Colour* end = incident_ + degree_;
+  if (matched ? std::find(incident_, end, output) == end : output != local::kUnmatched) {
+    throw std::invalid_argument("GreedyProgram::load_state: state no run can produce");
+  }
+  matched_ = matched;
+  output_ = output;
 }
 
 void GreedyProgramFactory::make_programs(std::size_t count, local::ProgramPool& pool) const {

@@ -49,7 +49,9 @@ class GreedyProgram final : public local::NodeProgram {
   Colour output() const override { return output_; }
   // Checkpoint hooks: the whole dynamic state is {matched_, output_} — the
   // incident colours are re-derived by init, and neighbour_matched_ is
-  // refreshed before every use.  Two bytes per node.
+  // refreshed before every use.  Two bytes per node.  load_state rejects
+  // (std::invalid_argument) a state no run produces: matched on a colour
+  // not incident to the node, or unmatched with an output other than ⊥.
   void save_state(std::string& out) const override;
   void load_state(std::string_view in) override;
 

@@ -96,7 +96,9 @@ class DynamicMatcher {
   void apply(const ChurnPlan& plan);
 
   /// Recompute-from-scratch oracle: full LOCAL greedy on the current
-  /// graph via the session API over the shared runtime.
+  /// graph via the session API over the shared runtime.  A flat run
+  /// borrows the graph's CSR, which the graph keeps until its next
+  /// mutation: only a recompute that follows apply() rebuilds it.
   std::vector<Colour> recompute() { return recompute(opts_.engine); }
   std::vector<Colour> recompute(local::EngineKind engine);
 

@@ -4,9 +4,22 @@
 // Node indices exist only as simulation handles: no algorithm in this
 // library may branch on them (anonymity).  The initial knowledge of a node
 // is exactly the multiset of colours on its incident edges, as in §2.3.
+//
+// EdgeColouredGraph is a value type implemented as a handle over
+// reference-counted storage with copy-on-write: a copy shares the
+// adjacency and the edge list in O(1), and the first add_edge/remove_edge
+// on a handle whose storage is shared gives that handle a private deep
+// copy first.  A handle that owns its storage alone mutates in place at
+// the documented O(Δ) cost, with one atomic load added.  The storage also
+// carries the graph's colour-sorted CSR (csr()), built on first use and
+// shared by every copy and every flat-engine run over that graph version.
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -33,6 +46,29 @@ struct HalfEdge {
   Colour colour = gk::kNoColour;
 };
 
+/// The colour-sorted CSR (compressed sparse row) form of one graph
+/// version, laid out as the flat engine's slot plane: node v's ports are
+/// the slots [row[v], row[v + 1]) in ascending colour order, and slot s
+/// carries its edge's colour and the node at the other end.  Immutable;
+/// EdgeColouredGraph::csr() builds it and hands out shared references.
+struct Csr {
+  std::vector<std::size_t> row;      // n + 1 offsets
+  std::vector<Colour> port_colour;   // per slot
+  std::vector<NodeIndex> peer_node;  // per slot
+
+  int degree(NodeIndex v) const noexcept {
+    return static_cast<int>(row[static_cast<std::size_t>(v) + 1] -
+                            row[static_cast<std::size_t>(v)]);
+  }
+  std::size_t slot_count() const noexcept { return port_colour.size(); }
+};
+
+/// Exclusive prefix sum of per-node degrees into CSR row offsets.
+/// Accumulates in std::size_t from the first addition, so an n·Δ slot count
+/// beyond 2³¹ cannot wrap — pinned by the 64-bit regression test in
+/// tests/test_flat_engine.cpp.  Throws std::invalid_argument on a negative degree.
+std::vector<std::size_t> csr_row_offsets(const std::vector<int>& degrees);
+
 class EdgeColouredGraph {
  public:
   /// An empty graph on n nodes with palette [k].
@@ -47,8 +83,19 @@ class EdgeColouredGraph {
   /// parallel edge), just not necessarily on the same offending edge.
   EdgeColouredGraph(int n, int k, std::vector<Edge> edges);
 
-  int node_count() const noexcept { return static_cast<int>(adjacency_.size()); }
-  int edge_count() const noexcept { return static_cast<int>(edges_.size()); }
+  /// Copies share the storage (and its CSR) in O(1); a moved-from graph is
+  /// the empty graph EdgeColouredGraph(0, 1).  Handles are thread-safe the
+  /// way standard containers are: distinct handles may be used from
+  /// different threads even when they share storage, one handle may not be
+  /// mutated while another thread uses that same handle.
+  EdgeColouredGraph(const EdgeColouredGraph& other) noexcept;
+  EdgeColouredGraph(EdgeColouredGraph&& other) noexcept;
+  EdgeColouredGraph& operator=(const EdgeColouredGraph& other) noexcept;
+  EdgeColouredGraph& operator=(EdgeColouredGraph&& other) noexcept;
+  ~EdgeColouredGraph();
+
+  int node_count() const noexcept { return n_; }
+  int edge_count() const noexcept { return static_cast<int>(s_->edges.size()); }
   int k() const noexcept { return k_; }
 
   /// Adds the edge {u, v} with the given colour.  Throws if the colouring
@@ -82,14 +129,24 @@ class EdgeColouredGraph {
   std::vector<Colour> incident_colours(NodeIndex v) const;
 
   /// v's half-edges in adjacency order (insertion order, permuted by
-  /// removals' swap-pops; not colour order).  Valid until the next
-  /// add_edge or remove_edge.
+  /// removals' swap-pops; not colour order).  Like edges(), the span
+  /// stays valid until the next add_edge, remove_edge, assignment or
+  /// destruction of this handle — whatever other copies do.
   std::span<const HalfEdge> half_edges(NodeIndex v) const;
 
   int degree(NodeIndex v) const;
   int max_degree() const;
 
-  const std::vector<Edge>& edges() const noexcept { return edges_; }
+  const std::vector<Edge>& edges() const noexcept { return s_->edges; }
+
+  /// The colour-sorted CSR of this graph version.  Built from the
+  /// adjacency on the first call for the version (O(n + m)), published
+  /// under a lock so concurrent first calls through different copies
+  /// build it once, and shared by every copy until one of them mutates:
+  /// add_edge/remove_edge drop the handle's reference to it.  The returned
+  /// pointer keeps this version's CSR alive for as long as its holder
+  /// needs it, whatever happens to the graph afterwards.
+  std::shared_ptr<const Csr> csr() const;
 
   /// Checks that no node has two incident edges of the same colour.  Always
   /// true for graphs built through add_edge; exposed for generator tests.
@@ -98,11 +155,52 @@ class EdgeColouredGraph {
   std::string str() const;
 
  private:
+  /// One graph version, shared by every handle that copied it.  `refs`
+  /// counts those handles; the CSR slot is filled by csr() under
+  /// `csr_mutex` and emptied only by a sole owner's mutation.
+  struct Storage {
+    Storage(int n, int k);
+    /// Deep copy of the graph (adjacency and edges); refs = 1, no CSR.
+    Storage(const Storage& other);
+
+    std::atomic<long> refs{1};
+    int k;
+    std::vector<std::vector<HalfEdge>> adjacency;
+    std::vector<Edge> edges;
+    std::mutex csr_mutex;
+    std::shared_ptr<const Csr> csr;
+  };
+
+  static Storage* empty_storage() noexcept;
+  static void release(Storage* s) noexcept;
+  /// Points the handle at `s`, refreshing the cached row array, n and k.
+  void bind(Storage* s) noexcept {
+    s_ = s;
+    rows_ = s->adjacency.data();
+    n_ = static_cast<int>(s->adjacency.size());
+    k_ = s->k;
+  }
+
+  /// The storage, owned by this handle alone and without a CSR: the entry
+  /// of every mutation.  The sole-owner check is one acquire load, inline;
+  /// only a shared handle pays for the out-of-line deep copy.
+  Storage& mutable_storage() {
+    if (s_->refs.load(std::memory_order_acquire) != 1) detach();
+    s_->csr.reset();
+    return *s_;
+  }
+  void detach();
   void check_node(NodeIndex v) const;
 
+  Storage* s_;
+  // Copies of what never changes for a storage's lifetime (its row array
+  // is sized once), so the per-op reads of churn and of the sync oracle
+  // stay one load from the handle instead of two (reading rows through s_
+  // cost perfbench churn ~5% of its ops/s on a 4-vCPU x86 host).  bind()
+  // keeps them in step with s_.
+  std::vector<HalfEdge>* rows_;
+  int n_;
   int k_;
-  std::vector<std::vector<HalfEdge>> adjacency_;
-  std::vector<Edge> edges_;
 };
 
 }  // namespace dmm::graph

@@ -4,6 +4,8 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace dmm::io {
 
@@ -49,16 +51,22 @@ graph::EdgeColouredGraph read_graph(const std::string& text) {
   const int n = int_token(in, "node count");
   expect(in, "k");
   const int k = int_token(in, "palette");
-  graph::EdgeColouredGraph g(n, k);
+  // Range-check the ints before narrowing to the 8-bit Colour, which would
+  // otherwise read colour 257 (or −255) as colour 1.
+  if (k < 1 || k > 255) throw parse_error("palette k must be in [1, 255]");
+  std::vector<graph::Edge> edges;
   std::string tag;
   while (in >> tag) {
     if (tag != "e") throw parse_error("expected edge line, got '" + tag + "'");
     const int u = int_token(in, "edge u");
     const int v = int_token(in, "edge v");
     const int c = int_token(in, "edge colour");
-    g.add_edge(u, v, static_cast<gk::Colour>(c));
+    if (c < 1 || c > k) throw parse_error("edge colour out of [1, k]");
+    edges.push_back({u, v, static_cast<gk::Colour>(c)});
   }
-  return g;
+  // The bulk constructor validates once in O(m log m) and keeps the file's
+  // edge order as edges().
+  return graph::EdgeColouredGraph(n, k, std::move(edges));
 }
 
 std::string write_system(const colsys::ColourSystem& system) {

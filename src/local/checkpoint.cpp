@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <ostream>
+#include <span>
 
 #include "io/serialize.hpp"
 #include "util/hash.hpp"
@@ -31,6 +32,36 @@ std::vector<std::uint8_t> read_flags(io::ByteReader& r, std::size_t expected,
     flags[i] = b;
   }
   return flags;
+}
+
+/// What every captured checkpoint satisfies, whatever the graph: array
+/// shapes, flag consistency, and counts that agree with the flags.
+void require_consistent(const EngineCheckpoint& cp) {
+  if (cp.node_count < 0 || cp.k < 0 || cp.round < 0 || cp.running < 0 ||
+      cp.running > cp.node_count) {
+    throw CheckpointError("impossible header counters");
+  }
+  const auto n = static_cast<std::size_t>(cp.node_count);
+  if (cp.outputs.size() != n || cp.halt_round.size() != n || cp.halted.size() != n ||
+      cp.down.size() != n || cp.dead.size() != n) {
+    throw CheckpointError("node arrays do not match the node count");
+  }
+  std::size_t live = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (cp.halted[v] && (cp.down[v] || cp.dead[v])) {
+      throw CheckpointError("node is both halted and crashed");
+    }
+    if (!cp.halted[v] && !cp.dead[v]) ++live;
+    if (cp.halted[v] != (cp.halt_round[v] >= 0)) {
+      throw CheckpointError("halt_round disagrees with the halted flag");
+    }
+  }
+  if (live != static_cast<std::size_t>(cp.running)) {
+    throw CheckpointError("running count disagrees with the flags");
+  }
+  if (cp.program_state.size() != live) {
+    throw CheckpointError("program state count does not match the live node set");
+  }
 }
 
 }  // namespace
@@ -103,10 +134,7 @@ EngineCheckpoint EngineCheckpoint::read(std::istream& in) {
     cp.total_message_bytes = r.varint();
     cp.messages_sent = r.varint();
     r.expect_done("checkpoint header");
-    if (cp.node_count < 0 || cp.k < 0 || cp.round < 0 || cp.running < 0 ||
-        cp.running > cp.node_count) {
-      throw CheckpointError("impossible header counters");
-    }
+    if (cp.node_count < 0) throw CheckpointError("impossible header counters");
   }
   const auto n = static_cast<std::size_t>(cp.node_count);
   {
@@ -142,18 +170,7 @@ EngineCheckpoint EngineCheckpoint::read(std::istream& in) {
     }
     r.expect_done("checkpoint program states");
   }
-  // Cross-checks the arrays agree with the header.
-  int live = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (cp.halted[v] && (cp.down[v] || cp.dead[v])) {
-      throw CheckpointError("node is both halted and crashed");
-    }
-    if (!cp.halted[v] && !cp.dead[v]) ++live;
-    if (cp.halted[v] != (cp.halt_round[v] >= 0)) {
-      throw CheckpointError("halt_round disagrees with the halted flag");
-    }
-  }
-  if (live != cp.running) throw CheckpointError("running count disagrees with the flags");
+  require_consistent(cp);
   return cp;
 }
 
@@ -161,6 +178,23 @@ void EngineCheckpoint::require_matches(const graph::EdgeColouredGraph& g) const 
   if (node_count != g.node_count() || k != g.k() || edge_hash != graph_fingerprint(g)) {
     throw CheckpointError(
         "checkpoint was captured on a different instance (fingerprint mismatch)");
+  }
+  // A checksum proves the bytes are as written, not that a run wrote them:
+  // FNV-1a is no defence against crafted input.  So check for meaning
+  // against the graph too, after the shape checks read() also makes (an
+  // in-memory checkpoint never went through read()).
+  require_consistent(*this);
+  for (std::size_t v = 0; v < static_cast<std::size_t>(node_count); ++v) {
+    if (halt_round[v] > round) throw CheckpointError("node halted after the checkpoint round");
+    const Colour out = outputs[v];
+    if (out == kUnmatched) continue;
+    if (!halted[v]) throw CheckpointError("node has an output but has not halted");
+    const std::span<const graph::HalfEdge> halves =
+        g.half_edges(static_cast<graph::NodeIndex>(v));
+    if (std::none_of(halves.begin(), halves.end(),
+                     [out](const graph::HalfEdge& h) { return h.colour == out; })) {
+      throw CheckpointError("output is not a colour incident to its node");
+    }
   }
 }
 

@@ -95,7 +95,11 @@ struct EngineCheckpoint {
   /// CheckpointError on internal inconsistency.
   static EngineCheckpoint read(std::istream& in);
 
-  /// Throws CheckpointError unless the checkpoint was captured on `g`.
+  /// Throws CheckpointError unless the checkpoint was captured on `g` and
+  /// means something there: the fingerprint matches, the node arrays have
+  /// node_count entries, no node halted after `round`, a node that has not
+  /// halted still outputs ⊥, and a halted node outputs ⊥ or one of its
+  /// incident colours.  Both engines' restores call it.
   void require_matches(const graph::EdgeColouredGraph& g) const;
 };
 

@@ -113,8 +113,8 @@ class NodeProgram {
   virtual bool init(const std::vector<Colour>& incident) = 0;
 
   /// Flat-engine init fast path: `incident` points directly at the
-  /// engine's sorted CSR colour row (`degree` entries), which stays valid
-  /// for the whole run.  The default copies into a vector and bridges to
+  /// graph's sorted CSR colour row (`degree` entries), which the engine
+  /// keeps alive for the whole run.  The default copies into a vector and bridges to
   /// init(); allocation-free programs (greedy) override this and keep the
   /// span, which is what makes pooled init at n = 10⁷ cheap.
   virtual bool init_flat(const Colour* incident, int degree);
@@ -220,8 +220,9 @@ struct RunResult {
   std::uint64_t restarts = 0;
   std::uint64_t messages_dropped = 0;
   // Wall-clock of the setup phase (program construction + init calls —
-  // and, on the flat engine, CSR construction, chunk planning and the
-  // worker-pool spawn, which all happen in the engine constructor), the
+  // and, on the flat engine, the CSR build on a graph version's first flat
+  // run, chunk planning and the worker-pool spawn, which all happen in the
+  // engine constructor), the
   // part the pooled allocator exists to shrink; surfaced as `init_ms` in
   // the BENCH_*.json schema.  Not part of engine equivalence.
   double init_ns = 0.0;

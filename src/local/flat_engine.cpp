@@ -181,10 +181,10 @@ bool NodeProgram::receive_flat(int round, const FlatInbox& in) {
 FlatEngine::FlatEngine(const graph::EdgeColouredGraph& g, const ProgramSource& source,
                        int max_rounds, const FlatEngineOptions& options, Runtime* runtime)
     : g_(g), source_(source), max_rounds_(max_rounds), runtime_(runtime) {
-  // Everything the constructor does — CSR construction, chunk planning,
-  // spawning the persistent pool — is setup work, timed into build_ns_
-  // and folded into RunResult::init_ns by run() (the old engine started
-  // the clock inside run() and under-reported init by the whole CSR).
+  // Everything the constructor does — borrowing (on a graph version's
+  // first flat run: building) the CSR, chunk planning, spawning the
+  // persistent pool — is setup work, timed into build_ns_ and folded into
+  // RunResult::init_ns by run().
   const auto build_start = std::chrono::steady_clock::now();
   n_ = g.node_count();
   // Worker clamp: never more workers than nodes (an empty partition buys
@@ -197,7 +197,7 @@ FlatEngine::FlatEngine(const graph::EdgeColouredGraph& g, const ProgramSource& s
   workers_ = std::max(1, std::min(budget, kMaxFlatWorkers));
   if (workers_ > n_) workers_ = std::max(1, n_);
   steal_ = options.steal;
-  build_csr();
+  csr_ = g.csr();
   if (workers_ > 1) {
     plan_chunks(options.chunk_slots);
     if (runtime_ == nullptr) {
@@ -228,6 +228,7 @@ void FlatEngine::initialise(const EngineCheckpoint* cp) {
   // Setup phase (timed into init_ns): batch-construct every program in
   // the pool's arena, then hand each node a pointer straight into its
   // CSR colour row — no per-node vector is materialised.
+  const graph::Csr& csr = *csr_;
   const auto init_start = std::chrono::steady_clock::now();
   source_.build(static_cast<std::size_t>(n_), pool_);
   running_ = n_;
@@ -237,8 +238,9 @@ void FlatEngine::initialise(const EngineCheckpoint* cp) {
     // state from it; the round-0 halt decisions it reports are already in
     // the checkpoint, and load_state overwrites the dynamic state.
     for (graph::NodeIndex v = 0; v < n_; ++v) {
-      const std::size_t begin = row_[static_cast<std::size_t>(v)];
-      pool_[static_cast<std::size_t>(v)]->init_flat(port_colour_.data() + begin, degree(v));
+      const std::size_t begin = csr.row[static_cast<std::size_t>(v)];
+      pool_[static_cast<std::size_t>(v)]->init_flat(csr.port_colour.data() + begin,
+                                                    csr.degree(v));
     }
     for (std::size_t v = 0; v < static_cast<std::size_t>(n_); ++v) {
       result_.outputs[v] = cp->outputs[v];
@@ -262,9 +264,9 @@ void FlatEngine::initialise(const EngineCheckpoint* cp) {
     }
   } else {
     for (graph::NodeIndex v = 0; v < n_; ++v) {
-      const std::size_t begin = row_[static_cast<std::size_t>(v)];
-      if (pool_[static_cast<std::size_t>(v)]->init_flat(port_colour_.data() + begin,
-                                                        degree(v))) {
+      const std::size_t begin = csr.row[static_cast<std::size_t>(v)];
+      if (pool_[static_cast<std::size_t>(v)]->init_flat(csr.port_colour.data() + begin,
+                                                        csr.degree(v))) {
         halt(v, /*round=*/0);
         --running_;
       }
@@ -328,6 +330,7 @@ void FlatEngine::step_round(int round) {
   // no lock; their pool and arenas are private.
   std::unique_lock<std::mutex> borrow;
   if (runtime_ != nullptr) borrow = std::unique_lock<std::mutex>(runtime_->mutex());
+  const graph::Csr& csr = *csr_;
   round_now_ = round;
   // Phase 0: apply this round's fault events before the send phase.  A
   // crash aimed at a halted or dead node is a no-op; a permanent crash
@@ -358,7 +361,7 @@ void FlatEngine::step_round(int round) {
     }
   }
   if (!planes_ready_) {
-    plane_->configure(port_colour_.size(), workers_,
+    plane_->configure(csr.slot_count(), workers_,
                       runtime_ != nullptr ? &runtime_->arenas() : nullptr);
     // Halts recorded before the first simulated round (round-0 halts, or
     // everything a restored checkpoint carries) rendered no announcements
@@ -394,9 +397,9 @@ void FlatEngine::step_round(int round) {
     out.stamp_ = stamp;
     for (graph::NodeIndex v = begin; v < end; ++v) {
       if (halted_[static_cast<std::size_t>(v)] || down_[static_cast<std::size_t>(v)]) continue;
-      out.base_ = row_[static_cast<std::size_t>(v)];
-      out.colours_ = port_colour_.data() + out.base_;
-      out.count_ = degree(v);
+      out.base_ = csr.row[static_cast<std::size_t>(v)];
+      out.colours_ = csr.port_colour.data() + out.base_;
+      out.count_ = csr.degree(v);
       pool_[static_cast<std::size_t>(v)]->send_flat(round, out);
     }
   });
@@ -411,13 +414,13 @@ void FlatEngine::step_round(int round) {
   if (drop_mask_) {
     for (graph::NodeIndex u = 0; u < n_; ++u) {
       if (halted_[static_cast<std::size_t>(u)] || down_[static_cast<std::size_t>(u)]) continue;
-      const std::size_t begin = row_[static_cast<std::size_t>(u)];
-      const std::size_t end = row_[static_cast<std::size_t>(u) + 1];
+      const std::size_t begin = csr.row[static_cast<std::size_t>(u)];
+      const std::size_t end = csr.row[static_cast<std::size_t>(u) + 1];
       for (std::size_t s = begin; s < end; ++s) {
         if (plane.slots[s].stamp != stamp) continue;
-        const graph::NodeIndex r = peer_node_[s];
+        const graph::NodeIndex r = csr.peer_node[s];
         if (halted_[static_cast<std::size_t>(r)] || down_[static_cast<std::size_t>(r)]) continue;
-        if (plan_->drops(round, u, port_colour_[s])) ++result_.messages_dropped;
+        if (plan_->drops(round, u, csr.port_colour[s])) ++result_.messages_dropped;
       }
     }
   }
@@ -431,13 +434,13 @@ void FlatEngine::step_round(int round) {
   for_chunks([&](int worker, graph::NodeIndex begin, graph::NodeIndex end) {
     for (graph::NodeIndex v = begin; v < end; ++v) {
       if (halted_[static_cast<std::size_t>(v)] || down_[static_cast<std::size_t>(v)]) continue;
-      const std::size_t row = row_[static_cast<std::size_t>(v)];
+      const std::size_t row = csr.row[static_cast<std::size_t>(v)];
       FlatInbox in;
       in.engine_ = this;
       in.plane_ = &plane;
-      in.colours_ = port_colour_.data() + row;
+      in.colours_ = csr.port_colour.data() + row;
       in.row_ = row;
-      in.count_ = degree(v);
+      in.count_ = csr.degree(v);
       in.stamp_ = stamp;
       if (pool_[static_cast<std::size_t>(v)]->receive_flat(round, in)) {
         newly_halted_[static_cast<std::size_t>(worker)].push_back(v);
@@ -519,70 +522,26 @@ void FlatEngine::restore(const EngineCheckpoint& cp) {
 
 void FlatEngine::restore(std::istream& in) { restore(EngineCheckpoint::read(in)); }
 
-void FlatEngine::build_csr() {
-  // Built straight from the edge list: one counting pass, one scatter
-  // pass into an interleaved scratch (one cache miss per half-edge, not
-  // two), then a sequential split + per-row insertion sort by colour.
-  // Never calls incident_colours/neighbour, which allocate per node.
-  const std::vector<graph::Edge>& edges = g_.edges();
-  std::vector<int> degrees(static_cast<std::size_t>(n_), 0);
-  for (const graph::Edge& e : edges) {
-    ++degrees[static_cast<std::size_t>(e.u)];
-    ++degrees[static_cast<std::size_t>(e.v)];
-  }
-  row_ = flat_row_offsets(degrees);
-  const std::size_t slot_count = row_[static_cast<std::size_t>(n_)];
-  struct Half {
-    Colour colour;
-    graph::NodeIndex peer;
-  };
-  std::vector<Half> halves(slot_count);
-  {
-    std::vector<std::size_t> cursor(row_.begin(), row_.end() - 1);
-    for (const graph::Edge& e : edges) {
-      halves[cursor[static_cast<std::size_t>(e.u)]++] = {e.colour, e.v};
-      halves[cursor[static_cast<std::size_t>(e.v)]++] = {e.colour, e.u};
-    }
-  }
-  // Ports must ascend by colour within a row (that is what defines the
-  // port order seen by programs); rows have at most k entries.
-  for (graph::NodeIndex v = 0; v < n_; ++v) {
-    const std::size_t begin = row_[static_cast<std::size_t>(v)];
-    const std::size_t end = row_[static_cast<std::size_t>(v) + 1];
-    for (std::size_t i = begin + 1; i < end; ++i) {
-      const Half h = halves[i];
-      std::size_t j = i;
-      for (; j > begin && halves[j - 1].colour > h.colour; --j) halves[j] = halves[j - 1];
-      halves[j] = h;
-    }
-  }
-  port_colour_.resize(slot_count);
-  peer_node_.resize(slot_count);
-  for (std::size_t s = 0; s < slot_count; ++s) {
-    port_colour_[s] = halves[s].colour;
-    peer_node_[s] = halves[s].peer;
-  }
-}
-
 std::string_view FlatEngine::resolve(const FlatPlane& plane, std::size_t s,
                                      std::uint8_t stamp) const noexcept {
-  const graph::NodeIndex u = peer_node_[s];
+  const graph::Csr& csr = *csr_;
+  const graph::NodeIndex u = csr.peer_node[s];
   if (halted_[static_cast<std::size_t>(u)]) {
     return announcements_[static_cast<std::size_t>(u)];
   }
   // A down (or dead) sender reads as absent on the shared edge.
   if (faulty_ && down_[static_cast<std::size_t>(u)]) return {};
-  const std::size_t u_row = row_[static_cast<std::size_t>(u)];
-  const std::size_t u_end = row_[static_cast<std::size_t>(u) + 1];
-  const auto begin = port_colour_.begin() + static_cast<std::ptrdiff_t>(u_row);
-  const auto end = port_colour_.begin() + static_cast<std::ptrdiff_t>(u_end);
-  const auto it = std::lower_bound(begin, end, port_colour_[s]);
+  const std::size_t u_row = csr.row[static_cast<std::size_t>(u)];
+  const std::size_t u_end = csr.row[static_cast<std::size_t>(u) + 1];
+  const auto begin = csr.port_colour.begin() + static_cast<std::ptrdiff_t>(u_row);
+  const auto end = csr.port_colour.begin() + static_cast<std::ptrdiff_t>(u_end);
+  const auto it = std::lower_bound(begin, end, csr.port_colour[s]);
   const std::string_view view =
       slot_view(plane, u_row + static_cast<std::size_t>(it - begin), stamp);
   // Drop masking: a message the sender actually wrote this round reads as
   // absent when the (round, sender, colour) hash says drop.  Counting
   // happened in the serial pass of step_round; this is delivery only.
-  if (drop_mask_ && !view.empty() && plan_->drops(round_now_, u, port_colour_[s])) {
+  if (drop_mask_ && !view.empty() && plan_->drops(round_now_, u, csr.port_colour[s])) {
     return {};
   }
   return view;
@@ -618,11 +577,12 @@ void FlatEngine::halt(graph::NodeIndex v, int round) {
 /// (run_sync re-renders this string per edge per round).  A down peer
 /// counts as audience: it may restart and read the announcement later.
 void FlatEngine::render_announcement(graph::NodeIndex v) {
-  const std::size_t begin = row_[static_cast<std::size_t>(v)];
-  const std::size_t end = row_[static_cast<std::size_t>(v) + 1];
+  const graph::Csr& csr = *csr_;
+  const std::size_t begin = csr.row[static_cast<std::size_t>(v)];
+  const std::size_t end = csr.row[static_cast<std::size_t>(v) + 1];
   bool audience = false;
   for (std::size_t s = begin; s < end && !audience; ++s) {
-    audience = !halted_[static_cast<std::size_t>(peer_node_[s])];
+    audience = !halted_[static_cast<std::size_t>(csr.peer_node[s])];
   }
   if (!audience) return;
   announcements_[static_cast<std::size_t>(v)] =
@@ -639,10 +599,11 @@ void FlatEngine::render_announcement(graph::NodeIndex v) {
 /// Down rows are wiped too: a down node may restart mid-cycle and leave
 /// unwritten ports whose stale stamps must never alias a fresh tag.
 void FlatEngine::wipe_running_rows() {
+  const graph::Csr& csr = *csr_;
   for (graph::NodeIndex v = 0; v < n_; ++v) {
     if (halted_[static_cast<std::size_t>(v)]) continue;
-    const std::size_t begin = row_[static_cast<std::size_t>(v)];
-    const std::size_t end = row_[static_cast<std::size_t>(v) + 1];
+    const std::size_t begin = csr.row[static_cast<std::size_t>(v)];
+    const std::size_t end = csr.row[static_cast<std::size_t>(v) + 1];
     std::fill(plane_->slots.begin() + static_cast<std::ptrdiff_t>(begin),
               plane_->slots.begin() + static_cast<std::ptrdiff_t>(end), FlatSlot{});
   }
@@ -656,8 +617,8 @@ void FlatEngine::wipe_running_rows() {
 /// gets a cache-line-isolated atomic cursor that for_chunks resets per
 /// phase and workers drain (and steal from) with fetch_add.
 void FlatEngine::plan_chunks(std::size_t chunk_slots) {
-  const std::size_t total =
-      row_[static_cast<std::size_t>(n_)] + static_cast<std::size_t>(n_);
+  const graph::Csr& csr = *csr_;
+  const std::size_t total = csr.slot_count() + static_cast<std::size_t>(n_);
   std::size_t target = chunk_slots;
   if (target == 0) {
     target = std::max(kMinAutoChunkSlots,
@@ -669,7 +630,7 @@ void FlatEngine::plan_chunks(std::size_t chunk_slots) {
     graph::NodeIndex begin = 0;
     std::size_t acc = 0;
     for (graph::NodeIndex v = 0; v < n_; ++v) {
-      acc += 1 + static_cast<std::size_t>(degree(v));
+      acc += 1 + static_cast<std::size_t>(csr.degree(v));
       if (acc >= target) {
         chunks_.push_back({begin, v + 1});
         weight.push_back(acc);
@@ -760,15 +721,6 @@ void FlatEngine::drain(int victim, int worker, const F& fn) {
     const Chunk& chunk = chunks_[static_cast<std::size_t>(c)];
     fn(worker, chunk.begin, chunk.end);
   }
-}
-
-std::vector<std::size_t> flat_row_offsets(const std::vector<int>& degrees) {
-  std::vector<std::size_t> offsets(degrees.size() + 1, 0);
-  for (std::size_t v = 0; v < degrees.size(); ++v) {
-    if (degrees[v] < 0) throw std::invalid_argument("flat_row_offsets: negative degree");
-    offsets[v + 1] = offsets[v] + static_cast<std::size_t>(degrees[v]);
-  }
-  return offsets;
 }
 
 std::string_view FlatInbox::at(int port) const {

@@ -79,13 +79,6 @@ struct FlatEngineOptions {
   bool steal = true;
 };
 
-/// Exclusive prefix sum of per-node degrees into the CSR row offsets used
-/// by the flat engine's slot plane.  Accumulates in std::size_t from the
-/// first addition, so an n·Δ slot count beyond 2³¹ cannot wrap — pinned by
-/// the 64-bit regression test in tests/test_flat_engine.cpp.  Throws
-/// std::invalid_argument on a negative degree.
-std::vector<std::size_t> flat_row_offsets(const std::vector<int>& degrees);
-
 /// Slot index of `port` within the row starting at `row`; the port is
 /// widened before the addition.
 constexpr std::size_t flat_slot(std::size_t row, int port) noexcept {
@@ -93,14 +86,20 @@ constexpr std::size_t flat_slot(std::size_t row, int port) noexcept {
 }
 
 /// The engine object behind run_flat, exposed so a run can be checkpointed
-/// and resumed (checkpoint.hpp): construct once (CSR build, chunk planning,
-/// worker-pool spawn), then either run() to completion — optionally under a
-/// FaultPlan, with a CheckpointOptions sink observing round boundaries — or
-/// restore() a previously captured checkpoint and run() the remainder.
-/// Checkpoints are engine-agnostic: a FlatEngine restores what run_sync
-/// captured and vice versa (tests/test_faults.cpp).
+/// and resumed (checkpoint.hpp): construct once (CSR borrow, chunk
+/// planning, worker-pool spawn), then either run() to completion —
+/// optionally under a FaultPlan, with a CheckpointOptions sink observing
+/// round boundaries — or restore() a previously captured checkpoint and
+/// run() the remainder.  Checkpoints are engine-agnostic: a FlatEngine
+/// restores what run_sync captured and vice versa (tests/test_faults.cpp).
 class FlatEngine {
  public:
+  /// The constructor borrows the graph's colour-sorted CSR
+  /// (EdgeColouredGraph::csr()) and holds it for the engine's lifetime, so
+  /// every engine and session over one graph version — and over every copy
+  /// of it — shares one CSR.  Only a version's first flat run builds it,
+  /// so RunResult::init_ns includes the CSR build on that run alone.
+  ///
   /// With `runtime` == nullptr the engine owns a private worker pool
   /// (options.threads workers, spawned in the constructor).  With a
   /// runtime, the engine borrows the process-shared pool and spill arenas
@@ -160,13 +159,6 @@ class FlatEngine {
                            std::uint8_t stamp) const noexcept;
 
  private:
-  void build_csr();
-
-  int degree(graph::NodeIndex v) const noexcept {
-    return static_cast<int>(row_[static_cast<std::size_t>(v) + 1] -
-                            row_[static_cast<std::size_t>(v)]);
-  }
-
   /// Builds programs and per-run state; `cp` != nullptr overlays a restored
   /// checkpoint (init still runs — programs re-derive graph-shaped state —
   /// then load_state overwrites the dynamic part).
@@ -207,12 +199,12 @@ class FlatEngine {
   std::unique_ptr<WorkerPool> pool_threads_;  // private pool (no runtime): workers_ - 1 parked threads
   Runtime* runtime_ = nullptr;                // shared pool + arenas, borrowed per step
 
-  std::vector<std::size_t> row_;             // n+1 offsets, sender-major CSR
-  std::vector<Colour> port_colour_;          // per slot
-  std::vector<graph::NodeIndex> peer_node_;  // per slot: the port's neighbour
+  // The graph's sender-major CSR, shared with every other engine on this
+  // graph version.
+  std::shared_ptr<const graph::Csr> csr_;
 
-  // Declared after the CSR vectors: programs may hold init_flat spans into
-  // port_colour_, so the pool (and its destructors) must go first.
+  // Declared after the CSR: programs may hold init_flat spans into its
+  // colour rows, so the pool (and its destructors) must go first.
   ProgramPool pool_;
 
   // Per-run state, owned by the engine so snapshot()/restore() can reach

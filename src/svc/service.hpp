@@ -48,7 +48,10 @@ namespace dmm::svc {
 /// One matching instance submitted to the front-end.  The service takes
 /// the Job by value and owns the graph / source / fault plan for the
 /// session's lifetime (the engine borrows them), so a submitter may drop
-/// its own copies immediately after submit() returns.
+/// its own copies immediately after submit() returns.  Copying a graph
+/// into a Job is O(1): jobs on one instance share its storage
+/// (copy-on-write) and the colour-sorted CSR that the first flat session
+/// over it builds, so N jobs hold one adjacency and one CSR, not N.
 struct Job {
   graph::EdgeColouredGraph graph{0, 1};
   local::ProgramSource source;

@@ -21,8 +21,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "algo/greedy.hpp"
@@ -572,6 +574,113 @@ TEST(Checkpoint, VersionOneFilesAreUnsupported) {
     EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version 1"), std::string::npos)
         << e.what();
   }
+}
+
+/// Decodes a real mid-run checkpoint, edits one field at a time into
+/// something no run produces, re-encodes it (so every frame checksum is
+/// valid again — FNV-1a does not resist crafted input) and requires both
+/// engines' restores to refuse it; the unedited bytes must still resume
+/// bit-identically.  Returns the number of edits tried.
+int fuzz_checkpoint_fields(const graph::EdgeColouredGraph& g, const FaultPlan* plan,
+                           const std::string& context) {
+  const ProgramSource source = algo::greedy_program_factory();
+  const CapturedRun captured = run_with_checkpoints(EngineKind::kSync, g, source, 64, plan);
+  EXPECT_GE(captured.checkpoints.size(), 2u) << context;
+  if (captured.checkpoints.size() < 2) return 0;
+  // After round 2 both halted and live nodes exist.
+  const EngineCheckpoint& cp = captured.checkpoints[1];
+  const auto encode = [](const EngineCheckpoint& c) {
+    std::stringstream bytes;
+    c.write(bytes);
+    return bytes.str();
+  };
+  const auto resume = [&](const std::string& bytes, EngineKind kind) {
+    std::istringstream in(bytes);
+    const EngineCheckpoint decoded = EngineCheckpoint::read(in);
+    CheckpointOptions options;
+    options.resume = &decoded;
+    return run(kind, g, source, 64, FaultOptions{plan}, options);
+  };
+  const std::string clean = encode(cp);
+  for (const EngineKind kind : {EngineKind::kSync, EngineKind::kFlat}) {
+    expect_same_result(captured.clean, resume(clean, kind),
+                       context + " unedited on " + engine_kind_name(kind));
+  }
+
+  int edits = 0;
+  const auto expect_rejected = [&](const EngineCheckpoint& edited, const std::string& what) {
+    const std::string bytes = encode(edited);
+    for (const EngineKind kind : {EngineKind::kSync, EngineKind::kFlat}) {
+      EXPECT_ANY_THROW(resume(bytes, kind)) << context << ": " << what << " on "
+                                            << engine_kind_name(kind);
+    }
+    ++edits;
+  };
+  std::size_t blob = 0;
+  for (graph::NodeIndex v = 0; v < g.node_count(); ++v) {
+    const auto i = static_cast<std::size_t>(v);
+    const std::vector<Colour> incident = g.incident_colours(v);
+    std::vector<Colour> foreign;  // colours the node has no edge of
+    for (int c = 1; c <= g.k() + 1; ++c) {
+      if (std::find(incident.begin(), incident.end(), c) == incident.end()) {
+        foreign.push_back(static_cast<Colour>(c));
+      }
+    }
+    foreign.push_back(255);
+    const std::string node = "node " + std::to_string(v);
+    EngineCheckpoint edited = cp;
+    if (cp.halted[i]) {
+      for (const Colour c : foreign) {
+        edited.outputs[i] = c;
+        expect_rejected(edited, node + " halted on non-incident colour " + std::to_string(c));
+      }
+      edited = cp;
+      edited.halt_round[i] = cp.round + 1;
+      expect_rejected(edited, node + " halted after the checkpoint round");
+      edited = cp;
+      edited.down[i] = 1;
+      expect_rejected(edited, node + " halted and down");
+      continue;
+    }
+    for (const Colour c : incident) {
+      edited.outputs[i] = c;
+      expect_rejected(edited, node + " not halted but outputs " + std::to_string(c));
+    }
+    edited = cp;
+    edited.halt_round[i] = cp.round;
+    expect_rejected(edited, node + " halt round without the halted flag");
+    if (cp.dead[i]) continue;
+    // A live node's greedy state blob is {matched, output}.
+    for (const Colour c : incident) {
+      edited = cp;
+      edited.program_state[blob] = std::string{'\0', static_cast<char>(c)};
+      expect_rejected(edited, node + " unmatched state with output " + std::to_string(c));
+    }
+    for (const Colour c : foreign) {
+      edited = cp;
+      edited.program_state[blob] = std::string{'\1', static_cast<char>(c)};
+      expect_rejected(edited, node + " matched state on non-incident " + std::to_string(c));
+    }
+    edited = cp;
+    edited.program_state[blob] = std::string{'\2', '\0'};
+    expect_rejected(edited, node + " malformed state");
+    ++blob;
+  }
+  EXPECT_EQ(blob, cp.program_state.size()) << context;
+  return edits;
+}
+
+TEST(Checkpoint, CraftedFieldsAreRejectedOnRestore) {
+  Rng rng(57);
+  const graph::EdgeColouredGraph g = graph::random_coloured_graph(48, 5, 0.8, rng);
+  EXPECT_GT(fuzz_checkpoint_fields(g, nullptr, "fault-free"), 200);
+  FaultSpec spec;
+  spec.crash_prob = 0.25;
+  spec.permanent_prob = 0.3;
+  spec.horizon = 3;
+  spec.seed = 91;
+  const FaultPlan plan = FaultPlan::random(g, spec);
+  EXPECT_GT(fuzz_checkpoint_fields(g, &plan, "faulty"), 200);
 }
 
 /// Runs forever-ish with no save_state override.

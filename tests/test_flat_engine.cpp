@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <memory>
+#include <string>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "algo/greedy.hpp"
 #include "algo/runner.hpp"
@@ -227,13 +231,14 @@ TEST(FlatEngine, ExceptionsPropagateFromWorkers) {
 }
 
 TEST(FlatEngine, RowOffsetsAre64BitSafe) {
-  // The CSR scan the engine itself uses (build_csr → flat_row_offsets)
-  // must accumulate in std::size_t: three nodes of degree 2³⁰ push the
-  // running slot count past 2³¹, which wrapped in 32-bit arithmetic.  The
-  // offsets are pure bookkeeping — no plane is allocated here — so the
-  // regression test covers the n·Δ > 2³¹ regime without 16 GiB of slots.
+  // The CSR scan behind the engine's slot plane (EdgeColouredGraph::csr →
+  // graph::csr_row_offsets) must accumulate in std::size_t: three nodes of
+  // degree 2³⁰ push the running slot count past 2³¹, which wrapped in
+  // 32-bit arithmetic.  The offsets are pure bookkeeping — no plane is
+  // allocated here — so the regression test covers the n·Δ > 2³¹ regime
+  // without 16 GiB of slots.
   const int big = 1 << 30;
-  const std::vector<std::size_t> offsets = flat_row_offsets({big, big, big, 5});
+  const std::vector<std::size_t> offsets = graph::csr_row_offsets({big, big, big, 5});
   ASSERT_EQ(offsets.size(), 5u);
   EXPECT_EQ(offsets[0], 0u);
   EXPECT_EQ(offsets[2], std::size_t{2} << 30);
@@ -241,7 +246,69 @@ TEST(FlatEngine, RowOffsetsAre64BitSafe) {
   EXPECT_EQ(offsets[4], (std::size_t{3} << 30) + 5);
   // Port addressing widens before the addition as well.
   EXPECT_EQ(flat_slot(std::size_t{3} << 30, 7), (std::size_t{3} << 30) + 7);
-  EXPECT_THROW(flat_row_offsets({1, -1}), std::invalid_argument);
+  EXPECT_THROW(graph::csr_row_offsets({1, -1}), std::invalid_argument);
+}
+
+TEST(FlatEngine, MatchesOracleAfterMutatingAGraphWhoseCsrWasBuilt) {
+  // The first flat run builds the graph's CSR; every add_edge/remove_edge
+  // after it must drop it, or run_flat would simulate a stale graph —
+  // which run_sync, reading the adjacency, would expose.
+  Rng rng(811);
+  graph::EdgeColouredGraph g = graph::random_coloured_graph(120, 5, 0.7, rng);
+  const ProgramSource source = algo::greedy_program_factory();
+  expect_engines_agree(g, source, 8, "before churn");
+  const graph::EdgeColouredGraph shared = g;  // holds the pre-churn CSR
+  int inserts = 0;
+  for (int op = 0; op < 60; ++op) {
+    if (op % 3 == 2 && g.edge_count() > 0) {
+      const graph::Edge e = g.edges()[rng.index(g.edges().size())];
+      g.remove_edge(e.u, e.v);
+    } else {
+      for (int tries = 0; tries < 50; ++tries) {
+        const auto u = static_cast<graph::NodeIndex>(rng.uniform(0, 119));
+        const auto v = static_cast<graph::NodeIndex>(rng.uniform(0, 119));
+        const auto c = static_cast<Colour>(rng.uniform(1, 5));
+        if (u == v || g.has_edge(u, v) || g.neighbour(u, c) || g.neighbour(v, c)) continue;
+        g.add_edge(u, v, c);
+        ++inserts;
+        break;
+      }
+    }
+    if (op % 10 == 9) expect_engines_agree(g, source, 8, "after op " + std::to_string(op));
+  }
+  EXPECT_GT(inserts, 20);
+  // The copy taken before the churn still runs on its own version.
+  expect_engines_agree(shared, source, 8, "pre-churn copy");
+}
+
+TEST(FlatEngine, ConcurrentFirstCsrUseAgrees) {
+  // Eight threads start flat runs at once on their own copies of one
+  // fresh graph, so they race to build its CSR: one build is published,
+  // and every run equals the oracle.  (The TSan CI leg runs this suite.)
+  Rng rng(812);
+  const graph::EdgeColouredGraph g = graph::random_coloured_graph(2000, 6, 0.7, rng);
+  const ProgramSource source = algo::greedy_program_factory();
+  constexpr int kThreads = 8;
+  std::vector<graph::EdgeColouredGraph> copies(kThreads, g);
+  std::vector<RunResult> results(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      FlatEngineOptions options;
+      options.threads = 1 + t % 3;
+      start.arrive_and_wait();
+      results[static_cast<std::size_t>(t)] =
+          run_flat(copies[static_cast<std::size_t>(t)], source, 8, options);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  const RunResult oracle = run_sync(g, source, 8);
+  for (int t = 0; t < kThreads; ++t) {
+    expect_same_result(oracle, results[static_cast<std::size_t>(t)],
+                       "thread " + std::to_string(t));
+  }
+  EXPECT_EQ(copies.front().csr(), g.csr());  // one CSR for the version
 }
 
 /// (n, threads) grid — the `threads > n`, `n = 0` and near-empty-partition

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
 #include <optional>
+#include <span>
+#include <string>
 #include <utility>
 
+#include "local/checkpoint.hpp"
 #include "util/rng.hpp"
 
 namespace dmm::graph {
@@ -260,6 +264,171 @@ TEST(EdgeColouredGraph, EdgeColourReadsEitherOrientation) {
   EXPECT_EQ(*g.edge_colour(1, 0), 2);
   EXPECT_FALSE(g.edge_colour(0, 2).has_value());
   EXPECT_THROW(g.edge_colour(0, 9), std::out_of_range);
+}
+
+// --- shared storage: copy-on-write handles and the shared CSR ------------
+
+/// A small graph with a hub row scrambled out of colour order.
+EdgeColouredGraph scrambled_star() {
+  EdgeColouredGraph g(6, 5);
+  for (const gk::Colour c : {gk::Colour{5}, gk::Colour{2}, gk::Colour{4}, gk::Colour{1}}) {
+    g.add_edge(0, c, c);
+  }
+  g.add_edge(1, 2, 3);
+  return g;
+}
+
+TEST(SharedStorage, CopySharesStorageUntilEitherSideMutates) {
+  const EdgeColouredGraph original = scrambled_star();
+  EdgeColouredGraph copy = original;
+  EXPECT_EQ(&copy.edges(), &original.edges());
+  for (NodeIndex v = 0; v < original.node_count(); ++v) {
+    EXPECT_EQ(copy.half_edges(v).data(), original.half_edges(v).data()) << v;
+  }
+  // A rejected mutation is no mutation: the storage stays shared.
+  EXPECT_THROW(copy.add_edge(0, 3, 5), std::logic_error);
+  EXPECT_THROW(copy.remove_edge(2, 3), std::invalid_argument);
+  EXPECT_EQ(&copy.edges(), &original.edges());
+  copy.add_edge(2, 3, 1);
+  EXPECT_NE(&copy.edges(), &original.edges());
+  EXPECT_NE(copy.half_edges(0).data(), original.half_edges(0).data());
+
+  // Either side may be the one that mutates.
+  EdgeColouredGraph left = scrambled_star();
+  const EdgeColouredGraph right = left;
+  left.remove_edge(0, 4);
+  EXPECT_NE(&left.edges(), &right.edges());
+  EXPECT_EQ(right.edge_count(), 5);
+  EXPECT_EQ(left.edge_count(), 4);
+
+  // Assignment shares too, and self-assignment is harmless.
+  EdgeColouredGraph assigned(1, 1);
+  assigned = right;
+  EXPECT_EQ(&assigned.edges(), &right.edges());
+  const EdgeColouredGraph& alias = assigned;
+  assigned = alias;
+  EXPECT_EQ(&assigned.edges(), &right.edges());
+  EXPECT_EQ(assigned.edge_count(), 5);
+}
+
+TEST(SharedStorage, MutatingOneCopyLeavesTheOtherUnchanged) {
+  Rng rng(1301);
+  EdgeColouredGraph g(40, 5);
+  for (int tries = 0; tries < 400; ++tries) {
+    const auto u = static_cast<NodeIndex>(rng.uniform(0, 39));
+    const auto v = static_cast<NodeIndex>(rng.uniform(0, 39));
+    const auto c = static_cast<gk::Colour>(rng.uniform(1, 5));
+    try {
+      g.add_edge(u, v, c);
+    } catch (const std::exception&) {
+    }
+  }
+  ASSERT_GT(g.edge_count(), 40);
+  const std::vector<Edge> edges_before = g.edges();
+  std::vector<std::vector<HalfEdge>> halves_before;
+  for (NodeIndex v = 0; v < g.node_count(); ++v) {
+    halves_before.emplace_back(g.half_edges(v).begin(), g.half_edges(v).end());
+  }
+  const std::uint64_t fingerprint = local::graph_fingerprint(g);
+  const auto expect_unchanged = [&](const EdgeColouredGraph& h, const std::string& when) {
+    ASSERT_EQ(h.edges().size(), edges_before.size()) << when;
+    for (std::size_t i = 0; i < edges_before.size(); ++i) {
+      EXPECT_EQ(h.edges()[i].u, edges_before[i].u) << when;
+      EXPECT_EQ(h.edges()[i].v, edges_before[i].v) << when;
+      EXPECT_EQ(h.edges()[i].colour, edges_before[i].colour) << when;
+    }
+    for (NodeIndex v = 0; v < h.node_count(); ++v) {
+      const std::span<const HalfEdge> now = h.half_edges(v);
+      const auto& then = halves_before[static_cast<std::size_t>(v)];
+      ASSERT_EQ(now.size(), then.size()) << when << " node " << v;
+      for (std::size_t i = 0; i < then.size(); ++i) {
+        EXPECT_EQ(now[i].to, then[i].to) << when;
+        EXPECT_EQ(now[i].slot, then[i].slot) << when;
+        EXPECT_EQ(now[i].colour, then[i].colour) << when;
+      }
+    }
+    EXPECT_EQ(local::graph_fingerprint(h), fingerprint) << when;
+  };
+
+  // The copy mutates: the original keeps every field.
+  EdgeColouredGraph copy = g;
+  const Edge first = copy.edges().front();
+  copy.remove_edge(first.u, first.v);
+  copy.add_edge(first.v, first.u, first.colour);  // same edge set, new order
+  EXPECT_EQ(local::graph_fingerprint(copy), fingerprint);
+  copy.remove_edge(copy.edges().back().u, copy.edges().back().v);
+  EXPECT_NE(local::graph_fingerprint(copy), fingerprint);
+  expect_unchanged(g, "after the copy mutated");
+
+  // The original mutates: a copy taken before keeps every field.
+  const EdgeColouredGraph kept = g;
+  g.remove_edge(first.u, first.v);
+  expect_unchanged(kept, "after the original mutated");
+}
+
+TEST(SharedStorage, MovedFromGraphIsAValidEmptyGraph) {
+  const auto expect_empty = [](EdgeColouredGraph& g) {
+    EXPECT_EQ(g.node_count(), 0);
+    EXPECT_EQ(g.edge_count(), 0);
+    EXPECT_EQ(g.k(), 1);
+    EXPECT_EQ(g.max_degree(), 0);
+    EXPECT_TRUE(g.edges().empty());
+    EXPECT_TRUE(g.is_properly_coloured());
+    EXPECT_EQ(g.csr()->row, std::vector<std::size_t>{0});
+    EXPECT_THROW(g.add_edge(0, 1, 1), std::out_of_range);  // no nodes to join
+    // Still a full value: it can be copied and reassigned.
+    const EdgeColouredGraph copy = g;
+    EXPECT_EQ(copy.node_count(), 0);
+    g = scrambled_star();
+    EXPECT_EQ(g.edge_count(), 5);
+  };
+  EdgeColouredGraph source = scrambled_star();
+  const EdgeColouredGraph moved(std::move(source));
+  EXPECT_EQ(moved.edge_count(), 5);
+  expect_empty(source);  // NOLINT(bugprone-use-after-move): moved-from state is specified
+
+  EdgeColouredGraph assigned_from = scrambled_star();
+  EdgeColouredGraph target(3, 2);
+  target = std::move(assigned_from);
+  EXPECT_EQ(target.edge_count(), 5);
+  expect_empty(assigned_from);  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(SharedStorage, CsrIsColourSortedAndSharedUntilAMutation) {
+  EdgeColouredGraph g = scrambled_star();
+  const std::shared_ptr<const Csr> csr = g.csr();
+  // Node 3 is isolated; node 0's scrambled row comes out in colour order.
+  EXPECT_EQ(csr->row, (std::vector<std::size_t>{0, 4, 6, 8, 8, 9, 10}));
+  EXPECT_EQ(csr->port_colour, (std::vector<gk::Colour>{1, 2, 4, 5, 1, 3, 2, 3, 4, 5}));
+  EXPECT_EQ(csr->peer_node, (std::vector<NodeIndex>{1, 2, 4, 5, 0, 2, 0, 1, 0, 0}));
+  EXPECT_EQ(csr->degree(0), 4);
+  EXPECT_EQ(csr->slot_count(), 10u);
+
+  // One CSR per graph version, whichever copy asks.
+  const EdgeColouredGraph copy = g;
+  EXPECT_EQ(copy.csr(), csr);
+  EXPECT_EQ(g.csr(), csr);
+
+  // A mutation drops the handle's CSR; the next call builds the new
+  // version's, while holders of the old one keep it intact.
+  g.remove_edge(0, 5);
+  const std::shared_ptr<const Csr> rebuilt = g.csr();
+  EXPECT_NE(rebuilt, csr);
+  EXPECT_EQ(rebuilt->row, (std::vector<std::size_t>{0, 3, 5, 7, 7, 8, 8}));
+  EXPECT_EQ(rebuilt->port_colour, (std::vector<gk::Colour>{1, 2, 4, 1, 3, 2, 3, 4}));
+  EXPECT_EQ(rebuilt->peer_node, (std::vector<NodeIndex>{1, 2, 4, 0, 2, 0, 1, 0}));
+  EXPECT_EQ(csr->slot_count(), 10u);
+  EXPECT_EQ(copy.csr(), csr);
+
+  // A sole owner mutates in place and drops its CSR the same way.
+  EdgeColouredGraph solo = scrambled_star();
+  const std::shared_ptr<const Csr> before = solo.csr();
+  const HalfEdge* row0 = solo.half_edges(0).data();
+  solo.add_edge(2, 3, 1);
+  EXPECT_EQ(solo.half_edges(0).data(), row0);  // no detach
+  EXPECT_NE(solo.csr(), before);
+  EXPECT_EQ(solo.csr()->slot_count(), 12u);
+  EXPECT_EQ(before->slot_count(), 10u);
 }
 
 }  // namespace

@@ -33,6 +33,28 @@ TEST(Serialize, GraphRoundTrip) {
   }
 }
 
+TEST(Serialize, GraphColoursAreRangeCheckedBeforeNarrowing) {
+  // 257 and −255 both narrow to colour 1 in 8 bits, and k = 256 has no
+  // 8-bit palette: all three must fail to parse rather than load.
+  EXPECT_THROW(read_graph("dmm-graph 1\nn 2 k 3\ne 0 1 257\n"), std::runtime_error);
+  EXPECT_THROW(read_graph("dmm-graph 1\nn 2 k 3\ne 0 1 -255\n"), std::runtime_error);
+  EXPECT_THROW(read_graph("dmm-graph 1\nn 2 k 256\ne 0 1 1\n"), std::runtime_error);
+  EXPECT_THROW(read_graph("dmm-graph 1\nn 2 k 0\n"), std::runtime_error);
+  EXPECT_THROW(read_graph("dmm-graph 1\nn 2 k 3\ne 0 1 0\n"), std::runtime_error);
+  EXPECT_THROW(read_graph("dmm-graph 1\nn 2 k 3\ne 0 1 4\n"), std::runtime_error);
+  // Graph-level errors still surface from the bulk constructor.
+  EXPECT_THROW(read_graph("dmm-graph 1\nn 3 k 2\ne 0 1 1\ne 0 2 1\n"), std::logic_error);
+  EXPECT_THROW(read_graph("dmm-graph 1\nn 2 k 2\ne 0 5 1\n"), std::out_of_range);
+  // The ends of the range load, in file order.
+  const graph::EdgeColouredGraph g =
+      read_graph("dmm-graph 1\nn 3 k 255\ne 1 2 255\ne 0 1 1\n");
+  EXPECT_EQ(g.k(), 255);
+  ASSERT_EQ(g.edge_count(), 2);
+  EXPECT_EQ(g.edges()[0].colour, 255);
+  EXPECT_EQ(g.edges()[1].u, 0);
+  EXPECT_EQ(g.edges()[1].colour, 1);
+}
+
 TEST(Serialize, SystemRoundTripPreservesIdsAndRadius) {
   const colsys::ColourSystem g = colsys::cayley_ball(3, 4);
   const colsys::ColourSystem back = read_system(write_system(g));
