@@ -8,8 +8,9 @@
 // dropped) inside round r — so the flat engine's slot planes and spill
 // arenas need no serialisation at all.  A restored flat engine starts from
 // a fresh zero-stamped plane (every slot reads as absent, exactly like the
-// first round of a run) and its halted-announcement cache is re-rendered
-// from the restored outputs.  What does need saving is exactly:
+// first round of a run), rebuilds its live-node list from the restored
+// flags, and serves each halted node's announcement from the static table
+// entry of its restored output.  What does need saving is exactly:
 //
 //   * the completed round counter and the engine's node partition
 //     (halted / down / dead / running),

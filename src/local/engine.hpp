@@ -48,15 +48,19 @@ struct alignas(64) MessageStats {
 };
 
 /// Write side of the flat message plane: one slot per incident colour
-/// ("port"), ports sorted by colour exactly like the std::map inbox.  A
-/// message may be set at most once per port per round.
+/// ("port"), ports sorted by colour exactly like the std::map inbox, plus
+/// one broadcast slot for the whole node.  Each port takes at most one
+/// message per round — one set() on it, or one broadcast() for every
+/// port; a second write throws std::logic_error, since run_sync's
+/// per-colour map cannot express one.
 class FlatOutbox {
  public:
   int ports() const noexcept { return count_; }
   Colour colour(int port) const noexcept { return colours_[port]; }
 
   /// Stores `bytes` in the slot of the given port (index into the node's
-  /// sorted incident-colour list).
+  /// sorted incident-colour list).  Throws std::logic_error when the port
+  /// was already set, or the node already broadcast, this round.
   void set(int port, std::string_view bytes);
 
   /// Routes by colour; a non-incident colour is counted in the message
@@ -64,16 +68,24 @@ class FlatOutbox {
   /// returns) but never delivered.
   void set_colour(Colour c, std::string_view bytes);
 
-  /// Same bytes on every port.
+  /// Same bytes on every port, counted as one message per port.  A payload
+  /// of at most kFlatInlineBytes is written once, into the node's broadcast
+  /// slot; a longer one spills through set() on each port.  Throws
+  /// std::logic_error when the node already wrote any port this round.
   void broadcast(std::string_view bytes);
 
  private:
   friend class FlatEngine;
+  static constexpr std::uint8_t kWrotePort = 1;
+  static constexpr std::uint8_t kWroteBroadcast = 2;
+
   FlatPlane* plane_ = nullptr;
   std::size_t base_ = 0;             // first slot of the node's own row
+  std::size_t node_ = 0;             // the sender, indexing its broadcast slot
   const Colour* colours_ = nullptr;  // sorted incident colours
   int count_ = 0;
   std::uint8_t arena_ = 0;         // spill arena of the writing worker (≤ 256 workers)
+  std::uint8_t written_ = 0;       // kWrote* bits of the current sender this round
   std::uint32_t stamp_ = 0;        // current round: stamps written slots live
   MessageStats* stats_ = nullptr;
 };
@@ -81,9 +93,11 @@ class FlatOutbox {
 /// Read side of the flat message plane.  Ports resolve lazily: a program
 /// that only cares about one colour (greedy reads just the colour-(t+1)
 /// port) pays for one slot gather, not deg(v).  at() yields a contiguous
-/// byte view — empty when the neighbour sent nothing, the halted
-/// neighbour's cached announcement (prefixed with kHaltedPrefix) once it
-/// has stopped.
+/// byte view, looked up in this order: a halted neighbour's announcement
+/// (kHaltedPrefix and its output in decimal, from a static table); empty
+/// for a down neighbour; the neighbour's broadcast slot when it broadcast
+/// this round; else its slot for this port, empty when it sent nothing.  A
+/// dropped message reads as empty.
 class FlatInbox {
  public:
   int ports() const noexcept { return count_; }

@@ -1,6 +1,7 @@
 #include "local/flat_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -30,6 +31,29 @@ double phase_elapsed_ns(std::chrono::steady_clock::time_point since) {
                                  .count());
 }
 
+/// A halted node's announcement: kHaltedPrefix and its output in decimal,
+/// the string run_sync renders per edge per round.  Outputs are one byte,
+/// so one table covers every node of every run.
+struct Announcement {
+  char bytes[4] = {};
+  std::uint8_t len = 0;
+};
+
+constexpr std::array<Announcement, 256> make_announcements() {
+  std::array<Announcement, 256> table{};
+  for (int output = 0; output < 256; ++output) {
+    Announcement& a = table[static_cast<std::size_t>(output)];
+    a.bytes[a.len++] = kHaltedPrefix;
+    if (output >= 100) a.bytes[a.len++] = static_cast<char>('0' + output / 100);
+    if (output >= 10) a.bytes[a.len++] = static_cast<char>('0' + output / 10 % 10);
+    a.bytes[a.len++] = static_cast<char>('0' + output % 10);
+  }
+  return table;
+}
+
+constexpr std::array<Announcement, 256> kAnnouncements = make_announcements();
+static_assert(sizeof(Colour) == 1, "the announcement table covers every output byte");
+
 }  // namespace
 
 // The persistent phase-dispatch pool lives in runtime.hpp as WorkerPool
@@ -41,7 +65,7 @@ double phase_elapsed_ns(std::chrono::steady_clock::time_point since) {
 /// sequentially and only the receive phase gathers.  A slot is live only
 /// when its stamp equals the current round's 8-bit tag, which makes
 /// clearing the plane between rounds unnecessary (the engine wipes the
-/// plane once per 255-round tag cycle instead).  Payloads up to
+/// live senders' rows once per 255-round tag cycle instead).  Payloads up to
 /// kFlatInlineBytes live inline — 8 slots per cache line, so even a
 /// million-edge plane stays cache-resident; longer payloads spill to the
 /// writing worker's arena, addressed by the {offset, arena} pair stored in
@@ -56,6 +80,11 @@ static_assert(kFlatInlineBytes >= 6, "payload must hold a spill {offset, arena} 
 
 struct FlatPlane {
   std::vector<FlatSlot> slots;
+  // One slot per sender for an inline broadcast: FlatOutbox::broadcast
+  // stamps it once instead of copying the payload into every port slot,
+  // and resolve() reads it before the port slots.  The one-write rule
+  // means at most one of the two is stamped in any round.
+  std::vector<FlatSlot> broadcast;
   // Spill for unbounded messages, per worker.  A standalone engine owns
   // its arenas (own_arenas); a runtime-backed engine points `arenas` at
   // the shared Runtime set instead — spills are round-scoped scratch
@@ -66,9 +95,10 @@ struct FlatPlane {
   std::vector<std::vector<char>> own_arenas;
   std::vector<std::vector<char>>* arenas = &own_arenas;
 
-  void configure(std::size_t slot_count, int workers,
+  void configure(std::size_t slot_count, std::size_t node_count, int workers,
                  std::vector<std::vector<char>>* shared) {
     slots.assign(slot_count, FlatSlot{});
+    broadcast.assign(node_count, FlatSlot{});
     if (shared != nullptr) {
       arenas = shared;
       if (arenas->size() < static_cast<std::size_t>(workers)) {
@@ -95,10 +125,16 @@ void FlatOutbox::set(int port, std::string_view bytes) {
   if (port < 0 || port >= count_) {
     throw std::out_of_range("FlatOutbox::set: port out of range");
   }
+  FlatSlot& slot = plane_->slots[flat_slot(base_, port)];
+  // A slot carrying this round's tag was written this round: the tag-cycle
+  // wipe clears every live row before a tag is reused.
+  if ((written_ & kWroteBroadcast) != 0 || slot.stamp == stamp_) {
+    throw std::logic_error("FlatOutbox::set: port already written this round");
+  }
+  written_ |= kWrotePort;
   stats_->max_bytes = std::max(stats_->max_bytes, bytes.size());
   stats_->total_bytes += bytes.size();
   ++stats_->sent;
-  FlatSlot& slot = plane_->slots[flat_slot(base_, port)];
   slot.stamp = static_cast<std::uint8_t>(stamp_);
   if (bytes.size() <= kFlatInlineBytes) {
     slot.len = static_cast<std::uint8_t>(bytes.size());
@@ -141,23 +177,25 @@ void FlatOutbox::set_colour(Colour c, std::string_view bytes) {
 
 void FlatOutbox::broadcast(std::string_view bytes) {
   if (count_ == 0) return;
+  if (written_ != 0) {
+    throw std::logic_error("FlatOutbox::broadcast: a port was already written this round");
+  }
   if (bytes.size() > kFlatInlineBytes) {
     // Spilling broadcasts are rare; the generic path handles the arena.
     for (int port = 0; port < count_; ++port) set(port, bytes);
     return;
   }
   // The hot path of constant-size protocols (greedy sends one status byte
-  // to every neighbour): one stats update and one prepared 8-byte slot
-  // store per port.
+  // to every neighbour): one stats update and one 8-byte slot store for
+  // the whole node, still counted as one message per port.
+  written_ = kWroteBroadcast;
   stats_->max_bytes = std::max(stats_->max_bytes, bytes.size());
   stats_->total_bytes += bytes.size() * static_cast<std::size_t>(count_);
   stats_->sent += static_cast<std::size_t>(count_);
-  FlatSlot proto;
-  proto.stamp = static_cast<std::uint8_t>(stamp_);
-  proto.len = static_cast<std::uint8_t>(bytes.size());
-  if (!bytes.empty()) std::memcpy(proto.payload, bytes.data(), bytes.size());
-  FlatSlot* row = plane_->slots.data() + base_;
-  for (int port = 0; port < count_; ++port) row[port] = proto;
+  FlatSlot& slot = plane_->broadcast[node_];
+  slot.stamp = static_cast<std::uint8_t>(stamp_);
+  slot.len = static_cast<std::uint8_t>(bytes.size());
+  if (!bytes.empty()) std::memcpy(slot.payload, bytes.data(), bytes.size());
 }
 
 // Default flat hooks: bridge to the map-based API, preserving run_sync's
@@ -221,7 +259,6 @@ void FlatEngine::initialise(const EngineCheckpoint* cp) {
   halted_.assign(static_cast<std::size_t>(n_), 0);
   down_.assign(static_cast<std::size_t>(n_), 0);
   dead_.assign(static_cast<std::size_t>(n_), 0);
-  announcements_.assign(static_cast<std::size_t>(n_), {});
   pool_.clear();
   pool_.reserve(static_cast<std::size_t>(n_));
 
@@ -361,13 +398,15 @@ void FlatEngine::step_round(int round) {
     }
   }
   if (!planes_ready_) {
-    plane_->configure(csr.slot_count(), workers_,
+    plane_->configure(csr.slot_count(), static_cast<std::size_t>(n_), workers_,
                       runtime_ != nullptr ? &runtime_->arenas() : nullptr);
-    // Halts recorded before the first simulated round (round-0 halts, or
-    // everything a restored checkpoint carries) rendered no announcements
-    // yet; render the ones with a live audience now.
+    // The live list starts from whatever the run begins with: round-0
+    // halts, or every flag a restored checkpoint carries.
+    live_.clear();
     for (graph::NodeIndex v = 0; v < n_; ++v) {
-      if (halted_[static_cast<std::size_t>(v)]) render_announcement(v);
+      if (!halted_[static_cast<std::size_t>(v)] && !dead_[static_cast<std::size_t>(v)]) {
+        live_.push_back(v);
+      }
     }
     planes_ready_ = true;
   }
@@ -380,14 +419,14 @@ void FlatEngine::step_round(int round) {
   // plane — stamp 0 never matches a round tag, so that reads as absent
   // exactly like the uninterrupted run's stale-stamp slots.)
   const auto stamp = static_cast<std::uint8_t>(1 + (round - 1) % 255);
-  if (round > 1 && stamp == 1) wipe_running_rows();
+  if (round > 1 && stamp == 1) wipe_live_rows();
   FlatPlane& plane = *plane_;
   plane.new_round();
 
   // Phase 1: running nodes stream this round's messages into their own
-  // slot rows; down and dead nodes send nothing.  A chunk (contiguous node
-  // range) is claimed by exactly one worker per phase, so no two workers
-  // ever touch the same slot.
+  // slot rows (or their broadcast slot); down nodes send nothing.  A chunk
+  // (contiguous node range) is claimed by exactly one worker per phase, so
+  // no two workers ever touch the same slot.
   const auto send_start = std::chrono::steady_clock::now();
   for_chunks([&](int worker, graph::NodeIndex begin, graph::NodeIndex end) {
     FlatOutbox out;
@@ -395,11 +434,13 @@ void FlatEngine::step_round(int round) {
     out.arena_ = static_cast<std::uint8_t>(worker);
     out.stats_ = &stats_[static_cast<std::size_t>(worker)];
     out.stamp_ = stamp;
-    for (graph::NodeIndex v = begin; v < end; ++v) {
-      if (halted_[static_cast<std::size_t>(v)] || down_[static_cast<std::size_t>(v)]) continue;
+    for (const graph::NodeIndex v : live_in(begin, end)) {
+      if (down_[static_cast<std::size_t>(v)]) continue;
       out.base_ = csr.row[static_cast<std::size_t>(v)];
+      out.node_ = static_cast<std::size_t>(v);
       out.colours_ = csr.port_colour.data() + out.base_;
       out.count_ = csr.degree(v);
+      out.written_ = 0;
       pool_[static_cast<std::size_t>(v)]->send_flat(round, out);
     }
   });
@@ -412,12 +453,13 @@ void FlatEngine::step_round(int round) {
   // reads the port still loses (and counts) the same messages.  Delivery
   // masking happens separately in resolve().
   if (drop_mask_) {
-    for (graph::NodeIndex u = 0; u < n_; ++u) {
-      if (halted_[static_cast<std::size_t>(u)] || down_[static_cast<std::size_t>(u)]) continue;
+    for (const graph::NodeIndex u : live_) {
+      if (down_[static_cast<std::size_t>(u)]) continue;
+      const bool broadcast = plane.broadcast[static_cast<std::size_t>(u)].stamp == stamp;
       const std::size_t begin = csr.row[static_cast<std::size_t>(u)];
       const std::size_t end = csr.row[static_cast<std::size_t>(u) + 1];
       for (std::size_t s = begin; s < end; ++s) {
-        if (plane.slots[s].stamp != stamp) continue;
+        if (!broadcast && plane.slots[s].stamp != stamp) continue;
         const graph::NodeIndex r = csr.peer_node[s];
         if (halted_[static_cast<std::size_t>(r)] || down_[static_cast<std::size_t>(r)]) continue;
         if (plan_->drops(round, u, csr.port_colour[s])) ++result_.messages_dropped;
@@ -432,8 +474,8 @@ void FlatEngine::step_round(int round) {
   // round must not leak its decision to same-round receivers).  New
   // halts are collected per worker and applied after the barrier.
   for_chunks([&](int worker, graph::NodeIndex begin, graph::NodeIndex end) {
-    for (graph::NodeIndex v = begin; v < end; ++v) {
-      if (halted_[static_cast<std::size_t>(v)] || down_[static_cast<std::size_t>(v)]) continue;
+    for (const graph::NodeIndex v : live_in(begin, end)) {
+      if (down_[static_cast<std::size_t>(v)]) continue;
       const std::size_t row = csr.row[static_cast<std::size_t>(v)];
       FlatInbox in;
       in.engine_ = this;
@@ -453,12 +495,15 @@ void FlatEngine::step_round(int round) {
       halt(v, round);
       --running_;
     }
-  }
-  // Render after every same-round halt is marked, so the audience
-  // check sees the final halted state.
-  for (auto& batch : newly_halted_) {
-    for (graph::NodeIndex v : batch) render_announcement(v);
     batch.clear();
+  }
+  // running_ counts exactly the nodes neither halted nor dead (restored
+  // checkpoints are checked for it), so a size mismatch means this
+  // round's halts or permanent crashes left nodes to drop.
+  if (live_.size() != static_cast<std::size_t>(running_)) {
+    std::erase_if(live_, [&](graph::NodeIndex v) {
+      return halted_[static_cast<std::size_t>(v)] || dead_[static_cast<std::size_t>(v)];
+    });
   }
   result_.receive_ns += phase_elapsed_ns(receive_start);
 }
@@ -527,17 +572,23 @@ std::string_view FlatEngine::resolve(const FlatPlane& plane, std::size_t s,
   const graph::Csr& csr = *csr_;
   const graph::NodeIndex u = csr.peer_node[s];
   if (halted_[static_cast<std::size_t>(u)]) {
-    return announcements_[static_cast<std::size_t>(u)];
+    const Announcement& a = kAnnouncements[result_.outputs[static_cast<std::size_t>(u)]];
+    return {a.bytes, a.len};
   }
   // A down (or dead) sender reads as absent on the shared edge.
   if (faulty_ && down_[static_cast<std::size_t>(u)]) return {};
-  const std::size_t u_row = csr.row[static_cast<std::size_t>(u)];
-  const std::size_t u_end = csr.row[static_cast<std::size_t>(u) + 1];
-  const auto begin = csr.port_colour.begin() + static_cast<std::ptrdiff_t>(u_row);
-  const auto end = csr.port_colour.begin() + static_cast<std::ptrdiff_t>(u_end);
-  const auto it = std::lower_bound(begin, end, csr.port_colour[s]);
-  const std::string_view view =
-      slot_view(plane, u_row + static_cast<std::size_t>(it - begin), stamp);
+  std::string_view view;
+  const FlatSlot& shared = plane.broadcast[static_cast<std::size_t>(u)];
+  if (shared.stamp == stamp) {
+    view = {shared.payload, shared.len};
+  } else {
+    const std::size_t u_row = csr.row[static_cast<std::size_t>(u)];
+    const std::size_t u_end = csr.row[static_cast<std::size_t>(u) + 1];
+    const auto begin = csr.port_colour.begin() + static_cast<std::ptrdiff_t>(u_row);
+    const auto end = csr.port_colour.begin() + static_cast<std::ptrdiff_t>(u_end);
+    const auto it = std::lower_bound(begin, end, csr.port_colour[s]);
+    view = slot_view(plane, u_row + static_cast<std::size_t>(it - begin), stamp);
+  }
   // Drop masking: a message the sender actually wrote this round reads as
   // absent when the (round, sender, colour) hash says drop.  Counting
   // happened in the serial pass of step_round; this is delivery only.
@@ -572,41 +623,32 @@ void FlatEngine::halt(graph::NodeIndex v, int round) {
       pool_[static_cast<std::size_t>(v)]->output();
 }
 
-/// Announcement cache: rendered once per halted node — and only for nodes
-/// with a non-halted neighbour, since nobody else ever reads the slot
-/// (run_sync re-renders this string per edge per round).  A down peer
-/// counts as audience: it may restart and read the announcement later.
-void FlatEngine::render_announcement(graph::NodeIndex v) {
-  const graph::Csr& csr = *csr_;
-  const std::size_t begin = csr.row[static_cast<std::size_t>(v)];
-  const std::size_t end = csr.row[static_cast<std::size_t>(v) + 1];
-  bool audience = false;
-  for (std::size_t s = begin; s < end && !audience; ++s) {
-    audience = !halted_[static_cast<std::size_t>(csr.peer_node[s])];
-  }
-  if (!audience) return;
-  announcements_[static_cast<std::size_t>(v)] =
-      std::string(1, kHaltedPrefix) +
-      std::to_string(static_cast<int>(result_.outputs[static_cast<std::size_t>(v)]));
-}
-
 /// The tag cycle restarted: every stamp value is about to be reused, so
-/// stale slots must be cleared — but only in rows whose sender is still
-/// running.  A halted node never writes again, and resolve() serves its
-/// cached announcement without ever reading its slots, so halted rows
-/// are dead storage; the old full-plane wipe rewrote them every cycle
-/// (pinned by the two-tag-cycle regression in tests/test_flat_stress.cpp).
-/// Down rows are wiped too: a down node may restart mid-cycle and leave
-/// unwritten ports whose stale stamps must never alias a fresh tag.
-void FlatEngine::wipe_running_rows() {
+/// stale slots must be cleared — but only the port rows and broadcast
+/// slots of live senders.  A halted node never writes again and resolve()
+/// serves its announcement from the table without reading its slots; a
+/// dead node never writes again and reads as absent.  Down rows are wiped
+/// too: a down node may restart mid-cycle and leave unwritten ports whose
+/// stale stamps must never alias a fresh tag (pinned by the two-tag-cycle
+/// cases in tests/test_flat_stress.cpp).
+void FlatEngine::wipe_live_rows() {
   const graph::Csr& csr = *csr_;
-  for (graph::NodeIndex v = 0; v < n_; ++v) {
-    if (halted_[static_cast<std::size_t>(v)]) continue;
+  for (const graph::NodeIndex v : live_) {
     const std::size_t begin = csr.row[static_cast<std::size_t>(v)];
     const std::size_t end = csr.row[static_cast<std::size_t>(v) + 1];
     std::fill(plane_->slots.begin() + static_cast<std::ptrdiff_t>(begin),
               plane_->slots.begin() + static_cast<std::ptrdiff_t>(end), FlatSlot{});
+    plane_->broadcast[static_cast<std::size_t>(v)] = FlatSlot{};
   }
+}
+
+/// The slice of the live list inside chunk [begin, end); the serial
+/// fn(0, 0, n) call gets the whole list.
+std::span<const graph::NodeIndex> FlatEngine::live_in(graph::NodeIndex begin,
+                                                      graph::NodeIndex end) const noexcept {
+  const auto first = std::lower_bound(live_.begin(), live_.end(), begin);
+  const auto last = std::lower_bound(first, live_.end(), end);
+  return {first, last};
 }
 
 /// Pre-splits the node range into chunks of roughly `target` slot

@@ -7,26 +7,35 @@
 //
 //   * one 8-byte slot per directed edge, laid out sender-major so the send
 //     phase streams sequentially and the plane stays cache-resident even
-//     at millions of edges;
+//     at millions of edges, plus one 8-byte broadcast slot per sender: an
+//     inline broadcast (greedy's one status byte) is stored once, not
+//     copied into every port slot, and a port's read checks it first;
 //   * messages up to kFlatInlineBytes live inline in the slot, the
 //     unbounded tail spills to a per-worker side arena (the model allows
 //     unbounded messages — flooding programs exercise this path);
 //   * inboxes resolve lazily (FlatInbox::at), so a program that reads one
 //     port pays for one gather, not deg(v);
-//   * a halted node's announcement is rendered once, when it halts — and
-//     only if a still-running neighbour can read it — then served from
-//     that cache in every later round;
+//   * a halted node's announcement ("!" and its output) is served from a
+//     static table indexed by its output byte — nothing is rendered or
+//     cached per node;
+//   * every phase of a round — send, drop accounting, receive, and the
+//     once-per-255-rounds stamp wipe — walks a sorted list of the live
+//     nodes (neither halted nor dead; down nodes stay listed and are
+//     skipped), compacted after each round's halts, so a round costs
+//     O(live nodes + ports read) rather than O(n + 2m);
 //   * the send and receive phases optionally run on a persistent worker
 //     pool (options.threads > 1) owned by the engine: the threads are
 //     spawned once in the constructor, parked on a condition-variable
 //     barrier between phases, and joined in the destructor — no per-round
-//     thread churn.  Work is pre-split into chunks of roughly equal *slot*
-//     (directed-edge) weight, so a run of max-degree hub rows no longer
-//     serialises one worker the way the old node-count partition did, and
-//     workers that exhaust their own chunk run steal the remainder of the
-//     others' (options.steal).  Writes stay per-slot disjoint — a chunk is
-//     claimed by exactly one worker per phase — so no locks are taken on
-//     the plane itself.
+//     thread churn.  Work is pre-split into node-range chunks of roughly
+//     equal *slot* (directed-edge) weight, so a run of max-degree hub rows
+//     no longer serialises one worker the way the old node-count partition
+//     did, and workers that exhaust their own chunk run steal the
+//     remainder of the others' (options.steal).  A chunk walks the slice
+//     of the live list inside its range; the serial path is the same loop
+//     over one chunk spanning every node.  Writes stay per-slot disjoint —
+//     a chunk is claimed by exactly one worker per phase — so no locks are
+//     taken on the plane itself.
 //
 // Results are bit-identical to run_sync for every thread count, chunk
 // size and steal setting: all racy-looking state (message stats, spill
@@ -39,6 +48,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <span>
 
 #include "local/engine.hpp"
 #include "local/program_pool.hpp"
@@ -149,12 +159,14 @@ class FlatEngine {
   void restore(std::istream& in);
 
   /// Lazy inbox resolution (FlatInbox::at): the message delivered into
-  /// receiver slot s this round.  The sender's slot is found by a binary
-  /// search of its (tiny, colour-sorted) row — programs typically read far
-  /// fewer ports than there are slots, so no in-slot table is kept.  Under
-  /// faults this is also where delivery is masked: a down sender reads as
-  /// absent, and a dropped message reads as absent without the sender's
-  /// slot ever being touched.
+  /// receiver slot s this round.  A halted sender yields its announcement
+  /// from the static table; otherwise the sender's broadcast slot answers
+  /// when it is stamped this round, and only then is the sender's port slot
+  /// found by a binary search of its (tiny, colour-sorted) row — programs
+  /// typically read far fewer ports than there are slots, so no in-slot
+  /// table is kept.  Under faults this is also where delivery is masked: a
+  /// down sender reads as absent, and a dropped message reads as absent
+  /// without the sender's slot ever being touched.
   std::string_view resolve(const FlatPlane& plane, std::size_t s,
                            std::uint8_t stamp) const noexcept;
 
@@ -168,8 +180,9 @@ class FlatEngine {
   std::string_view slot_view(const FlatPlane& plane, std::size_t s,
                              std::uint8_t stamp) const noexcept;
   void halt(graph::NodeIndex v, int round);
-  void render_announcement(graph::NodeIndex v);
-  void wipe_running_rows();
+  void wipe_live_rows();
+  std::span<const graph::NodeIndex> live_in(graph::NodeIndex begin,
+                                            graph::NodeIndex end) const noexcept;
   void plan_chunks(std::size_t chunk_slots);
   template <class F>
   void for_chunks(const F& fn);
@@ -219,7 +232,10 @@ class FlatEngine {
   std::vector<char> halted_;
   std::vector<char> down_;  // includes dead nodes (a dead node stays down)
   std::vector<char> dead_;
-  std::vector<std::string> announcements_;
+  // The nodes neither halted nor dead, sorted (down nodes stay in it and
+  // are skipped): every phase of a round walks this list instead of 0..n.
+  // Built by a run's first step, compacted after each round's halts.
+  std::vector<graph::NodeIndex> live_;
   std::unique_ptr<FlatPlane> plane_;
 
   // Fault context of the current run (set by begin(), read by resolve()).

@@ -63,8 +63,11 @@ class Arena {
         cursor_ = 0;
         continue;
       }
+      // The arena hands out uninitialised storage, so a new slab is not
+      // zero-filled either: untouched pages of a fresh slab are never
+      // faulted in.
       const std::size_t capacity = bytes > slab_bytes_ ? bytes : slab_bytes_;
-      slabs_.push_back(Slab{std::make_unique<std::byte[]>(capacity), capacity});
+      slabs_.push_back(Slab{std::make_unique_for_overwrite<std::byte[]>(capacity), capacity});
     }
   }
 

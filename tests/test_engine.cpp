@@ -1,9 +1,17 @@
-// The synchronous message-passing engine: halting, rounds, announcements.
+// The synchronous message-passing engine: halting, rounds, announcements
+// (the last on both engines, across a flat-engine checkpoint too).
 #include "local/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <sstream>
+#include <string>
+
+#include "engine_test_util.hpp"
 #include "graph/generators.hpp"
+#include "local/checkpoint.hpp"
+#include "local/flat_engine.hpp"
 
 namespace dmm::local {
 namespace {
@@ -36,20 +44,49 @@ class HaltAfter final : public NodeProgram {
   int remaining_;
 };
 
-/// Halts after the first exchange; remembers what it heard.
-class Listener final : public NodeProgram {
+/// Halts with a chosen output after `halt_round` rounds (0 = in init),
+/// sending nothing.
+class HaltWith final : public NodeProgram {
  public:
+  HaltWith(Colour output, int halt_round) : output_(output), halt_round_(halt_round) {}
+  bool init(const std::vector<Colour>&) override { return halt_round_ == 0; }
+  std::map<Colour, Message> send(int) override { return {}; }
+  bool receive(int round, const std::map<Colour, Message>&) override {
+    return round >= halt_round_;
+  }
+  Colour output() const override { return output_; }
+  void save_state(std::string&) const override {}
+  void load_state(std::string_view) override {}
+
+ private:
+  Colour output_;
+  int halt_round_;
+};
+
+/// Keeps listening until a neighbour's halted-announcement arrives, then
+/// copies it to `heard` and halts.  Nothing to checkpoint: until it halts
+/// it has heard nothing.
+class AnnouncementListener final : public NodeProgram {
+ public:
+  explicit AnnouncementListener(std::shared_ptr<Message> heard) : heard_(std::move(heard)) {}
   bool init(const std::vector<Colour>&) override { return false; }
   std::map<Colour, Message> send(int) override { return {}; }
   bool receive(int, const std::map<Colour, Message>& inbox) override {
-    last_heard = inbox.empty() ? Message{} : inbox.begin()->second;
-    return true;
+    for (const auto& [colour, message] : inbox) {
+      if (!message.empty() && message.front() == kHaltedPrefix) {
+        *heard_ = message;
+        return true;
+      }
+    }
+    return false;
   }
   Colour output() const override { return kUnmatched; }
+  void save_state(std::string&) const override {}
+  void load_state(std::string_view) override {}
 
-  static Message last_heard;
+ private:
+  std::shared_ptr<Message> heard_;
 };
-Message Listener::last_heard;
 
 TEST(Engine, ZeroRoundAlgorithmHaltsAtRoundZero) {
   const graph::EdgeColouredGraph g = graph::path_graph(3, {1, 2});
@@ -159,21 +196,68 @@ TEST(Engine, MessageAccounting) {
   EXPECT_EQ(r.total_message_bytes, 0u);
 }
 
+/// A two-node instance whose edge colour is `output` (colour 1 for ⊥), so
+/// the halting node's output is always one a checkpoint accepts.
+graph::EdgeColouredGraph announcement_edge(Colour output) {
+  graph::EdgeColouredGraph g(2, 255);
+  g.add_edge(0, 1, output == kUnmatched ? Colour{1} : output);
+  return g;
+}
+
+/// Node 0 halts with `output` at `halt_round`; node 1 listens.
+ProgramSource announcement_pair(Colour output, int halt_round,
+                                const std::shared_ptr<Message>& heard) {
+  return [output, halt_round, heard, node = 0]() mutable -> std::unique_ptr<NodeProgram> {
+    if (node++ % 2 == 0) return std::make_unique<HaltWith>(output, halt_round);
+    return std::make_unique<AnnouncementListener>(heard);
+  };
+}
+
 TEST(Engine, HaltedAnnouncementVisibleToNeighbours) {
-  graph::EdgeColouredGraph g(2, 1);
-  g.add_edge(0, 1, 1);
-  int counter = 0;
-  Listener::last_heard.clear();
-  const RunResult r = run_sync(
-      g,
-      [&]() -> std::unique_ptr<NodeProgram> {
-        if (counter++ == 0) return std::make_unique<HaltAtInit>();
-        return std::make_unique<Listener>();
-      },
-      10);
-  EXPECT_EQ(r.rounds, 1);
-  // The listener received the halted-announcement of output 1.
-  EXPECT_EQ(Listener::last_heard, std::string(1, kHaltedPrefix) + "1");
+  // A halted node announces kHaltedPrefix and its output in decimal, for
+  // every output byte and on both engines (the flat engine serves it from
+  // a static table; run_sync renders it per edge per round).  The listener
+  // hears it in the round after the halt: never in the halting round.
+  for (int value = 0; value < 256; ++value) {
+    const auto output = static_cast<Colour>(value);
+    const Message expected = std::string(1, kHaltedPrefix) + std::to_string(value);
+    const graph::EdgeColouredGraph g = announcement_edge(output);
+    for (const int halt_round : {0, 3}) {
+      RunResult results[2];
+      for (const EngineKind kind : {EngineKind::kSync, EngineKind::kFlat}) {
+        const std::string context = std::string(engine_kind_name(kind)) + " output " +
+                                    std::to_string(value) + " halt round " +
+                                    std::to_string(halt_round);
+        const auto heard = std::make_shared<Message>();
+        const RunResult r = run(kind, g, announcement_pair(output, halt_round, heard), 10);
+        EXPECT_EQ(*heard, expected) << context;
+        EXPECT_EQ(r.outputs[0], output) << context;
+        EXPECT_EQ(r.halt_round[0], halt_round) << context;
+        EXPECT_EQ(r.halt_round[1], halt_round + 1) << context;
+        results[kind == EngineKind::kFlat ? 1 : 0] = r;
+      }
+      expect_same_result(results[0], results[1], "output " + std::to_string(value));
+    }
+
+    // Across a checkpoint: capture after round 2 (node 0 halted at round
+    // 2, its announcement not yet heard), restore into a fresh flat
+    // engine, and the resumed run must deliver the same announcement.
+    const auto captured = std::make_shared<Message>();
+    std::stringstream bytes;
+    CheckpointOptions every_round;
+    every_round.every = 1;
+    every_round.sink = [&](const EngineCheckpoint& cp) {
+      if (cp.round == 2) cp.write(bytes);
+    };
+    const RunResult whole = run_flat(g, announcement_pair(output, 2, captured), 10, {},
+                                     FaultOptions{}, every_round);
+    const auto heard = std::make_shared<Message>();
+    const ProgramSource resumed = announcement_pair(output, 2, heard);
+    FlatEngine engine(g, resumed, 10, {});
+    engine.restore(bytes);
+    expect_same_result(whole, engine.run(), "restored output " + std::to_string(value));
+    EXPECT_EQ(*heard, expected) << "restored output " << value;
+  }
 }
 
 }  // namespace

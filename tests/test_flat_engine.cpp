@@ -12,6 +12,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "algo/greedy.hpp"
@@ -177,6 +178,50 @@ class PartialSender final : public NodeProgram {
   int heard_ = 0;
 };
 
+/// Writes each port once per round, in whichever way the round number
+/// picks — the one-write rule must not trip on writes in later rounds or
+/// on distinct ports, and the sync oracle must see the same messages.
+class PortRotator final : public NodeProgram {
+ public:
+  bool init(const std::vector<Colour>& incident) override {
+    incident_ = incident;
+    return incident_.empty();
+  }
+  std::map<Colour, Message> send(int round) override {
+    std::map<Colour, Message> out;
+    for (std::size_t i = 0; i < incident_.size(); ++i) out[incident_[i]] = message(round, i);
+    return out;
+  }
+  void send_flat(int round, FlatOutbox& out) override {
+    if (round % 2 == 0) {
+      out.broadcast(message(round, 0));
+      return;
+    }
+    for (int port = 0; port < out.ports(); ++port) {
+      out.set(port, message(round, static_cast<std::size_t>(port)));
+    }
+  }
+  bool receive(int round, const std::map<Colour, Message>& inbox) override {
+    for (const auto& [c, m] : inbox) {
+      for (char ch : m) sum_ = sum_ * 31 + static_cast<unsigned char>(ch);
+      sum_ += c;
+    }
+    return round >= 6;
+  }
+  Colour output() const override { return static_cast<Colour>(sum_ % 251); }
+
+ private:
+  /// Even rounds broadcast the same bytes on every port (spilled from
+  /// round 4 on); odd rounds send each port its own inline message.
+  static Message message(int round, std::size_t port) {
+    if (round % 2 == 0) return round >= 4 ? "broadcast" + std::to_string(round) : "b";
+    return std::to_string(round) + ":" + std::to_string(port);
+  }
+
+  std::vector<Colour> incident_;
+  std::size_t sum_ = 0;
+};
+
 TEST(FlatEngine, ProgramZooAgrees) {
   Rng rng(7);
   const graph::EdgeColouredGraph g = graph::random_coloured_graph(40, 6, 0.8, rng);
@@ -191,6 +236,106 @@ TEST(FlatEngine, ProgramZooAgrees) {
   expect_engines_agree(g, [] { return std::make_unique<RogueGrower>(); }, 10, "rogue-grower");
   expect_engines_agree(g, [] { return std::make_unique<PartialSender>(); }, 10,
                        "partial-sender");
+  expect_engines_agree(g, [] { return std::make_unique<PortRotator>(); }, 10, "port-rotator");
+}
+
+/// Breaks FlatOutbox's one-write rule in its first send: `first` and
+/// `second` are each "set" (port 0) or "broadcast", with `payload`.
+class DoubleWriter final : public NodeProgram {
+ public:
+  DoubleWriter(std::string first, std::string second, std::string payload)
+      : first_(std::move(first)), second_(std::move(second)), payload_(std::move(payload)) {}
+  bool init(const std::vector<Colour>&) override { return false; }
+  std::map<Colour, Message> send(int) override { return {}; }
+  void send_flat(int, FlatOutbox& out) override {
+    write(out, first_);
+    write(out, second_);
+  }
+  bool receive(int, const std::map<Colour, Message>&) override { return true; }
+  Colour output() const override { return kUnmatched; }
+
+ private:
+  void write(FlatOutbox& out, const std::string& how) const {
+    if (how == "set") {
+      out.set(0, payload_);
+    } else {
+      out.broadcast(payload_);
+    }
+  }
+
+  std::string first_;
+  std::string second_;
+  std::string payload_;
+};
+
+TEST(FlatEngine, SecondWriteToAPortInOneRoundThrows) {
+  // A port takes one message per round: a second write, by set() or
+  // broadcast(), throws instead of replacing the first (or, after a
+  // broadcast, being shadowed by the broadcast slot).  Inline (1-byte) and
+  // spilled (7-byte) payloads, serial and pooled.
+  const graph::EdgeColouredGraph g = graph::path_graph(3, {1, 2});
+  FlatEngineOptions pooled;
+  pooled.threads = 2;
+  pooled.chunk_slots = 1;
+  const std::vector<std::pair<std::string, std::string>> orders = {
+      {"set", "set"}, {"broadcast", "set"}, {"set", "broadcast"}, {"broadcast", "broadcast"}};
+  for (const std::string payload : {"x", "1234567"}) {
+    for (const std::pair<std::string, std::string>& order : orders) {
+      const auto factory = [&] {
+        return std::make_unique<DoubleWriter>(order.first, order.second, payload);
+      };
+      for (const FlatEngineOptions& options : {FlatEngineOptions{}, pooled}) {
+        EXPECT_THROW(run_flat(g, factory, 5, options), std::logic_error)
+            << order.first << " then " << order.second << " of " << payload.size()
+            << " bytes";
+      }
+    }
+  }
+}
+
+/// Broadcasts `payload` every round and counts the ports it arrived on.
+class Broadcaster final : public NodeProgram {
+ public:
+  explicit Broadcaster(std::string payload) : payload_(std::move(payload)) {}
+  bool init(const std::vector<Colour>& incident) override {
+    incident_ = incident;
+    return incident_.empty();
+  }
+  std::map<Colour, Message> send(int) override {
+    std::map<Colour, Message> out;
+    for (Colour c : incident_) out[c] = payload_;
+    return out;
+  }
+  void send_flat(int, FlatOutbox& out) override { out.broadcast(payload_); }
+  bool receive(int, const std::map<Colour, Message>& inbox) override {
+    for (const auto& [c, m] : inbox) heard_ += m == payload_ ? 1 : 0;
+    return true;
+  }
+  Colour output() const override { return static_cast<Colour>(heard_); }
+
+ private:
+  std::string payload_;
+  std::vector<Colour> incident_;
+  int heard_ = 0;
+};
+
+TEST(FlatEngine, BroadcastArrivesOnEveryPortInlineOrSpilled) {
+  // 1 and 6 bytes use the broadcast slot; 7 bytes spill through set() on
+  // every port.  Either way every neighbour hears it: each node's output is
+  // its degree, and the accounting is one message per directed edge.
+  Rng rng(5);
+  const graph::EdgeColouredGraph g = graph::random_coloured_graph(50, 7, 0.9, rng);
+  const std::size_t directed = 2 * g.edges().size();
+  for (const std::string payload : {"M", "123456", "1234567"}) {
+    const auto factory = [&] { return std::make_unique<Broadcaster>(payload); };
+    expect_engines_agree(g, factory, 4, std::to_string(payload.size()) + "-byte broadcast");
+    const RunResult r = run_flat(g, factory, 4);
+    for (graph::NodeIndex v = 0; v < g.node_count(); ++v) {
+      EXPECT_EQ(r.outputs[static_cast<std::size_t>(v)], g.degree(v)) << "node " << v;
+    }
+    EXPECT_EQ(r.messages_sent, directed);
+    EXPECT_EQ(r.total_message_bytes, directed * payload.size());
+  }
 }
 
 TEST(FlatEngine, IsolatedNodesAndEmptyGraphs) {

@@ -14,10 +14,11 @@
 // cap, and hub-cluster / power-law-style graphs where a contiguous run of
 // max-degree hub rows serialised the old static node-count partition), and
 // across two round-stamp tag cycles with mixed halted/running nodes (the
-// wipe_running_rows regression).  It also pins the structural gauge of the
-// fix: threads are spawned once per engine, so threads_spawned is
-// workers − 1 regardless of how many rounds run — the old engine spawned
-// 2·rounds·(workers−1).
+// wipe_live_rows regression), once more under crashes, restarts and drops
+// so the engine's live-node list changes across both wipes.  It also pins
+// the structural gauge of the fix: threads are spawned once per engine, so
+// threads_spawned is workers − 1 regardless of how many rounds run — the
+// old engine spawned 2·rounds·(workers−1).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -28,6 +29,7 @@
 #include "algo/runner.hpp"
 #include "engine_test_util.hpp"
 #include "graph/generators.hpp"
+#include "local/faults.hpp"
 #include "local/flat_engine.hpp"
 #include "util/rng.hpp"
 
@@ -60,13 +62,14 @@ std::vector<Schedule> full_grid() {
 
 void expect_grid_agrees(const graph::EdgeColouredGraph& g, const ProgramSource& source,
                         int max_rounds, const RunResult& oracle,
-                        const std::vector<Schedule>& grid, const std::string& context) {
+                        const std::vector<Schedule>& grid, const std::string& context,
+                        const FaultPlan* plan = nullptr) {
   for (const Schedule& s : grid) {
     FlatEngineOptions options;
     options.threads = s.threads;
     options.chunk_slots = s.chunk_slots;
     options.steal = s.steal;
-    expect_same_result(oracle, run_flat(g, source, max_rounds, options),
+    expect_same_result(oracle, run_flat(g, source, max_rounds, options, FaultOptions{plan}),
                        context + schedule_str(s));
   }
 }
@@ -240,6 +243,155 @@ TEST(FlatStress, WipeCycleRegressionAcrossTwoTagCycles) {
   const RunResult oracle = run_sync(g, factory, 601);
   EXPECT_EQ(oracle.rounds, 600);  // crossed both tag cycles
   expect_grid_agrees(g, factory, 601, oracle, full_grid(), "two-tag-cycle chirper");
+}
+
+/// Like StaggeredChirper, but until round 300 it cycles through every way
+/// the flat engine stores a message — an inline broadcast (the broadcast
+/// slot), one inline message on its smallest port, a spilled broadcast (a
+/// slot per port) — and a silent round; from round 300 on it only
+/// alternates the smallest-port message with silence.  So from round 300
+/// on, every slot but port 0's keeps the stamp of its last earlier write:
+/// a wipe that missed a broadcast slot, or the row of a node that was down
+/// across it, would deliver that stale message once the tag recurs.
+class MixedChirper final : public NodeProgram {
+ public:
+  explicit MixedChirper(int rounds) : remaining_(rounds) {}
+  bool init(const std::vector<Colour>& incident) override {
+    incident_ = incident;
+    return incident_.empty();
+  }
+  std::map<Colour, Message> send(int round) override {
+    switch (kind(round)) {
+      case Kind::kPort:
+        return {{incident_.front(), message(round)}};
+      case Kind::kSilent:
+        return {};
+      default: {
+        std::map<Colour, Message> out;
+        for (Colour c : incident_) out[c] = message(round);
+        return out;
+      }
+    }
+  }
+  void send_flat(int round, FlatOutbox& out) override {
+    switch (kind(round)) {
+      case Kind::kPort:
+        out.set(0, message(round));
+        break;
+      case Kind::kSilent:
+        break;
+      default:
+        out.broadcast(message(round));
+    }
+  }
+  bool receive(int round, const std::map<Colour, Message>& inbox) override {
+    for (const auto& [c, m] : inbox) {
+      for (char ch : m) sum_ = sum_ * 31 + static_cast<unsigned char>(ch);
+      sum_ += c;
+    }
+    return round >= remaining_;
+  }
+  Colour output() const override { return static_cast<Colour>(sum_ % 255); }
+
+ private:
+  enum class Kind { kBroadcast, kPort, kSpilledBroadcast, kSilent };
+
+  static Kind kind(int round) {
+    if (round >= 300) return round % 2 == 1 ? Kind::kPort : Kind::kSilent;
+    return static_cast<Kind>(round % 4);
+  }
+
+  static Message message(int round) {
+    const std::string digits = std::to_string(round);
+    return kind(round) == Kind::kSpilledBroadcast ? "spilled:" + digits : digits;
+  }
+
+  std::vector<Colour> incident_;
+  int remaining_;
+  std::size_t sum_ = 0;
+};
+
+TEST(FlatStress, LiveListAcrossTwoTagCyclesUnderFaults) {
+  // The live-node list under every way a node leaves or rejoins it, across
+  // both tag-cycle wipes (rounds 256 and 511) with drops on: node `back`
+  // is down from round 2 to 351, so it sits in the list through the first
+  // wipe and restarts after all its neighbours halted at round 100 (it
+  // then hears only table announcements); node `gone` crashes for good at
+  // round 50 while its neighbours run to round 600; node `flaky` is down
+  // from round 200 to 300, across the first wipe, and its neighbours read
+  // its unwritten ports again after it restarts.  Every other node halts
+  // at round 5 or runs to 600.
+  Rng rng(2024);
+  const int n = 60;
+  const graph::EdgeColouredGraph g = graph::random_coloured_graph(n, 5, 0.9, rng);
+  const auto neighbours = [&](graph::NodeIndex v) {
+    std::vector<graph::NodeIndex> out;
+    for (const graph::HalfEdge& h : g.half_edges(v)) out.push_back(h.to);
+    return out;
+  };
+  const auto within = [&](graph::NodeIndex v, graph::NodeIndex w) {  // distance ≤ 2
+    if (v == w) return true;
+    for (graph::NodeIndex x : neighbours(v)) {
+      if (x == w) return true;
+      for (graph::NodeIndex y : neighbours(x)) {
+        if (y == w) return true;
+      }
+    }
+    return false;
+  };
+  graph::NodeIndex back = 0;
+  while (back < n && g.degree(back) < 2) ++back;
+  ASSERT_LT(back, n);
+  graph::NodeIndex gone = 0;
+  while (gone < n && (g.degree(gone) < 2 || within(back, gone))) ++gone;
+  graph::NodeIndex flaky = 0;
+  while (flaky < n && (g.degree(flaky) < 2 || within(back, flaky) || within(gone, flaky))) {
+    ++flaky;
+  }
+  ASSERT_LT(flaky, n);
+  ASSERT_LT(gone, n);
+
+  std::vector<int> lifetime(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) lifetime[static_cast<std::size_t>(v)] = v % 3 == 0 ? 5 : 600;
+  lifetime[static_cast<std::size_t>(back)] = 600;
+  for (graph::NodeIndex v : neighbours(back)) lifetime[static_cast<std::size_t>(v)] = 100;
+  for (graph::NodeIndex v : neighbours(gone)) lifetime[static_cast<std::size_t>(v)] = 600;
+  for (graph::NodeIndex v : neighbours(flaky)) lifetime[static_cast<std::size_t>(v)] = 600;
+  lifetime[static_cast<std::size_t>(flaky)] = 600;
+  int counter = 0;
+  const auto factory = [&]() -> std::unique_ptr<NodeProgram> {
+    return std::make_unique<MixedChirper>(lifetime[static_cast<std::size_t>(counter++ % n)]);
+  };
+
+  FaultPlan plan;
+  plan.add_crash(back, 2, 350);  // down rounds 2-351, restarts at 352
+  plan.add_crash(gone, 50, 0);   // permanent
+  plan.add_crash(flaky, 200, 101);  // down rounds 200-300, restarts at 301
+  plan.set_drops(0.05, 17);
+  const RunResult oracle = run_sync(g, factory, 601, FaultOptions{&plan});
+  ASSERT_EQ(oracle.rounds, 600);  // crossed both tag cycles
+  EXPECT_EQ(oracle.crashes, 3u);
+  EXPECT_EQ(oracle.restarts, 2u);
+  EXPECT_GT(oracle.messages_dropped, 0u);
+  EXPECT_EQ(oracle.halt_round[static_cast<std::size_t>(gone)], -1);
+  EXPECT_EQ(oracle.halt_round[static_cast<std::size_t>(back)], 600);
+  for (graph::NodeIndex v : neighbours(back)) {
+    EXPECT_EQ(oracle.halt_round[static_cast<std::size_t>(v)], 100) << "neighbour " << v;
+  }
+  for (graph::NodeIndex v : neighbours(gone)) {
+    EXPECT_EQ(oracle.halt_round[static_cast<std::size_t>(v)], 600) << "neighbour " << v;
+  }
+  for (graph::NodeIndex v : neighbours(flaky)) {
+    EXPECT_EQ(oracle.halt_round[static_cast<std::size_t>(v)], 600) << "neighbour " << v;
+  }
+
+  std::vector<Schedule> grid;
+  for (int threads : {1, 4}) {
+    for (std::size_t chunk : {std::size_t{1}, std::size_t{64}}) {
+      for (bool steal : {true, false}) grid.push_back({threads, chunk, steal});
+    }
+  }
+  expect_grid_agrees(g, factory, 601, oracle, grid, "live list under faults", &plan);
 }
 
 TEST(FlatStress, ThreadsSpawnedOncePerEngineNotPerRound) {
