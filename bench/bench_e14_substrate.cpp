@@ -191,7 +191,7 @@ void BM_EngineThroughput(benchmark::State& state) {
   const graph::EdgeColouredGraph g =
       graph::random_coloured_graph(static_cast<int>(state.range(0)), 8, 0.8, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(local::run_sync(g, algo::greedy_program_factory(), 10));
+    benchmark::DoNotOptimize(local::run_sync(g, algo::greedy_program_factory(), {10}));
   }
   state.SetItemsProcessed(state.iterations() * g.node_count());
 }
@@ -202,7 +202,7 @@ void BM_FlatEngineThroughput(benchmark::State& state) {
   const graph::EdgeColouredGraph g =
       graph::random_coloured_graph(static_cast<int>(state.range(0)), 8, 0.8, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(local::run_flat(g, algo::greedy_program_factory(), 10));
+    benchmark::DoNotOptimize(local::run_flat(g, algo::greedy_program_factory(), {10}));
   }
   state.SetItemsProcessed(state.iterations() * g.node_count());
 }
@@ -215,7 +215,7 @@ void BM_FlatEngineThreaded(benchmark::State& state) {
   options.threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        local::run_flat(g, algo::greedy_program_factory(), 10, options));
+        local::run_flat(g, algo::greedy_program_factory(), {10}, options));
   }
   state.SetItemsProcessed(state.iterations() * g.node_count());
 }

@@ -20,7 +20,7 @@ void print_rows() {
   Rng rng(2027);
   for (int k : {8, 16, 32, 64, 128, 200}) {
     const graph::EdgeColouredGraph g = graph::worst_case_chain(k).long_path;
-    const local::RunResult det = local::run_sync(g, algo::greedy_program_factory(), k + 1);
+    const local::RunResult det = local::run_sync(g, algo::greedy_program_factory(), {k + 1});
     int total = 0, worst = 0;
     const int reps = 20;
     for (int rep = 0; rep < reps; ++rep) {

@@ -63,7 +63,7 @@ void BM_GreedyMessagePassing(benchmark::State& state) {
   const graph::EdgeColouredGraph g =
       graph::random_coloured_graph(static_cast<int>(state.range(0)), 6, 0.8, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(local::run_sync(g, algo::greedy_program_factory(), 8));
+    benchmark::DoNotOptimize(local::run_sync(g, algo::greedy_program_factory(), {8}));
   }
   state.SetItemsProcessed(state.iterations() * g.node_count());
 }
@@ -74,7 +74,7 @@ void BM_GreedyFlatEngine(benchmark::State& state) {
   const graph::EdgeColouredGraph g =
       graph::random_coloured_graph(static_cast<int>(state.range(0)), 6, 0.8, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(local::run_flat(g, algo::greedy_program_factory(), 8));
+    benchmark::DoNotOptimize(local::run_flat(g, algo::greedy_program_factory(), {8}));
   }
   state.SetItemsProcessed(state.iterations() * g.node_count());
 }

@@ -42,7 +42,8 @@ void BM_WorstCaseChain(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   const graph::WorstCase wc = graph::worst_case_chain(k);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(local::run_sync(wc.long_path, algo::greedy_program_factory(), k + 1));
+    benchmark::DoNotOptimize(
+        local::run_sync(wc.long_path, algo::greedy_program_factory(), {k + 1}));
   }
 }
 BENCHMARK(BM_WorstCaseChain)->Arg(4)->Arg(16)->Arg(64)->Arg(200);
@@ -51,7 +52,8 @@ void BM_WorstCaseChainFlat(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   const graph::WorstCase wc = graph::worst_case_chain(k);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(local::run_flat(wc.long_path, algo::greedy_program_factory(), k + 1));
+    benchmark::DoNotOptimize(
+        local::run_flat(wc.long_path, algo::greedy_program_factory(), {k + 1}));
   }
 }
 BENCHMARK(BM_WorstCaseChainFlat)->Arg(4)->Arg(16)->Arg(64)->Arg(200);

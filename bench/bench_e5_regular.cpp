@@ -44,7 +44,7 @@ void BM_GreedyOnRegularTree(benchmark::State& state) {
   const colsys::ColourSystem tree = colsys::regular_system(k, d, 6);
   const graph::EdgeColouredGraph g = graph::to_graph(tree);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(local::run_sync(g, algo::greedy_program_factory(), k + 1));
+    benchmark::DoNotOptimize(local::run_sync(g, algo::greedy_program_factory(), {k + 1}));
   }
   state.counters["nodes"] = g.node_count();
 }

@@ -20,7 +20,7 @@ void print_rows() {
     const graph::EdgeColouredGraph g = graph::hypercube(d);
     const algo::FirstColourLocal naive(d);
     const bool ok = verify::check_outputs(g, local::run_views(g, naive)).ok();
-    const local::RunResult greedy = local::run_sync(g, algo::greedy_program_factory(), d + 1);
+    const local::RunResult greedy = local::run_sync(g, algo::greedy_program_factory(), {d + 1});
     std::printf("hypercube Q_%-13d %4d %8d %14s %12d\n", d, d, g.node_count(),
                 ok ? "yes" : "NO", greedy.rounds);
   }
@@ -28,7 +28,7 @@ void print_rows() {
     const graph::EdgeColouredGraph g = graph::complete_bipartite(d);
     const algo::FirstColourLocal naive(d);
     const bool ok = verify::check_outputs(g, local::run_views(g, naive)).ok();
-    const local::RunResult greedy = local::run_sync(g, algo::greedy_program_factory(), d + 1);
+    const local::RunResult greedy = local::run_sync(g, algo::greedy_program_factory(), {d + 1});
     std::printf("K_{%d,%d}%*s %4d %8d %14s %12d\n", d, d, d >= 10 ? 15 : 17, "", d,
                 g.node_count(), ok ? "yes" : "NO", greedy.rounds);
   }

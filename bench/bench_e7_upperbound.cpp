@@ -37,7 +37,7 @@ void print_rows() {
     for (int k : {8, 16, 32, 64, 128}) {
       if (k < delta) continue;
       const graph::EdgeColouredGraph g = instance_for(delta, k, rng);
-      const local::RunResult greedy = local::run_sync(g, algo::greedy_program_factory(), k + 1);
+      const local::RunResult greedy = local::run_sync(g, algo::greedy_program_factory(), {k + 1});
       const algo::ReducedMatchingResult reduced = algo::reduced_matching(g);
       const bool reduced_ok = verify::check_outputs(g, reduced.outputs).ok();
       std::printf("%6d %6d %6d %14d %14d %10s %8d\n", g.max_degree(), k, g.node_count(),

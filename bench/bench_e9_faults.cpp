@@ -38,10 +38,10 @@ local::RunResult record_faulty_run(benchjson::Harness& harness, const std::strin
   local::RunResult run;
   record.wall_ns = benchjson::Harness::time_ns([&] {
     run = kind == local::EngineKind::kFlat
-              ? local::run_flat(g, algo::greedy_program_factory(), max_rounds, options, faults,
-                                checkpoint)
-              : local::run_sync(g, algo::greedy_program_factory(), max_rounds, faults,
-                                checkpoint);
+              ? local::run_flat(g, algo::greedy_program_factory(),
+                                {max_rounds, faults, checkpoint}, options)
+              : local::run_sync(g, algo::greedy_program_factory(),
+                                {max_rounds, faults, checkpoint});
   });
   record.rounds = run.rounds;
   record.max_message_bytes = run.max_message_bytes;
@@ -164,10 +164,10 @@ void print_rows(benchjson::Harness& harness) {
     local::RunResult run;
     record.wall_ns = benchjson::Harness::time_ns([&] {
       run = kind == local::EngineKind::kFlat
-                ? local::run_flat(g, algo::greedy_program_factory(), rounds_budget, {}, faults,
-                                  capture)
-                : local::run_sync(g, algo::greedy_program_factory(), rounds_budget, faults,
-                                  capture);
+                ? local::run_flat(g, algo::greedy_program_factory(),
+                                  {rounds_budget, faults, capture})
+                : local::run_sync(g, algo::greedy_program_factory(),
+                                  {rounds_budget, faults, capture});
     });
     record.rounds = run.rounds;
     record.max_message_bytes = run.max_message_bytes;
@@ -205,9 +205,8 @@ void print_rows(benchjson::Harness& harness) {
     resume.resume = &parsed;
     const local::RunResult resumed =
         kind == local::EngineKind::kFlat
-            ? local::run_flat(g, algo::greedy_program_factory(), rounds_budget, {}, faults,
-                              resume)
-            : local::run_sync(g, algo::greedy_program_factory(), rounds_budget, faults, resume);
+            ? local::run_flat(g, algo::greedy_program_factory(), {rounds_budget, faults, resume})
+            : local::run_sync(g, algo::greedy_program_factory(), {rounds_budget, faults, resume});
     const bool ok = resumed.outputs == run.outputs && resumed.halt_round == run.halt_round &&
                     resumed.rounds == run.rounds && resumed.crashes == run.crashes &&
                     resumed.restarts == run.restarts &&
@@ -232,7 +231,7 @@ void BM_FaultyRun(benchmark::State& state) {
   const int budget = faulty_max_rounds(g, plan);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        local::run_flat(g, algo::greedy_program_factory(), budget, {}, faults));
+        local::run_flat(g, algo::greedy_program_factory(), {budget, faults}));
   }
   state.SetItemsProcessed(state.iterations() * g.node_count());
 }
@@ -266,7 +265,7 @@ void BM_CheckpointCapture(benchmark::State& state) {
   capture.sink = [&](const local::EngineCheckpoint& ck) {
     if (snap.round == 0) snap = ck;
   };
-  (void)local::run_sync(g, algo::greedy_program_factory(), g.k() + 1, {}, capture);
+  (void)local::run_sync(g, algo::greedy_program_factory(), {g.k() + 1, {}, capture});
   for (auto _ : state) {
     std::ostringstream out;
     snap.write(out);
@@ -283,7 +282,7 @@ void BM_CheckpointRestore(benchmark::State& state) {
   capture.sink = [&](const local::EngineCheckpoint& ck) {
     if (snap.round == 0) snap = ck;
   };
-  (void)local::run_sync(g, algo::greedy_program_factory(), g.k() + 1, {}, capture);
+  (void)local::run_sync(g, algo::greedy_program_factory(), {g.k() + 1, {}, capture});
   std::ostringstream out;
   snap.write(out);
   const std::string bytes = out.str();

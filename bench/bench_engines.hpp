@@ -27,8 +27,8 @@ inline local::RunResult record_engine_run(Harness& harness, const std::string& i
   record.threads = kind == local::EngineKind::kFlat ? options.threads : 1;
   local::RunResult run;
   record.wall_ns = Harness::time_ns([&] {
-    run = kind == local::EngineKind::kFlat ? local::run_flat(g, source, max_rounds, options)
-                                           : local::run_sync(g, source, max_rounds);
+    run = kind == local::EngineKind::kFlat ? local::run_flat(g, source, {max_rounds}, options)
+                                           : local::run_sync(g, source, {max_rounds});
   });
   record.rounds = run.rounds;
   record.max_message_bytes = run.max_message_bytes;

@@ -18,7 +18,7 @@ int main() {
     std::vector<gk::Colour> colours;
     for (int c = 1; c <= k; ++c) colours.push_back(static_cast<gk::Colour>(c));
     const graph::EdgeColouredGraph g = graph::path_graph(k, colours);
-    const local::RunResult greedy_run = local::run_sync(g, algo::greedy_program_factory(), k + 1);
+    const local::RunResult greedy_run = local::run_sync(g, algo::greedy_program_factory(), {k + 1});
     const algo::ReducedMatchingResult reduced = algo::reduced_matching(g);
     std::cout << std::setw(6) << k << std::setw(14) << greedy_run.rounds << std::setw(14)
               << reduced.total_rounds << std::setw(10) << log_star(static_cast<std::uint64_t>(k))
@@ -28,7 +28,7 @@ int main() {
   std::cout << "\n== the trivial case d = k (§1.3): hypercubes ==\n";
   for (int d = 2; d <= 6; ++d) {
     const graph::EdgeColouredGraph g = graph::hypercube(d);
-    const local::RunResult run = local::run_sync(g, algo::greedy_program_factory(), d + 1);
+    const local::RunResult run = local::run_sync(g, algo::greedy_program_factory(), {d + 1});
     std::cout << "  Q_" << d << " (" << g.node_count() << " nodes, " << d
               << "-regular, k=d): " << run.rounds << " rounds — colour 1 is a perfect matching\n";
   }

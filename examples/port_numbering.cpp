@@ -52,7 +52,7 @@ int main() {
   std::cout << "== direction 1: coloured greedy inside the PN model ==\n";
   const graph::EdgeColouredGraph g = graph::figure1_graph();
   const pn::PnGreedyResult via_pn = pn::greedy_via_pn(g);
-  const local::RunResult direct = local::run_sync(g, algo::greedy_program_factory(), g.k() + 1);
+  const local::RunResult direct = local::run_sync(g, algo::greedy_program_factory(), {g.k() + 1});
   std::cout << "figure-1 graph: PN rounds = " << via_pn.rounds
             << ", coloured rounds = " << direct.rounds << ", outputs "
             << (via_pn.outputs == direct.outputs ? "identical" : "DIFFER (bug)")

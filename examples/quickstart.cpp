@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
 
   // Run greedy as a real distributed protocol: synchronous rounds, anonymous
   // nodes, messages along coloured edges.
-  const local::RunResult run = local::run_sync(g, algo::greedy_program_factory(), k + 1);
+  const local::RunResult run = local::run_sync(g, algo::greedy_program_factory(), {k + 1});
 
   std::cout << "outputs (node: colour or _ for unmatched):\n  ";
   for (graph::NodeIndex v = 0; v < g.node_count(); ++v) {

@@ -24,9 +24,9 @@ int main(int argc, char** argv) {
   std::cout << "short path (colours 2.." << k << "):\n" << wc.short_path.str() << "\n";
 
   const local::RunResult long_run =
-      local::run_sync(wc.long_path, algo::greedy_program_factory(), k + 1);
+      local::run_sync(wc.long_path, algo::greedy_program_factory(), {k + 1});
   const local::RunResult short_run =
-      local::run_sync(wc.short_path, algo::greedy_program_factory(), k + 1);
+      local::run_sync(wc.short_path, algo::greedy_program_factory(), {k + 1});
 
   const gk::Colour out_u = long_run.outputs[static_cast<std::size_t>(wc.u)];
   const gk::Colour out_v = short_run.outputs[static_cast<std::size_t>(wc.v)];

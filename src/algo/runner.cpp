@@ -58,7 +58,7 @@ std::vector<EngineRealisation> engine_realisations(int k, int flood_radius_cap) 
 
 local::RunResult run_realisation(local::EngineKind kind, const graph::EdgeColouredGraph& g,
                                  const EngineRealisation& realisation) {
-  return local::run(kind, g, realisation.factory, realisation.round_bound);
+  return local::run(kind, g, realisation.factory, {realisation.round_bound});
 }
 
 }  // namespace dmm::algo

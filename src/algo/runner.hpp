@@ -19,7 +19,7 @@ namespace dmm::algo {
 struct EngineRealisation {
   std::string name;
   local::ProgramSource factory;       // pooled (arena) construction path
-  // The same programs built one unique_ptr at a time — the legacy path the
+  // The same programs built one unique_ptr at a time — the heap path the
   // pooled one must match bit for bit (tests/test_program_pool.cpp runs
   // every realisation both ways on both engines).
   local::NodeProgramFactory heap_factory;

@@ -100,7 +100,8 @@ struct EngineCheckpoint {
   /// means something there: the fingerprint matches, the node arrays have
   /// node_count entries, no node halted after `round`, a node that has not
   /// halted still outputs ⊥, and a halted node outputs ⊥ or one of its
-  /// incident colours.  Both engines' restores call it.
+  /// incident colours.  The engines' shared restore (RunState::resume,
+  /// run_state.hpp) calls it before overlaying anything.
   void require_matches(const graph::EdgeColouredGraph& g) const;
 };
 

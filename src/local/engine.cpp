@@ -3,9 +3,9 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "local/checkpoint.hpp"
 #include "local/faults.hpp"
-#include "local/program_pool.hpp"
+#include "local/flat_engine.hpp"
+#include "local/run_state.hpp"
 
 namespace dmm::local {
 
@@ -21,162 +21,48 @@ void NodeProgram::load_state(std::string_view /*in*/) {
 
 namespace {
 
-/// Snapshot of the engine state after a completed round; shared between the
-/// checkpoint sink and (structurally) FlatEngine::snapshot.
-EngineCheckpoint capture_checkpoint(const graph::EdgeColouredGraph& g, int round,
-                                    int running, const RunResult& result,
-                                    const std::vector<char>& halted,
-                                    const std::vector<char>& down,
-                                    const std::vector<char>& dead, ProgramPool& pool) {
-  EngineCheckpoint cp;
-  cp.node_count = g.node_count();
-  cp.k = g.k();
-  cp.edge_hash = graph_fingerprint(g);
-  cp.round = round;
-  cp.running = running;
-  cp.crashes = result.crashes;
-  cp.restarts = result.restarts;
-  cp.messages_dropped = result.messages_dropped;
-  cp.max_message_bytes = result.max_message_bytes;
-  cp.total_message_bytes = result.total_message_bytes;
-  cp.messages_sent = result.messages_sent;
-  cp.outputs = result.outputs;
-  cp.halt_round.assign(result.halt_round.begin(), result.halt_round.end());
-  cp.halted.assign(halted.begin(), halted.end());
-  cp.down.assign(down.begin(), down.end());
-  cp.dead.assign(dead.begin(), dead.end());
-  const auto n = static_cast<std::size_t>(g.node_count());
-  for (std::size_t v = 0; v < n; ++v) {
-    if (halted[v] || dead[v]) continue;
-    std::string blob;
-    pool[v]->save_state(blob);
-    cp.program_state.push_back(std::move(blob));
-  }
-  return cp;
-}
-
 double elapsed_ns(std::chrono::steady_clock::time_point since) {
   return static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                  std::chrono::steady_clock::now() - since)
                                  .count());
 }
 
-/// run_sync, stepwise.  The constructor is the old function's setup phase
-/// (program construction, init delivery, checkpoint resume); step() is one
-/// iteration of its round loop, verbatim.  run_sync itself is now a thin
-/// loop over this class, so a stepped run is the closed run.
+/// run_sync, stepwise.  The constructor is the setup phase (program
+/// construction, init delivery, checkpoint resume); step() is one round.
+/// run_sync itself is a thin loop over this class, so a stepped run is the
+/// closed run.  The run-state bookkeeping (faults, halts, checkpoints) is
+/// the flat engine's too (run_state.hpp); message delivery is this class's
+/// own.
 class SyncSession final : public Session {
  public:
   SyncSession(const graph::EdgeColouredGraph& g, const ProgramSource& source,
               const RunOptions& options)
-      : g_(g),
-        n_(g.node_count()),
-        max_rounds_(options.max_rounds),
-        every_(options.checkpoint.every),
-        sink_(options.checkpoint.sink) {
-    plan_ = (options.faults.plan != nullptr && !options.faults.plan->empty())
-                ? options.faults.plan
-                : nullptr;
-    if (plan_ != nullptr) plan_->require_fits(n_);
-
-    result_.outputs.assign(static_cast<std::size_t>(n_), kUnmatched);
-    result_.halt_round.assign(static_cast<std::size_t>(n_), -1);
-    halted_.assign(static_cast<std::size_t>(n_), 0);
-    down_.assign(static_cast<std::size_t>(n_), 0);
-    dead_.assign(static_cast<std::size_t>(n_), 0);
-    running_ = n_;
-    round_ = 0;
-
+      : g_(g), n_(g.node_count()), state_(g, EngineKind::kSync) {
+    state_.configure(options);
+    state_.reset();
     // Setup phase (timed into init_ns): batch-construct the programs into
-    // the pool, then deliver each node its initial knowledge.
+    // the pool, then deliver each node its initial knowledge.  On a resume
+    // init still runs on every node — it hands each program its initial
+    // knowledge, from which graph-shaped state is re-derived — but the
+    // round-0 halts it reports are already in the checkpoint.
     const auto init_start = std::chrono::steady_clock::now();
+    const EngineCheckpoint* resume = options.checkpoint.resume;
     pool_.reserve(static_cast<std::size_t>(n_));
     source.build(static_cast<std::size_t>(n_), pool_);
-    if (options.checkpoint.resume != nullptr) {
-      const EngineCheckpoint& cp = *options.checkpoint.resume;
-      cp.require_matches(g_);
-      // init still runs on every node — it hands each program its initial
-      // knowledge, from which graph-shaped state is re-derived.  The
-      // round-0 halt decisions it reports are already recorded in the
-      // checkpoint, so they are ignored here; load_state below overwrites
-      // the dynamic state.
-      for (graph::NodeIndex v = 0; v < n_; ++v) {
-        pool_[static_cast<std::size_t>(v)]->init(g_.incident_colours(v));
-      }
-      for (std::size_t v = 0; v < static_cast<std::size_t>(n_); ++v) {
-        result_.outputs[v] = cp.outputs[v];
-        result_.halt_round[v] = cp.halt_round[v];
-        halted_[v] = static_cast<char>(cp.halted[v]);
-        down_[v] = static_cast<char>(cp.down[v]);
-        dead_[v] = static_cast<char>(cp.dead[v]);
-      }
-      running_ = cp.running;
-      round_ = cp.round;
-      result_.crashes = cp.crashes;
-      result_.restarts = cp.restarts;
-      result_.messages_dropped = cp.messages_dropped;
-      result_.max_message_bytes = static_cast<std::size_t>(cp.max_message_bytes);
-      result_.total_message_bytes = static_cast<std::size_t>(cp.total_message_bytes);
-      result_.messages_sent = static_cast<std::size_t>(cp.messages_sent);
-      std::size_t blob = 0;
-      for (std::size_t v = 0; v < static_cast<std::size_t>(n_); ++v) {
-        if (halted_[v] || dead_[v]) continue;
-        pool_[v]->load_state(cp.program_state[blob++]);
-      }
-    } else {
-      for (graph::NodeIndex v = 0; v < n_; ++v) {
-        if (pool_[static_cast<std::size_t>(v)]->init(g_.incident_colours(v))) {
-          halted_[static_cast<std::size_t>(v)] = 1;
-          result_.halt_round[static_cast<std::size_t>(v)] = 0;
-          result_.outputs[static_cast<std::size_t>(v)] =
-              pool_[static_cast<std::size_t>(v)]->output();
-          --running_;
-        }
+    for (graph::NodeIndex v = 0; v < n_; ++v) {
+      if (pool_[static_cast<std::size_t>(v)]->init(g_.incident_colours(v)) && resume == nullptr) {
+        state_.halt(v, 0, pool_);
       }
     }
+    if (resume != nullptr) state_.resume(*resume, pool_);
     result_.init_ns = elapsed_ns(init_start);
-
-    // Fault-event cursor.  On a resume the checkpointed flags already
-    // reflect every event up to round_, so the cursor skips them.
-    ev_ = plan_ != nullptr ? plan_->first_event_at(round_ + 1) : 0;
   }
 
-  bool done() const noexcept override { return running_ == 0; }
-  int round() const noexcept override { return round_; }
+  bool done() const noexcept override { return state_.done(); }
+  int round() const noexcept override { return state_.round; }
 
   void step() override {
-    const int round = round_ + 1;
-    if (round > max_rounds_) {
-      throw std::runtime_error("run_sync: algorithm did not halt within max_rounds");
-    }
-    // Phase 0: apply this round's fault events before the send phase.  A
-    // crash aimed at a halted or dead node is a no-op; a permanent crash
-    // removes the node from the run (output stays ⊥, halt_round −1).
-    if (plan_ != nullptr) {
-      const std::vector<FaultEvent>& events = plan_->events();
-      while (ev_ < events.size() && events[ev_].round <= round) {
-        const FaultEvent& e = events[ev_++];
-        if (e.node < 0 || e.node >= n_) {
-          throw std::invalid_argument("FaultPlan: event targets a node outside the graph");
-        }
-        const auto v = static_cast<std::size_t>(e.node);
-        if (e.up) {
-          if (!halted_[v] && !dead_[v] && down_[v]) {
-            down_[v] = 0;
-            ++result_.restarts;
-          }
-        } else {
-          if (!halted_[v] && !dead_[v]) {
-            down_[v] = 1;
-            ++result_.crashes;
-            if (e.permanent) {
-              dead_[v] = 1;
-              --running_;
-            }
-          }
-        }
-      }
-    }
+    const int round = state_.begin_round();
     // Phase 1: collect outgoing messages.  Halted nodes re-announce their
     // final output (visible per the paper's output announcement); down and
     // dead nodes send nothing.
@@ -228,68 +114,63 @@ class SyncSession final : public Session {
       if (halted_[static_cast<std::size_t>(v)] || down_[static_cast<std::size_t>(v)]) continue;
       if (pool_[static_cast<std::size_t>(v)]->receive(round,
                                                       inboxes[static_cast<std::size_t>(v)])) {
-        halted_[static_cast<std::size_t>(v)] = 1;
-        result_.halt_round[static_cast<std::size_t>(v)] = round;
-        result_.outputs[static_cast<std::size_t>(v)] =
-            pool_[static_cast<std::size_t>(v)]->output();
-        --running_;
+        state_.halt(v, round, pool_);
       }
     }
     result_.receive_ns += elapsed_ns(receive_start);
-    round_ = round;
-    // Round `round` is now complete — the only point a checkpoint can be
-    // captured (checkpoint.hpp explains why round boundaries suffice).
-    if (every_ > 0 && sink_ && running_ > 0 && round % every_ == 0) {
-      sink_(capture_checkpoint(g_, round, running_, result_, halted_, down_, dead_, pool_));
-    }
+    state_.end_round(round, pool_, {});
   }
 
-  RunResult result() override {
-    for (int r : result_.halt_round) result_.rounds = std::max(result_.rounds, r);
-    return std::move(result_);
-  }
+  RunResult result() override { return state_.finish({}); }
 
  private:
   const graph::EdgeColouredGraph& g_;
   int n_;
-  int max_rounds_;
-  int every_;
-  std::function<void(const EngineCheckpoint&)> sink_;
-  const FaultPlan* plan_ = nullptr;
   ProgramPool pool_;
-  RunResult result_;
-  std::vector<char> halted_;
-  std::vector<char> down_;
-  std::vector<char> dead_;
-  int running_ = 0;
-  int round_ = 0;  // last completed round
-  std::size_t ev_ = 0;  // fault-event cursor
+  RunState state_;
+  // The delivery phases' views of the shared state.
+  RunResult& result_ = state_.result;
+  const std::vector<char>& halted_ = state_.halted;
+  const std::vector<char>& down_ = state_.down;
+  const FaultPlan* const& plan_ = state_.plan;
 };
 
 }  // namespace
-
-std::unique_ptr<Session> make_sync_session(const graph::EdgeColouredGraph& g,
-                                           const ProgramSource& source,
-                                           const RunOptions& options) {
-  return std::make_unique<SyncSession>(g, source, options);
-}
-
-RunResult run_sync(const graph::EdgeColouredGraph& g, const ProgramSource& source,
-                   int max_rounds) {
-  return run_sync(g, source, RunOptions{max_rounds, {}, {}});
-}
-
-RunResult run_sync(const graph::EdgeColouredGraph& g, const ProgramSource& source,
-                   int max_rounds, const FaultOptions& faults,
-                   const CheckpointOptions& checkpoint) {
-  return run_sync(g, source, RunOptions{max_rounds, faults, checkpoint});
-}
 
 RunResult run_sync(const graph::EdgeColouredGraph& g, const ProgramSource& source,
                    const RunOptions& options) {
   SyncSession session(g, source, options);
   while (!session.done()) session.step();
   return session.result();
+}
+
+// The engine-kind dispatchers live beside SyncSession, the one engine
+// class without a header of its own.
+
+std::unique_ptr<Session> make_session(EngineKind kind, const graph::EdgeColouredGraph& g,
+                                      const ProgramSource& source, const RunOptions& options,
+                                      const FlatEngineOptions& engine_options,
+                                      Runtime* runtime) {
+  if (kind == EngineKind::kSync) return std::make_unique<SyncSession>(g, source, options);
+  auto engine =
+      std::make_unique<FlatEngine>(g, source, options.max_rounds, engine_options, runtime);
+  engine->begin(options);
+  return engine;
+}
+
+RunResult run(EngineKind kind, const graph::EdgeColouredGraph& g,
+              const ProgramSource& source, const RunOptions& options) {
+  return kind == EngineKind::kFlat ? run_flat(g, source, options) : run_sync(g, source, options);
+}
+
+const char* engine_kind_name(EngineKind kind) noexcept {
+  return kind == EngineKind::kFlat ? "flat" : "sync";
+}
+
+std::optional<EngineKind> parse_engine_kind(std::string_view name) noexcept {
+  if (name == "sync") return EngineKind::kSync;
+  if (name == "flat") return EngineKind::kFlat;
+  return std::nullopt;
 }
 
 }  // namespace dmm::local

@@ -166,9 +166,10 @@ class NodeProgram {
 
 inline constexpr char kHaltedPrefix = '!';
 
-/// Legacy per-node factory: one heap allocation per node.  Still accepted
-/// everywhere (tests build throwaway programs this way), but the pooled
-/// ProgramFactory path below is what the engines are tuned for.
+/// Per-node factory: one heap allocation per node.  A ProgramSource built
+/// from one adopts each program into the pool (tests build throwaway,
+/// often stateful, programs this way); the batched ProgramFactory path
+/// below is what the engines are tuned for.
 using NodeProgramFactory = std::function<std::unique_ptr<NodeProgram>()>;
 
 class ProgramPool;  // program_pool.hpp: arena-backed type-erased storage
@@ -190,9 +191,11 @@ class ProgramFactory {
   virtual NodeProgram* make_one(ProgramPool& pool) const = 0;
 };
 
-/// What the engines actually accept: either a pooled ProgramFactory or any
-/// legacy callable returning std::unique_ptr<NodeProgram>.  Both engine
-/// paths must produce bit-identical RunResults — pinned by
+/// What the engines accept: a ProgramFactory.  Any callable returning
+/// std::unique_ptr<NodeProgram> converts too, wrapped in a factory whose
+/// make_one adopts each heap-built program into the pool; copies of the
+/// source share that callable, state included.  Both construction paths
+/// must produce bit-identical RunResults — pinned by
 /// tests/test_program_pool.cpp.
 class ProgramSource {
  public:
@@ -200,7 +203,8 @@ class ProgramSource {
 
   template <class F,
             std::enable_if_t<std::is_invocable_r_v<std::unique_ptr<NodeProgram>, F&>, int> = 0>
-  ProgramSource(F factory) : legacy_(std::move(factory)) {}  // NOLINT(google-explicit-constructor)
+  ProgramSource(F factory)  // NOLINT(google-explicit-constructor)
+      : factory_(adopting(NodeProgramFactory(std::move(factory)))) {}
 
   ProgramSource(std::shared_ptr<const ProgramFactory> factory)  // NOLINT(google-explicit-constructor)
       : factory_(std::move(factory)) {}
@@ -209,11 +213,10 @@ class ProgramSource {
   /// Throws std::logic_error when the source is empty.
   void build(std::size_t count, ProgramPool& pool) const;
 
-  /// True when programs construct in the pool's arena (no per-node heap).
-  bool pooled() const noexcept { return factory_ != nullptr; }
-
  private:
-  NodeProgramFactory legacy_;
+  /// The factory wrapping `make` (null when `make` is empty).
+  static std::shared_ptr<const ProgramFactory> adopting(NodeProgramFactory make);
+
   std::shared_ptr<const ProgramFactory> factory_;
 };
 
@@ -234,11 +237,11 @@ struct RunResult {
   std::uint64_t restarts = 0;
   std::uint64_t messages_dropped = 0;
   // Wall-clock of the setup phase (program construction + init calls —
-  // and, on the flat engine, the CSR build on a graph version's first flat
-  // run, chunk planning and the worker-pool spawn, which all happen in the
-  // engine constructor), the
-  // part the pooled allocator exists to shrink; surfaced as `init_ms` in
-  // the BENCH_*.json schema.  Not part of engine equivalence.
+  // and, on the flat engine, the constructor's CSR borrow, which builds the
+  // CSR on a graph version's first flat run, and chunk planning), the part
+  // the pooled allocator exists to shrink; surfaced as `init_ms` in the
+  // BENCH_*.json schema.  Worker threads spawn later, on the first
+  // parallel phase, inside send_ns.  Not part of engine equivalence.
   double init_ns = 0.0;
   // Wall-clock of the send and receive phases summed over every round
   // (fault phase 0 and checkpoint sinks excluded), surfaced as
@@ -247,15 +250,13 @@ struct RunResult {
   // Not part of engine equivalence.
   double send_ns = 0.0;
   double receive_ns = 0.0;
-  // Worker threads created over the whole run.  A standalone flat engine
-  // spawns its persistent pool (threads − 1 workers beyond the caller)
-  // exactly once in the constructor and parks it between phases, so this
-  // stays constant in the round count — the old engine spawned/joined a
-  // fresh set every phase of every round.  A runtime-backed engine
-  // (runtime.hpp) reports only the threads the shared pool spawned on ITS
-  // behalf: the one session that triggered the lazy spawn reports
-  // threads − 1, every other session 0 — so the sum over N sessions stays
-  // threads − 1 (one pool per process).  0 on every serial path
+  // Worker threads the run's Runtime (runtime.hpp) spawned on this run's
+  // behalf.  A runtime spawns its persistent pool (threads − 1 workers
+  // beyond the caller) once, on the first parallel phase of any run on it,
+  // and parks it between phases, so this is constant in the round count:
+  // threads − 1 for the run that triggered the spawn, 0 for every other
+  // run — and for a run whose nodes all halt at init.  Over N sessions
+  // sharing one runtime it sums to threads − 1.  0 on every serial path
   // (run_sync, threads = 1).  Not part of engine equivalence.
   std::size_t threads_spawned = 0;
 };
@@ -279,22 +280,21 @@ struct CheckpointOptions {
   const EngineCheckpoint* resume = nullptr;
 };
 
-/// Everything a run is parameterised by, in one struct.  The historical
-/// (max_rounds, faults, checkpoint) overload pairs forward here; new code
-/// (and the Session API below) takes RunOptions directly.
+/// Everything a run is parameterised by, in one struct; every entry point
+/// takes it (`run_sync(g, source, {k + 1})` is a fault-free run).
 struct RunOptions {
   /// Throw after this many rounds without global halt (a distributed
   /// algorithm that does not halt is a bug).  Must be positive.
   int max_rounds = 0;
-  FaultOptions faults;
-  CheckpointOptions checkpoint;
+  FaultOptions faults = {};
+  CheckpointOptions checkpoint = {};
 };
 
-/// A round-stepped engine run.  A session is created primed (programs
-/// built, init delivered, any checkpoint resumed); each step() simulates
-/// exactly one synchronous round — send, receive, update, plus that
-/// round's fault events and checkpoint sink.  When done(), result() moves
-/// the finished RunResult out (call it once).
+/// A round-stepped engine run (make_session, flat_engine.hpp).  A session
+/// is created primed (programs built, init delivered, any checkpoint
+/// resumed); each step() simulates exactly one synchronous round — send,
+/// receive, update, plus that round's fault events and checkpoint sink.
+/// When done(), result() moves the finished RunResult out (call it once).
 ///
 /// The run-to-completion entry points (run_sync / run_flat / run) are thin
 /// loops over a session, so a stepped run is bit-identical to a closed
@@ -326,23 +326,10 @@ class Session {
   Session() = default;
 };
 
-/// A round-stepped run_sync (the reference oracle, stepwise).
-std::unique_ptr<Session> make_sync_session(const graph::EdgeColouredGraph& g,
-                                           const ProgramSource& source,
-                                           const RunOptions& options);
-
 /// Runs one copy of the program on every node until all have halted or
-/// max_rounds is exceeded (which throws — a distributed algorithm that does
-/// not halt is a bug).
-RunResult run_sync(const graph::EdgeColouredGraph& g, const ProgramSource& source,
-                   int max_rounds);
-
-/// As above, with fault injection and checkpointing.
-RunResult run_sync(const graph::EdgeColouredGraph& g, const ProgramSource& source,
-                   int max_rounds, const FaultOptions& faults,
-                   const CheckpointOptions& checkpoint = {});
-
-/// The primary form: both historical overloads forward here.
+/// options.max_rounds is exceeded (which throws — a distributed algorithm
+/// that does not halt is a bug), under the options' faults and
+/// checkpointing.
 RunResult run_sync(const graph::EdgeColouredGraph& g, const ProgramSource& source,
                    const RunOptions& options);
 
@@ -355,16 +342,7 @@ enum class EngineKind {
   kFlat,
 };
 
-/// Dispatches to run_sync or run_flat (with default options).
-RunResult run(EngineKind kind, const graph::EdgeColouredGraph& g,
-              const ProgramSource& source, int max_rounds);
-
-/// As above, with fault injection and checkpointing.
-RunResult run(EngineKind kind, const graph::EdgeColouredGraph& g,
-              const ProgramSource& source, int max_rounds, const FaultOptions& faults,
-              const CheckpointOptions& checkpoint = {});
-
-/// The primary form: both historical overloads forward here.
+/// Dispatches to run_sync or run_flat (with default FlatEngineOptions).
 RunResult run(EngineKind kind, const graph::EdgeColouredGraph& g,
               const ProgramSource& source, const RunOptions& options);
 

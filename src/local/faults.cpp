@@ -20,18 +20,55 @@ bool event_before(const FaultEvent& a, const FaultEvent& b) {
   return a.up && !b.up;
 }
 
+/// Probabilities must lie in [0, 1]; written so that NaN fails too.
+bool is_probability(double p) { return p >= 0.0 && p <= 1.0; }
+
+// Value parsers for the spec grammar; parse_fault_spec reports their
+// throws as bad values.  Each must consume the whole value: "0.5abc", "2x"
+// and "3.7" (as an int) are malformed, not 0.5, 2 and 3.
+
+void require_whole(const std::string& value, std::size_t used) {
+  if (used != value.size()) throw std::invalid_argument(value);
+}
+
+double parse_double(const std::string& value) {
+  std::size_t used = 0;
+  const double parsed = std::stod(value, &used);
+  require_whole(value, used);
+  return parsed;
+}
+
+int parse_int(const std::string& value) {
+  std::size_t used = 0;
+  const int parsed = std::stoi(value, &used);
+  require_whole(value, used);
+  return parsed;
+}
+
+/// Digits only: std::stoull would wrap "-1" to 2⁶⁴ − 1.
+std::uint64_t parse_seed(const std::string& value) {
+  if (value.empty() || value[0] < '0' || value[0] > '9') throw std::invalid_argument(value);
+  std::size_t used = 0;
+  const std::uint64_t parsed = std::stoull(value, &used);
+  require_whole(value, used);
+  return parsed;
+}
+
 }  // namespace
 
 void FaultPlan::add_crash(graph::NodeIndex node, int round, int down_rounds) {
   if (round < 1) throw std::invalid_argument("FaultPlan::add_crash: rounds start at 1");
   const bool permanent = down_rounds <= 0;
+  if (!permanent && down_rounds > std::numeric_limits<int>::max() - round) {
+    throw std::invalid_argument("FaultPlan::add_crash: the restart round exceeds INT_MAX");
+  }
   events_.push_back({round, node, /*up=*/false, permanent});
   if (!permanent) events_.push_back({round + down_rounds, node, /*up=*/true, false});
   std::sort(events_.begin(), events_.end(), event_before);
 }
 
 void FaultPlan::set_drops(double drop_prob, std::uint64_t seed) {
-  if (drop_prob < 0.0 || drop_prob > 1.0 || !std::isfinite(drop_prob)) {
+  if (!is_probability(drop_prob)) {
     throw std::invalid_argument("FaultPlan::set_drops: probability must be in [0, 1]");
   }
   drop_prob_ = drop_prob;
@@ -122,31 +159,30 @@ FaultSpec parse_fault_spec(const std::string& text) {
     if (!known) throw std::invalid_argument("fault spec: unknown key '" + key + "'");
     try {
       if (key == "crash") {
-        spec.crash_prob = std::stod(value);
+        spec.crash_prob = parse_double(value);
       } else if (key == "drop") {
-        spec.drop_prob = std::stod(value);
+        spec.drop_prob = parse_double(value);
       } else if (key == "perm") {
-        spec.permanent_prob = std::stod(value);
+        spec.permanent_prob = parse_double(value);
       } else if (key == "horizon") {
-        spec.horizon = std::stoi(value);
+        spec.horizon = parse_int(value);
       } else if (key == "seed") {
-        spec.seed = std::stoull(value);
+        spec.seed = parse_seed(value);
       } else {  // down: "down=2" or "down=2-5"
         const std::size_t dash = value.find('-');
         if (dash == std::string::npos) {
-          spec.min_down = spec.max_down = std::stoi(value);
+          spec.min_down = spec.max_down = parse_int(value);
         } else {
-          spec.min_down = std::stoi(value.substr(0, dash));
-          spec.max_down = std::stoi(value.substr(dash + 1));
+          spec.min_down = parse_int(value.substr(0, dash));
+          spec.max_down = parse_int(value.substr(dash + 1));
         }
       }
     } catch (const std::exception&) {
       throw std::invalid_argument("fault spec: bad value for '" + key + "': '" + value + "'");
     }
   }
-  if (spec.crash_prob < 0.0 || spec.crash_prob > 1.0 ||
-      spec.permanent_prob < 0.0 || spec.permanent_prob > 1.0 ||
-      spec.drop_prob < 0.0 || spec.drop_prob > 1.0) {
+  if (!is_probability(spec.crash_prob) || !is_probability(spec.permanent_prob) ||
+      !is_probability(spec.drop_prob)) {
     throw std::invalid_argument("fault spec: probabilities must be in [0, 1]");
   }
   return spec;

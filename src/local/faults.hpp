@@ -60,7 +60,8 @@ class FaultPlan {
 
   /// Crashes `node` at the start of `round`, down for `down_rounds` rounds
   /// (it restarts at round + down_rounds); down_rounds <= 0 means the
-  /// crash is permanent.  Rounds start at 1.
+  /// crash is permanent.  Rounds start at 1; throws std::invalid_argument
+  /// for round < 1 or a restart round past INT_MAX.
   void add_crash(graph::NodeIndex node, int round, int down_rounds);
 
   /// Every (round, sender, colour) message is dropped independently with
@@ -79,9 +80,10 @@ class FaultPlan {
   /// Sorted by (round, node), restarts before crashes on ties.
   const std::vector<FaultEvent>& events() const noexcept { return events_; }
 
-  /// Index of the first event with event.round >= round (the resume
-  /// cursor: a run restored after completing round r continues at
-  /// first_event_at(r + 1)).
+  /// Index of the first event with event.round >= round: where a round's
+  /// events start (the engines apply round r's events from
+  /// first_event_at(r), so a resumed run skips everything up to its
+  /// checkpoint).
   std::size_t first_event_at(int round) const noexcept;
 
   /// True iff the round-`round` message from `sender` along `colour` is
@@ -107,8 +109,10 @@ class FaultPlan {
   bool has_drops_ = false;
 };
 
-/// Parses the CLI fault grammar (see FaultSpec); unknown keys and malformed
-/// values throw std::invalid_argument.
+/// Parses the CLI fault grammar (see FaultSpec).  Throws
+/// std::invalid_argument on an unknown key or a malformed value: one not
+/// consumed whole ("0.5abc", "horizon=3.7"), a probability outside [0, 1]
+/// or NaN, or a signed seed.
 FaultSpec parse_fault_spec(const std::string& text);
 
 }  // namespace dmm::local

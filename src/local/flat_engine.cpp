@@ -56,10 +56,6 @@ static_assert(sizeof(Colour) == 1, "the announcement table covers every output b
 
 }  // namespace
 
-// The persistent phase-dispatch pool lives in runtime.hpp as WorkerPool
-// since the shared-Runtime refactor: a standalone engine still owns a
-// private instance, a runtime-backed engine borrows the process-shared one.
-
 /// One directed-edge message slot, sender-major: node v's outgoing message
 /// on its i-th port lives at slot row[v] + i, so the send phase streams
 /// sequentially and only the receive phase gathers.  A slot is live only
@@ -85,29 +81,17 @@ struct FlatPlane {
   // and resolve() reads it before the port slots.  The one-write rule
   // means at most one of the two is stamped in any round.
   std::vector<FlatSlot> broadcast;
-  // Spill for unbounded messages, per worker.  A standalone engine owns
-  // its arenas (own_arenas); a runtime-backed engine points `arenas` at
-  // the shared Runtime set instead — spills are round-scoped scratch
-  // (cleared by new_round, read only within the same step, never reachable
-  // from a stale-stamped slot), and the runtime's borrow lock spans the
-  // whole step, so sharing them across sessions is safe and keeps the
-  // steady-state footprint one arena set per process, not per session.
-  std::vector<std::vector<char>> own_arenas;
-  std::vector<std::vector<char>>* arenas = &own_arenas;
+  // Spill for unbounded messages, per worker: the engine's Runtime set,
+  // one arena per worker id.  Spills are round-scoped scratch (cleared by
+  // new_round, read only within the same step, never reachable from a
+  // stale-stamped slot), and the runtime's borrow lock spans the whole
+  // step, so sessions sharing a runtime share its arenas safely and the
+  // steady-state footprint is one arena set per runtime, not per session.
+  std::vector<std::vector<char>>* arenas = nullptr;
 
-  void configure(std::size_t slot_count, std::size_t node_count, int workers,
-                 std::vector<std::vector<char>>* shared) {
+  void configure(std::size_t slot_count, std::size_t node_count) {
     slots.assign(slot_count, FlatSlot{});
     broadcast.assign(node_count, FlatSlot{});
-    if (shared != nullptr) {
-      arenas = shared;
-      if (arenas->size() < static_cast<std::size_t>(workers)) {
-        arenas->resize(static_cast<std::size_t>(workers));
-      }
-    } else {
-      arenas = &own_arenas;
-      own_arenas.resize(static_cast<std::size_t>(workers));
-    }
   }
 
   /// Arena capacity is kept, so steady-state rounds allocate nothing; the
@@ -218,193 +202,104 @@ bool NodeProgram::receive_flat(int round, const FlatInbox& in) {
 
 FlatEngine::FlatEngine(const graph::EdgeColouredGraph& g, const ProgramSource& source,
                        int max_rounds, const FlatEngineOptions& options, Runtime* runtime)
-    : g_(g), source_(source), max_rounds_(max_rounds), runtime_(runtime) {
+    : source_(source), max_rounds_(max_rounds), runtime_(runtime), state_(g, EngineKind::kFlat) {
   // Everything the constructor does — borrowing (on a graph version's
-  // first flat run: building) the CSR, chunk planning, spawning the
-  // persistent pool — is setup work, timed into build_ns_ and folded into
-  // RunResult::init_ns by run().
+  // first flat run: building) the CSR, chunk planning — is setup work,
+  // timed into build_ns_ and folded into RunResult::init_ns.
   const auto build_start = std::chrono::steady_clock::now();
   n_ = g.node_count();
   // Worker clamp: never more workers than nodes (an empty partition buys
   // nothing and the n = 0 / threads = 8 edge used to depend on every
   // phase tolerating it), never more than the one-byte spill-arena index
   // can address, and never fewer than one.  A runtime-backed engine takes
-  // its worker budget from the shared runtime (the pool is process-wide
-  // and fixed-size), not from options.threads.
+  // its worker budget from the shared runtime (its pool is fixed-size),
+  // not from options.threads.
   const int budget = runtime_ != nullptr ? runtime_->threads() : options.threads;
   workers_ = std::max(1, std::min(budget, kMaxFlatWorkers));
   if (workers_ > n_) workers_ = std::max(1, n_);
   steal_ = options.steal;
   csr_ = g.csr();
-  if (workers_ > 1) {
-    plan_chunks(options.chunk_slots);
-    if (runtime_ == nullptr) {
-      // The private pool is spawned exactly once per engine and parked
-      // between phases — per-round thread creations are zero by
-      // construction.  A runtime-backed engine spawns nothing: the shared
-      // pool is created lazily by the runtime, once per process.
-      pool_threads_ = std::make_unique<WorkerPool>(workers_ - 1);
-    }
+  if (workers_ > 1) plan_chunks(options.chunk_slots);
+  if (runtime_ == nullptr) {
+    own_runtime_ = std::make_unique<Runtime>(workers_);
+    runtime_ = own_runtime_.get();
   }
   plane_ = std::make_unique<FlatPlane>();
+  plane_->arenas = &runtime_->arenas();
   build_ns_ = phase_elapsed_ns(build_start);
 }
 
 FlatEngine::~FlatEngine() = default;
 
 void FlatEngine::initialise(const EngineCheckpoint* cp) {
-  result_ = RunResult{};
-  result_.outputs.assign(static_cast<std::size_t>(n_), kUnmatched);
-  result_.halt_round.assign(static_cast<std::size_t>(n_), -1);
-  halted_.assign(static_cast<std::size_t>(n_), 0);
-  down_.assign(static_cast<std::size_t>(n_), 0);
-  dead_.assign(static_cast<std::size_t>(n_), 0);
+  state_.reset();
   pool_.clear();
   pool_.reserve(static_cast<std::size_t>(n_));
 
   // Setup phase (timed into init_ns): batch-construct every program in
   // the pool's arena, then hand each node a pointer straight into its
-  // CSR colour row — no per-node vector is materialised.
+  // CSR colour row — no per-node vector is materialised.  On a resume init
+  // still runs on every node — programs re-derive graph-shaped state from
+  // it — but the round-0 halts it reports are already in the checkpoint.
   const graph::Csr& csr = *csr_;
   const auto init_start = std::chrono::steady_clock::now();
   source_.build(static_cast<std::size_t>(n_), pool_);
-  running_ = n_;
-  round_ = 0;
-  if (cp != nullptr) {
-    // init still runs on every node — programs re-derive graph-shaped
-    // state from it; the round-0 halt decisions it reports are already in
-    // the checkpoint, and load_state overwrites the dynamic state.
-    for (graph::NodeIndex v = 0; v < n_; ++v) {
-      const std::size_t begin = csr.row[static_cast<std::size_t>(v)];
-      pool_[static_cast<std::size_t>(v)]->init_flat(csr.port_colour.data() + begin,
-                                                    csr.degree(v));
-    }
-    for (std::size_t v = 0; v < static_cast<std::size_t>(n_); ++v) {
-      result_.outputs[v] = cp->outputs[v];
-      result_.halt_round[v] = cp->halt_round[v];
-      halted_[v] = static_cast<char>(cp->halted[v]);
-      down_[v] = static_cast<char>(cp->down[v]);
-      dead_[v] = static_cast<char>(cp->dead[v]);
-    }
-    running_ = cp->running;
-    round_ = cp->round;
-    result_.crashes = cp->crashes;
-    result_.restarts = cp->restarts;
-    result_.messages_dropped = cp->messages_dropped;
-    result_.max_message_bytes = static_cast<std::size_t>(cp->max_message_bytes);
-    result_.total_message_bytes = static_cast<std::size_t>(cp->total_message_bytes);
-    result_.messages_sent = static_cast<std::size_t>(cp->messages_sent);
-    std::size_t blob = 0;
-    for (std::size_t v = 0; v < static_cast<std::size_t>(n_); ++v) {
-      if (halted_[v] || dead_[v]) continue;
-      pool_[v]->load_state(cp->program_state[blob++]);
-    }
-  } else {
-    for (graph::NodeIndex v = 0; v < n_; ++v) {
-      const std::size_t begin = csr.row[static_cast<std::size_t>(v)];
-      if (pool_[static_cast<std::size_t>(v)]->init_flat(csr.port_colour.data() + begin,
-                                                        csr.degree(v))) {
-        halt(v, /*round=*/0);
-        --running_;
-      }
+  for (graph::NodeIndex v = 0; v < n_; ++v) {
+    const std::size_t begin = csr.row[static_cast<std::size_t>(v)];
+    if (pool_[static_cast<std::size_t>(v)]->init_flat(csr.port_colour.data() + begin,
+                                                      csr.degree(v)) &&
+        cp == nullptr) {
+      state_.halt(v, 0, pool_);
     }
   }
-  result_.init_ns = build_ns_ + phase_elapsed_ns(init_start);
-  result_.threads_spawned = pool_threads_ ? pool_threads_->spawned() : 0;
+  if (cp != nullptr) state_.resume(*cp, pool_);
+  state_.result.init_ns = build_ns_ + phase_elapsed_ns(init_start);
 
   // Everything the rounds need is built lazily: a 0-round algorithm on a
-  // million nodes never pays for the message plane.
+  // million nodes never pays for the message plane (or the worker pool).
   planes_ready_ = false;
   stats_.assign(static_cast<std::size_t>(workers_), MessageStats{});
   newly_halted_.assign(static_cast<std::size_t>(workers_), {});
 }
 
-RunResult FlatEngine::run() { return run(FaultOptions{}); }
-
 RunResult FlatEngine::run(const FaultOptions& faults, const CheckpointOptions& checkpoint) {
   begin(RunOptions{max_rounds_, faults, checkpoint});
   while (!done()) step();
-  return finish();
+  return result();
 }
 
 void FlatEngine::begin(const RunOptions& options) {
-  if (options.max_rounds > 0) max_rounds_ = options.max_rounds;
-  plan_ = (options.faults.plan != nullptr && !options.faults.plan->empty())
-              ? options.faults.plan
-              : nullptr;
-  if (plan_ != nullptr) plan_->require_fits(n_);
-  faulty_ = plan_ != nullptr;
-  drop_mask_ = plan_ != nullptr && plan_->has_drops();
+  state_.configure(options);
+  faulty_ = state_.plan != nullptr;
+  drop_mask_ = faulty_ && state_.plan->has_drops();
   if (options.checkpoint.resume != nullptr) restore(*options.checkpoint.resume);
   if (!primed_) initialise(nullptr);
   primed_ = false;
-  every_ = options.checkpoint.every;
-  sink_ = options.checkpoint.sink;
-  // On a resume the checkpointed flags already reflect every fault event
-  // up to round_, so the cursor skips them.
-  ev_ = plan_ != nullptr ? plan_->first_event_at(round_ + 1) : 0;
 }
 
 void FlatEngine::step() {
-  const int round = round_ + 1;
-  if (round > max_rounds_) {
-    throw std::runtime_error("run_flat: algorithm did not halt within max_rounds");
-  }
+  const int round = state_.begin_round();
   step_round(round);
-  round_ = round;
-  // Round `round` is now complete — the only point a checkpoint can be
-  // captured (checkpoint.hpp explains why round boundaries suffice).
-  if (every_ > 0 && sink_ && running_ > 0 && round % every_ == 0) {
-    sink_(snapshot());
-  }
+  state_.end_round(round, pool_, stats_);
 }
 
 void FlatEngine::step_round(int round) {
-  // Borrow the shared runtime for the WHOLE step, not per phase: the spill
-  // arenas are shared across sessions and a payload spilled in the send
-  // phase is read in this step's receive phase — another session's step in
-  // between would clear it.  Standalone engines (runtime_ == nullptr) take
-  // no lock; their pool and arenas are private.
-  std::unique_lock<std::mutex> borrow;
-  if (runtime_ != nullptr) borrow = std::unique_lock<std::mutex>(runtime_->mutex());
+  // Borrow the runtime for the WHOLE step, not per phase: a shared
+  // runtime's spill arenas serve every session on it, and a payload
+  // spilled in the send phase is read in this step's receive phase —
+  // another session's step in between would clear it.  (A private
+  // runtime's lock is never contended.)
+  const std::lock_guard<std::mutex> borrow(runtime_->mutex());
   const graph::Csr& csr = *csr_;
   round_now_ = round;
-  // Phase 0: apply this round's fault events before the send phase.  A
-  // crash aimed at a halted or dead node is a no-op; a permanent crash
-  // removes the node from the run (output stays ⊥, halt_round −1).
-  if (plan_ != nullptr) {
-    const std::vector<FaultEvent>& events = plan_->events();
-    while (ev_ < events.size() && events[ev_].round <= round) {
-      const FaultEvent& e = events[ev_++];
-      if (e.node < 0 || e.node >= n_) {
-        throw std::invalid_argument("FaultPlan: event targets a node outside the graph");
-      }
-      const auto v = static_cast<std::size_t>(e.node);
-      if (e.up) {
-        if (!halted_[v] && !dead_[v] && down_[v]) {
-          down_[v] = 0;
-          ++result_.restarts;
-        }
-      } else {
-        if (!halted_[v] && !dead_[v]) {
-          down_[v] = 1;
-          ++result_.crashes;
-          if (e.permanent) {
-            dead_[v] = 1;
-            --running_;
-          }
-        }
-      }
-    }
-  }
   if (!planes_ready_) {
-    plane_->configure(csr.slot_count(), static_cast<std::size_t>(n_), workers_,
-                      runtime_ != nullptr ? &runtime_->arenas() : nullptr);
+    plane_->configure(csr.slot_count(), static_cast<std::size_t>(n_));
     // The live list starts from whatever the run begins with: round-0
     // halts, or every flag a restored checkpoint carries.
     live_.clear();
     for (graph::NodeIndex v = 0; v < n_; ++v) {
-      if (!halted_[static_cast<std::size_t>(v)] && !dead_[static_cast<std::size_t>(v)]) {
+      if (!state_.halted[static_cast<std::size_t>(v)] &&
+          !state_.dead[static_cast<std::size_t>(v)]) {
         live_.push_back(v);
       }
     }
@@ -435,7 +330,7 @@ void FlatEngine::step_round(int round) {
     out.stats_ = &stats_[static_cast<std::size_t>(worker)];
     out.stamp_ = stamp;
     for (const graph::NodeIndex v : live_in(begin, end)) {
-      if (down_[static_cast<std::size_t>(v)]) continue;
+      if (state_.down[static_cast<std::size_t>(v)]) continue;
       out.base_ = csr.row[static_cast<std::size_t>(v)];
       out.node_ = static_cast<std::size_t>(v);
       out.colours_ = csr.port_colour.data() + out.base_;
@@ -454,19 +349,22 @@ void FlatEngine::step_round(int round) {
   // masking happens separately in resolve().
   if (drop_mask_) {
     for (const graph::NodeIndex u : live_) {
-      if (down_[static_cast<std::size_t>(u)]) continue;
+      if (state_.down[static_cast<std::size_t>(u)]) continue;
       const bool broadcast = plane.broadcast[static_cast<std::size_t>(u)].stamp == stamp;
       const std::size_t begin = csr.row[static_cast<std::size_t>(u)];
       const std::size_t end = csr.row[static_cast<std::size_t>(u) + 1];
       for (std::size_t s = begin; s < end; ++s) {
         if (!broadcast && plane.slots[s].stamp != stamp) continue;
         const graph::NodeIndex r = csr.peer_node[s];
-        if (halted_[static_cast<std::size_t>(r)] || down_[static_cast<std::size_t>(r)]) continue;
-        if (plan_->drops(round, u, csr.port_colour[s])) ++result_.messages_dropped;
+        if (state_.halted[static_cast<std::size_t>(r)] ||
+            state_.down[static_cast<std::size_t>(r)]) {
+          continue;
+        }
+        if (state_.plan->drops(round, u, csr.port_colour[s])) ++state_.result.messages_dropped;
       }
     }
   }
-  result_.send_ns += phase_elapsed_ns(send_start);
+  state_.result.send_ns += phase_elapsed_ns(send_start);
 
   const auto receive_start = std::chrono::steady_clock::now();
   // Phase 2: hand each running node a lazy view over its peers' slots,
@@ -475,7 +373,7 @@ void FlatEngine::step_round(int round) {
   // halts are collected per worker and applied after the barrier.
   for_chunks([&](int worker, graph::NodeIndex begin, graph::NodeIndex end) {
     for (const graph::NodeIndex v : live_in(begin, end)) {
-      if (down_[static_cast<std::size_t>(v)]) continue;
+      if (state_.down[static_cast<std::size_t>(v)]) continue;
       const std::size_t row = csr.row[static_cast<std::size_t>(v)];
       FlatInbox in;
       in.engine_ = this;
@@ -491,76 +389,29 @@ void FlatEngine::step_round(int round) {
   });
 
   for (auto& batch : newly_halted_) {
-    for (graph::NodeIndex v : batch) {
-      halt(v, round);
-      --running_;
-    }
+    for (graph::NodeIndex v : batch) state_.halt(v, round, pool_);
     batch.clear();
   }
-  // running_ counts exactly the nodes neither halted nor dead (restored
-  // checkpoints are checked for it), so a size mismatch means this
-  // round's halts or permanent crashes left nodes to drop.
-  if (live_.size() != static_cast<std::size_t>(running_)) {
+  // The running count is exactly the nodes neither halted nor dead
+  // (restored checkpoints are checked for it), so a size mismatch means
+  // this round's halts or permanent crashes left nodes to drop.
+  if (live_.size() != static_cast<std::size_t>(state_.running)) {
     std::erase_if(live_, [&](graph::NodeIndex v) {
-      return halted_[static_cast<std::size_t>(v)] || dead_[static_cast<std::size_t>(v)];
+      return state_.halted[static_cast<std::size_t>(v)] ||
+             state_.dead[static_cast<std::size_t>(v)];
     });
   }
-  result_.receive_ns += phase_elapsed_ns(receive_start);
+  state_.result.receive_ns += phase_elapsed_ns(receive_start);
 }
 
-RunResult FlatEngine::finish() {
-  for (const MessageStats& s : stats_) {
-    result_.max_message_bytes = std::max(result_.max_message_bytes, s.max_bytes);
-    result_.total_message_bytes += s.total_bytes;
-    result_.messages_sent += s.sent;
-  }
-  stats_.assign(static_cast<std::size_t>(workers_), MessageStats{});
-  for (int r : result_.halt_round) result_.rounds = std::max(result_.rounds, r);
-  return std::move(result_);
-}
+RunResult FlatEngine::result() { return state_.finish(stats_); }
 
-EngineCheckpoint FlatEngine::snapshot() const {
-  EngineCheckpoint cp;
-  cp.node_count = n_;
-  cp.k = g_.k();
-  cp.edge_hash = graph_fingerprint(g_);
-  cp.round = round_;
-  cp.running = running_;
-  cp.crashes = result_.crashes;
-  cp.restarts = result_.restarts;
-  cp.messages_dropped = result_.messages_dropped;
-  // The per-worker stats are merged into the checkpoint exactly like
-  // finalise merges them into the RunResult — both folds are commutative,
-  // so the checkpointed totals equal run_sync's inline accounting.
-  std::size_t max_bytes = result_.max_message_bytes;
-  std::size_t total_bytes = result_.total_message_bytes;
-  std::size_t sent = result_.messages_sent;
-  for (const MessageStats& s : stats_) {
-    max_bytes = std::max(max_bytes, s.max_bytes);
-    total_bytes += s.total_bytes;
-    sent += s.sent;
-  }
-  cp.max_message_bytes = max_bytes;
-  cp.total_message_bytes = total_bytes;
-  cp.messages_sent = sent;
-  cp.outputs = result_.outputs;
-  cp.halt_round.assign(result_.halt_round.begin(), result_.halt_round.end());
-  cp.halted.assign(halted_.begin(), halted_.end());
-  cp.down.assign(down_.begin(), down_.end());
-  cp.dead.assign(dead_.begin(), dead_.end());
-  for (std::size_t v = 0; v < static_cast<std::size_t>(n_); ++v) {
-    if (halted_[v] || dead_[v]) continue;
-    std::string blob;
-    pool_[v]->save_state(blob);
-    cp.program_state.push_back(std::move(blob));
-  }
-  return cp;
-}
+EngineCheckpoint FlatEngine::snapshot() const { return state_.capture(pool_, stats_); }
 
 void FlatEngine::checkpoint(std::ostream& out) const { snapshot().write(out); }
 
 void FlatEngine::restore(const EngineCheckpoint& cp) {
-  cp.require_matches(g_);
+  primed_ = false;  // a rejected checkpoint leaves the engine unprimed
   initialise(&cp);
   primed_ = true;
 }
@@ -571,12 +422,12 @@ std::string_view FlatEngine::resolve(const FlatPlane& plane, std::size_t s,
                                      std::uint8_t stamp) const noexcept {
   const graph::Csr& csr = *csr_;
   const graph::NodeIndex u = csr.peer_node[s];
-  if (halted_[static_cast<std::size_t>(u)]) {
-    const Announcement& a = kAnnouncements[result_.outputs[static_cast<std::size_t>(u)]];
+  if (state_.halted[static_cast<std::size_t>(u)]) {
+    const Announcement& a = kAnnouncements[state_.result.outputs[static_cast<std::size_t>(u)]];
     return {a.bytes, a.len};
   }
   // A down (or dead) sender reads as absent on the shared edge.
-  if (faulty_ && down_[static_cast<std::size_t>(u)]) return {};
+  if (faulty_ && state_.down[static_cast<std::size_t>(u)]) return {};
   std::string_view view;
   const FlatSlot& shared = plane.broadcast[static_cast<std::size_t>(u)];
   if (shared.stamp == stamp) {
@@ -592,7 +443,7 @@ std::string_view FlatEngine::resolve(const FlatPlane& plane, std::size_t s,
   // Drop masking: a message the sender actually wrote this round reads as
   // absent when the (round, sender, colour) hash says drop.  Counting
   // happened in the serial pass of step_round; this is delivery only.
-  if (drop_mask_ && !view.empty() && plan_->drops(round_now_, u, csr.port_colour[s])) {
+  if (drop_mask_ && !view.empty() && state_.plan->drops(round_now_, u, csr.port_colour[s])) {
     return {};
   }
   return view;
@@ -614,13 +465,6 @@ std::string_view FlatEngine::slot_view(const FlatPlane& plane, std::size_t s,
   const char* base = (*plane.arenas)[arena].data() + off;
   std::memcpy(&len, base, sizeof(len));
   return {base + sizeof(len), len};
-}
-
-void FlatEngine::halt(graph::NodeIndex v, int round) {
-  halted_[static_cast<std::size_t>(v)] = 1;
-  result_.halt_round[static_cast<std::size_t>(v)] = round;
-  result_.outputs[static_cast<std::size_t>(v)] =
-      pool_[static_cast<std::size_t>(v)]->output();
 }
 
 /// The tag cycle restarted: every stamp value is about to be reused, so
@@ -737,15 +581,11 @@ void FlatEngine::for_chunks(const F& fn) {
       drain((worker + step) % workers_, worker, fn);
     }
   };
-  if (runtime_ != nullptr) {
-    // Lazy shared-pool spawn: exactly one session's call creates the
-    // threads and inherits them into its threads_spawned gauge; every
-    // other session adds 0, so the per-process sum stays threads - 1.
-    result_.threads_spawned += runtime_->ensure_pool();
-    runtime_->pool()->run(phase);
-  } else {
-    pool_threads_->run(phase);
-  }
+  // Lazy pool spawn: exactly one run's call creates the threads and
+  // counts them in its threads_spawned gauge; every other run on the same
+  // runtime adds 0, so the sum over its runs stays threads - 1.
+  state_.result.threads_spawned += runtime_->ensure_pool();
+  runtime_->pool()->run(phase);
 }
 
 /// Claims chunks from `victim`'s run until its cursor passes the end and
@@ -772,101 +612,10 @@ std::string_view FlatInbox::at(int port) const {
   return engine_->resolve(*plane_, flat_slot(row_, port), stamp_);
 }
 
-namespace {
-
-/// Session adapter over FlatEngine: the engine IS the stepped run; this
-/// class only owns it and forwards the Session verbs.
-class FlatSession final : public Session {
- public:
-  FlatSession(const graph::EdgeColouredGraph& g, const ProgramSource& source,
-              const RunOptions& options, const FlatEngineOptions& engine_options,
-              Runtime* runtime)
-      : engine_(g, source, options.max_rounds, engine_options, runtime) {
-    engine_.begin(options);
-  }
-
-  void step() override { engine_.step(); }
-  bool done() const noexcept override { return engine_.done(); }
-  int round() const noexcept override { return engine_.round(); }
-  RunResult result() override { return engine_.finish(); }
-
- private:
-  FlatEngine engine_;
-};
-
-}  // namespace
-
 RunResult run_flat(const graph::EdgeColouredGraph& g, const ProgramSource& source,
-                   int max_rounds, const FlatEngineOptions& options) {
-  return FlatEngine(g, source, max_rounds, options).run();
-}
-
-RunResult run_flat(const graph::EdgeColouredGraph& g, const ProgramSource& source,
-                   int max_rounds, const FlatEngineOptions& options,
-                   const FaultOptions& faults, const CheckpointOptions& checkpoint) {
-  return FlatEngine(g, source, max_rounds, options).run(faults, checkpoint);
-}
-
-RunResult run_flat(const graph::EdgeColouredGraph& g, const ProgramSource& source,
-                   const RunOptions& options, const FlatEngineOptions& engine_options,
-                   Runtime* runtime) {
-  FlatEngine engine(g, source, options.max_rounds, engine_options, runtime);
-  engine.begin(options);
-  while (!engine.done()) engine.step();
-  return engine.finish();
-}
-
-std::unique_ptr<Session> make_flat_session(const graph::EdgeColouredGraph& g,
-                                           const ProgramSource& source,
-                                           const RunOptions& options,
-                                           const FlatEngineOptions& engine_options,
-                                           Runtime* runtime) {
-  return std::make_unique<FlatSession>(g, source, options, engine_options, runtime);
-}
-
-std::unique_ptr<Session> make_session(EngineKind kind, const graph::EdgeColouredGraph& g,
-                                      const ProgramSource& source, const RunOptions& options,
-                                      const FlatEngineOptions& engine_options,
-                                      Runtime* runtime) {
-  switch (kind) {
-    case EngineKind::kFlat:
-      return make_flat_session(g, source, options, engine_options, runtime);
-    case EngineKind::kSync:
-      break;
-  }
-  return make_sync_session(g, source, options);
-}
-
-RunResult run(EngineKind kind, const graph::EdgeColouredGraph& g,
-              const ProgramSource& source, int max_rounds) {
-  return run(kind, g, source, RunOptions{max_rounds, {}, {}});
-}
-
-RunResult run(EngineKind kind, const graph::EdgeColouredGraph& g,
-              const ProgramSource& source, int max_rounds, const FaultOptions& faults,
-              const CheckpointOptions& checkpoint) {
-  return run(kind, g, source, RunOptions{max_rounds, faults, checkpoint});
-}
-
-RunResult run(EngineKind kind, const graph::EdgeColouredGraph& g,
-              const ProgramSource& source, const RunOptions& options) {
-  switch (kind) {
-    case EngineKind::kFlat:
-      return run_flat(g, source, options);
-    case EngineKind::kSync:
-      break;
-  }
-  return run_sync(g, source, options);
-}
-
-const char* engine_kind_name(EngineKind kind) noexcept {
-  return kind == EngineKind::kFlat ? "flat" : "sync";
-}
-
-std::optional<EngineKind> parse_engine_kind(std::string_view name) noexcept {
-  if (name == "sync") return EngineKind::kSync;
-  if (name == "flat") return EngineKind::kFlat;
-  return std::nullopt;
+                   const RunOptions& options, const FlatEngineOptions& engine_options) {
+  return FlatEngine(g, source, options.max_rounds, engine_options)
+      .run(options.faults, options.checkpoint);
 }
 
 }  // namespace dmm::local

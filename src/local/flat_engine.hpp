@@ -24,23 +24,27 @@
 //     skipped), compacted after each round's halts, so a round costs
 //     O(live nodes + ports read) rather than O(n + 2m);
 //   * the send and receive phases optionally run on a persistent worker
-//     pool (options.threads > 1) owned by the engine: the threads are
-//     spawned once in the constructor, parked on a condition-variable
-//     barrier between phases, and joined in the destructor — no per-round
-//     thread churn.  Work is pre-split into node-range chunks of roughly
-//     equal *slot* (directed-edge) weight, so a run of max-degree hub rows
-//     no longer serialises one worker the way the old node-count partition
-//     did, and workers that exhaust their own chunk run steal the
-//     remainder of the others' (options.steal).  A chunk walks the slice
-//     of the live list inside its range; the serial path is the same loop
-//     over one chunk spanning every node.  Writes stay per-slot disjoint —
-//     a chunk is claimed by exactly one worker per phase — so no locks are
-//     taken on the plane itself.
+//     pool (options.threads > 1) owned by a Runtime (runtime.hpp) — a
+//     standalone engine's own, private one, or one shared by many
+//     sessions: the threads spawn on the first parallel phase, park on a
+//     condition-variable barrier between phases, and join when the
+//     runtime goes — no per-round thread churn.  Work is pre-split into
+//     node-range chunks of roughly equal *slot* (directed-edge) weight,
+//     so a run of max-degree hub rows no longer serialises one worker the
+//     way the old node-count partition did, and workers that exhaust
+//     their own chunk run steal the remainder of the others'
+//     (options.steal).  A chunk walks the slice of the live list inside
+//     its range; the serial path is the same loop over one chunk spanning
+//     every node.  Writes stay per-slot disjoint — a chunk is claimed by
+//     exactly one worker per phase — so no locks are taken on the plane
+//     itself.
 //
 // Results are bit-identical to run_sync for every thread count, chunk
 // size and steal setting: all racy-looking state (message stats, spill
 // arenas, newly-halted batches) is worker-indexed and merged with
-// commutative folds.  run_sync stays the reference oracle:
+// commutative folds.  The bookkeeping around delivery — faults, halts,
+// checkpoints — is run_sync's own code (run_state.hpp); only delivery
+// differs, and run_sync stays its reference oracle:
 // tests/test_flat_engine.cpp checks the two engines produce identical
 // RunResult fields (outputs, halt rounds, message accounting) for every
 // algorithm in the library, and tests/test_flat_stress.cpp re-checks that
@@ -52,6 +56,7 @@
 
 #include "local/engine.hpp"
 #include "local/program_pool.hpp"
+#include "local/run_state.hpp"
 #include "local/runtime.hpp"
 
 namespace dmm::local {
@@ -95,14 +100,14 @@ constexpr std::size_t flat_slot(std::size_t row, int port) noexcept {
   return row + static_cast<std::size_t>(port);
 }
 
-/// The engine object behind run_flat, exposed so a run can be checkpointed
-/// and resumed (checkpoint.hpp): construct once (CSR borrow, chunk
-/// planning, worker-pool spawn), then either run() to completion —
-/// optionally under a FaultPlan, with a CheckpointOptions sink observing
-/// round boundaries — or restore() a previously captured checkpoint and
-/// run() the remainder.  Checkpoints are engine-agnostic: a FlatEngine
-/// restores what run_sync captured and vice versa (tests/test_faults.cpp).
-class FlatEngine {
+/// The engine object behind run_flat and flat sessions, exposed so a run
+/// can be checkpointed and resumed (checkpoint.hpp): construct once (CSR
+/// borrow, chunk planning), then either run() to completion — optionally
+/// under a FaultPlan, with a CheckpointOptions sink observing round
+/// boundaries — or restore() a previously captured checkpoint and run()
+/// the remainder.  Checkpoints are engine-agnostic: a FlatEngine restores
+/// what run_sync captured and vice versa (tests/test_faults.cpp).
+class FlatEngine final : public Session {
  public:
   /// The constructor borrows the graph's colour-sorted CSR
   /// (EdgeColouredGraph::csr()) and holds it for the engine's lifetime, so
@@ -110,40 +115,34 @@ class FlatEngine {
   /// of it — shares one CSR.  Only a version's first flat run builds it,
   /// so RunResult::init_ns includes the CSR build on that run alone.
   ///
-  /// With `runtime` == nullptr the engine owns a private worker pool
-  /// (options.threads workers, spawned in the constructor).  With a
-  /// runtime, the engine borrows the process-shared pool and spill arenas
-  /// instead: the worker count comes from runtime->threads(), nothing is
-  /// spawned here (the runtime spawns its pool lazily, once per process),
-  /// and each round step takes the runtime's borrow lock — so many
-  /// concurrent sessions multiplex on one pool (runtime.hpp).
+  /// With `runtime` == nullptr the engine owns a private Runtime sized to
+  /// its worker count (options.threads, clamped).  With a runtime, it
+  /// borrows that one instead: the worker count comes from
+  /// runtime->threads(), and many concurrent sessions multiplex on its one
+  /// pool and spill-arena set.  Either way the runtime spawns its pool
+  /// lazily, on the first parallel phase, and each round step holds its
+  /// borrow lock (runtime.hpp).
   FlatEngine(const graph::EdgeColouredGraph& g, const ProgramSource& source,
              int max_rounds, const FlatEngineOptions& options,
              Runtime* runtime = nullptr);
-  ~FlatEngine();
+  ~FlatEngine() override;
 
-  FlatEngine(const FlatEngine&) = delete;
-  FlatEngine& operator=(const FlatEngine&) = delete;
+  /// Runs to completion under `faults` and `checkpoint` with the
+  /// constructor's round budget.  When the engine was primed by restore(),
+  /// the run continues at checkpoint.round + 1 and finishes with a
+  /// RunResult bit-identical to the uninterrupted run's.  A thin loop over
+  /// the Session verbs below.
+  RunResult run(const FaultOptions& faults = {}, const CheckpointOptions& checkpoint = {});
 
-  /// Runs to completion.  When the engine was primed by restore(), the run
-  /// continues at checkpoint.round + 1 and finishes with a RunResult
-  /// bit-identical to the uninterrupted run's.  Implemented as
-  /// begin() + step() to completion + finish() — the stepped API below is
-  /// the engine; these are the thin loop.
-  RunResult run();
-  RunResult run(const FaultOptions& faults, const CheckpointOptions& checkpoint = {});
-
-  // Stepped session API (engine.hpp::Session wraps it via
-  // make_flat_session).  begin() primes a run: applies the options'
-  // fault plan, restores any checkpoint, builds programs and delivers
-  // init.  Each step() then simulates exactly one round (including that
-  // round's fault events and checkpoint sink); finish() moves the
-  // RunResult out once done().
+  /// Primes a stepped run (make_session calls it): takes the options'
+  /// fault plan and checkpoint cadence, restores options.checkpoint.resume
+  /// if set, and — unless restore() primed it already — builds programs and
+  /// delivers init.  The Session verbs then step it one round at a time.
   void begin(const RunOptions& options);
-  void step();
-  bool done() const noexcept { return running_ == 0; }
-  int round() const noexcept { return round_; }
-  RunResult finish();
+  void step() override;
+  bool done() const noexcept override { return state_.done(); }
+  int round() const noexcept override { return state_.round; }
+  RunResult result() override;
 
   /// The engine state after the last completed round, as the same
   /// engine-agnostic checkpoint run_sync captures; checkpoint() writes it
@@ -179,7 +178,6 @@ class FlatEngine {
 
   std::string_view slot_view(const FlatPlane& plane, std::size_t s,
                              std::uint8_t stamp) const noexcept;
-  void halt(graph::NodeIndex v, int round);
   void wipe_live_rows();
   std::span<const graph::NodeIndex> live_in(graph::NodeIndex begin,
                                             graph::NodeIndex end) const noexcept;
@@ -195,8 +193,7 @@ class FlatEngine {
   };
   struct ChunkCursor;  // cache-line-isolated atomic claim cursor (flat_engine.cpp)
 
-  const graph::EdgeColouredGraph& g_;
-  const ProgramSource& source_;
+  ProgramSource source_;  // a shared handle: copied, not borrowed
   int max_rounds_;
   int n_ = 0;
   int workers_ = 1;
@@ -209,8 +206,8 @@ class FlatEngine {
   std::vector<std::int64_t> run_begin_;
   std::vector<std::int64_t> run_end_;
   std::unique_ptr<ChunkCursor[]> cursors_;
-  std::unique_ptr<WorkerPool> pool_threads_;  // private pool (no runtime): workers_ - 1 parked threads
-  Runtime* runtime_ = nullptr;                // shared pool + arenas, borrowed per step
+  std::unique_ptr<Runtime> own_runtime_;  // a standalone engine's private runtime
+  Runtime* runtime_ = nullptr;            // pool + spill arenas, borrowed per step
 
   // The graph's sender-major CSR, shared with every other engine on this
   // graph version.
@@ -221,59 +218,33 @@ class FlatEngine {
   ProgramPool pool_;
 
   // Per-run state, owned by the engine so snapshot()/restore() can reach
-  // it between rounds.
-  RunResult result_;
-  int running_ = 0;
-  int round_ = 0;  // last completed round
+  // it between rounds: the bookkeeping run_sync shares, then what only
+  // delivery on the plane needs.
+  RunState state_;
   bool primed_ = false;
   bool planes_ready_ = false;
-  std::vector<MessageStats> stats_;  // per worker, merged by finalise/snapshot
+  std::vector<MessageStats> stats_;  // per worker, folded in by result()/snapshot()
   std::vector<std::vector<graph::NodeIndex>> newly_halted_;  // per worker
-  std::vector<char> halted_;
-  std::vector<char> down_;  // includes dead nodes (a dead node stays down)
-  std::vector<char> dead_;
   // The nodes neither halted nor dead, sorted (down nodes stay in it and
   // are skipped): every phase of a round walks this list instead of 0..n.
   // Built by a run's first step, compacted after each round's halts.
   std::vector<graph::NodeIndex> live_;
   std::unique_ptr<FlatPlane> plane_;
 
-  // Fault context of the current run (set by begin(), read by resolve()).
-  const FaultPlan* plan_ = nullptr;
+  // Delivery masks of the current run (set by begin(), read by resolve()).
   bool faulty_ = false;
   bool drop_mask_ = false;
   int round_now_ = 0;
-  std::size_t ev_ = 0;  // fault-event cursor
-
-  // Checkpoint sink of the current run (set by begin(), fired by step()).
-  int every_ = 0;
-  std::function<void(const EngineCheckpoint&)> sink_;
 };
 
+/// run_sync's flat counterpart: same options, same RunResult.
 RunResult run_flat(const graph::EdgeColouredGraph& g, const ProgramSource& source,
-                   int max_rounds, const FlatEngineOptions& options = {});
+                   const RunOptions& options, const FlatEngineOptions& engine_options = {});
 
-/// As above, with fault injection and checkpointing.
-RunResult run_flat(const graph::EdgeColouredGraph& g, const ProgramSource& source,
-                   int max_rounds, const FlatEngineOptions& options,
-                   const FaultOptions& faults, const CheckpointOptions& checkpoint = {});
-
-/// The primary form: the overloads above forward here.
-RunResult run_flat(const graph::EdgeColouredGraph& g, const ProgramSource& source,
-                   const RunOptions& options, const FlatEngineOptions& engine_options = {},
-                   Runtime* runtime = nullptr);
-
-/// A round-stepped flat run, optionally multiplexed on a shared Runtime.
-/// The graph, source, fault plan and runtime are borrowed and must outlive
-/// the session.
-std::unique_ptr<Session> make_flat_session(const graph::EdgeColouredGraph& g,
-                                           const ProgramSource& source,
-                                           const RunOptions& options,
-                                           const FlatEngineOptions& engine_options = {},
-                                           Runtime* runtime = nullptr);
-
-/// Engine-dispatching session factory (kSync ignores engine_options and
-/// runtime — the reference engine is always serial).
+/// A round-stepped run on either engine; a flat one optionally multiplexed
+/// on a shared Runtime (kSync ignores engine_options and runtime — the
+/// reference engine is always serial).  The graph, fault plan and runtime
+/// are borrowed and must outlive the session.
 std::unique_ptr<Session> make_session(EngineKind kind, const graph::EdgeColouredGraph& g,
                                       const ProgramSource& source, const RunOptions& options,
                                       const FlatEngineOptions& engine_options = {},

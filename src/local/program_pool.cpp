@@ -25,15 +25,30 @@ void ProgramFactory::make_programs(std::size_t count, ProgramPool& pool) const {
   for (std::size_t i = 0; i < count; ++i) make_one(pool);
 }
 
+namespace {
+
+/// A NodeProgramFactory as a ProgramFactory: each program is built on the
+/// heap and adopted by the pool.
+class AdoptingFactory final : public ProgramFactory {
+ public:
+  explicit AdoptingFactory(NodeProgramFactory make) : make_(std::move(make)) {}
+  NodeProgram* make_one(ProgramPool& pool) const override { return pool.adopt(make_()); }
+
+ private:
+  NodeProgramFactory make_;
+};
+
+}  // namespace
+
+std::shared_ptr<const ProgramFactory> ProgramSource::adopting(NodeProgramFactory make) {
+  if (!make) return nullptr;
+  return std::make_shared<AdoptingFactory>(std::move(make));
+}
+
 void ProgramSource::build(std::size_t count, ProgramPool& pool) const {
+  if (!factory_) throw std::logic_error("ProgramSource: empty source (no factory)");
   const std::size_t before = pool.size();
-  if (factory_) {
-    factory_->make_programs(count, pool);
-  } else if (legacy_) {
-    for (std::size_t i = 0; i < count; ++i) pool.adopt(legacy_());
-  } else {
-    throw std::logic_error("ProgramSource: empty source (no factory)");
-  }
+  factory_->make_programs(count, pool);
   if (pool.size() - before < count) {
     throw std::logic_error("ProgramSource: factory constructed too few programs");
   }

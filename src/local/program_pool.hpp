@@ -10,8 +10,8 @@
 //   * emplace_batch<T>  — the tuned path: one contiguous allocation for
 //     the whole node range, so a homogeneous population (greedy) is laid
 //     out back to back and the engines' per-node walk is sequential;
-//   * adopt             — the legacy bridge for std::function factories,
-//     which still own their programs on the heap.
+//   * adopt             — takes a heap-built program; a ProgramSource
+//     made from a plain callable builds its programs this way.
 //
 // The pool owns lifetime, the arena owns memory: clear() runs every
 // pooled destructor (reverse order), releases adopted programs, and
@@ -64,7 +64,7 @@ class ProgramPool {
     }
   }
 
-  /// Legacy bridge: takes ownership of a heap-constructed program.
+  /// Takes ownership of a heap-constructed program and appends it.
   NodeProgram* adopt(std::unique_ptr<NodeProgram> program);
 
   NodeProgram* operator[](std::size_t i) const noexcept { return items_[i]; }
@@ -82,7 +82,7 @@ class ProgramPool {
   util::Arena arena_;
   std::vector<NodeProgram*> items_;    // node order, pooled and adopted mixed
   std::vector<NodeProgram*> pooled_;   // arena-constructed: destroy in place
-  std::vector<std::unique_ptr<NodeProgram>> adopted_;  // heap bridge
+  std::vector<std::unique_ptr<NodeProgram>> adopted_;  // heap-built
 };
 
 }  // namespace dmm::local

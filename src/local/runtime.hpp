@@ -1,15 +1,15 @@
-// Shared execution runtime for the local engines.
+// Execution runtime for the flat engine: the one owner of worker threads.
 //
-// Before this layer existed every FlatEngine owned a private worker pool:
-// constructing an engine spawned threads-1 workers even for a ten-node
-// graph, and N concurrent instances meant N pools fighting over the same
-// cores.  `Runtime` hoists the pool (and the spill arenas it feeds) out of
-// the engine so that many engine sessions share ONE pool per process:
+// A Runtime holds the persistent worker pool and the spill arenas it
+// feeds.  Every FlatEngine runs on one: a standalone engine owns a private
+// Runtime sized to its worker count, and many engine sessions can share
+// ONE per process instead of N pools fighting over the same cores:
 //
 //   * the pool is spawned lazily, on the first parallel phase any borrowing
 //     engine runs — a process that only ever runs serial sessions spawns
-//     nothing, and `pool_spawns()` is the regression gauge that N sessions
-//     spawn it exactly once (tests/test_service.cpp);
+//     nothing, a run whose nodes all halt at init spawns nothing, and
+//     `pool_spawns()` is the regression gauge that N sessions spawn it
+//     exactly once (tests/test_service.cpp);
 //   * a session borrows the runtime for the duration of one round step
 //     (`mutex()`): the send and receive phases of a step share spill-arena
 //     state, so the borrow must span the whole step, not just one phase;
@@ -18,12 +18,12 @@
 //     within it), so per-engine copies would multiply the steady-state
 //     footprint by the session count for no benefit.
 //
-// The pool itself (`WorkerPool`) is the flat engine's persistent
-// phase-dispatch pool, verbatim: threads park on a condition variable
-// between phases, dispatch is a generation counter under one mutex, and the
-// first exception from any worker wins — deliberately boring
-// mutex-and-condvar synchronisation so the ThreadSanitizer CI leg can vouch
-// for the whole stack, scheduler included.
+// The pool itself (`WorkerPool`, constructed only here) is the flat
+// engine's persistent phase-dispatch pool: threads park on a condition
+// variable between phases, dispatch is a generation counter under one
+// mutex, and the first exception from any worker wins — deliberately
+// boring mutex-and-condvar synchronisation so the ThreadSanitizer CI leg
+// can vouch for the whole stack, scheduler included.
 #pragma once
 
 #include <condition_variable>
@@ -144,7 +144,8 @@ class WorkerPool {
   bool stop_ = false;
 };
 
-/// One pool (and one set of spill arenas) shared by many engine sessions.
+/// One pool (and one set of spill arenas) for the engines that run on it:
+/// a standalone engine's private one, or one shared by many sessions.
 ///
 /// Borrow discipline: a session holds `mutex()` for the duration of one
 /// round step (the flat engine takes it in step_round).  The shared spill
@@ -175,8 +176,9 @@ class Runtime {
   /// The shared pool; non-null once ensure_pool() ran with threads() > 1.
   WorkerPool* pool() noexcept { return pool_.get(); }
 
-  /// Per-worker spill arenas, shared by every borrowing engine (round-
-  /// scoped scratch; see the borrow discipline above).
+  /// Per-worker spill arenas, one per worker id in [0, threads()), shared
+  /// by every borrowing engine (round-scoped scratch; see the borrow
+  /// discipline above).
   std::vector<std::vector<char>>& arenas() noexcept { return arenas_; }
 
   /// The borrow lock: held by a session for one full round step.

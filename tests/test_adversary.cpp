@@ -221,7 +221,7 @@ TEST(Adversary, TightPairAgreesWithConcreteSimulation) {
       ASSERT_GE(radius, k) << "chunk too shallow to trust node 0";
       const colsys::ColourSystem chunk = tmpl.tree().ball(colsys::ColourSystem::root(), radius);
       const graph::EdgeColouredGraph g = graph::to_graph(chunk);
-      const local::RunResult run = local::run_sync(g, algo::greedy_program_factory(), k + 2);
+      const local::RunResult run = local::run_sync(g, algo::greedy_program_factory(), {k + 2});
       EXPECT_EQ(run.outputs[0], expected) << "k=" << k;
     }
   }

@@ -90,7 +90,7 @@ class AnnouncementListener final : public NodeProgram {
 
 TEST(Engine, ZeroRoundAlgorithmHaltsAtRoundZero) {
   const graph::EdgeColouredGraph g = graph::path_graph(3, {1, 2});
-  const RunResult r = run_sync(g, [] { return std::make_unique<HaltAtInit>(); }, 10);
+  const RunResult r = run_sync(g, [] { return std::make_unique<HaltAtInit>(); }, {10});
   EXPECT_EQ(r.rounds, 0);
   EXPECT_EQ(r.outputs[0], 1);
   EXPECT_EQ(r.outputs[1], 1);
@@ -100,7 +100,7 @@ TEST(Engine, ZeroRoundAlgorithmHaltsAtRoundZero) {
 
 TEST(Engine, RunningTimeIsMaxHaltRound) {
   const graph::EdgeColouredGraph g = graph::path_graph(3, {1, 2});
-  const RunResult r = run_sync(g, [] { return std::make_unique<HaltAfter>(3); }, 10);
+  const RunResult r = run_sync(g, [] { return std::make_unique<HaltAfter>(3); }, {10});
   EXPECT_EQ(r.rounds, 3);
 }
 
@@ -111,8 +111,7 @@ TEST(Engine, MixedHaltRoundsReported) {
       g,
       [&]() -> std::unique_ptr<NodeProgram> {
         return std::make_unique<HaltAfter>(counter++);
-      },
-      10);
+      }, {10});
   EXPECT_EQ(r.halt_round[0], 0);
   EXPECT_EQ(r.halt_round[1], 1);
   EXPECT_EQ(r.halt_round[2], 2);
@@ -121,13 +120,13 @@ TEST(Engine, MixedHaltRoundsReported) {
 
 TEST(Engine, ThrowsIfAlgorithmNeverHalts) {
   const graph::EdgeColouredGraph g = graph::path_graph(3, {1, 2});
-  EXPECT_THROW(run_sync(g, [] { return std::make_unique<HaltAfter>(100); }, 5),
+  EXPECT_THROW(run_sync(g, [] { return std::make_unique<HaltAfter>(100); }, {5}),
                std::runtime_error);
 }
 
 TEST(Engine, IsolatedNodesHaltImmediately) {
   const graph::EdgeColouredGraph g(4, 2);  // no edges
-  const RunResult r = run_sync(g, [] { return std::make_unique<HaltAfter>(0); }, 10);
+  const RunResult r = run_sync(g, [] { return std::make_unique<HaltAfter>(0); }, {10});
   EXPECT_EQ(r.rounds, 0);
 }
 
@@ -160,7 +159,7 @@ TEST(Engine, FailureInjectionRogueSendsAreIgnored) {
   // engine only ever routes messages along real edges.
   graph::EdgeColouredGraph g(2, 9);
   g.add_edge(0, 1, 3);
-  const RunResult r = run_sync(g, [] { return std::make_unique<RogueSender>(); }, 10);
+  const RunResult r = run_sync(g, [] { return std::make_unique<RogueSender>(); }, {10});
   EXPECT_EQ(r.rounds, 1);
   // Each node received exactly one message (its single incident colour).
   EXPECT_EQ(RogueSender::received_count, 1u);
@@ -182,7 +181,7 @@ TEST(Engine, FailureInjectionExceptionsPropagate) {
   // an exception rather than a silently wrong result.
   graph::EdgeColouredGraph g(2, 2);
   g.add_edge(0, 1, 1);
-  EXPECT_THROW(run_sync(g, [] { return std::make_unique<Thrower>(); }, 10),
+  EXPECT_THROW(run_sync(g, [] { return std::make_unique<Thrower>(); }, {10}),
                std::runtime_error);
 }
 
@@ -191,7 +190,7 @@ TEST(Engine, MessageAccounting) {
   // byte of status per edge per round.
   const graph::EdgeColouredGraph g = graph::worst_case_chain(8).long_path;
   const RunResult r = run_sync(
-      g, [] { return std::make_unique<HaltAfter>(2); }, 10);
+      g, [] { return std::make_unique<HaltAfter>(2); }, {10});
   EXPECT_EQ(r.max_message_bytes, 0u);  // HaltAfter sends empty messages
   EXPECT_EQ(r.total_message_bytes, 0u);
 }
@@ -229,7 +228,7 @@ TEST(Engine, HaltedAnnouncementVisibleToNeighbours) {
                                     std::to_string(value) + " halt round " +
                                     std::to_string(halt_round);
         const auto heard = std::make_shared<Message>();
-        const RunResult r = run(kind, g, announcement_pair(output, halt_round, heard), 10);
+        const RunResult r = run(kind, g, announcement_pair(output, halt_round, heard), {10});
         EXPECT_EQ(*heard, expected) << context;
         EXPECT_EQ(r.outputs[0], output) << context;
         EXPECT_EQ(r.halt_round[0], halt_round) << context;
@@ -249,8 +248,8 @@ TEST(Engine, HaltedAnnouncementVisibleToNeighbours) {
     every_round.sink = [&](const EngineCheckpoint& cp) {
       if (cp.round == 2) cp.write(bytes);
     };
-    const RunResult whole = run_flat(g, announcement_pair(output, 2, captured), 10, {},
-                                     FaultOptions{}, every_round);
+    const RunResult whole =
+        run_flat(g, announcement_pair(output, 2, captured), {10, FaultOptions{}, every_round});
     const auto heard = std::make_shared<Message>();
     const ProgramSource resumed = announcement_pair(output, 2, heard);
     FlatEngine engine(g, resumed, 10, {});

@@ -31,7 +31,7 @@ TEST(EngineScale, GreedyHundredThousandNodes) {
   const graph::EdgeColouredGraph g = big_instance();
   ASSERT_EQ(g.node_count(), kNodes);
   const local::RunResult run =
-      local::run_flat(g, algo::greedy_program_factory(), kPalette + 1);
+      local::run_flat(g, algo::greedy_program_factory(), {kPalette + 1});
   // Lemma 1 at scale: everyone halts by round k-1, and at this size some
   // node needs every round.
   EXPECT_EQ(run.rounds, kPalette - 1);
@@ -57,7 +57,7 @@ TEST(EngineScale, GreedyTenMillionNodes) {
   ASSERT_EQ(g.node_count(), kBig);
   const auto start = std::chrono::steady_clock::now();
   const local::RunResult run =
-      local::run_flat(g, algo::greedy_program_factory(), kPalette + 1);
+      local::run_flat(g, algo::greedy_program_factory(), {kPalette + 1});
   const double wall_ns = static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
                                                            start)
@@ -102,11 +102,11 @@ TEST(EngineScale, ChurnBatchStampSurvivesWraparound) {
 TEST(EngineScale, ThreadedRunIsIdentical) {
   const graph::EdgeColouredGraph g = big_instance();
   const local::RunResult serial =
-      local::run_flat(g, algo::greedy_program_factory(), kPalette + 1);
+      local::run_flat(g, algo::greedy_program_factory(), {kPalette + 1});
   local::FlatEngineOptions options;
   options.threads = 4;
   const local::RunResult threaded =
-      local::run_flat(g, algo::greedy_program_factory(), kPalette + 1, options);
+      local::run_flat(g, algo::greedy_program_factory(), {kPalette + 1}, options);
   EXPECT_EQ(serial.outputs, threaded.outputs);
   EXPECT_EQ(serial.halt_round, threaded.halt_round);
   EXPECT_EQ(serial.rounds, threaded.rounds);

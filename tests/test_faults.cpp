@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -63,6 +64,9 @@ TEST(FaultPlan, EventsSortedAndRestartsBeforeCrashesOnTies) {
   EXPECT_EQ(plan.first_event_at(6), 4u);  // events at rounds 1,2,5,5,7
   EXPECT_EQ(plan.first_event_at(100), events.size());
   EXPECT_THROW(plan.add_crash(0, 0, 1), std::invalid_argument);
+  // The restart round 2 + INT_MAX does not fit an int.
+  EXPECT_THROW(plan.add_crash(0, 2, std::numeric_limits<int>::max()), std::invalid_argument);
+  EXPECT_EQ(plan.events().size(), 5u);  // a rejected crash adds no event
 }
 
 TEST(FaultPlan, DropsArePureAndSeedSensitive) {
@@ -135,6 +139,16 @@ TEST(FaultPlan, SpecGrammar) {
   EXPECT_THROW(parse_fault_spec("warp=1"), std::invalid_argument);
   EXPECT_THROW(parse_fault_spec("crash=banana"), std::invalid_argument);
   EXPECT_THROW(parse_fault_spec("crash=2.0"), std::invalid_argument);
+  // NaN is no probability (it passes a `p < 0 || p > 1` test).
+  EXPECT_THROW(parse_fault_spec("crash=nan"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_spec("perm=nan"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_spec("drop=nan"), std::invalid_argument);
+  // Every value is consumed whole.
+  EXPECT_THROW(parse_fault_spec("crash=0.5abc"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_spec("down=2x"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_spec("horizon=3.7"), std::invalid_argument);
+  // A signed seed would wrap to 2⁶⁴ − 1.
+  EXPECT_THROW(parse_fault_spec("seed=-1"), std::invalid_argument);
 }
 
 // --- crash/restart/drop semantics ---------------------------------------
@@ -147,7 +161,7 @@ TEST(Faults, PermanentCrashRemovesNodeFromTheRun) {
   FaultPlan plan;
   plan.add_crash(2, 1, 0);  // node 2, round 1, permanent
   for (EngineKind kind : {EngineKind::kSync, EngineKind::kFlat}) {
-    const RunResult r = run(kind, g, algo::greedy_program_factory(), 32, FaultOptions{&plan});
+    const RunResult r = run(kind, g, algo::greedy_program_factory(), {32, FaultOptions{&plan}});
     EXPECT_EQ(r.crashes, 1u) << engine_kind_name(kind);
     EXPECT_EQ(r.restarts, 0u) << engine_kind_name(kind);
     EXPECT_EQ(r.outputs[2], kUnmatched) << engine_kind_name(kind);
@@ -166,7 +180,7 @@ TEST(Faults, TemporaryCrashRestartsAndHalts) {
   FaultPlan plan;
   plan.add_crash(2, 1, 2);  // down rounds 1-2, restarts at 3
   for (EngineKind kind : {EngineKind::kSync, EngineKind::kFlat}) {
-    const RunResult r = run(kind, g, algo::greedy_program_factory(), 32, FaultOptions{&plan});
+    const RunResult r = run(kind, g, algo::greedy_program_factory(), {32, FaultOptions{&plan}});
     EXPECT_EQ(r.crashes, 1u) << engine_kind_name(kind);
     EXPECT_EQ(r.restarts, 1u) << engine_kind_name(kind);
     EXPECT_GE(r.halt_round[2], 0) << engine_kind_name(kind);  // came back and finished
@@ -181,9 +195,9 @@ TEST(Faults, CrashOnHaltedNodeIsANoOp) {
   g.add_edge(0, 1, 1);
   FaultPlan plan;
   plan.add_crash(0, 3, 1);
-  const RunResult clean = run_sync(g, algo::greedy_program_factory(), 8);
+  const RunResult clean = run_sync(g, algo::greedy_program_factory(), {8});
   for (EngineKind kind : {EngineKind::kSync, EngineKind::kFlat}) {
-    const RunResult r = run(kind, g, algo::greedy_program_factory(), 8, FaultOptions{&plan});
+    const RunResult r = run(kind, g, algo::greedy_program_factory(), {8, FaultOptions{&plan}});
     EXPECT_EQ(r.crashes, 0u) << engine_kind_name(kind);
     expect_same_result(clean, r, std::string("halted-crash no-op ") + engine_kind_name(kind));
   }
@@ -194,9 +208,9 @@ TEST(Faults, EventOutsideTheGraphIsRejected) {
   g.add_edge(0, 1, 1);
   FaultPlan plan;
   plan.add_crash(5, 1, 1);  // node 5 of a 2-node graph
-  EXPECT_THROW(run_sync(g, algo::greedy_program_factory(), 8, FaultOptions{&plan}),
+  EXPECT_THROW(run_sync(g, algo::greedy_program_factory(), {8, FaultOptions{&plan}}),
                std::invalid_argument);
-  EXPECT_THROW(run_flat(g, algo::greedy_program_factory(), 8, {}, FaultOptions{&plan}),
+  EXPECT_THROW(run_flat(g, algo::greedy_program_factory(), {8, FaultOptions{&plan}}),
                std::invalid_argument);
 }
 
@@ -204,11 +218,11 @@ TEST(Faults, EmptyPlanEqualsFaultFreeRun) {
   Rng rng(11);
   const graph::EdgeColouredGraph g = graph::random_coloured_graph(30, 4, 0.8, rng);
   const FaultPlan empty;
-  const RunResult clean = run_sync(g, algo::greedy_program_factory(), 8);
+  const RunResult clean = run_sync(g, algo::greedy_program_factory(), {8});
   expect_same_result(clean,
-                     run_sync(g, algo::greedy_program_factory(), 8, FaultOptions{&empty}),
+                     run_sync(g, algo::greedy_program_factory(), {8, FaultOptions{&empty}}),
                      "empty plan sync");
-  expect_same_result(clean, run_flat(g, algo::greedy_program_factory(), 8, {}, FaultOptions{&empty}),
+  expect_same_result(clean, run_flat(g, algo::greedy_program_factory(), {8, FaultOptions{&empty}}),
                      "empty plan flat");
   EXPECT_EQ(clean.crashes, 0u);
   EXPECT_EQ(clean.messages_dropped, 0u);
@@ -236,14 +250,14 @@ std::vector<FlatEngineOptions> schedule_grid() {
 void expect_engines_agree_under(const graph::EdgeColouredGraph& g, const ProgramSource& source,
                                 int max_rounds, const FaultPlan& plan,
                                 const std::string& context) {
-  const RunResult oracle = run_sync(g, source, max_rounds, FaultOptions{&plan});
+  const RunResult oracle = run_sync(g, source, {max_rounds, FaultOptions{&plan}});
   int schedule = 0;
   for (const FlatEngineOptions& options : schedule_grid()) {
-    expect_same_result(oracle, run_flat(g, source, max_rounds, options, FaultOptions{&plan}),
+    expect_same_result(oracle, run_flat(g, source, {max_rounds, FaultOptions{&plan}}, options),
                        context + " [schedule " + std::to_string(schedule++) + "]");
   }
   // Determinism: the oracle agrees with itself on a second run.
-  expect_same_result(oracle, run_sync(g, source, max_rounds, FaultOptions{&plan}),
+  expect_same_result(oracle, run_sync(g, source, {max_rounds, FaultOptions{&plan}}),
                      context + " [repeat]");
 }
 
@@ -286,9 +300,9 @@ TEST(Faults, EnginesAgreeWhenEverythingDrops) {
   const graph::EdgeColouredGraph g = graph::worst_case_chain(3).long_path;
   FaultPlan plan;
   plan.set_drops(1.0, 1);
-  const RunResult oracle = run_sync(g, algo::greedy_program_factory(), 64, FaultOptions{&plan});
+  const RunResult oracle = run_sync(g, algo::greedy_program_factory(), {64, FaultOptions{&plan}});
   EXPECT_GT(oracle.messages_dropped, 0u);
-  expect_same_result(oracle, run_flat(g, algo::greedy_program_factory(), 64, {}, FaultOptions{&plan}),
+  expect_same_result(oracle, run_flat(g, algo::greedy_program_factory(), {64, FaultOptions{&plan}}),
                      "total blackout");
 }
 
@@ -306,15 +320,16 @@ CapturedRun run_with_checkpoints(EngineKind kind, const graph::EdgeColouredGraph
   CheckpointOptions every_round;
   every_round.every = 1;
   every_round.sink = [&](const EngineCheckpoint& cp) { captured.checkpoints.push_back(cp); };
-  captured.clean = run(kind, g, source, max_rounds, FaultOptions{plan}, every_round);
+  captured.clean = run(kind, g, source, {max_rounds, FaultOptions{plan}, every_round});
   return captured;
 }
 
 void expect_resume_equivalence(const graph::EdgeColouredGraph& g, const ProgramSource& source,
                                int max_rounds, const FaultPlan* plan,
                                const std::string& context) {
-  // Capture on the sync engine; the flat capture must be byte-identical
-  // state, which restoring cross-engine (both directions) pins below.
+  // Capture on both engines: the two captures must serialise to the same
+  // bytes at every round, and restoring cross-engine (both directions)
+  // must finish the uninterrupted run.
   const CapturedRun sync_run =
       run_with_checkpoints(EngineKind::kSync, g, source, max_rounds, plan);
   const CapturedRun flat_run =
@@ -328,21 +343,25 @@ void expect_resume_equivalence(const graph::EdgeColouredGraph& g, const ProgramS
     // Serialise + reload: every resume below goes through the byte format.
     std::stringstream bytes;
     sync_run.checkpoints[i].write(bytes);
+    std::stringstream flat_bytes;
+    flat_run.checkpoints[i].write(flat_bytes);
+    EXPECT_EQ(bytes.str(), flat_bytes.str()) << at << ": sync and flat captures differ";
     const EngineCheckpoint restored = EngineCheckpoint::read(bytes);
 
     CheckpointOptions resume;
     resume.resume = &restored;
-    expect_same_result(sync_run.clean, run_sync(g, source, max_rounds, FaultOptions{plan}, resume),
+    expect_same_result(sync_run.clean,
+                       run_sync(g, source, {max_rounds, FaultOptions{plan}, resume}),
                        at + " sync→sync");
     expect_same_result(sync_run.clean,
-                       run_flat(g, source, max_rounds, {}, FaultOptions{plan}, resume),
+                       run_flat(g, source, {max_rounds, FaultOptions{plan}, resume}),
                        at + " sync→flat");
 
     // Flat-captured checkpoint back into the sync oracle.
     CheckpointOptions resume_flat;
     resume_flat.resume = &flat_run.checkpoints[i];
     expect_same_result(sync_run.clean,
-                       run_sync(g, source, max_rounds, FaultOptions{plan}, resume_flat),
+                       run_sync(g, source, {max_rounds, FaultOptions{plan}, resume_flat}),
                        at + " flat→sync");
   }
 }
@@ -393,7 +412,7 @@ TEST(Checkpoint, FlatEngineObjectCheckpointStream) {
   // fresh engine restore(istream) + run() to the bit-identical result.
   const graph::EdgeColouredGraph g = graph::worst_case_chain(4).long_path;
   const ProgramSource source = algo::greedy_program_factory();
-  const RunResult clean = run_flat(g, source, 16);
+  const RunResult clean = run_flat(g, source, {16});
 
   std::stringstream bytes;
   int captured_round = 0;
@@ -425,7 +444,7 @@ TEST(Checkpoint, SinkFiresOnTheRequestedCadence) {
   CheckpointOptions opts;
   opts.every = 2;
   opts.sink = [&](const EngineCheckpoint& cp) { rounds.push_back(cp.round); };
-  const RunResult r = run_sync(g, algo::greedy_program_factory(), 16, FaultOptions{}, opts);
+  const RunResult r = run_sync(g, algo::greedy_program_factory(), {16, FaultOptions{}, opts});
   ASSERT_FALSE(rounds.empty());
   for (std::size_t i = 0; i < rounds.size(); ++i) {
     EXPECT_EQ(rounds[i], 2 * static_cast<int>(i + 1));
@@ -466,7 +485,7 @@ TEST(Checkpoint, WrongInstanceIsRejected) {
   const graph::EdgeColouredGraph other = graph::worst_case_chain(4).short_path;
   CheckpointOptions resume;
   resume.resume = &captured.checkpoints.front();
-  EXPECT_THROW(run_sync(other, algo::greedy_program_factory(), 16, FaultOptions{}, resume),
+  EXPECT_THROW(run_sync(other, algo::greedy_program_factory(), {16, FaultOptions{}, resume}),
                CheckpointError);
   EXPECT_THROW(
       {
@@ -599,7 +618,7 @@ int fuzz_checkpoint_fields(const graph::EdgeColouredGraph& g, const FaultPlan* p
     const EngineCheckpoint decoded = EngineCheckpoint::read(in);
     CheckpointOptions options;
     options.resume = &decoded;
-    return run(kind, g, source, 64, FaultOptions{plan}, options);
+    return run(kind, g, source, {64, FaultOptions{plan}, options});
   };
   const std::string clean = encode(cp);
   for (const EngineKind kind : {EngineKind::kSync, EngineKind::kFlat}) {
@@ -698,9 +717,9 @@ TEST(Checkpoint, ProgramWithoutSaveStateFailsLoudly) {
   CheckpointOptions opts;
   opts.every = 1;
   opts.sink = [](const EngineCheckpoint&) {};
-  EXPECT_THROW(run_sync(g, [] { return std::make_unique<Oblivious>(); }, 16, FaultOptions{}, opts),
+  EXPECT_THROW(run_sync(g, [] { return std::make_unique<Oblivious>(); }, {16, {}, opts}),
                std::logic_error);
-  EXPECT_THROW(run_flat(g, [] { return std::make_unique<Oblivious>(); }, 16, {}, FaultOptions{}, opts),
+  EXPECT_THROW(run_flat(g, [] { return std::make_unique<Oblivious>(); }, {16, {}, opts}),
                std::logic_error);
 }
 

@@ -29,11 +29,11 @@ namespace {
 void expect_engines_agree(const graph::EdgeColouredGraph& g,
                           const ProgramSource& source, int max_rounds,
                           const std::string& context) {
-  const RunResult oracle = run_sync(g, source, max_rounds);
-  expect_same_result(oracle, run_flat(g, source, max_rounds), context + " [serial]");
+  const RunResult oracle = run_sync(g, source, {max_rounds});
+  expect_same_result(oracle, run_flat(g, source, {max_rounds}), context + " [serial]");
   FlatEngineOptions threaded;
   threaded.threads = 3;
-  expect_same_result(oracle, run_flat(g, source, max_rounds, threaded),
+  expect_same_result(oracle, run_flat(g, source, {max_rounds}, threaded),
                      context + " [threads=3]");
 }
 
@@ -85,16 +85,16 @@ TEST(FlatEngine, FloodingMatchesViewEngine) {
   for (const algo::EngineRealisation& r : algo::engine_realisations(k)) {
     if (r.name.rfind("flood:", 0) != 0) continue;
     SCOPED_TRACE(r.name);
-    expect_same_result(run_sync(g, r.factory, r.round_bound),
-                       run_flat(g, r.factory, r.round_bound), r.name);
+    expect_same_result(run_sync(g, r.factory, {r.round_bound}),
+                       run_flat(g, r.factory, {r.round_bound}), r.name);
   }
   // Direct run_views pin for the canonical case: flooded greedy.
   const algo::GreedyLocal greedy(k);
   const std::vector<Colour> views = run_views(g, greedy);
   const RunResult flooded = run_flat(
-      g, flooding_program_factory(std::make_shared<algo::GreedyLocal>(k), k), k + 1);
+      g, flooding_program_factory(std::make_shared<algo::GreedyLocal>(k), k), {k + 1});
   EXPECT_EQ(views, flooded.outputs);
-  const RunResult native = run_flat(g, algo::greedy_program_factory(), k + 1);
+  const RunResult native = run_flat(g, algo::greedy_program_factory(), {k + 1});
   EXPECT_EQ(views, native.outputs);
 }
 
@@ -285,7 +285,7 @@ TEST(FlatEngine, SecondWriteToAPortInOneRoundThrows) {
         return std::make_unique<DoubleWriter>(order.first, order.second, payload);
       };
       for (const FlatEngineOptions& options : {FlatEngineOptions{}, pooled}) {
-        EXPECT_THROW(run_flat(g, factory, 5, options), std::logic_error)
+        EXPECT_THROW(run_flat(g, factory, {5}, options), std::logic_error)
             << order.first << " then " << order.second << " of " << payload.size()
             << " bytes";
       }
@@ -329,7 +329,7 @@ TEST(FlatEngine, BroadcastArrivesOnEveryPortInlineOrSpilled) {
   for (const std::string payload : {"M", "123456", "1234567"}) {
     const auto factory = [&] { return std::make_unique<Broadcaster>(payload); };
     expect_engines_agree(g, factory, 4, std::to_string(payload.size()) + "-byte broadcast");
-    const RunResult r = run_flat(g, factory, 4);
+    const RunResult r = run_flat(g, factory, {4});
     for (graph::NodeIndex v = 0; v < g.node_count(); ++v) {
       EXPECT_EQ(r.outputs[static_cast<std::size_t>(v)], g.degree(v)) << "node " << v;
     }
@@ -348,11 +348,11 @@ TEST(FlatEngine, IsolatedNodesAndEmptyGraphs) {
 TEST(FlatEngine, ThrowsLikeTheOracleWhenNotHalting) {
   const graph::EdgeColouredGraph g = graph::path_graph(3, {1, 2});
   const auto factory = [] { return std::make_unique<HaltAfter>(100); };
-  EXPECT_THROW(run_sync(g, factory, 5), std::runtime_error);
-  EXPECT_THROW(run_flat(g, factory, 5), std::runtime_error);
+  EXPECT_THROW(run_sync(g, factory, {5}), std::runtime_error);
+  EXPECT_THROW(run_flat(g, factory, {5}), std::runtime_error);
   FlatEngineOptions threaded;
   threaded.threads = 2;
-  EXPECT_THROW(run_flat(g, factory, 5, threaded), std::runtime_error);
+  EXPECT_THROW(run_flat(g, factory, {5}, threaded), std::runtime_error);
 }
 
 /// Throws during send — the flat engine must fail fast on any thread.
@@ -367,11 +367,11 @@ class Thrower final : public NodeProgram {
 TEST(FlatEngine, ExceptionsPropagateFromWorkers) {
   graph::EdgeColouredGraph g(2, 2);
   g.add_edge(0, 1, 1);
-  EXPECT_THROW(run_flat(g, [] { return std::make_unique<Thrower>(); }, 10),
+  EXPECT_THROW(run_flat(g, [] { return std::make_unique<Thrower>(); }, {10}),
                std::runtime_error);
   FlatEngineOptions threaded;
   threaded.threads = 2;
-  EXPECT_THROW(run_flat(g, [] { return std::make_unique<Thrower>(); }, 10, threaded),
+  EXPECT_THROW(run_flat(g, [] { return std::make_unique<Thrower>(); }, {10}, threaded),
                std::runtime_error);
 }
 
@@ -444,11 +444,11 @@ TEST(FlatEngine, ConcurrentFirstCsrUseAgrees) {
       options.threads = 1 + t % 3;
       start.arrive_and_wait();
       results[static_cast<std::size_t>(t)] =
-          run_flat(copies[static_cast<std::size_t>(t)], source, 8, options);
+          run_flat(copies[static_cast<std::size_t>(t)], source, {8}, options);
     });
   }
   for (std::thread& th : threads) th.join();
-  const RunResult oracle = run_sync(g, source, 8);
+  const RunResult oracle = run_sync(g, source, {8});
   for (int t = 0; t < kThreads; ++t) {
     expect_same_result(oracle, results[static_cast<std::size_t>(t)],
                        "thread " + std::to_string(t));
@@ -465,11 +465,11 @@ TEST_P(FlatEngineThreadGrid, MatchesOracleForAnyPartition) {
   const auto [n, threads] = GetParam();
   Rng rng(static_cast<std::uint64_t>(n * 1000 + threads));
   const graph::EdgeColouredGraph g = graph::random_coloured_graph(n, 3, 0.8, rng);
-  const RunResult oracle = run_sync(g, algo::greedy_program_factory(), 5);
+  const RunResult oracle = run_sync(g, algo::greedy_program_factory(), {5});
   FlatEngineOptions options;
   options.threads = threads;
   expect_same_result(oracle,
-                     run_flat(g, algo::greedy_program_factory(), 5, options),
+                     run_flat(g, algo::greedy_program_factory(), {5}, options),
                      "n=" + std::to_string(n) + " threads=" + std::to_string(threads));
 }
 
@@ -480,8 +480,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(FlatEngine, EngineKindSwitch) {
   const graph::EdgeColouredGraph g = graph::worst_case_chain(5).long_path;
-  const RunResult via_sync = run(EngineKind::kSync, g, algo::greedy_program_factory(), 6);
-  const RunResult via_flat = run(EngineKind::kFlat, g, algo::greedy_program_factory(), 6);
+  const RunResult via_sync = run(EngineKind::kSync, g, algo::greedy_program_factory(), {6});
+  const RunResult via_flat = run(EngineKind::kFlat, g, algo::greedy_program_factory(), {6});
   expect_same_result(via_sync, via_flat, "EngineKind dispatch");
   EXPECT_STREQ(engine_kind_name(EngineKind::kSync), "sync");
   EXPECT_STREQ(engine_kind_name(EngineKind::kFlat), "flat");

@@ -69,7 +69,7 @@ void expect_grid_agrees(const graph::EdgeColouredGraph& g, const ProgramSource& 
     options.threads = s.threads;
     options.chunk_slots = s.chunk_slots;
     options.steal = s.steal;
-    expect_same_result(oracle, run_flat(g, source, max_rounds, options, FaultOptions{plan}),
+    expect_same_result(oracle, run_flat(g, source, {max_rounds, FaultOptions{plan}}, options),
                        context + schedule_str(s));
   }
 }
@@ -87,7 +87,7 @@ TEST(FlatStress, FuzzRealisationsAcrossScheduleGrid) {
     const std::string context =
         "random n=" + std::to_string(n) + " k=" + std::to_string(k);
     for (const algo::EngineRealisation& r : algo::engine_realisations(k)) {
-      const RunResult oracle = run_sync(g, r.factory, r.round_bound);
+      const RunResult oracle = run_sync(g, r.factory, {r.round_bound});
       expect_grid_agrees(g, r.factory, r.round_bound, oracle, grid, context + " " + r.name);
     }
   }
@@ -99,7 +99,7 @@ TEST(FlatStress, StarGraphMaxSkewAgrees) {
   // hub row is a single chunk one worker must take while the others steal
   // the leaves.  Greedy runs the full 254 rounds on it (k = 255).
   const graph::EdgeColouredGraph g = graph::star_graph(255);
-  const RunResult oracle = run_sync(g, algo::greedy_program_factory(), 256);
+  const RunResult oracle = run_sync(g, algo::greedy_program_factory(), {256});
   EXPECT_EQ(oracle.rounds, 254);  // greedy's k - 1 bound, maximal here
   expect_grid_agrees(g, algo::greedy_program_factory(), 256, oracle, full_grid(),
                      "star(255) greedy");
@@ -112,7 +112,7 @@ TEST(FlatStress, HubClusterPowerLawAgrees) {
   // splits the hub run; stealing drains it.
   const graph::EdgeColouredGraph g =
       graph::hub_cluster_graph(/*hubs=*/40, /*hub_degree=*/60, /*first_colour=*/1);
-  const RunResult oracle = run_sync(g, algo::greedy_program_factory(), 64);
+  const RunResult oracle = run_sync(g, algo::greedy_program_factory(), {64});
   expect_grid_agrees(g, algo::greedy_program_factory(), 64, oracle, full_grid(),
                      "hub_cluster(40,60) greedy");
 }
@@ -170,7 +170,7 @@ TEST(FlatStress, HotRowsAtHundredThousandNodes) {
       graph::hub_cluster_graph(/*hubs=*/390, /*hub_degree=*/255, /*first_colour=*/1);
   EXPECT_EQ(g.node_count(), 99840);
   const auto factory = [] { return std::make_unique<PulseProgram>(3); };
-  const RunResult oracle = run_sync(g, factory, 8);
+  const RunResult oracle = run_sync(g, factory, {8});
   EXPECT_EQ(oracle.rounds, 3);
   expect_grid_agrees(g, factory, 8, oracle, full_grid(), "hub_cluster(390,255) pulse");
 }
@@ -184,7 +184,7 @@ TEST(FlatStress, GreedySkewedAtHundredThousandNodes) {
   const graph::EdgeColouredGraph g =
       graph::hub_cluster_graph(/*hubs=*/776, /*hub_degree=*/128, /*first_colour=*/128);
   EXPECT_EQ(g.node_count(), 100104);
-  const RunResult oracle = run_flat(g, algo::greedy_program_factory(), 256);
+  const RunResult oracle = run_flat(g, algo::greedy_program_factory(), {256});
   EXPECT_EQ(oracle.rounds, 254);
   const std::vector<Schedule> grid = {
       {2, 0, true}, {7, 0, true}, {7, 0, false}, {7, 4096, true}, {16, 0, true},
@@ -240,7 +240,7 @@ TEST(FlatStress, WipeCycleRegressionAcrossTwoTagCycles) {
     const int i = counter++ % n;
     return std::make_unique<StaggeredChirper>(i % 3 == 0 ? 5 : 600);
   };
-  const RunResult oracle = run_sync(g, factory, 601);
+  const RunResult oracle = run_sync(g, factory, {601});
   EXPECT_EQ(oracle.rounds, 600);  // crossed both tag cycles
   expect_grid_agrees(g, factory, 601, oracle, full_grid(), "two-tag-cycle chirper");
 }
@@ -368,7 +368,7 @@ TEST(FlatStress, LiveListAcrossTwoTagCyclesUnderFaults) {
   plan.add_crash(gone, 50, 0);   // permanent
   plan.add_crash(flaky, 200, 101);  // down rounds 200-300, restarts at 301
   plan.set_drops(0.05, 17);
-  const RunResult oracle = run_sync(g, factory, 601, FaultOptions{&plan});
+  const RunResult oracle = run_sync(g, factory, {601, FaultOptions{&plan}});
   ASSERT_EQ(oracle.rounds, 600);  // crossed both tag cycles
   EXPECT_EQ(oracle.crashes, 3u);
   EXPECT_EQ(oracle.restarts, 2u);
@@ -395,10 +395,11 @@ TEST(FlatStress, LiveListAcrossTwoTagCyclesUnderFaults) {
 }
 
 TEST(FlatStress, ThreadsSpawnedOncePerEngineNotPerRound) {
-  // The structural gauge of the tentpole: the pool is created once in the
-  // engine constructor, so threads_spawned is workers − 1 — independent of
-  // the round count.  The old engine spawned 2·rounds·(workers−1) threads;
-  // on this 600-round run that would have been 7188 with 7 workers.
+  // The structural gauge of the persistent pool: the engine's private
+  // runtime spawns it once, on the first parallel phase, so threads_spawned
+  // is workers − 1 — independent of the round count.  A per-phase pool
+  // would spawn 2·rounds·(workers−1) threads; on this 600-round run that
+  // would be 7188 with 7 workers.
   Rng rng(7);
   const int n = 60;
   const graph::EdgeColouredGraph g = graph::random_coloured_graph(n, 5, 0.9, rng);
@@ -410,20 +411,29 @@ TEST(FlatStress, ThreadsSpawnedOncePerEngineNotPerRound) {
   for (int threads : {1, 2, 7, 16}) {
     FlatEngineOptions options;
     options.threads = threads;
-    const RunResult result = run_flat(g, factory, 601, options);
+    const RunResult result = run_flat(g, factory, {601}, options);
     EXPECT_EQ(result.rounds, 600);
     EXPECT_EQ(result.threads_spawned, static_cast<std::size_t>(threads - 1))
         << "threads=" << threads;
   }
   // Serial paths never spawn: run_sync by construction, run_flat threads=1
   // because the pool is only built for workers > 1.
-  EXPECT_EQ(run_sync(g, algo::greedy_program_factory(), 6).threads_spawned, 0u);
-  EXPECT_EQ(run_flat(g, algo::greedy_program_factory(), 6).threads_spawned, 0u);
+  EXPECT_EQ(run_sync(g, algo::greedy_program_factory(), {6}).threads_spawned, 0u);
+  EXPECT_EQ(run_flat(g, algo::greedy_program_factory(), {6}).threads_spawned, 0u);
   // The clamp still caps workers at the node count: 1000 requested threads
   // on 60 nodes spawn 59 pool threads, not 999.
   FlatEngineOptions oversub;
   oversub.threads = 1000;
-  EXPECT_EQ(run_flat(g, algo::greedy_program_factory(), 6, oversub).threads_spawned, 59u);
+  EXPECT_EQ(run_flat(g, algo::greedy_program_factory(), {6}, oversub).threads_spawned, 59u);
+  // The spawn is lazy: a threaded run whose nodes all halt at init never
+  // reaches a parallel phase, so it spawns nothing.  (On an edgeless graph
+  // every StaggeredChirper halts at init: it has no port to chirp on.)
+  const graph::EdgeColouredGraph edgeless(n, 5);
+  FlatEngineOptions four;
+  four.threads = 4;
+  const RunResult zero_rounds = run_flat(edgeless, factory, {601}, four);
+  EXPECT_EQ(zero_rounds.rounds, 0);
+  EXPECT_EQ(zero_rounds.threads_spawned, 0u);
 }
 
 }  // namespace

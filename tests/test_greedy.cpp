@@ -43,7 +43,7 @@ TEST(Greedy, MessagePassingMatchesReference) {
     const int k = static_cast<int>(rng.uniform(1, 6));
     const EdgeColouredGraph g = graph::random_coloured_graph(n, k, 0.8, rng);
     const std::vector<Colour> reference = greedy_outputs(g);
-    const local::RunResult mp = local::run_sync(g, greedy_program_factory(), k + 2);
+    const local::RunResult mp = local::run_sync(g, greedy_program_factory(), {k + 2});
     EXPECT_EQ(mp.outputs, reference) << "n=" << n << " k=" << k;
     EXPECT_LE(mp.rounds, k - 1 < 0 ? 0 : k - 1);
   }
@@ -70,7 +70,7 @@ TEST(Greedy, RoundBoundLemma1) {
     for (int trial = 0; trial < 10; ++trial) {
       const EdgeColouredGraph g =
           graph::random_coloured_graph(static_cast<int>(rng.uniform(4, 50)), k, 0.9, rng);
-      const local::RunResult mp = local::run_sync(g, greedy_program_factory(), k + 2);
+      const local::RunResult mp = local::run_sync(g, greedy_program_factory(), {k + 2});
       EXPECT_LE(mp.rounds, k - 1);
       expect_valid_maximal(g, mp.outputs);
     }
@@ -100,7 +100,7 @@ TEST(Greedy, HypercubeMatchesPerfectlyInRoundZero) {
   // d = k: colour class 1 is perfect, so everybody matches at once (§1.3).
   for (int dim = 1; dim <= 5; ++dim) {
     const EdgeColouredGraph g = graph::hypercube(dim);
-    const local::RunResult mp = local::run_sync(g, greedy_program_factory(), dim + 2);
+    const local::RunResult mp = local::run_sync(g, greedy_program_factory(), {dim + 2});
     for (Colour c : mp.outputs) EXPECT_EQ(c, 1);
     EXPECT_EQ(mp.rounds, 0);
   }
@@ -136,7 +136,7 @@ TEST(Greedy, UsesConstantSizeMessages) {
   Rng rng(239);
   for (int k : {3, 6, 10}) {
     const graph::EdgeColouredGraph g = graph::random_coloured_graph(60, k, 0.9, rng);
-    const local::RunResult mp = local::run_sync(g, greedy_program_factory(), k + 2);
+    const local::RunResult mp = local::run_sync(g, greedy_program_factory(), {k + 2});
     EXPECT_LE(mp.max_message_bytes, 1u) << "k=" << k;
   }
 }

@@ -22,7 +22,7 @@ TEST(ModelEquivalence, MessagePassingVsViewsOnRandomInstances) {
     const int k = static_cast<int>(rng.uniform(2, 6));
     const graph::EdgeColouredGraph g =
         graph::random_coloured_graph(static_cast<int>(rng.uniform(2, 40)), k, 0.8, rng);
-    const local::RunResult mp = local::run_sync(g, algo::greedy_program_factory(), k + 2);
+    const local::RunResult mp = local::run_sync(g, algo::greedy_program_factory(), {k + 2});
     const algo::GreedyLocal view_algo(k);
     const std::vector<gk::Colour> by_views = local::run_views(g, view_algo);
     EXPECT_EQ(mp.outputs, by_views) << "k=" << k;
@@ -38,7 +38,7 @@ TEST(ModelEquivalence, MessagePassingVsViewsOnNamedInstances) {
       {graph::worst_case_chain(6).long_path, 6},
   };
   for (const auto& [g, k] : instances) {
-    const local::RunResult mp = local::run_sync(g, algo::greedy_program_factory(), k + 2);
+    const local::RunResult mp = local::run_sync(g, algo::greedy_program_factory(), {k + 2});
     const algo::GreedyLocal view_algo(k);
     EXPECT_EQ(mp.outputs, local::run_views(g, view_algo));
   }
@@ -62,7 +62,7 @@ TEST(ModelEquivalence, TemplateEvaluationVsConcreteSimulation) {
     const colsys::ColourSystem chunk =
         lower::realisation_ball(zt, colsys::ColourSystem::root(), k + 2);
     const graph::EdgeColouredGraph g = graph::to_graph(chunk);
-    const local::RunResult mp = local::run_sync(g, algo::greedy_program_factory(), k + 2);
+    const local::RunResult mp = local::run_sync(g, algo::greedy_program_factory(), {k + 2});
     EXPECT_EQ(mp.outputs[0], by_template) << "tau=" << static_cast<int>(tau);
   }
 }
@@ -79,7 +79,7 @@ TEST(ModelEquivalence, TemplateEvaluationVsViewEngineOnEdgeTemplate) {
     const gk::Colour by_template = eval(tmpl, t);
     const colsys::ColourSystem chunk = lower::realisation_ball(tmpl, t, k + 2);
     const graph::EdgeColouredGraph g = graph::to_graph(chunk);
-    const local::RunResult mp = local::run_sync(g, algo::greedy_program_factory(), k + 2);
+    const local::RunResult mp = local::run_sync(g, algo::greedy_program_factory(), {k + 2});
     EXPECT_EQ(mp.outputs[0], by_template) << "t=" << t;
   }
 }
@@ -88,7 +88,7 @@ TEST(ModelEquivalence, HaltingRoundsMatchDecisionDepth) {
   // In the message-passing greedy, a node matched along colour c halts at
   // round c-1 — the "step i at time i-1" accounting of §1.2.
   const graph::WorstCase wc = graph::worst_case_chain(5);
-  const local::RunResult mp = local::run_sync(wc.long_path, algo::greedy_program_factory(), 7);
+  const local::RunResult mp = local::run_sync(wc.long_path, algo::greedy_program_factory(), {7});
   for (graph::NodeIndex v = 0; v < wc.long_path.node_count(); ++v) {
     const gk::Colour out = mp.outputs[static_cast<std::size_t>(v)];
     if (out != local::kUnmatched) {

@@ -121,7 +121,7 @@ TEST(Adapter, GreedyThroughPnMatchesColouredEngine) {
     const graph::EdgeColouredGraph g =
         graph::random_coloured_graph(static_cast<int>(rng.uniform(2, 40)), k, 0.8, rng);
     const PnGreedyResult via_pn = greedy_via_pn(g);
-    const local::RunResult direct = local::run_sync(g, algo::greedy_program_factory(), k + 1);
+    const local::RunResult direct = local::run_sync(g, algo::greedy_program_factory(), {k + 1});
     EXPECT_EQ(via_pn.outputs, direct.outputs);
     EXPECT_EQ(via_pn.rounds, direct.rounds);
   }

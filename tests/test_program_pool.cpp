@@ -138,8 +138,8 @@ TEST(ProgramPool, PooledMatchesHeapForEveryRealisationAndEngine) {
       for (const EngineKind kind : {EngineKind::kSync, EngineKind::kFlat}) {
         const std::string context = r.name + " seed=" + std::to_string(seed) +
                                     " engine=" + engine_kind_name(kind);
-        expect_same_result(run(kind, g, r.factory, r.round_bound),
-                           run(kind, g, ProgramSource(r.heap_factory), r.round_bound),
+        expect_same_result(run(kind, g, r.factory, {r.round_bound}),
+                           run(kind, g, ProgramSource(r.heap_factory), {r.round_bound}),
                            context);
         ++checked;
       }
@@ -155,8 +155,8 @@ TEST(ProgramPool, PooledMatchesHeapOnWorstCaseChains) {
       for (const algo::EngineRealisation& r :
            algo::engine_realisations(k, /*flood_radius_cap=*/k)) {
         for (const EngineKind kind : {EngineKind::kSync, EngineKind::kFlat}) {
-          expect_same_result(run(kind, *g, r.factory, r.round_bound),
-                             run(kind, *g, ProgramSource(r.heap_factory), r.round_bound),
+          expect_same_result(run(kind, *g, r.factory, {r.round_bound}),
+                             run(kind, *g, ProgramSource(r.heap_factory), {r.round_bound}),
                              "chain k=" + std::to_string(k) + " " + r.name);
         }
       }

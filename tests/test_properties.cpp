@@ -28,7 +28,7 @@ TEST_P(GreedyGrid, GreedyIsCorrectAndFast) {
           static_cast<std::uint64_t>(p.density * 7));
   for (int trial = 0; trial < 5; ++trial) {
     const graph::EdgeColouredGraph g = graph::random_coloured_graph(p.n, p.k, p.density, rng);
-    const local::RunResult mp = local::run_sync(g, algo::greedy_program_factory(), p.k + 2);
+    const local::RunResult mp = local::run_sync(g, algo::greedy_program_factory(), {p.k + 2});
     const verify::MatchingReport report = verify::check_outputs(g, mp.outputs);
     EXPECT_TRUE(report.ok()) << report.describe();
     EXPECT_LE(mp.rounds, p.k - 1);

@@ -116,8 +116,8 @@ TEST(Session, InterleavedFloodingSessionsShareRuntime) {
   dmm::local::Runtime runtime(3);
   dmm::local::FlatEngineOptions fopts;
   fopts.threads = 3;
-  auto a = dmm::local::make_flat_session(g, source, options, fopts, &runtime);
-  auto b = dmm::local::make_flat_session(g, source, options, fopts, &runtime);
+  auto a = dmm::local::make_session(EngineKind::kFlat, g, source, options, fopts, &runtime);
+  auto b = dmm::local::make_session(EngineKind::kFlat, g, source, options, fopts, &runtime);
   // Lock-step interleaving: a, b, a, b, ... then drain whichever remains.
   while (!a->done() || !b->done()) {
     if (!a->done()) a->step();
@@ -395,7 +395,7 @@ TEST(Service, RejectsInvalidAndShutdownSubmissions) {
     auto future = service.submit("t", std::move(job));
     service.shutdown();
     const RunResult standalone =
-        dmm::local::run_sync(small, dmm::algo::greedy_program_factory(), 32);
+        dmm::local::run_sync(small, dmm::algo::greedy_program_factory(), {32});
     expect_same_result(standalone, future.get(), "accepted-before-shutdown");
   }
   {  // After shutdown: runtime_error, for single and batched submission.

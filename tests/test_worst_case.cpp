@@ -15,7 +15,8 @@ class WorstCaseSweep : public ::testing::TestWithParam<int> {};
 TEST_P(WorstCaseSweep, GreedyTakesExactlyKMinusOneRounds) {
   const int k = GetParam();
   const graph::WorstCase wc = graph::worst_case_chain(k);
-  const local::RunResult on_long = local::run_sync(wc.long_path, algo::greedy_program_factory(), k + 2);
+  const local::RunResult on_long =
+      local::run_sync(wc.long_path, algo::greedy_program_factory(), {k + 2});
   EXPECT_EQ(on_long.rounds, k - 1);
   EXPECT_TRUE(verify::check_outputs(wc.long_path, on_long.outputs).ok());
 }

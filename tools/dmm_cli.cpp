@@ -297,10 +297,10 @@ int run_greedy(const std::vector<std::string>& args, const std::string& resume_p
     options.threads = threads;
     options.chunk_slots = static_cast<std::size_t>(chunk_slots);
     options.steal = !no_steal;
-    run = local::run_flat(g, algo::greedy_program_factory(), max_rounds, options, faults,
-                          checkpoint);
+    run = local::run_flat(g, algo::greedy_program_factory(), {max_rounds, faults, checkpoint},
+                          options);
   } else {
-    run = local::run_sync(g, algo::greedy_program_factory(), max_rounds, faults, checkpoint);
+    run = local::run_sync(g, algo::greedy_program_factory(), {max_rounds, faults, checkpoint});
   }
   const verify::MatchingReport report = verify::check_outputs(g, run.outputs);
   const std::size_t matched = verify::matched_edges(g, run.outputs).size();
