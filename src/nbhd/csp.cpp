@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <deque>
 #include <queue>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 namespace dmm::nbhd {
@@ -26,64 +26,109 @@ using Mask = std::uint32_t;
 
 inline int domain_size(Mask m) { return std::popcount(m); }
 
-/// One arc of the constraint graph in CSR form: the far endpoint and the
-/// shared edge colour of a compatible pair.
-struct Arc {
-  std::int32_t other;
-  Colour colour;
-};
+constexpr std::int32_t kNoClass = BicliqueIndex::kNoClass;
 
-/// The shared, read-only half of the problem: domains after the initial
-/// arc-consistency pass, plus the CSR arc lists.
+/// The shared, read-only half of the problem: the class index and the
+/// domains after the initial arc-consistency pass.
 struct Problem {
+  BicliqueIndex index;
   int n = 0;
   std::vector<Mask> base_domains;
-  std::vector<std::size_t> row;  // n+1 offsets into arcs
-  std::vector<Arc> arcs;
   bool wiped_out = false;  // arc consistency emptied a domain: UNSAT, no search
 };
 
-/// Values of dom(x) supported by some value of dom(y) across a c-arc:
-///   * c is supported iff c ∈ dom(y);
-///   * a colour v ∉ {c, ⊥} is supported iff dom(y) has any value ≠ c;
-///   * ⊥ is supported iff dom(y) has any value ∉ {c, ⊥}  (M3).
-inline Mask support(Mask dom_y, Colour c, Mask all_colours) {
+/// What a partner across a c-edge may still take once its neighbour holds
+/// `value`: c forces c; any other value bans c, and ⊥ bans ⊥ too (M3).
+inline Mask partner_values(Colour value, Colour c) {
   const Mask cbit = Mask{1} << c;
-  Mask s = 0;
-  if (dom_y & cbit) s |= cbit;
-  if (dom_y & ~cbit) s |= all_colours & ~cbit;
-  if (dom_y & ~(cbit | Mask{1})) s |= Mask{1};
-  return s;
+  if (value == c) return cbit;
+  return value == gk::kNoColour ? ~(cbit | Mask{1}) : ~cbit;
 }
 
-/// AC-3 over the pair constraints.  Returns false on a domain wipe-out
-/// (the instance is UNSAT with zero search nodes).
+/// Per class of colour c: how many members' current domains lack c, lie
+/// within {c}, and lie within {c, ⊥}.
+struct ClassCounts {
+  std::int32_t lacking = 0;
+  std::int32_t within_c = 0;
+  std::int32_t within_c_bot = 0;
+
+  ClassCounts& operator+=(const ClassCounts& o) {
+    lacking += o.lacking;
+    within_c += o.within_c;
+    within_c_bot += o.within_c_bot;
+    return *this;
+  }
+  ClassCounts& operator-=(const ClassCounts& o) {
+    lacking -= o.lacking;
+    within_c -= o.within_c;
+    within_c_bot -= o.within_c_bot;
+    return *this;
+  }
+};
+
+/// One member's share of its class's counts.
+inline ClassCounts share(Mask dom, Colour c) {
+  const Mask cbit = Mask{1} << c;
+  return {(dom & cbit) == 0, (dom & ~cbit) == 0, (dom & ~(cbit | Mask{1})) == 0};
+}
+
+/// The values of x's domain that every partner supports.  Across one
+/// c-arc to y the supports are: c iff c ∈ dom(y); a colour v ∉ {c, ⊥} iff
+/// dom(y) has a value ≠ c; ⊥ iff dom(y) has a value ∉ {c, ⊥} (M3).  Folded
+/// over a partner class that is: c while no partner lacks c, the other
+/// colours while no partner's domain is within {c}, ⊥ while none is within
+/// {c, ⊥}.  In a self-partnered class x's own share is left out — its self
+/// pair is the unary ⊥ ban, not an arc.
+Mask supported(const BicliqueIndex& index, const std::vector<ClassCounts>& counts,
+               std::int32_t x, Mask dom, Mask all_colours) {
+  Mask keep = all_colours | Mask{1};
+  for (Colour c = 1; c <= index.k(); ++c) {
+    const std::int32_t cls = index.class_of(x, c);
+    if (cls == kNoClass) continue;
+    const std::int32_t partner = index.partner(cls);
+    if (partner == kNoClass) continue;
+    ClassCounts n = counts[static_cast<std::size_t>(partner)];
+    if (partner == cls) n -= share(dom, c);
+    const Mask cbit = Mask{1} << c;
+    if (n.lacking != 0) keep &= ~cbit;
+    if (n.within_c != 0) keep &= cbit | Mask{1};
+    if (n.within_c_bot != 0) keep &= ~Mask{1};
+  }
+  return keep;
+}
+
+/// Arc consistency on class counters — AC-4's idea (Mohr and Henderson,
+/// "Arc and path consistency revisited", AIJ 1986) over bicliques.  Each
+/// sweep recounts every class from the current domains, then narrows every
+/// domain to what its partner classes support; until a sweep changes
+/// nothing.  Counts that go stale within a sweep only overstate support, so
+/// no sweep removes a value the fixpoint keeps, and the quiet last sweep is
+/// that fixpoint: per-arc AC-3's.  On a catalogue of d-regular views the
+/// initial domains are already arc consistent (a class-c member keeps c
+/// and, for d >= 2, another colour; d = 1 leaves only self pairs), so there
+/// the pass is one quiet sweep.  Returns false on a domain wipe-out (the
+/// instance is UNSAT with zero search nodes).
 bool arc_consistency(Problem& problem, Mask all_colours) {
-  std::vector<char> queued(static_cast<std::size_t>(problem.n), 1);
-  std::deque<std::int32_t> queue;
-  for (std::int32_t v = 0; v < problem.n; ++v) queue.push_back(v);
-  while (!queue.empty()) {
-    const std::int32_t x = queue.front();
-    queue.pop_front();
-    queued[static_cast<std::size_t>(x)] = 0;
-    Mask dom = problem.base_domains[static_cast<std::size_t>(x)];
-    const Mask before = dom;
-    for (std::size_t i = problem.row[static_cast<std::size_t>(x)];
-         i < problem.row[static_cast<std::size_t>(x) + 1] && dom != 0; ++i) {
-      const Arc& arc = problem.arcs[i];
-      dom &= support(problem.base_domains[static_cast<std::size_t>(arc.other)], arc.colour,
-                     all_colours);
-    }
-    if (dom == before) continue;
-    problem.base_domains[static_cast<std::size_t>(x)] = dom;
-    if (dom == 0) return false;
-    for (std::size_t i = problem.row[static_cast<std::size_t>(x)];
-         i < problem.row[static_cast<std::size_t>(x) + 1]; ++i) {
-      const std::int32_t y = problem.arcs[i].other;
-      if (!queued[static_cast<std::size_t>(y)]) {
-        queued[static_cast<std::size_t>(y)] = 1;
-        queue.push_back(y);
+  const BicliqueIndex& index = problem.index;
+  std::vector<Mask>& domains = problem.base_domains;
+  std::vector<ClassCounts> counts;
+  for (bool changed = true; changed;) {
+    changed = false;
+    counts.assign(static_cast<std::size_t>(index.class_count()), ClassCounts{});
+    for (std::int32_t x = 0; x < problem.n; ++x) {
+      for (Colour c = 1; c <= index.k(); ++c) {
+        const std::int32_t cls = index.class_of(x, c);
+        if (cls == kNoClass) continue;
+        counts[static_cast<std::size_t>(cls)] += share(domains[static_cast<std::size_t>(x)], c);
       }
+    }
+    for (std::int32_t x = 0; x < problem.n; ++x) {
+      Mask& dom = domains[static_cast<std::size_t>(x)];
+      const Mask kept = dom & supported(index, counts, x, dom, all_colours);
+      if (kept == dom) continue;
+      dom = kept;
+      if (kept == 0) return false;
+      changed = true;
     }
   }
   return true;
@@ -158,6 +203,12 @@ bool search(const Problem& problem, SearchState& state, Mask first_value_mask,
                                     : state.domains[static_cast<std::size_t>(first)],
                    {}});
 
+  // Restores run oldest first, so a variable pruned twice under one value
+  // (reached through partner classes of two colours) comes back with its
+  // first prune still applied: an over-prune that outlives the value.  The
+  // pinned search-node counts are this search's; restoring newest first
+  // gives the same verdicts over larger trees (docs/lowerbound.md, "Known
+  // issue: the undo order").
   auto undo = [&](Frame& frame) {
     for (auto& [other, mask] : frame.saved) {
       state.domains[static_cast<std::size_t>(other)] = mask;
@@ -189,39 +240,35 @@ bool search(const Problem& problem, SearchState& state, Mask first_value_mask,
     state.assignment[static_cast<std::size_t>(var)] = value;
     state.assigned[static_cast<std::size_t>(var)] = 1;
 
+    // Forward checking, one partner class per incident colour.
+    const BicliqueIndex& index = problem.index;
     bool dead = false;
-    for (std::size_t i = problem.row[static_cast<std::size_t>(var)];
-         i < problem.row[static_cast<std::size_t>(var) + 1]; ++i) {
-      const Arc& arc = problem.arcs[i];
-      const std::int32_t other = arc.other;
-      if (state.assigned[static_cast<std::size_t>(other)]) {
-        const Colour other_value = state.assignment[static_cast<std::size_t>(other)];
-        if ((value == arc.colour) != (other_value == arc.colour) ||
-            (value == gk::kNoColour && other_value == gk::kNoColour)) {
-          dead = true;
-          break;
+    for (Colour c = 1; c <= index.k() && !dead; ++c) {
+      const std::int32_t cls = index.class_of(var, c);
+      if (cls == kNoClass) continue;
+      const std::int32_t partner = index.partner(cls);
+      if (partner == kNoClass) continue;
+      const Mask allowed = partner_values(value, c);
+      for (const std::int32_t other : index.members(partner)) {
+        if (other == var) continue;  // the self pair: the unary ⊥ ban
+        if (state.assigned[static_cast<std::size_t>(other)]) {
+          const Colour other_value = state.assignment[static_cast<std::size_t>(other)];
+          if ((allowed & (Mask{1} << other_value)) == 0) {
+            dead = true;
+            break;
+          }
+          continue;
         }
-        continue;
-      }
-      // Forward check: value == c forces the partner to c; otherwise the
-      // partner cannot be c, and if value is ⊥ it cannot be ⊥ either (M3).
-      const Mask cbit = Mask{1} << arc.colour;
-      Mask allowed;
-      if (value == arc.colour) {
-        allowed = cbit;
-      } else {
-        allowed = ~cbit;
-        if (value == gk::kNoColour) allowed &= ~Mask{1};
-      }
-      Mask& dom = state.domains[static_cast<std::size_t>(other)];
-      const Mask pruned = dom & allowed;
-      if (pruned != dom) {
-        frame.saved.emplace_back(other, dom);
-        dom = pruned;
-        state.touch(other);
-        if (pruned == 0) {
-          dead = true;
-          break;
+        Mask& dom = state.domains[static_cast<std::size_t>(other)];
+        const Mask pruned = dom & allowed;
+        if (pruned != dom) {
+          frame.saved.emplace_back(other, dom);
+          dom = pruned;
+          state.touch(other);
+          if (pruned == 0) {
+            dead = true;
+            break;
+          }
         }
       }
     }
@@ -269,39 +316,45 @@ std::vector<Mask> base_domains(const OrbitCatalogue& catalogue) {
   return domains;
 }
 
-Problem build_problem(std::vector<Mask> domains, int k,
-                      const std::vector<CompatiblePair>& pairs) {
-  Problem problem;
-  problem.n = static_cast<int>(domains.size());
-  problem.base_domains = std::move(domains);
-  // CSR arc lists.  Self pairs (a view compatible with itself along c) are
-  // a unary constraint — (M3) bans ⊥ — applied to the domain directly.
-  std::vector<std::size_t> degree(static_cast<std::size_t>(problem.n), 0);
-  for (const CompatiblePair& pair : pairs) {
-    if (pair.a == pair.b) {
-      problem.base_domains[static_cast<std::size_t>(pair.a)] &= ~Mask{1};
-      continue;
+Problem build_problem(BicliqueIndex index, std::vector<Mask> domains) {
+  Problem problem{std::move(index), static_cast<int>(domains.size()), std::move(domains)};
+  // Self pairs (a view compatible with itself along c: every member of a
+  // self-partnered class) are a unary constraint — (M3) bans ⊥ — applied
+  // to the domain directly.
+  const BicliqueIndex& classes = problem.index;
+  for (std::int32_t cls = 0; cls < classes.class_count(); ++cls) {
+    if (classes.partner(cls) != cls) continue;
+    for (const std::int32_t x : classes.members(cls)) {
+      problem.base_domains[static_cast<std::size_t>(x)] &= ~Mask{1};
     }
-    ++degree[static_cast<std::size_t>(pair.a)];
-    ++degree[static_cast<std::size_t>(pair.b)];
   }
-  problem.row.assign(static_cast<std::size_t>(problem.n) + 1, 0);
-  for (int v = 0; v < problem.n; ++v) {
-    problem.row[static_cast<std::size_t>(v) + 1] =
-        problem.row[static_cast<std::size_t>(v)] + degree[static_cast<std::size_t>(v)];
-  }
-  problem.arcs.resize(problem.row.back());
-  std::vector<std::size_t> fill(problem.row.begin(), problem.row.end() - 1);
-  for (const CompatiblePair& pair : pairs) {
-    if (pair.a == pair.b) continue;
-    problem.arcs[fill[static_cast<std::size_t>(pair.a)]++] = {pair.b, pair.colour};
-    problem.arcs[fill[static_cast<std::size_t>(pair.b)]++] = {pair.a, pair.colour};
-  }
-
   Mask all_colours = 0;
-  for (Colour c = 1; c <= k; ++c) all_colours |= Mask{1} << c;
+  for (Colour c = 1; c <= classes.k(); ++c) all_colours |= Mask{1} << c;
   problem.wiped_out = !arc_consistency(problem, all_colours);
   return problem;
+}
+
+/// Throws unless `pairs` is compatible_pairs(index) element for element,
+/// checked in one pass over the index's pair walk.
+void require_index_pairs(const BicliqueIndex& index, const std::vector<CompatiblePair>& pairs) {
+  if (pairs.size() != index.pair_count()) {
+    throw std::invalid_argument("solve: " + std::to_string(pairs.size()) +
+                                " pairs given, the catalogue has " +
+                                std::to_string(index.pair_count()));
+  }
+  std::size_t i = 0;
+  std::size_t first_difference = pairs.size();
+  index.for_each_pair([&](int a, int b, Colour c) {
+    const CompatiblePair& pair = pairs[i];
+    if ((pair.a != a || pair.b != b || pair.colour != c) && first_difference == pairs.size()) {
+      first_difference = i;
+    }
+    ++i;
+  });
+  if (first_difference != pairs.size()) {
+    throw std::invalid_argument("solve: pair " + std::to_string(first_difference) +
+                                " differs from compatible_pairs(catalogue)");
+  }
 }
 
 /// The search driver shared by the raw and the orbit-mode entry points.
@@ -384,28 +437,35 @@ CspResult solve_problem(const Problem& problem, const CspOptions& options) {
   return result;
 }
 
+/// The four public entry points: raw or orbit catalogue, with or without a
+/// caller's pair list to check against the index.
+template <class Catalogue>
+CspResult solve_catalogue(const Catalogue& catalogue, const std::vector<CompatiblePair>* pairs,
+                          const CspOptions& options) {
+  if (catalogue.k + 1 >= 32) throw std::invalid_argument("solve: k too large for mask domains");
+  BicliqueIndex index(catalogue);
+  if (pairs != nullptr) require_index_pairs(index, *pairs);
+  return solve_problem(build_problem(std::move(index), base_domains(catalogue)), options);
+}
+
 }  // namespace
 
 CspResult solve(const ViewCatalogue& catalogue, const std::vector<CompatiblePair>& pairs,
                 const CspOptions& options) {
-  if (catalogue.k + 1 >= 32) throw std::invalid_argument("solve: k too large for mask domains");
-  const Problem problem = build_problem(base_domains(catalogue), catalogue.k, pairs);
-  return solve_problem(problem, options);
+  return solve_catalogue(catalogue, &pairs, options);
 }
 
 CspResult solve(const ViewCatalogue& catalogue, const CspOptions& options) {
-  return solve(catalogue, compatible_pairs(catalogue), options);
+  return solve_catalogue(catalogue, nullptr, options);
 }
 
 CspResult solve(const OrbitCatalogue& catalogue, const std::vector<CompatiblePair>& pairs,
                 const CspOptions& options) {
-  if (catalogue.k + 1 >= 32) throw std::invalid_argument("solve: k too large for mask domains");
-  const Problem problem = build_problem(base_domains(catalogue), catalogue.k, pairs);
-  return solve_problem(problem, options);
+  return solve_catalogue(catalogue, &pairs, options);
 }
 
 CspResult solve(const OrbitCatalogue& catalogue, const CspOptions& options) {
-  return solve(catalogue, compatible_pairs(catalogue), options);
+  return solve_catalogue(catalogue, nullptr, options);
 }
 
 std::vector<Colour> induced_labelling(const ViewCatalogue& catalogue,

@@ -41,13 +41,18 @@ struct CspOptions {
   int threads = 1;
 };
 
-/// Decides whether a valid labelling of the catalogue exists (bitset
-/// domains, arc-consistency preprocessing, then backtracking with MRV and
-/// forward checking; domains have at most d+1 values).
+/// Decides whether a valid labelling of the catalogue exists.  The
+/// constraints are read off the catalogue's BicliqueIndex, built per call:
+/// bitset domains (at most d+1 values), arc consistency on per-class
+/// counters, then backtracking with MRV and forward checking along partner
+/// classes.  No pair or arc list is built.
 CspResult solve(const ViewCatalogue& catalogue, const CspOptions& options = {});
 
-/// Same, reusing an already-computed compatible_pairs(catalogue) result —
-/// the pair index is the expensive half of large instances.
+/// Same, for a caller that already holds compatible_pairs(catalogue).  The
+/// list is checked against the catalogue's index in one pass and must equal
+/// it element for element (pair_count() entries, strictly ascending in
+/// (a, c, b), each inside one class × partner); anything else throws
+/// std::invalid_argument.  The search reads the index, not the list.
 CspResult solve(const ViewCatalogue& catalogue, const std::vector<CompatiblePair>& pairs,
                 const CspOptions& options = {});
 
@@ -62,7 +67,8 @@ CspResult solve(const ViewCatalogue& catalogue, const std::vector<CompatiblePair
 /// by member (orbit, coset) order.
 CspResult solve(const OrbitCatalogue& catalogue, const CspOptions& options = {});
 
-/// Same, reusing an already-computed compatible_pairs(catalogue) result.
+/// Same, checking a caller's compatible_pairs(catalogue) against the
+/// orbit-level index as the raw overload does.
 CspResult solve(const OrbitCatalogue& catalogue, const std::vector<CompatiblePair>& pairs,
                 const CspOptions& options = {});
 

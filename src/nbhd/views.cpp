@@ -182,69 +182,104 @@ bool c_compatible(const ColourSystem& a, const ColourSystem& b, Colour c, int rh
   return lhs == rhs;
 }
 
-std::vector<CompatiblePair> compatible_pairs(const ViewCatalogue& catalogue) {
-  // (A, B, c) is compatible iff across(A, c) == remainder(B, c) and
-  // across(B, c) == remainder(A, c), so bucketing by remainder keys turns
-  // the quadratic scan into lookups.  Both halves are interned into dense
-  // ids: the per-view work is two direct subtree serialisations (no
-  // rerooted/pruned/restricted tree copies), and the match test is integer
-  // equality.
+BicliqueIndex::BicliqueIndex(const ViewCatalogue& catalogue)
+    : k_(catalogue.k), views_(catalogue.size()) {
+  // The per-view work is two direct subtree serialisations (no rerooted,
+  // pruned or restricted tree copies), interned into one id space, so a
+  // match between halves is integer equality.  The two per-(view, colour)
+  // root transforms are dense maps keyed by the view's catalogue index.
   const int rho = catalogue.rho;
-  const int k = catalogue.k;
-  const int n = catalogue.size();
   colsys::CanonicalStore store;
-  // The two per-(view, colour) root transforms as dense id→id maps, keyed
-  // by the view's catalogue index (== its ViewId in enumeration order).
-  colsys::TransformCache across(k), remainder(k);
-  // Bucket key: (remainder id, across id, colour) packed into 64 bits.
-  // Bucketing on *both* halves means a probe only ever touches true
-  // matches: b matches a iff rem(b) = across(a) and across(b) = rem(a),
-  // i.e. the probe key is the bucket key with its halves swapped.
-  const auto key = [](colsys::ViewId rem, colsys::ViewId acr, Colour c) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(rem)) << 32) |
-           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(acr)) << 8) |
-           static_cast<std::uint64_t>(c);
-  };
-  std::unordered_map<std::uint64_t, std::vector<int>> by_halves;
+  colsys::TransformCache across(k_), remainder(k_);
   std::vector<std::uint8_t> buf;
-  for (int a = 0; a < n; ++a) {
+  for (int a = 0; a < views_; ++a) {
     const ColourSystem& view = catalogue.views[static_cast<std::size_t>(a)];
-    for (Colour c = 1; c <= k; ++c) {
+    for (Colour c = 1; c <= k_; ++c) {
       const colsys::NodeId child = view.child(ColourSystem::root(), c);
       if (child == colsys::kNullNode) continue;
       buf.clear();
       view.serialize_subtree_into(child, gk::kNoColour, rho - 1, buf);
-      const colsys::ViewId acr = store.intern(buf);
-      across.put(a, c, acr);
+      across.put(a, c, store.intern(buf));
       buf.clear();
       view.serialize_subtree_into(ColourSystem::root(), c, rho - 1, buf);
-      const colsys::ViewId rem = store.intern(buf);
-      remainder.put(a, c, rem);
-      by_halves[key(rem, acr, c)].push_back(a);
+      remainder.put(a, c, store.intern(buf));
     }
   }
-  std::vector<CompatiblePair> out;
-  for (int a = 0; a < n; ++a) {
-    for (Colour c = 1; c <= k; ++c) {
-      const colsys::ViewId ha = across.get(a, c);
-      if (ha == colsys::kUncachedView) continue;
-      const colsys::ViewId want = remainder.get(a, c);
-      const auto it = by_halves.find(key(ha, want, c));
-      if (it == by_halves.end()) continue;
-      // Buckets are ascending by construction; emit each unordered pair
-      // once by starting at the first b >= a.  The id re-check makes the
-      // match exact even if the 64-bit key packing ever saturated (ids
-      // beyond 2^24 would alias); in the normal regime it never fails.
-      const auto& bucket = it->second;
-      for (auto bi = std::lower_bound(bucket.begin(), bucket.end(), a); bi != bucket.end();
-           ++bi) {
-        if (remainder.get(*bi, c) == ha && across.get(*bi, c) == want) {
-          out.push_back({a, *bi, c});
-        }
+  group(remainder, across);
+}
+
+void BicliqueIndex::group(const colsys::TransformCache& remainder,
+                          const colsys::TransformCache& across) {
+  // Class keys are exact: per colour, the two non-negative 32-bit half ids
+  // side by side in one 64-bit word.  Class ids are handed out in
+  // (view, colour) order.
+  const auto halves = [](colsys::ViewId first, colsys::ViewId second) {
+    return static_cast<std::uint64_t>(static_cast<std::uint32_t>(first)) << 32 |
+           static_cast<std::uint32_t>(second);
+  };
+  std::vector<std::unordered_map<std::uint64_t, std::int32_t>> by_halves(
+      static_cast<std::size_t>(k_) + 1);
+  std::vector<std::uint64_t> key;  // per class: halves(remainder, across)
+  class_of_.assign(static_cast<std::size_t>(views_) * static_cast<std::size_t>(k_), kNoClass);
+  start_.assign(1, 0);
+  for (int v = 0; v < views_; ++v) {
+    for (Colour c = 1; c <= k_; ++c) {
+      const colsys::ViewId acr = across.get(v, c);
+      if (acr == colsys::kUncachedView) continue;
+      const std::uint64_t h = halves(remainder.get(v, c), acr);
+      const auto [it, fresh] = by_halves[c].try_emplace(h, class_count());
+      if (fresh) {
+        colour_.push_back(c);
+        key.push_back(h);
+        start_.push_back(0);
       }
+      class_of_[slot(v, c)] = it->second;
+      ++start_[static_cast<std::size_t>(it->second) + 1];
     }
   }
+  const std::size_t classes = colour_.size();
+  for (std::size_t cls = 0; cls < classes; ++cls) start_[cls + 1] += start_[cls];
+  // Members ascend because the fill walks the views in order.
+  members_.resize(start_.back());
+  std::vector<std::size_t> fill(start_.begin(), start_.end() - 1);
+  for (int v = 0; v < views_; ++v) {
+    for (Colour c = 1; c <= k_; ++c) {
+      const std::int32_t cls = class_of(v, c);
+      if (cls != kNoClass) members_[fill[static_cast<std::size_t>(cls)]++] = v;
+    }
+  }
+  // The partner is the same colour's class with the halves swapped.
+  partner_.assign(classes, kNoClass);
+  for (std::size_t cls = 0; cls < classes; ++cls) {
+    const auto& map = by_halves[colour_[cls]];
+    const auto it = map.find(key[cls] << 32 | key[cls] >> 32);
+    if (it != map.end()) partner_[cls] = it->second;
+  }
+  for (std::int32_t cls = 0; cls < class_count(); ++cls) {
+    const std::uint64_t size = members(cls).size();
+    if (partner(cls) == cls) {
+      pair_count_ += size * (size + 1) / 2;
+    } else if (partner(cls) > cls) {
+      pair_count_ += size * members(partner(cls)).size();
+    }
+  }
+}
+
+namespace {
+
+/// The index's pairs as a vector, reserved to pair_count() up front so it
+/// never regrows.
+std::vector<CompatiblePair> pair_list(const BicliqueIndex& index) {
+  std::vector<CompatiblePair> out;
+  out.reserve(index.pair_count());
+  index.for_each_pair([&out](int a, int b, Colour c) { out.push_back({a, b, c}); });
   return out;
+}
+
+}  // namespace
+
+std::vector<CompatiblePair> compatible_pairs(const ViewCatalogue& catalogue) {
+  return pair_list(BicliqueIndex(catalogue));
 }
 
 // ---------------------------------------------------------------------------
@@ -672,21 +707,21 @@ ViewCatalogue expand_catalogue(const OrbitCatalogue& catalogue) {
   return out;
 }
 
-std::vector<CompatiblePair> compatible_pairs(const OrbitCatalogue& catalogue) {
-  // The raw algorithm interns two half-trees per (view, colour) and buckets
-  // by (remainder id, colour).  At orbit level a member (o, σ) is σ·rep, so
-  // its half along c is σ·half(rep, σ⁻¹(c)) — i.e. (σ ∘ w⁻¹)·H where H is
-  // the half's orbit-canonical form and w its witness.  Identity of halves
+BicliqueIndex::BicliqueIndex(const OrbitCatalogue& catalogue) : k_(catalogue.k) {
+  // The raw index interns two half-trees per (view, colour) and keys
+  // classes on both ids.  At orbit level a member (o, σ) is σ·rep, so its
+  // half along c is σ·half(rep, σ⁻¹(c)) — i.e. (σ ∘ w⁻¹)·H where H is the
+  // half's orbit-canonical form and w its witness.  Identity of halves
   // is therefore (H's intern id, the left coset of the lift modulo
   // Stab(H)): serialisation and canonisation run once per (rep, colour),
   // and every member key is a handful of permutation compositions.
-  const int k = catalogue.k;
+  const int k = k_;
   const int rho = catalogue.rho;
   const int orbit_count = catalogue.orbit_count();
-  const std::int64_t n = catalogue.view_count();
-  if (n > std::numeric_limits<std::int32_t>::max()) {
-    throw std::invalid_argument("compatible_pairs: orbit catalogue too large to expand");
+  if (catalogue.view_count() > std::numeric_limits<std::int32_t>::max()) {
+    throw std::invalid_argument("BicliqueIndex: orbit catalogue too large to expand");
   }
+  views_ = static_cast<int>(catalogue.view_count());
   std::uint64_t fact = 1;
   for (int i = 2; i <= k; ++i) fact *= static_cast<std::uint64_t>(i);
 
@@ -761,22 +796,18 @@ std::vector<CompatiblePair> compatible_pairs(const OrbitCatalogue& catalogue) {
     return static_cast<std::uint64_t>(static_cast<std::uint32_t>(ref.id)) * fact +
            coset_canon[static_cast<std::size_t>(ref.id)][rank];
   };
-  const auto key = [](std::int32_t rem, std::int32_t acr, Colour c) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(rem)) << 32) |
-           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(acr)) << 8) |
-           static_cast<std::uint64_t>(c);
-  };
-  // Dense ids for the (half, coset) encodings: the emit loop then works on
-  // the same compact int32 layout as the raw pipeline's TransformCache.
-  std::unordered_map<std::uint64_t, std::int32_t> dense;
+  // Dense ids for the (half, coset) encodings, in the same int32 layout as
+  // the raw index's interned ids.  Distinct halves are few, so the
+  // encodings index a flat table.
+  std::vector<std::int32_t> dense(static_cast<std::size_t>(half_store.size()) * fact, -1);
+  std::int32_t dense_count = 0;
   const auto densify = [&](std::uint64_t enc) {
-    const auto [it, inserted] = dense.try_emplace(enc, static_cast<std::int32_t>(dense.size()));
-    return it->second;
+    std::int32_t& id = dense[enc];
+    if (id < 0) id = dense_count++;
+    return id;
   };
-  std::vector<std::int32_t> across_enc(static_cast<std::size_t>(n) * k, -1);
-  std::vector<std::int32_t> remainder_enc(static_cast<std::size_t>(n) * k, -1);
-  std::unordered_map<std::uint64_t, std::vector<int>> by_halves;
-  std::int64_t v = 0;
+  colsys::TransformCache across(k), remainder(k);
+  colsys::ViewId v = 0;
   Colour sigma_inv[colsys::kMaxOrbitColours + 1];
   for (int o = 0; o < orbit_count; ++o) {
     for (const ColourPerm& sigma : catalogue.cosets[static_cast<std::size_t>(o)]) {
@@ -785,38 +816,17 @@ std::vector<CompatiblePair> compatible_pairs(const OrbitCatalogue& catalogue) {
         const Colour a = sigma_inv[c];
         const std::size_t rep_slot = static_cast<std::size_t>(o) * k + (a - 1);
         if (across_ref[rep_slot].id == colsys::kNullView) continue;
-        const std::size_t slot = static_cast<std::size_t>(v) * k + (c - 1);
-        const std::int32_t acr = densify(encode(across_ref[rep_slot], sigma.data()));
-        const std::int32_t rem = densify(encode(remainder_ref[rep_slot], sigma.data()));
-        across_enc[slot] = acr;
-        remainder_enc[slot] = rem;
-        by_halves[key(rem, acr, c)].push_back(static_cast<int>(v));
+        across.put(v, c, densify(encode(across_ref[rep_slot], sigma.data())));
+        remainder.put(v, c, densify(encode(remainder_ref[rep_slot], sigma.data())));
       }
       ++v;
     }
   }
-  std::vector<CompatiblePair> out;
-  for (int a = 0; a < static_cast<int>(n); ++a) {
-    for (Colour c = 1; c <= k; ++c) {
-      const std::size_t slot = static_cast<std::size_t>(a) * k + (c - 1);
-      const std::int32_t ha = across_enc[slot];
-      if (ha < 0) continue;
-      const std::int32_t want = remainder_enc[slot];
-      const auto it = by_halves.find(key(ha, want, c));
-      if (it == by_halves.end()) continue;
-      // See the raw index above: the re-check keeps matches exact under
-      // any 64-bit key aliasing.
-      const auto& bucket = it->second;
-      for (auto bi = std::lower_bound(bucket.begin(), bucket.end(), a); bi != bucket.end();
-           ++bi) {
-        const std::size_t bslot = static_cast<std::size_t>(*bi) * k + (c - 1);
-        if (remainder_enc[bslot] == ha && across_enc[bslot] == want) {
-          out.push_back({a, *bi, c});
-        }
-      }
-    }
-  }
-  return out;
+  group(remainder, across);
+}
+
+std::vector<CompatiblePair> compatible_pairs(const OrbitCatalogue& catalogue) {
+  return pair_list(BicliqueIndex(catalogue));
 }
 
 }  // namespace dmm::nbhd

@@ -13,9 +13,11 @@
 // Linial's proof technique, executable.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -53,7 +55,8 @@ struct CompatiblePair {
   Colour colour = gk::kNoColour;
 };
 
-/// All compatible (a, b, c) triples with a <= b.
+/// All compatible (a, b, c) triples with a <= b, ascending in (a, c, b):
+/// BicliqueIndex(catalogue)'s for_each_pair as a vector.
 std::vector<CompatiblePair> compatible_pairs(const ViewCatalogue& catalogue);
 
 // ---------------------------------------------------------------------------
@@ -166,12 +169,95 @@ OrbitCatalogue reduce_catalogue(const ViewCatalogue& catalogue);
 /// reduce_catalogue up to view order.
 ViewCatalogue expand_catalogue(const OrbitCatalogue& catalogue);
 
-/// All compatible (a, b, c) triples over the member index space, a <= b.
-/// Built at orbit level: the two half-trees are serialised and canonised
-/// once per (representative, colour), and each member's half identity is
-/// the group element lifting it through the representative's witness — no
-/// per-member serialisation, hashing of plain integers only.  The result
-/// equals compatible_pairs(expand_catalogue(catalogue)) exactly.
+/// All compatible (a, b, c) triples over the member index space, a <= b,
+/// ascending in (a, c, b): BicliqueIndex(catalogue)'s for_each_pair as a
+/// vector, which equals compatible_pairs(expand_catalogue(catalogue))
+/// exactly.
 std::vector<CompatiblePair> compatible_pairs(const OrbitCatalogue& catalogue);
+
+// ---------------------------------------------------------------------------
+// The compatible-pair relation as complete bipartite classes.
+//
+// (A, B, c) is compatible iff across(A, c) = remainder(B, c) and
+// across(B, c) = remainder(A, c), where across is the subtree at the root's
+// c-child and remainder the view without its c-branch, both cut to depth
+// ρ-1.  So the (view, colour) memberships sharing one (remainder, across, c)
+// triple form a class, and every member of a class is compatible with every
+// member of its partner class: the triple with its two halves swapped.  A
+// class whose halves coincide is its own partner — its members are pairwise
+// compatible, each with itself too.  The relation is the union of these
+// bicliques: at k = 4, ρ = 3 its 9 570 312 pairs (19.1 M directed arcs) are
+// 2 916 classes over 236 196 memberships, so the CSP solver and the pair
+// emitter both work class by class and never build a per-arc structure.
+// ---------------------------------------------------------------------------
+
+class BicliqueIndex {
+ public:
+  static constexpr std::int32_t kNoClass = -1;
+
+  /// Both halves of every membership are serialised and interned into dense
+  /// ids, and the classes are keyed exactly on (remainder id, across id)
+  /// per colour.
+  explicit BicliqueIndex(const ViewCatalogue& catalogue);
+
+  /// The same index over the member (orbit, coset) indices, built at orbit
+  /// level: the two halves are serialised and canonised once per
+  /// (representative, colour), and each member's half identity is the group
+  /// element lifting it through the representative's witness — no
+  /// per-member serialisation.  Equals BicliqueIndex(expand_catalogue(c))
+  /// class for class.
+  explicit BicliqueIndex(const OrbitCatalogue& catalogue);
+
+  int k() const noexcept { return k_; }
+  int view_count() const noexcept { return views_; }
+  std::int32_t class_count() const noexcept { return static_cast<std::int32_t>(colour_.size()); }
+
+  /// The class of membership (view, c), or kNoClass when the view has no
+  /// c-edge.
+  std::int32_t class_of(int view, Colour c) const { return class_of_[slot(view, c)]; }
+  Colour colour(std::int32_t cls) const { return colour_[static_cast<std::size_t>(cls)]; }
+  /// The class whose members are cls's partners (the same colour), or
+  /// kNoClass when no membership completes cls.
+  std::int32_t partner(std::int32_t cls) const { return partner_[static_cast<std::size_t>(cls)]; }
+  /// The members of cls, ascending.
+  std::span<const std::int32_t> members(std::int32_t cls) const {
+    const std::size_t first = start_[static_cast<std::size_t>(cls)];
+    return {members_.data() + first, start_[static_cast<std::size_t>(cls) + 1] - first};
+  }
+  /// The number of compatible pairs: |K|·|P| per class pair {K, P},
+  /// |K|(|K|+1)/2 per self-partnered class K.
+  std::uint64_t pair_count() const noexcept { return pair_count_; }
+
+  /// Calls fn(a, b, c) for every compatible pair, a <= b, ascending in
+  /// (a, c, b) — each unordered pair once, from its smaller view.
+  template <class Fn>
+  void for_each_pair(Fn&& fn) const {
+    for (int a = 0; a < views_; ++a) {
+      for (Colour c = 1; c <= k_; ++c) {
+        const std::int32_t cls = class_of(a, c);
+        if (cls == kNoClass || partner(cls) == kNoClass) continue;
+        const std::span<const std::int32_t> bs = members(partner(cls));
+        for (auto b = std::lower_bound(bs.begin(), bs.end(), a); b != bs.end(); ++b) fn(a, *b, c);
+      }
+    }
+  }
+
+ private:
+  std::size_t slot(int view, Colour c) const {
+    return static_cast<std::size_t>(view) * static_cast<std::size_t>(k_) +
+           static_cast<std::size_t>(c - 1);
+  }
+  /// Groups the memberships into classes from their interned halves.
+  void group(const colsys::TransformCache& remainder, const colsys::TransformCache& across);
+
+  int k_ = 0;
+  int views_ = 0;
+  std::vector<std::int32_t> class_of_;  // per slot view * k + (c - 1)
+  std::vector<Colour> colour_;          // per class
+  std::vector<std::int32_t> partner_;   // per class
+  std::vector<std::size_t> start_;      // class_count() + 1 offsets into members_
+  std::vector<std::int32_t> members_;
+  std::uint64_t pair_count_ = 0;
+};
 
 }  // namespace dmm::nbhd

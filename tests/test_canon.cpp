@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 
 #include "algo/greedy.hpp"
 #include "algo/truncated_greedy.hpp"
@@ -156,12 +157,17 @@ std::vector<nbhd::CompatiblePair> reference_compatible_pairs(
   return out;
 }
 
-// The parameter grid small enough for the O(frontier²) reference.
+// The parameter grid small enough for the O(frontier²) reference.  Each
+// row also pins the serial search of its CSP: nodes_explored raw and on the
+// orbit path.
 struct Grid {
   int k, d, rho;
+  std::uint64_t raw_nodes, orbit_nodes;
 };
-const Grid kGrid[] = {{3, 2, 1}, {3, 2, 2}, {3, 2, 3}, {4, 3, 1}, {4, 3, 2},
-                      {4, 2, 2}, {3, 3, 2}, {5, 4, 1}, {5, 4, 2}, {4, 1, 2}};
+const Grid kGrid[] = {{3, 2, 1, 4, 4},       {3, 2, 2, 17, 14}, {3, 2, 3, 48, 49},
+                      {4, 3, 1, 5, 5},       {4, 3, 2, 114, 33}, {4, 2, 2, 39, 19},
+                      {3, 3, 2, 1, 1},       {5, 4, 1, 6, 6},   {5, 4, 2, 1189, 309},
+                      {4, 1, 2, 4, 4}};
 
 // ---------------------------------------------------------------------------
 // CanonicalStore unit behaviour.
@@ -262,6 +268,19 @@ TEST(InternedPipeline, GoldenCatalogueAndPairCounts) {
   const nbhd::ViewCatalogue cat = nbhd::enumerate_views(4, 3, 3);
   EXPECT_EQ(cat.size(), 78732);
   EXPECT_EQ(nbhd::compatible_pairs(cat).size(), 9570312u);
+  // Its 236 196 (view, colour) memberships fall into 2 916 biclique
+  // classes; 108 of them are their own partner.
+  const nbhd::BicliqueIndex index(cat);
+  EXPECT_EQ(index.class_count(), 2916);
+  EXPECT_EQ(index.pair_count(), 9570312u);
+  std::size_t memberships = 0;
+  int self_partnered = 0;
+  for (std::int32_t cls = 0; cls < index.class_count(); ++cls) {
+    memberships += index.members(cls).size();
+    if (index.partner(cls) == cls) ++self_partnered;
+  }
+  EXPECT_EQ(memberships, 236196u);
+  EXPECT_EQ(self_partnered, 108);
   // The k = 5 frontier row.
   const nbhd::ViewCatalogue k5 = nbhd::enumerate_views(5, 4, 2);
   EXPECT_EQ(k5.size(), 1280);
@@ -316,6 +335,80 @@ TEST(CspEquivalence, PairReuseOverloadMatches) {
   EXPECT_EQ(direct.nodes_explored, reused.nodes_explored);
 }
 
+TEST(CspEquivalence, SearchNodesArePinnedOnTheGrid) {
+  // The serial search tree of every grid row, raw and on the orbit path:
+  // a solver change that moves any count changes which branches it
+  // explores, not just how fast.
+  for (const Grid& g : kGrid) {
+    EXPECT_EQ(nbhd::solve(nbhd::enumerate_views(g.k, g.d, g.rho)).nodes_explored, g.raw_nodes)
+        << "k=" << g.k << " d=" << g.d << " rho=" << g.rho;
+    EXPECT_EQ(nbhd::solve(nbhd::enumerate_orbits(g.k, g.d, g.rho)).nodes_explored, g.orbit_nodes)
+        << "k=" << g.k << " d=" << g.d << " rho=" << g.rho;
+  }
+}
+
+/// Expects solve(catalogue, pairs) to reject the list as not the
+/// catalogue's own compatible_pairs.
+template <class Catalogue>
+void expect_rejected(const Catalogue& cat, const std::vector<nbhd::CompatiblePair>& pairs,
+                     const std::string& what) {
+  EXPECT_THROW(nbhd::solve(cat, pairs), std::invalid_argument) << what;
+}
+
+template <class Catalogue>
+void expect_only_its_own_pairs_accepted(const Catalogue& cat) {
+  const std::vector<nbhd::CompatiblePair> pairs = nbhd::compatible_pairs(cat);
+  ASSERT_GE(pairs.size(), 3u);
+  EXPECT_EQ(nbhd::solve(cat, pairs).nodes_explored, nbhd::solve(cat).nodes_explored);
+  const std::size_t mid = pairs.size() / 2;
+
+  auto dropped = pairs;
+  dropped.erase(dropped.begin() + static_cast<std::ptrdiff_t>(mid));
+  expect_rejected(cat, dropped, "one pair dropped");
+
+  auto duplicated = pairs;
+  duplicated.insert(duplicated.begin() + static_cast<std::ptrdiff_t>(mid), pairs[mid]);
+  expect_rejected(cat, duplicated, "one pair duplicated");
+
+  auto overwritten = pairs;
+  overwritten[mid + 1] = overwritten[mid];
+  expect_rejected(cat, overwritten, "one pair duplicated over its successor");
+
+  auto swapped = pairs;
+  std::swap(swapped[mid], swapped[mid + 1]);
+  expect_rejected(cat, swapped, "two adjacent pairs swapped");
+
+  for (const std::size_t i : {std::size_t{0}, mid, pairs.size() - 1}) {
+    auto recoloured = pairs;
+    recoloured[i].colour = static_cast<Colour>(recoloured[i].colour % cat.k + 1);
+    expect_rejected(cat, recoloured, "one colour changed at pair " + std::to_string(i));
+  }
+}
+
+TEST(CspEquivalence, PairOverloadAcceptsOnlyTheCataloguesOwnPairs) {
+  // solve(cat, pairs) solves the catalogue's own CSP; a list that differs
+  // from compatible_pairs(cat) anywhere is rejected, not solved as another
+  // CSP.
+  const nbhd::ViewCatalogue raw = nbhd::enumerate_views(4, 3, 2);
+  const nbhd::OrbitCatalogue orbits = nbhd::enumerate_orbits(4, 3, 2);
+  expect_only_its_own_pairs_accepted(raw);
+  expect_only_its_own_pairs_accepted(orbits);
+
+  // Another catalogue's pairs: a different size, and (same size, other
+  // view numbering) the orbit path's member-indexed list.
+  expect_rejected(raw, nbhd::compatible_pairs(nbhd::enumerate_views(4, 2, 2)),
+                  "another catalogue's pairs");
+  const auto member_pairs = nbhd::compatible_pairs(orbits);
+  const auto raw_pairs = nbhd::compatible_pairs(raw);
+  ASSERT_EQ(member_pairs.size(), raw_pairs.size());
+  ASSERT_FALSE(std::equal(member_pairs.begin(), member_pairs.end(), raw_pairs.begin(),
+                          [](const nbhd::CompatiblePair& x, const nbhd::CompatiblePair& y) {
+                            return x.a == y.a && x.b == y.b && x.colour == y.colour;
+                          }));
+  expect_rejected(raw, member_pairs, "the orbit catalogue's pairs");
+  expect_rejected(orbits, raw_pairs, "the raw catalogue's pairs");
+}
+
 TEST(CspEquivalence, VerdictFrontierMatchesTheorem5) {
   // UNSAT below rho = k, SAT at rho = k (d = k-1): the machine-checked form
   // of the k-1 lower bound, still intact after the rewrite.
@@ -331,7 +424,9 @@ TEST(CspEquivalence, VerdictFrontierMatchesTheorem5) {
 TEST(CspEquivalence, NoTwoRoundAlgorithmK4InTierOne) {
   const nbhd::ViewCatalogue cat = nbhd::enumerate_views(4, 3, 3);
   const auto pairs = nbhd::compatible_pairs(cat);
-  EXPECT_FALSE(nbhd::solve(cat, pairs).satisfiable);
+  const nbhd::CspResult result = nbhd::solve(cat, pairs);
+  EXPECT_FALSE(result.satisfiable);
+  EXPECT_EQ(result.nodes_explored, 135864u);
 }
 
 // ---------------------------------------------------------------------------

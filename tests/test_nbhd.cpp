@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "algo/greedy.hpp"
 #include "algo/truncated_greedy.hpp"
 
@@ -81,6 +83,49 @@ TEST(Views, HashedPairsMatchBruteForce) {
       }
     }
     EXPECT_EQ(hashed_set, brute) << "rho=" << rho;
+  }
+}
+
+TEST(Views, BicliqueIndexIsExactlyTheCompatibilityRelation) {
+  // (a, b, c) is compatible by the direct definition iff b's c-class is
+  // the partner of a's: the relation is a union of bicliques.  Partners
+  // pair up classes of one colour, and each class lists its members once,
+  // ascending.
+  struct Row {
+    int k, d, rho;
+  };
+  for (const Row& row : {Row{3, 2, 3}, Row{4, 3, 2}, Row{4, 2, 2}}) {
+    const ViewCatalogue cat = enumerate_views(row.k, row.d, row.rho);
+    const BicliqueIndex index(cat);
+    std::uint64_t compatible = 0;
+    for (int a = 0; a < cat.size(); ++a) {
+      for (int b = a; b < cat.size(); ++b) {
+        for (Colour c = 1; c <= row.k; ++c) {
+          const bool direct = c_compatible(cat.views[static_cast<std::size_t>(a)],
+                                           cat.views[static_cast<std::size_t>(b)], c, row.rho);
+          const std::int32_t cls = index.class_of(a, c);
+          const bool indexed = cls != BicliqueIndex::kNoClass &&
+                               index.partner(cls) != BicliqueIndex::kNoClass &&
+                               index.class_of(b, c) == index.partner(cls);
+          EXPECT_EQ(indexed, direct) << "a=" << a << " b=" << b << " c=" << int{c};
+          compatible += direct ? 1 : 0;
+        }
+      }
+    }
+    EXPECT_EQ(index.pair_count(), compatible) << "k=" << row.k << " rho=" << row.rho;
+    std::size_t memberships = 0;
+    for (std::int32_t cls = 0; cls < index.class_count(); ++cls) {
+      const std::int32_t partner = index.partner(cls);
+      if (partner != BicliqueIndex::kNoClass) {
+        EXPECT_EQ(index.partner(partner), cls);
+        EXPECT_EQ(index.colour(partner), index.colour(cls));
+      }
+      const auto members = index.members(cls);
+      EXPECT_TRUE(std::ranges::is_sorted(members));
+      for (const std::int32_t v : members) EXPECT_EQ(index.class_of(v, index.colour(cls)), cls);
+      memberships += members.size();
+    }
+    EXPECT_EQ(memberships, static_cast<std::size_t>(cat.size() * row.d));
   }
 }
 
@@ -165,6 +210,32 @@ TEST(Csp, NoOneRoundAlgorithmK4) {
 TEST(Csp, DISABLED_NoTwoRoundAlgorithmK4) {
   const CspResult r = solve(enumerate_views(4, 3, 3, 100'000));
   EXPECT_FALSE(r.satisfiable);
+}
+
+TEST(Csp, ArcConsistencyBansBottomBesideADegreeOneView) {
+  // A hand-built, irregular ρ = 2 catalogue from the path x —1— y —2— z:
+  // view 0 is y (colours 1, 2; both neighbours are leaves) and view 1 is x
+  // (colour 1 only; its neighbour has a 2-edge).  They are 1-compatible.
+  // Since dom(x) = {⊥, 1} lies within {1, ⊥}, arc consistency removes ⊥
+  // from y.  MRV then meets two size-2 domains and branches on y first:
+  // y = 1 forces x = 1.  Without that prune x (the smaller domain) would
+  // go first, x = ⊥, and the search would return y = 2, x = ⊥.
+  ColourSystem y(3);
+  y.add_child(ColourSystem::root(), 1);
+  y.add_child(ColourSystem::root(), 2);
+  ColourSystem x(3);
+  x.add_child(x.add_child(ColourSystem::root(), 1), 2);
+  ViewCatalogue cat;
+  cat.k = 3;
+  cat.d = 2;
+  cat.rho = 2;
+  cat.views = {y, x};
+  ASSERT_TRUE(c_compatible(y, x, 1, 2));
+  ASSERT_EQ(compatible_pairs(cat).size(), 1u);
+  const CspResult result = solve(cat);
+  ASSERT_TRUE(result.satisfiable);
+  EXPECT_EQ(result.labelling, (std::vector<Colour>{1, 1}));
+  EXPECT_EQ(result.nodes_explored, 2u);
 }
 
 TEST(Csp, AgreesWithExhaustiveEnumerationAtRhoOne) {

@@ -30,14 +30,17 @@ using colsys::ColourSystem;
 using gk::Colour;
 
 // The small-parameter grid (k ≤ 4, ρ ≤ 2 per the canoniser pinning task,
-// plus the ρ = 3 row used by the CSP-level checks).
+// plus the ρ = 3 row used by the CSP-level checks).  CSP rows also pin the
+// serial search: nodes_explored raw and on the orbit path.
 struct Grid {
   int k, d, rho;
+  std::uint64_t raw_nodes = 0, orbit_nodes = 0;
 };
 const Grid kCanonGrid[] = {{3, 2, 1}, {3, 2, 2}, {4, 3, 1}, {4, 3, 2},
                            {4, 2, 2}, {3, 3, 2}, {4, 1, 2}, {2, 1, 2}};
-const Grid kCspGrid[] = {{3, 2, 1}, {3, 2, 2}, {3, 2, 3}, {4, 3, 1},
-                         {4, 3, 2}, {4, 2, 2}, {3, 3, 2}, {4, 1, 2}};
+const Grid kCspGrid[] = {{3, 2, 1, 4, 4},   {3, 2, 2, 17, 14},   {3, 2, 3, 48, 49},
+                         {4, 3, 1, 5, 5},   {4, 3, 2, 114, 33},  {4, 2, 2, 39, 19},
+                         {3, 3, 2, 1, 1},   {4, 1, 2, 4, 4}};
 
 /// Literal k! reference: minimise the serialisation over every relabelled
 /// copy of the tree, built through ColourSystem::permuted.
@@ -272,6 +275,29 @@ TEST(OrbitPairs, LiftedPairIndexEqualsRawIndexOnExpandedCatalogue) {
   }
 }
 
+TEST(OrbitPairs, OrbitIndexEqualsRawIndexOnExpandedCatalogue) {
+  // Class ids follow first appearance in (member, colour) order, so the
+  // orbit-level index and the raw index of the expansion agree class for
+  // class, not only pair for pair.
+  for (const Grid& g : kCspGrid) {
+    const nbhd::OrbitCatalogue orbits = nbhd::enumerate_orbits(g.k, g.d, g.rho);
+    const nbhd::BicliqueIndex lifted(orbits);
+    const nbhd::BicliqueIndex raw(nbhd::expand_catalogue(orbits));
+    ASSERT_EQ(lifted.view_count(), raw.view_count());
+    ASSERT_EQ(lifted.class_count(), raw.class_count())
+        << "k=" << g.k << " d=" << g.d << " rho=" << g.rho;
+    EXPECT_EQ(lifted.pair_count(), raw.pair_count());
+    for (int v = 0; v < raw.view_count(); ++v) {
+      for (Colour c = 1; c <= g.k; ++c) EXPECT_EQ(lifted.class_of(v, c), raw.class_of(v, c));
+    }
+    for (std::int32_t cls = 0; cls < raw.class_count(); ++cls) {
+      EXPECT_EQ(lifted.colour(cls), raw.colour(cls));
+      EXPECT_EQ(lifted.partner(cls), raw.partner(cls));
+      EXPECT_TRUE(std::ranges::equal(lifted.members(cls), raw.members(cls)));
+    }
+  }
+}
+
 TEST(OrbitCsp, VerdictMatchesRawSolveEverywhere) {
   for (const Grid& g : kCspGrid) {
     const nbhd::ViewCatalogue raw = nbhd::enumerate_views(g.k, g.d, g.rho);
@@ -279,6 +305,12 @@ TEST(OrbitCsp, VerdictMatchesRawSolveEverywhere) {
     const nbhd::CspResult raw_result = nbhd::solve(raw);
     const nbhd::CspResult orbit_result = nbhd::solve(orbits);
     EXPECT_EQ(orbit_result.satisfiable, raw_result.satisfiable)
+        << "k=" << g.k << " d=" << g.d << " rho=" << g.rho;
+    // The pinned search trees (the orbit path numbers its members
+    // differently, so its tree differs from the raw one).
+    EXPECT_EQ(raw_result.nodes_explored, g.raw_nodes)
+        << "k=" << g.k << " d=" << g.d << " rho=" << g.rho;
+    EXPECT_EQ(orbit_result.nodes_explored, g.orbit_nodes)
         << "k=" << g.k << " d=" << g.d << " rho=" << g.rho;
     if (orbit_result.satisfiable) {
       // The labelling is indexed by member order: valid on the expansion.
@@ -298,6 +330,17 @@ TEST(OrbitCsp, TheoremFiveFrontierSurvivesTheQuotient) {
   EXPECT_FALSE(nbhd::solve(nbhd::enumerate_orbits(3, 2, 2)).satisfiable);
   EXPECT_TRUE(nbhd::solve(nbhd::enumerate_orbits(3, 2, 3)).satisfiable);
   EXPECT_FALSE(nbhd::solve(nbhd::enumerate_orbits(4, 3, 2)).satisfiable);
+}
+
+TEST(OrbitCsp, NoTwoRoundAlgorithmK4FromOrbitsInTierOne) {
+  // The k = 4, ρ = 3 verdict from its 3 330 orbit representatives: the
+  // same 9 570 312 member pairs, UNSAT after the pinned 66 117 nodes.
+  const nbhd::OrbitCatalogue orbits = nbhd::enumerate_orbits(4, 3, 3);
+  const auto pairs = nbhd::compatible_pairs(orbits);
+  EXPECT_EQ(pairs.size(), 9570312u);
+  const nbhd::CspResult result = nbhd::solve(orbits, pairs);
+  EXPECT_FALSE(result.satisfiable);
+  EXPECT_EQ(result.nodes_explored, 66117u);
 }
 
 // ---------------------------------------------------------------------------

@@ -68,12 +68,14 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -577,24 +579,49 @@ int cmd_adversary(const std::vector<std::string>& args) {
   return result.tight() ? 0 : 3;
 }
 
+/// The whole token as an int, or nothing: "2.5", "3x", "x" and "" fail,
+/// as does a value out of int range.
+std::optional<int> whole_int(const std::string& token) {
+  int value = 0;
+  const char* end = token.data() + token.size();
+  const auto [stop, error] = std::from_chars(token.data(), end, value);
+  if (error != std::errc() || stop != end) return std::nullopt;
+  return value;
+}
+
 int cmd_views(const std::vector<std::string>& args) {
-  // Positional k d rho, then flags.
+  // Positional k d rho and the flags in any order; every number is a whole
+  // integer token and --threads / --max-views are at least 1.
+  const std::string usage =
+      "views: usage: views <k> <d> <rho> [--threads N>=1] [--max-views N>=1] [--json] [--orbits]";
   std::vector<int> positional;
+  int threads = 1;
+  int max_views = 2'000'000;
+  bool json = false;
+  bool orbits = false;
+  // The value after args[i], which must be a whole integer >= 1.
+  const auto positive_after = [&](std::size_t& i) {
+    const std::optional<int> value = ++i < args.size() ? whole_int(args[i]) : std::nullopt;
+    if (!value || *value < 1) fail(usage);
+    return *value;
+  };
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i].rfind("--", 0) == 0) {
-      if (args[i] != "--json" && args[i] != "--orbits") ++i;  // skip the flag's value
-      continue;
+    if (args[i] == "--json") {
+      json = true;
+    } else if (args[i] == "--orbits") {
+      orbits = true;
+    } else if (args[i] == "--threads") {
+      threads = positive_after(i);
+    } else if (args[i] == "--max-views") {
+      max_views = positive_after(i);
+    } else if (const std::optional<int> value = whole_int(args[i])) {
+      positional.push_back(*value);
+    } else {
+      fail(usage);
     }
-    positional.push_back(std::stoi(args[i]));
   }
-  if (positional.size() != 3) {
-    fail("views: usage: views <k> <d> <rho> [--threads N] [--json] [--orbits]");
-  }
+  if (positional.size() != 3) fail(usage);
   const int k = positional[0], d = positional[1], rho = positional[2];
-  const int threads = std::stoi(option(args, "--threads", "1"));
-  const int max_views = std::stoi(option(args, "--max-views", "2000000"));
-  const bool json = flag(args, "--json");
-  const bool orbits = flag(args, "--orbits");
 
   long long views = 0, orbit_count = 0;
   std::size_t pair_count = 0;
