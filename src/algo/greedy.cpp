@@ -39,22 +39,10 @@ std::vector<Colour> greedy_outputs(const colsys::ColourSystem& system) {
   return out;
 }
 
-bool GreedyProgram::init(const std::vector<Colour>& incident) {
-  // Map-engine path: the caller's vector is a temporary, so take a copy.
-  owned_ = incident;
-  incident_ = owned_.data();
-  degree_ = static_cast<int>(owned_.size());
-  return start();
-}
-
-bool GreedyProgram::init_flat(const Colour* incident, int degree) {
-  // Flat-engine path: the CSR colour row outlives the run — borrow it.
-  incident_ = incident;
-  degree_ = degree;
-  return start();
-}
-
-bool GreedyProgram::start() {
+bool GreedyProgram::init(std::span<const Colour> incident) {
+  // The engine's colour row outlives the run — borrow it.
+  incident_ = incident.data();
+  degree_ = static_cast<int>(incident.size());
   // Step 1 needs no communication: an incident colour-1 edge matches both
   // of its endpoints immediately (a properly coloured graph has at most one
   // such edge per node, and its other endpoint reasons identically).
@@ -76,59 +64,25 @@ bool GreedyProgram::try_finish(int completed_step) {
   return false;
 }
 
-std::map<Colour, local::Message> GreedyProgram::send(int round) {
+void GreedyProgram::send(int round, local::Outbox& out) {
   (void)round;
-  std::map<Colour, local::Message> out;
-  for (int i = 0; i < degree_; ++i) out[incident_[i]] = matched_ ? "M" : "F";
-  return out;
-}
-
-bool GreedyProgram::receive(int round, const std::map<Colour, local::Message>& inbox) {
-  // Allocated here, not in init: the flat fast path below never needs it.
-  if (static_cast<int>(neighbour_matched_.size()) != degree_) {
-    neighbour_matched_.assign(static_cast<std::size_t>(degree_), 0);
-  }
-  // After the exchange in round t we know the neighbours' status at the end
-  // of step t, which decides step t+1 (edges of colour t+1).
-  for (int i = 0; i < degree_; ++i) {
-    const auto it = inbox.find(incident_[i]);
-    if (it == inbox.end()) continue;
-    const local::Message& m = it->second;
-    // A halted neighbour announces its output; a matched announcement or an
-    // explicit "M" both mean "taken".  An announced ⊥ means permanently free,
-    // but a ⊥ neighbour can never be our colour-(t+1) partner anyway (it
-    // halted only after its last chance passed), so treat it as free.
-    const bool neighbour_matched =
-        m == "M" || (!m.empty() && m.front() == local::kHaltedPrefix && m != "!0");
-    neighbour_matched_[static_cast<std::size_t>(i)] = neighbour_matched ? 1 : 0;
-  }
-  const Colour next = static_cast<Colour>(round + 1);
-  if (!matched_) {
-    for (int i = 0; i < degree_; ++i) {
-      if (incident_[i] == next && !neighbour_matched_[static_cast<std::size_t>(i)]) {
-        matched_ = true;
-        output_ = next;
-      }
-    }
-  }
-  return try_finish(/*completed_step=*/round + 1);
-}
-
-void GreedyProgram::send_flat(int round, local::FlatOutbox& out) {
-  (void)round;
-  // Same one-byte status per incident colour as send(), without the map.
   out.broadcast(matched_ ? std::string_view("M") : std::string_view("F"));
 }
 
-bool GreedyProgram::receive_flat(int round, const local::FlatInbox& in) {
-  // Only the colour-(round+1) port can change our fate, and the status
-  // decoding matches receive() byte for byte; the per-port status array is
-  // not needed because every entry is refreshed every round anyway.
+bool GreedyProgram::receive(int round, const local::Inbox& in) {
+  // After the exchange in round t we know the neighbours' status at the end
+  // of step t, which decides step t+1 (edges of colour t+1) — and only the
+  // colour-(t+1) neighbour can be our partner in that step.
   const Colour next = static_cast<Colour>(round + 1);
   if (!matched_) {
     for (int i = 0; i < in.ports(); ++i) {
       if (in.colour(i) != next) continue;
       const std::string_view m = in.at(i);
+      // A halted neighbour announces its output; a matched announcement or
+      // an explicit "M" both mean "taken".  An announced ⊥ means
+      // permanently free, but a ⊥ neighbour can never be our
+      // colour-(t+1) partner anyway (it halted only after its last chance
+      // passed), so treat it as free.
       const bool neighbour_matched =
           m == "M" || (!m.empty() && m.front() == local::kHaltedPrefix && m != "!0");
       if (!neighbour_matched) {

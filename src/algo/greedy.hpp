@@ -6,12 +6,13 @@
 //
 // Three equivalent realisations are provided and cross-validated in tests:
 //   * greedy_outputs        — centralised reference implementation,
-//   * GreedyProgram         — message-passing state machine for run_sync,
+//   * GreedyProgram         — message-passing state machine for the engines,
 //   * GreedyLocal           — the §2.3 functional form (input: radius-k view),
 //     which is what the lower-bound adversary interrogates.
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "local/algorithm.hpp"
@@ -35,39 +36,33 @@ std::vector<Colour> greedy_outputs(const colsys::ColourSystem& system);
 /// resolved.
 class GreedyProgram final : public local::NodeProgram {
  public:
-  bool init(const std::vector<Colour>& incident) override;
-  std::map<Colour, local::Message> send(int round) override;
-  bool receive(int round, const std::map<Colour, local::Message>& inbox) override;
-  // Allocation-free fast paths for the flat engine; the equivalence suite
-  // (tests/test_flat_engine.cpp) pins them to the map-based trio above.
-  // init_flat keeps a span over the engine's CSR colour row instead of
-  // copying it, so a pooled greedy run performs no per-node allocation at
-  // all — this is what opens n = 10⁷ (ISSUE 4 / test_engine_scale).
-  bool init_flat(const Colour* incident, int degree) override;
-  void send_flat(int round, local::FlatOutbox& out) override;
-  bool receive_flat(int round, const local::FlatInbox& in) override;
+  bool init(std::span<const Colour> incident) override;
+  void send(int round, local::Outbox& out) override;
+  bool receive(int round, const local::Inbox& in) override;
   Colour output() const override { return output_; }
   // Checkpoint hooks: the whole dynamic state is {matched_, output_} — the
-  // incident colours are re-derived by init, and neighbour_matched_ is
-  // refreshed before every use.  Two bytes per node.  load_state rejects
-  // (std::invalid_argument) a state no run produces: matched on a colour
-  // not incident to the node, or unmatched with an output other than ⊥.
+  // incident colours are re-derived by init.  Two bytes per node.
+  // load_state rejects (std::invalid_argument) a state no run produces:
+  // matched on a colour not incident to the node, or unmatched with an
+  // output other than ⊥.
   void save_state(std::string& out) const override;
   void load_state(std::string_view in) override;
 
  private:
-  bool start();
   bool try_finish(int completed_step);
 
-  // The node's sorted incident colours: a borrowed engine row on the flat
-  // path, a private copy (owned_) on the map path.
+  // The node's sorted incident colours, borrowed from the engine's row
+  // rather than copied, so a pooled greedy run performs no per-node
+  // allocation at all.  A pointer and an int, not a 16-byte span: the
+  // program stays at 24 bytes, and the programs are most of the n = 10⁷
+  // row's memory (test_engine_scale).
   const Colour* incident_ = nullptr;
   int degree_ = 0;
-  std::vector<Colour> owned_;
-  std::vector<char> neighbour_matched_;  // indexed by incident position
   Colour output_ = local::kUnmatched;
   bool matched_ = false;
 };
+
+static_assert(sizeof(GreedyProgram) <= 24, "one vtable pointer, one row pointer, 8 bytes of state");
 
 /// Pooled factory for GreedyProgram with the tuned batched path: one
 /// contiguous arena block for all n programs.

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/hash.hpp"
+
 namespace dmm::graph {
 
 namespace {
@@ -114,6 +116,25 @@ std::shared_ptr<const Csr> EdgeColouredGraph::csr() const {
   const std::lock_guard<std::mutex> lock(s_->csr_mutex);
   if (!s_->csr) s_->csr = std::make_shared<const Csr>(build_csr(s_->adjacency));
   return s_->csr;
+}
+
+std::uint64_t EdgeColouredGraph::fingerprint() const {
+  const std::lock_guard<std::mutex> lock(s_->csr_mutex);
+  if (!s_->fingerprint) {
+    // Node indices are non-negative 31-bit values, so (lo, hi) packs into
+    // one word without loss; the colour is mixed in after a first
+    // avalanche.
+    std::uint64_t sum = 0;
+    for (const Edge& e : s_->edges) {
+      const auto lo = static_cast<std::uint64_t>(std::min(e.u, e.v));
+      const auto hi = static_cast<std::uint64_t>(std::max(e.u, e.v));
+      sum += mix64(mix64(lo << 32 | hi) ^ e.colour);
+    }
+    const std::uint64_t shape = static_cast<std::uint64_t>(n_) << 32 |
+                                static_cast<std::uint32_t>(s_->k);
+    s_->fingerprint = mix64(sum ^ mix64(shape));
+  }
+  return *s_->fingerprint;
 }
 
 EdgeColouredGraph::EdgeColouredGraph(int n, int k, std::vector<Edge> edges)

@@ -12,7 +12,8 @@
 // copy first.  A handle that owns its storage alone mutates in place at
 // the documented O(Δ) cost, with one atomic load added.  The storage also
 // carries the graph's colour-sorted CSR (csr()), built on first use and
-// shared by every copy and every flat-engine run over that graph version.
+// shared by every copy and every flat-engine run over that graph version,
+// and, the same way, the graph's fingerprint (fingerprint()).
 #pragma once
 
 #include <atomic>
@@ -148,6 +149,16 @@ class EdgeColouredGraph {
   /// needs it, whatever happens to the graph afterwards.
   std::shared_ptr<const Csr> csr() const;
 
+  /// The identity a checkpoint is pinned to (local::EngineCheckpoint):
+  /// (node_count, k) mixed with the wrap-around sum of a 64-bit hash of
+  /// each edge's (min(u, v), max(u, v), colour).  It depends only on the
+  /// edge set, not on edge order or orientation, so the same graph reached
+  /// by different insert/delete histories fingerprints equal; a different
+  /// instance practically never does.  Cached like csr(): one pass over
+  /// edges() on the first call for a graph version, under the same lock,
+  /// shared by every copy, and dropped by add_edge/remove_edge.
+  std::uint64_t fingerprint() const;
+
   /// Checks that no node has two incident edges of the same colour.  Always
   /// true for graphs built through add_edge; exposed for generator tests.
   bool is_properly_coloured() const;
@@ -156,11 +167,13 @@ class EdgeColouredGraph {
 
  private:
   /// One graph version, shared by every handle that copied it.  `refs`
-  /// counts those handles; the CSR slot is filled by csr() under
-  /// `csr_mutex` and emptied only by a sole owner's mutation.
+  /// counts those handles; the CSR and fingerprint slots are filled by
+  /// csr() and fingerprint() under `csr_mutex` and emptied only by a sole
+  /// owner's mutation.
   struct Storage {
     Storage(int n, int k);
-    /// Deep copy of the graph (adjacency and edges); refs = 1, no CSR.
+    /// Deep copy of the graph (adjacency and edges); refs = 1, no CSR and
+    /// no fingerprint.
     Storage(const Storage& other);
 
     std::atomic<long> refs{1};
@@ -169,6 +182,7 @@ class EdgeColouredGraph {
     std::vector<Edge> edges;
     std::mutex csr_mutex;
     std::shared_ptr<const Csr> csr;
+    std::optional<std::uint64_t> fingerprint;
   };
 
   static Storage* empty_storage() noexcept;
@@ -181,12 +195,14 @@ class EdgeColouredGraph {
     k_ = s->k;
   }
 
-  /// The storage, owned by this handle alone and without a CSR: the entry
-  /// of every mutation.  The sole-owner check is one acquire load, inline;
-  /// only a shared handle pays for the out-of-line deep copy.
+  /// The storage, owned by this handle alone and without a CSR or a
+  /// fingerprint: the entry of every mutation.  The sole-owner check is
+  /// one acquire load, inline; only a shared handle pays for the
+  /// out-of-line deep copy.
   Storage& mutable_storage() {
     if (s_->refs.load(std::memory_order_acquire) != 1) detach();
     s_->csr.reset();
+    s_->fingerprint.reset();
     return *s_;
   }
   void detach();

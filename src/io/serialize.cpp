@@ -85,8 +85,8 @@ std::string write_system(const colsys::ColourSystem& system) {
   return out.str();
 }
 
-colsys::ColourSystem read_system(const std::string& text) {
-  std::istringstream in(text);
+colsys::ColourSystem read_system(std::string_view text) {
+  std::istringstream in{std::string(text)};
   expect(in, "dmm-system");
   if (int_token(in, "system version") != 1) throw parse_error("unsupported system version");
   expect(in, "k");

@@ -44,7 +44,7 @@ std::string write_graph(const graph::EdgeColouredGraph& g);
 graph::EdgeColouredGraph read_graph(const std::string& text);
 
 std::string write_system(const colsys::ColourSystem& system);
-colsys::ColourSystem read_system(const std::string& text);
+colsys::ColourSystem read_system(std::string_view text);
 
 std::string write_template(const lower::Template& tmpl);
 lower::Template read_template(const std::string& text);

@@ -5,14 +5,14 @@
 #include <span>
 
 #include "io/serialize.hpp"
-#include "util/hash.hpp"
 
 namespace dmm::local {
 
 namespace {
 
-// Version 2: graph_fingerprint became an order-independent sum of per-edge
-// hashes, so a version-1 file's fingerprint would no longer match its graph.
+// Version 2: the graph fingerprint became an order-independent sum of
+// per-edge hashes, so a version-1 file's fingerprint would no longer match
+// its graph.
 constexpr std::uint32_t kCheckpointVersion = 2;
 
 void write_flags(io::ByteWriter& w, const std::vector<std::uint8_t>& flags) {
@@ -65,20 +65,6 @@ void require_consistent(const EngineCheckpoint& cp) {
 }
 
 }  // namespace
-
-std::uint64_t graph_fingerprint(const graph::EdgeColouredGraph& g) {
-  // Node indices are non-negative 31-bit values, so (lo, hi) packs into one
-  // word without loss; the colour is mixed in after a first avalanche.
-  std::uint64_t sum = 0;
-  for (const graph::Edge& e : g.edges()) {
-    const auto lo = static_cast<std::uint64_t>(std::min(e.u, e.v));
-    const auto hi = static_cast<std::uint64_t>(std::max(e.u, e.v));
-    sum += mix64(mix64(lo << 32 | hi) ^ e.colour);
-  }
-  const std::uint64_t shape = static_cast<std::uint64_t>(g.node_count()) << 32 |
-                              static_cast<std::uint32_t>(g.k());
-  return mix64(sum ^ mix64(shape));
-}
 
 void EngineCheckpoint::write(std::ostream& out) const {
   {
@@ -175,7 +161,7 @@ EngineCheckpoint EngineCheckpoint::read(std::istream& in) {
 }
 
 void EngineCheckpoint::require_matches(const graph::EdgeColouredGraph& g) const {
-  if (node_count != g.node_count() || k != g.k() || edge_hash != graph_fingerprint(g)) {
+  if (node_count != g.node_count() || k != g.k() || edge_hash != g.fingerprint()) {
     throw CheckpointError(
         "checkpoint was captured on a different instance (fingerprint mismatch)");
   }

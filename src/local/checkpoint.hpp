@@ -50,16 +50,9 @@ class CheckpointError : public std::runtime_error {
       : std::runtime_error("dmm::local checkpoint error: " + what) {}
 };
 
-/// The identity a checkpoint is pinned to: (node_count, k) mixed with the
-/// wrap-around sum of a 64-bit hash of each edge's (min(u, v), max(u, v),
-/// colour).  It depends only on the edge set, not on edge order or
-/// orientation, so the same graph reached by different insert/delete
-/// histories fingerprints equal; a different instance practically never
-/// does.  One pass over edges(), recomputed on every call.
-std::uint64_t graph_fingerprint(const graph::EdgeColouredGraph& g);
-
 struct EngineCheckpoint {
-  // Graph fingerprint.
+  // The graph the checkpoint is pinned to; edge_hash is its
+  // EdgeColouredGraph::fingerprint().
   std::int32_t node_count = 0;
   std::int32_t k = 0;
   std::uint64_t edge_hash = 0;

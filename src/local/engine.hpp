@@ -14,9 +14,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -27,9 +27,6 @@
 #include "local/algorithm.hpp"
 
 namespace dmm::local {
-
-/// Messages are opaque byte strings; the model allows unbounded messages.
-using Message = std::string;
 
 struct FlatPlane;  // flat_engine.cpp
 class FlatEngine;
@@ -47,31 +44,55 @@ struct alignas(64) MessageStats {
   std::size_t sent = 0;
 };
 
-/// Write side of the flat message plane: one slot per incident colour
-/// ("port"), ports sorted by colour exactly like the std::map inbox, plus
-/// one broadcast slot for the whole node.  Each port takes at most one
-/// message per round — one set() on it, or one broadcast() for every
-/// port; a second write throws std::logic_error, since run_sync's
-/// per-colour map cannot express one.
-class FlatOutbox {
+/// A port's message in storage off the flat plane (run_sync's, and
+/// pn::ColouredAdapter's): `len` bytes at `offset` of the owner's byte
+/// buffer for the round, live only while `round` is the current round.
+struct PortSlot {
+  std::size_t offset = 0;
+  std::uint32_t len = 0;
+  std::int32_t round = 0;  // 0 = never written; rounds count from 1
+};
+
+/// Write side of a round: one slot per incident colour ("port"), ports
+/// sorted by colour.  Each port takes at most one message per round — one
+/// set() on it, or one broadcast() for every port; a second write throws
+/// std::logic_error on every engine.  The flat engine backs it with its
+/// slot plane (flat_engine.hpp); run_sync and the PN adapter back it with
+/// PortSlots over a per-round byte buffer.  The two backings are one
+/// branch apart, never a virtual call.
+class Outbox {
  public:
+  /// An outbox over caller-owned storage: `slots` holds one PortSlot per
+  /// entry of `colours`, and this round's payloads are appended to
+  /// `bytes` (slots address it by offset, so it may grow).  Messages are
+  /// counted into `stats`.
+  Outbox(std::span<const Colour> colours, PortSlot* slots, std::string& bytes, int round,
+         MessageStats& stats) noexcept
+      : colours_(colours.data()),
+        count_(static_cast<int>(colours.size())),
+        stats_(&stats),
+        slots_(slots),
+        bytes_(&bytes),
+        round_(round) {}
+
   int ports() const noexcept { return count_; }
   Colour colour(int port) const noexcept { return colours_[port]; }
 
   /// Stores `bytes` in the slot of the given port (index into the node's
-  /// sorted incident-colour list).  Throws std::logic_error when the port
-  /// was already set, or the node already broadcast, this round.
+  /// sorted incident-colour list).  Throws std::out_of_range for a port
+  /// outside [0, ports()) and std::logic_error when the port was already
+  /// set, or the node already broadcast, this round.
   void set(int port, std::string_view bytes);
 
   /// Routes by colour; a non-incident colour is counted in the message
-  /// accounting (matching run_sync, which counts everything a program
-  /// returns) but never delivered.
+  /// accounting but never delivered.
   void set_colour(Colour c, std::string_view bytes);
 
-  /// Same bytes on every port, counted as one message per port.  A payload
-  /// of at most kFlatInlineBytes is written once, into the node's broadcast
-  /// slot; a longer one spills through set() on each port.  Throws
-  /// std::logic_error when the node already wrote any port this round.
+  /// Same bytes on every port, counted as one message per port.  On the
+  /// flat plane a payload of at most kFlatInlineBytes is written once, into
+  /// the node's broadcast slot; anything else is one set() per port.
+  /// Throws std::logic_error when the node already wrote any port this
+  /// round.
   void broadcast(std::string_view bytes);
 
  private:
@@ -79,79 +100,86 @@ class FlatOutbox {
   static constexpr std::uint8_t kWrotePort = 1;
   static constexpr std::uint8_t kWroteBroadcast = 2;
 
-  FlatPlane* plane_ = nullptr;
-  std::size_t base_ = 0;             // first slot of the node's own row
-  std::size_t node_ = 0;             // the sender, indexing its broadcast slot
+  Outbox() = default;
+  void count(std::size_t bytes, std::size_t messages) noexcept;
+
   const Colour* colours_ = nullptr;  // sorted incident colours
   int count_ = 0;
-  std::uint8_t arena_ = 0;         // spill arena of the writing worker (≤ 256 workers)
-  std::uint8_t written_ = 0;       // kWrote* bits of the current sender this round
-  std::uint32_t stamp_ = 0;        // current round: stamps written slots live
+  std::uint8_t written_ = 0;  // kWrote* bits of the current sender this round
   MessageStats* stats_ = nullptr;
+  // Off the plane: the node's slots and the round's byte buffer.
+  PortSlot* slots_ = nullptr;
+  std::string* bytes_ = nullptr;
+  std::int32_t round_ = 0;
+  // On the plane (flat engine; plane_ != nullptr selects it).
+  FlatPlane* plane_ = nullptr;
+  std::size_t base_ = 0;      // first slot of the node's own row
+  std::size_t node_ = 0;      // the sender, indexing its broadcast slot
+  std::uint8_t arena_ = 0;    // spill arena of the writing worker (≤ 256 workers)
+  std::uint8_t stamp_ = 0;    // current round's tag: stamps written slots live
 };
 
-/// Read side of the flat message plane.  Ports resolve lazily: a program
-/// that only cares about one colour (greedy reads just the colour-(t+1)
-/// port) pays for one slot gather, not deg(v).  at() yields a contiguous
-/// byte view, looked up in this order: a halted neighbour's announcement
-/// (kHaltedPrefix and its output in decimal, from a static table); empty
-/// for a down neighbour; the neighbour's broadcast slot when it broadcast
-/// this round; else its slot for this port, empty when it sent nothing.  A
-/// dropped message reads as empty.
-class FlatInbox {
+/// Read side of a round: the message that arrived on each port, in the
+/// outbox's port order.  at() yields a contiguous byte view: a halted
+/// neighbour's announcement (kHaltedPrefix and its output in decimal);
+/// empty for a down neighbour, a silent port or a dropped message; else
+/// what the neighbour wrote on the shared edge.  On the flat engine ports
+/// resolve lazily, so a program that only cares about one colour (greedy
+/// reads just the colour-(t+1) port) pays for one slot gather, not deg(v);
+/// run_sync and the PN adapter hand over views they resolved already.
+class Inbox {
  public:
+  /// An inbox over messages the caller resolved: `messages[p]` arrived on
+  /// the port of colour `colours[p]`.
+  Inbox(std::span<const Colour> colours, const std::string_view* messages) noexcept
+      : colours_(colours.data()), count_(static_cast<int>(colours.size())), messages_(messages) {}
+
   int ports() const noexcept { return count_; }
   Colour colour(int port) const noexcept { return colours_[port]; }
+  /// Throws std::out_of_range for a port outside [0, ports()).
   std::string_view at(int port) const;  // flat_engine.cpp
 
  private:
   friend class FlatEngine;
+  Inbox() = default;
+
+  const Colour* colours_ = nullptr;
+  int count_ = 0;
+  const std::string_view* messages_ = nullptr;  // resolved views; null on the plane
+  // On the plane (flat engine).
   const FlatEngine* engine_ = nullptr;
   const FlatPlane* plane_ = nullptr;
-  const Colour* colours_ = nullptr;
   std::size_t row_ = 0;  // first slot of the receiving node's row
-  int count_ = 0;
   std::uint8_t stamp_ = 0;
 };
 
 /// Per-node state machine.  Implementations must be anonymous: the only
 /// instance information ever provided is the list of incident edge colours
-/// and the received messages (keyed by incident colour, which is how an
-/// anonymous node tells its ports apart in an edge-coloured graph).
+/// and the received messages (indexed by port, i.e. by incident colour,
+/// which is how an anonymous node tells its ports apart in an
+/// edge-coloured graph).  Every engine drives the same three calls.
 class NodeProgram {
  public:
   virtual ~NodeProgram() = default;
 
-  /// Called once before round 1 with the node's initial knowledge.  May
-  /// halt immediately (return true) — that is a running time of 0.
-  virtual bool init(const std::vector<Colour>& incident) = 0;
+  /// Called once before round 1 with the node's initial knowledge: its
+  /// incident colours, sorted — port p is the edge of colour incident[p].
+  /// The engine keeps the row alive for the whole run, so a program may
+  /// keep the span instead of copying it.  May halt immediately (return
+  /// true) — that is a running time of 0.
+  virtual bool init(std::span<const Colour> incident) = 0;
 
-  /// Flat-engine init fast path: `incident` points directly at the
-  /// graph's sorted CSR colour row (`degree` entries), which the engine
-  /// keeps alive for the whole run.  The default copies into a vector and bridges to
-  /// init(); allocation-free programs (greedy) override this and keep the
-  /// span, which is what makes pooled init at n = 10⁷ cheap.
-  virtual bool init_flat(const Colour* incident, int degree);
-
-  /// Produces this round's outgoing message per incident colour.  Only
+  /// Writes this round's outgoing messages, at most one per port.  Only
   /// called while the node is running.
-  virtual std::map<Colour, Message> send(int round) = 0;
+  virtual void send(int round, Outbox& out) = 0;
 
-  /// Delivers this round's incoming messages (one per incident colour; for
-  /// a halted neighbour this is its final announcement, prefixed by the
-  /// engine with kHaltedPrefix).  Returns true to halt after this round.
-  virtual bool receive(int round, const std::map<Colour, Message>& inbox) = 0;
+  /// Delivers this round's incoming messages (one per port; for a halted
+  /// neighbour its final announcement, prefixed by the engine with
+  /// kHaltedPrefix).  Returns true to halt after this round.
+  virtual bool receive(int round, const Inbox& in) = 0;
 
   /// The local output; valid once halted.
   virtual Colour output() const = 0;
-
-  // Flat-plane fast path (optional).  The defaults bridge to the map-based
-  // send/receive above, so every program runs unchanged — and bit-for-bit
-  // identically — on the flat engine.  Hot programs override these to skip
-  // the per-round std::map churn; the engine-equivalence suite
-  // (tests/test_flat_engine.cpp) pins the two paths together.
-  virtual void send_flat(int round, FlatOutbox& out);
-  virtual bool receive_flat(int round, const FlatInbox& in);
 
   // Checkpoint hooks (optional; checkpoint.hpp).  save_state serialises
   // everything the program's future behaviour depends on *beyond* what
@@ -334,8 +362,9 @@ RunResult run_sync(const graph::EdgeColouredGraph& g, const ProgramSource& sourc
                    const RunOptions& options);
 
 /// The library's simulation engines.  kSync is the reference oracle
-/// (per-round std::map inboxes, engine.cpp); kFlat is the high-throughput
-/// CSR message plane (flat_engine.cpp).  The two are required to agree on
+/// (a per-run port table of its own and per-port message slots, every node
+/// visited every round, engine.cpp); kFlat is the high-throughput CSR
+/// message plane (flat_engine.cpp).  The two are required to agree on
 /// every RunResult field for every program.
 enum class EngineKind {
   kSync,

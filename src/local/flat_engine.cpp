@@ -76,7 +76,7 @@ static_assert(kFlatInlineBytes >= 6, "payload must hold a spill {offset, arena} 
 
 struct FlatPlane {
   std::vector<FlatSlot> slots;
-  // One slot per sender for an inline broadcast: FlatOutbox::broadcast
+  // One slot per sender for an inline broadcast: Outbox::broadcast
   // stamps it once instead of copying the payload into every port slot,
   // and resolve() reads it before the port slots.  The one-write rule
   // means at most one of the two is stamped in any round.
@@ -105,32 +105,44 @@ struct alignas(64) FlatEngine::ChunkCursor {
   std::atomic<std::int64_t> next{0};
 };
 
-void FlatOutbox::set(int port, std::string_view bytes) {
+void Outbox::count(std::size_t bytes, std::size_t messages) noexcept {
+  stats_->max_bytes = std::max(stats_->max_bytes, bytes);
+  stats_->total_bytes += bytes * messages;
+  stats_->sent += messages;
+}
+
+void Outbox::set(int port, std::string_view bytes) {
   if (port < 0 || port >= count_) {
-    throw std::out_of_range("FlatOutbox::set: port out of range");
+    throw std::out_of_range("Outbox::set: port out of range");
   }
-  FlatSlot& slot = plane_->slots[flat_slot(base_, port)];
-  // A slot carrying this round's tag was written this round: the tag-cycle
-  // wipe clears every live row before a tag is reused.
-  if ((written_ & kWroteBroadcast) != 0 || slot.stamp == stamp_) {
-    throw std::logic_error("FlatOutbox::set: port already written this round");
+  // A slot carrying this round's tag was written this round (on the plane,
+  // the tag-cycle wipe clears every live row before a tag is reused).
+  const bool written = plane_ != nullptr
+                           ? plane_->slots[flat_slot(base_, port)].stamp == stamp_
+                           : slots_[port].round == round_;
+  if ((written_ & kWroteBroadcast) != 0 || written) {
+    throw std::logic_error("Outbox::set: port already written this round");
+  }
+  if (bytes.size() > 0xffffffffu) {
+    throw std::length_error("Outbox::set: message too long");
   }
   written_ |= kWrotePort;
-  stats_->max_bytes = std::max(stats_->max_bytes, bytes.size());
-  stats_->total_bytes += bytes.size();
-  ++stats_->sent;
-  slot.stamp = static_cast<std::uint8_t>(stamp_);
+  count(bytes.size(), 1);
+  if (plane_ == nullptr) {
+    slots_[port] = {bytes_->size(), static_cast<std::uint32_t>(bytes.size()), round_};
+    bytes_->append(bytes);
+    return;
+  }
+  FlatSlot& slot = plane_->slots[flat_slot(base_, port)];
+  slot.stamp = stamp_;
   if (bytes.size() <= kFlatInlineBytes) {
     slot.len = static_cast<std::uint8_t>(bytes.size());
     if (!bytes.empty()) std::memcpy(slot.payload, bytes.data(), bytes.size());
   } else {
-    if (bytes.size() > 0xffffffffu) {
-      throw std::length_error("FlatOutbox::set: message too long");
-    }
     std::vector<char>& arena = (*plane_->arenas)[arena_];
     const std::uint64_t off = arena.size();  // byte cursor: always 64-bit
     if (off > kMaxSpillOffset) {
-      throw std::length_error("FlatOutbox::set: spill arena exceeds the 40-bit offset space");
+      throw std::length_error("Outbox::set: spill arena exceeds the 40-bit offset space");
     }
     const auto len = static_cast<std::uint32_t>(bytes.size());
     arena.resize(arena.size() + sizeof(len) + bytes.size());
@@ -145,59 +157,39 @@ void FlatOutbox::set(int port, std::string_view bytes) {
   }
 }
 
-void FlatOutbox::set_colour(Colour c, std::string_view bytes) {
+void Outbox::set_colour(Colour c, std::string_view bytes) {
   const Colour* end = colours_ + count_;
   const Colour* it = std::lower_bound(colours_, end, c);
   if (it != end && *it == c) {
     set(static_cast<int>(it - colours_), bytes);
     return;
   }
-  // Not an incident colour: nothing to deliver, but run_sync counts every
-  // message a program produces, so the accounting must match.
-  stats_->max_bytes = std::max(stats_->max_bytes, bytes.size());
-  stats_->total_bytes += bytes.size();
-  ++stats_->sent;
+  // Not an incident colour: nothing to deliver, but the message was
+  // produced, and the accounting counts everything a program produces.
+  count(bytes.size(), 1);
 }
 
-void FlatOutbox::broadcast(std::string_view bytes) {
+void Outbox::broadcast(std::string_view bytes) {
   if (count_ == 0) return;
   if (written_ != 0) {
-    throw std::logic_error("FlatOutbox::broadcast: a port was already written this round");
+    throw std::logic_error("Outbox::broadcast: a port was already written this round");
   }
-  if (bytes.size() > kFlatInlineBytes) {
-    // Spilling broadcasts are rare; the generic path handles the arena.
+  if (plane_ == nullptr || bytes.size() > kFlatInlineBytes) {
+    // Off the plane, and for a payload that spills (rare), a broadcast is
+    // one set() per port.
     for (int port = 0; port < count_; ++port) set(port, bytes);
+    written_ = kWroteBroadcast;
     return;
   }
   // The hot path of constant-size protocols (greedy sends one status byte
   // to every neighbour): one stats update and one 8-byte slot store for
   // the whole node, still counted as one message per port.
   written_ = kWroteBroadcast;
-  stats_->max_bytes = std::max(stats_->max_bytes, bytes.size());
-  stats_->total_bytes += bytes.size() * static_cast<std::size_t>(count_);
-  stats_->sent += static_cast<std::size_t>(count_);
+  count(bytes.size(), static_cast<std::size_t>(count_));
   FlatSlot& slot = plane_->broadcast[node_];
-  slot.stamp = static_cast<std::uint8_t>(stamp_);
+  slot.stamp = stamp_;
   slot.len = static_cast<std::uint8_t>(bytes.size());
   if (!bytes.empty()) std::memcpy(slot.payload, bytes.data(), bytes.size());
-}
-
-// Default flat hooks: bridge to the map-based API, preserving run_sync's
-// semantics (and its message accounting) exactly.
-bool NodeProgram::init_flat(const Colour* incident, int degree) {
-  return init(std::vector<Colour>(incident, incident + degree));
-}
-
-void NodeProgram::send_flat(int round, FlatOutbox& out) {
-  for (const auto& [colour, message] : send(round)) out.set_colour(colour, message);
-}
-
-bool NodeProgram::receive_flat(int round, const FlatInbox& in) {
-  std::map<Colour, Message> inbox;
-  for (int port = 0; port < in.ports(); ++port) {
-    inbox.emplace(in.colour(port), Message(in.at(port)));
-  }
-  return receive(round, inbox);
 }
 
 FlatEngine::FlatEngine(const graph::EdgeColouredGraph& g, const ProgramSource& source,
@@ -237,8 +229,8 @@ void FlatEngine::initialise(const EngineCheckpoint* cp) {
   pool_.reserve(static_cast<std::size_t>(n_));
 
   // Setup phase (timed into init_ns): batch-construct every program in
-  // the pool's arena, then hand each node a pointer straight into its
-  // CSR colour row — no per-node vector is materialised.  On a resume init
+  // the pool's arena, then hand each node a span straight into its CSR
+  // colour row — no per-node vector is materialised.  On a resume init
   // still runs on every node — programs re-derive graph-shaped state from
   // it — but the round-0 halts it reports are already in the checkpoint.
   const graph::Csr& csr = *csr_;
@@ -246,9 +238,9 @@ void FlatEngine::initialise(const EngineCheckpoint* cp) {
   source_.build(static_cast<std::size_t>(n_), pool_);
   for (graph::NodeIndex v = 0; v < n_; ++v) {
     const std::size_t begin = csr.row[static_cast<std::size_t>(v)];
-    if (pool_[static_cast<std::size_t>(v)]->init_flat(csr.port_colour.data() + begin,
-                                                      csr.degree(v)) &&
-        cp == nullptr) {
+    const std::span<const Colour> row(csr.port_colour.data() + begin,
+                                      static_cast<std::size_t>(csr.degree(v)));
+    if (pool_[static_cast<std::size_t>(v)]->init(row) && cp == nullptr) {
       state_.halt(v, 0, pool_);
     }
   }
@@ -324,7 +316,7 @@ void FlatEngine::step_round(int round) {
   // no two workers ever touch the same slot.
   const auto send_start = std::chrono::steady_clock::now();
   for_chunks([&](int worker, graph::NodeIndex begin, graph::NodeIndex end) {
-    FlatOutbox out;
+    Outbox out;
     out.plane_ = &plane;
     out.arena_ = static_cast<std::uint8_t>(worker);
     out.stats_ = &stats_[static_cast<std::size_t>(worker)];
@@ -336,7 +328,7 @@ void FlatEngine::step_round(int round) {
       out.colours_ = csr.port_colour.data() + out.base_;
       out.count_ = csr.degree(v);
       out.written_ = 0;
-      pool_[static_cast<std::size_t>(v)]->send_flat(round, out);
+      pool_[static_cast<std::size_t>(v)]->send(round, out);
     }
   });
 
@@ -375,14 +367,14 @@ void FlatEngine::step_round(int round) {
     for (const graph::NodeIndex v : live_in(begin, end)) {
       if (state_.down[static_cast<std::size_t>(v)]) continue;
       const std::size_t row = csr.row[static_cast<std::size_t>(v)];
-      FlatInbox in;
+      Inbox in;
       in.engine_ = this;
       in.plane_ = &plane;
       in.colours_ = csr.port_colour.data() + row;
       in.row_ = row;
       in.count_ = csr.degree(v);
       in.stamp_ = stamp;
-      if (pool_[static_cast<std::size_t>(v)]->receive_flat(round, in)) {
+      if (pool_[static_cast<std::size_t>(v)]->receive(round, in)) {
         newly_halted_[static_cast<std::size_t>(worker)].push_back(v);
       }
     }
@@ -455,7 +447,7 @@ std::string_view FlatEngine::slot_view(const FlatPlane& plane, std::size_t s,
   if (slot.stamp != stamp) return {};
   if (slot.len != kSpillLen) return {slot.payload, slot.len};
   // Unpack the {offset:40, arena:8} spill address written by
-  // FlatOutbox::set; the offset expands into a 64-bit cursor.
+  // Outbox::set; the offset expands into a 64-bit cursor.
   std::uint64_t off = 0;
   for (int i = 0; i < 5; ++i) {
     off |= static_cast<std::uint64_t>(static_cast<unsigned char>(slot.payload[i])) << (8 * i);
@@ -605,10 +597,11 @@ void FlatEngine::drain(int victim, int worker, const F& fn) {
   }
 }
 
-std::string_view FlatInbox::at(int port) const {
+std::string_view Inbox::at(int port) const {
   if (port < 0 || port >= count_) {
-    throw std::out_of_range("FlatInbox::at: port out of range");
+    throw std::out_of_range("Inbox::at: port out of range");
   }
+  if (messages_ != nullptr) return messages_[port];
   return engine_->resolve(*plane_, flat_slot(row_, port), stamp_);
 }
 

@@ -1,9 +1,10 @@
 // High-throughput simulation engine over a flat CSR message plane.
 //
-// run_flat simulates the same synchronous model as run_sync (engine.hpp)
-// but replaces the per-round std::map inboxes with per-edge message slots
-// in one contiguous, round-stamped buffer (the stamp subsumes the classic
-// send/recv double-buffer swap: last round's slots read as absent):
+// run_flat simulates the same synchronous model as run_sync (engine.hpp),
+// through the same port-indexed Outbox/Inbox, but backs them with per-edge
+// message slots in one contiguous, round-stamped buffer (the stamp
+// subsumes the classic send/recv double-buffer swap: last round's slots
+// read as absent) instead of run_sync's per-port slots:
 //
 //   * one 8-byte slot per directed edge, laid out sender-major so the send
 //     phase streams sequentially and the plane stays cache-resident even
@@ -13,7 +14,7 @@
 //   * messages up to kFlatInlineBytes live inline in the slot, the
 //     unbounded tail spills to a per-worker side arena (the model allows
 //     unbounded messages — flooding programs exercise this path);
-//   * inboxes resolve lazily (FlatInbox::at), so a program that reads one
+//   * inboxes resolve lazily (Inbox::at), so a program that reads one
 //     port pays for one gather, not deg(v);
 //   * a halted node's announcement ("!" and its output) is served from a
 //     static table indexed by its output byte — nothing is rendered or
@@ -157,7 +158,7 @@ class FlatEngine final : public Session {
   void restore(const EngineCheckpoint& cp);
   void restore(std::istream& in);
 
-  /// Lazy inbox resolution (FlatInbox::at): the message delivered into
+  /// Lazy inbox resolution (Inbox::at): the message delivered into
   /// receiver slot s this round.  A halted sender yields its announcement
   /// from the static table; otherwise the sender's broadcast slot answers
   /// when it is stamped this round, and only then is the sender's port slot
@@ -213,7 +214,7 @@ class FlatEngine final : public Session {
   // graph version.
   std::shared_ptr<const graph::Csr> csr_;
 
-  // Declared after the CSR: programs may hold init_flat spans into its
+  // Declared after the CSR: programs may hold init spans into its
   // colour rows, so the pool (and its destructors) must go first.
   ProgramPool pool_;
 

@@ -32,20 +32,10 @@ FloodingProgram::FloodingProgram(std::shared_ptr<const LocalAlgorithm> algorithm
   running_time_ = algorithm_->running_time();
 }
 
-bool FloodingProgram::init(const std::vector<Colour>& incident) {
-  incident_ = incident;
-  return start();
-}
-
-bool FloodingProgram::init_flat(const Colour* incident, int degree) {
-  incident_.assign(incident, incident + degree);
-  return start();
-}
-
-bool FloodingProgram::start() {
+bool FloodingProgram::init(std::span<const Colour> incident) {
   // The radius-1 view: the root plus one child per incident colour.
   view_ = colsys::ColourSystem(k_, /*valid_radius=*/1);
-  for (Colour c : incident_) view_.add_child(view_.root(), c);
+  for (Colour c : incident) view_.add_child(view_.root(), c);
   if (running_time_ == 0) {
     output_ = algorithm_->evaluate(view_);
     return true;
@@ -53,26 +43,26 @@ bool FloodingProgram::start() {
   return false;
 }
 
-std::map<Colour, Message> FloodingProgram::send(int round) {
+void FloodingProgram::send(int round, Outbox& out) {
   (void)round;
-  std::map<Colour, Message> out;
-  // The neighbour across colour c gets everything except the branch it
+  // The neighbour across port p gets everything except the branch it
   // contributed itself — walks towards it must not backtrack.
-  for (Colour c : incident_) out[c] = io::write_system(view_.pruned(c));
-  return out;
+  for (int port = 0; port < out.ports(); ++port) {
+    out.set(port, io::write_system(view_.pruned(out.colour(port))));
+  }
 }
 
-bool FloodingProgram::receive(int round, const std::map<Colour, Message>& inbox) {
+bool FloodingProgram::receive(int round, const Inbox& in) {
   colsys::ColourSystem next(k_, view_.valid_radius() + 1);
-  for (Colour c : incident_) {
-    const colsys::NodeId branch = next.add_child(next.root(), c);
-    const Message& m = inbox.at(c);
+  for (int port = 0; port < in.ports(); ++port) {
+    const colsys::NodeId branch = next.add_child(next.root(), in.colour(port));
+    const std::string_view m = in.at(port);
     // Under faults a neighbour may contribute nothing this round (it is
     // down, or its message was dropped), or only its halted announcement;
     // either way the branch stays a bare stub — the view keeps growing
     // with that subtree missing (recovery semantics: docs/faults.md).
     // Fault-free runs never take this branch: flooding nodes all halt in
-    // the same round, so every inbox entry is a serialised view.
+    // the same round, so every port carries a serialised view.
     if (m.empty() || m.front() == kHaltedPrefix) continue;
     graft_below(io::read_system(m), next, branch);
   }
@@ -92,7 +82,7 @@ void FloodingProgram::save_state(std::string& out) const {
 }
 
 void FloodingProgram::load_state(std::string_view in) {
-  view_ = io::read_system(std::string(in));
+  view_ = io::read_system(in);
 }
 
 void FloodingProgramFactory::make_programs(std::size_t count, ProgramPool& pool) const {

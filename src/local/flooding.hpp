@@ -28,12 +28,9 @@ class FloodingProgram final : public NodeProgram {
   /// fixes the halting round.
   FloodingProgram(std::shared_ptr<const LocalAlgorithm> algorithm, int k);
 
-  bool init(const std::vector<Colour>& incident) override;
-  // Assigns straight from the engine's CSR row — one container fill, not
-  // the default bridge's temporary-vector-then-copy.
-  bool init_flat(const Colour* incident, int degree) override;
-  std::map<Colour, Message> send(int round) override;
-  bool receive(int round, const std::map<Colour, Message>& inbox) override;
+  bool init(std::span<const Colour> incident) override;
+  void send(int round, Outbox& out) override;
+  bool receive(int round, const Inbox& in) override;
   Colour output() const override { return output_; }
   // Checkpoint hooks: the dynamic state is exactly the accumulated view
   // (the text format of io/serialize.hpp); everything else is re-derived
@@ -42,12 +39,9 @@ class FloodingProgram final : public NodeProgram {
   void load_state(std::string_view in) override;
 
  private:
-  bool start();
-
   std::shared_ptr<const LocalAlgorithm> algorithm_;
   int k_;
   int running_time_ = 0;
-  std::vector<Colour> incident_;
   colsys::ColourSystem view_;
   Colour output_ = kUnmatched;
 };

@@ -119,7 +119,7 @@ EngineCheckpoint RunState::capture(const ProgramPool& pool,
   EngineCheckpoint cp;
   cp.node_count = g.node_count();
   cp.k = g.k();
-  cp.edge_hash = graph_fingerprint(g);
+  cp.edge_hash = g.fingerprint();
   cp.round = round;
   cp.running = running;
   cp.crashes = result.crashes;

@@ -1,9 +1,10 @@
 // Run-state bookkeeping shared by the two engines (engine.hpp).
 //
 // run_sync and the flat engine deliver messages in entirely different
-// ways — per-round std::map inboxes against a flat slot plane — and must
-// still agree on every RunResult field.  Everything around delivery is the
-// same on both, so it lives here once:
+// ways — per-port slots resolved for every port of every running node,
+// against a flat slot plane resolved lazily — and must still agree on
+// every RunResult field.  Everything around delivery is the same on both,
+// so it lives here once:
 //
 //   * the RunOptions setup: an empty fault plan reads as none, a plan must
 //     fit the graph, and the round budget and checkpoint cadence are kept;

@@ -14,25 +14,28 @@ bool ColouredAdapter::init(int degree) {
   if (degree != static_cast<int>(incident_.size())) {
     throw std::logic_error("ColouredAdapter: degree does not match the colour labels");
   }
+  slots_.assign(incident_.size(), local::PortSlot{});
   return inner_->init(incident_);
 }
 
 std::map<Port, Message> ColouredAdapter::send(int round) {
-  std::map<Port, Message> out;
-  for (auto& [colour, msg] : inner_->send(round)) {
-    for (std::size_t i = 0; i < incident_.size(); ++i) {
-      if (incident_[i] == colour) out[static_cast<Port>(i + 1)] = std::move(msg);
+  bytes_.clear();
+  local::Outbox out(incident_, slots_.data(), bytes_, round, stats_);
+  inner_->send(round, out);
+  std::map<Port, Message> messages;
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    const local::PortSlot& slot = slots_[i];
+    if (slot.round == round) {
+      messages.emplace(static_cast<Port>(i + 1), bytes_.substr(slot.offset, slot.len));
     }
   }
-  return out;
+  return messages;
 }
 
 bool ColouredAdapter::receive(int round, const std::map<Port, Message>& inbox) {
-  std::map<gk::Colour, local::Message> translated;
-  for (const auto& [port, msg] : inbox) {
-    translated[incident_[static_cast<std::size_t>(port - 1)]] = msg;
-  }
-  return inner_->receive(round, translated);
+  std::vector<std::string_view> messages(incident_.size());
+  for (const auto& [port, msg] : inbox) messages[static_cast<std::size_t>(port - 1)] = msg;
+  return inner_->receive(round, local::Inbox(incident_, messages.data()));
 }
 
 PnOutput ColouredAdapter::output() const {

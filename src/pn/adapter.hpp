@@ -17,7 +17,8 @@ namespace dmm::pn {
 
 /// Runs a coloured-model program as a PN program.  `incident` is the
 /// node's input label: its incident colours, sorted — matching the port
-/// order of PortNetwork::from_coloured.
+/// order of PortNetwork::from_coloured, so the inner program's port p is
+/// PN port p + 1.
 class ColouredAdapter final : public PnProgram {
  public:
   ColouredAdapter(std::unique_ptr<local::NodeProgram> inner, std::vector<gk::Colour> incident);
@@ -29,7 +30,10 @@ class ColouredAdapter final : public PnProgram {
 
  private:
   std::unique_ptr<local::NodeProgram> inner_;
-  std::vector<gk::Colour> incident_;  // port p <-> incident_[p-1]
+  std::vector<gk::Colour> incident_;  // port p <-> incident_[p-1]; the inner init's row
+  std::vector<local::PortSlot> slots_;  // the inner program's outbox, one per port
+  std::string bytes_;                   // this round's payloads
+  local::MessageStats stats_;           // the PN engine keeps no message accounting
 };
 
 /// Runs the coloured greedy algorithm on a coloured instance *through the

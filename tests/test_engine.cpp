@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "engine_test_util.hpp"
 #include "graph/generators.hpp"
@@ -19,12 +22,12 @@ namespace {
 /// Halts immediately with output = smallest incident colour (or ⊥).
 class HaltAtInit final : public NodeProgram {
  public:
-  bool init(const std::vector<Colour>& incident) override {
+  bool init(std::span<const Colour> incident) override {
     out_ = incident.empty() ? kUnmatched : incident.front();
     return true;
   }
-  std::map<Colour, Message> send(int) override { return {}; }
-  bool receive(int, const std::map<Colour, Message>&) override { return true; }
+  void send(int, Outbox&) override {}
+  bool receive(int, const Inbox&) override { return true; }
   Colour output() const override { return out_; }
 
  private:
@@ -35,9 +38,9 @@ class HaltAtInit final : public NodeProgram {
 class HaltAfter final : public NodeProgram {
  public:
   explicit HaltAfter(int rounds) : remaining_(rounds) {}
-  bool init(const std::vector<Colour>&) override { return remaining_ == 0; }
-  std::map<Colour, Message> send(int) override { return {}; }
-  bool receive(int, const std::map<Colour, Message>&) override { return --remaining_ == 0; }
+  bool init(std::span<const Colour>) override { return remaining_ == 0; }
+  void send(int, Outbox&) override {}
+  bool receive(int, const Inbox&) override { return --remaining_ == 0; }
   Colour output() const override { return kUnmatched; }
 
  private:
@@ -49,11 +52,9 @@ class HaltAfter final : public NodeProgram {
 class HaltWith final : public NodeProgram {
  public:
   HaltWith(Colour output, int halt_round) : output_(output), halt_round_(halt_round) {}
-  bool init(const std::vector<Colour>&) override { return halt_round_ == 0; }
-  std::map<Colour, Message> send(int) override { return {}; }
-  bool receive(int round, const std::map<Colour, Message>&) override {
-    return round >= halt_round_;
-  }
+  bool init(std::span<const Colour>) override { return halt_round_ == 0; }
+  void send(int, Outbox&) override {}
+  bool receive(int round, const Inbox&) override { return round >= halt_round_; }
   Colour output() const override { return output_; }
   void save_state(std::string&) const override {}
   void load_state(std::string_view) override {}
@@ -68,11 +69,12 @@ class HaltWith final : public NodeProgram {
 /// it has heard nothing.
 class AnnouncementListener final : public NodeProgram {
  public:
-  explicit AnnouncementListener(std::shared_ptr<Message> heard) : heard_(std::move(heard)) {}
-  bool init(const std::vector<Colour>&) override { return false; }
-  std::map<Colour, Message> send(int) override { return {}; }
-  bool receive(int, const std::map<Colour, Message>& inbox) override {
-    for (const auto& [colour, message] : inbox) {
+  explicit AnnouncementListener(std::shared_ptr<std::string> heard) : heard_(std::move(heard)) {}
+  bool init(std::span<const Colour>) override { return false; }
+  void send(int, Outbox&) override {}
+  bool receive(int, const Inbox& in) override {
+    for (int port = 0; port < in.ports(); ++port) {
+      const std::string_view message = in.at(port);
       if (!message.empty() && message.front() == kHaltedPrefix) {
         *heard_ = message;
         return true;
@@ -85,7 +87,7 @@ class AnnouncementListener final : public NodeProgram {
   void load_state(std::string_view) override {}
 
  private:
-  std::shared_ptr<Message> heard_;
+  std::shared_ptr<std::string> heard_;
 };
 
 TEST(Engine, ZeroRoundAlgorithmHaltsAtRoundZero) {
@@ -130,49 +132,54 @@ TEST(Engine, IsolatedNodesHaltImmediately) {
   EXPECT_EQ(r.rounds, 0);
 }
 
-/// Misbehaving program: sends messages for colours it does not have.
+/// Misbehaving program: sends messages for colours it does not have, and
+/// records how many ports it received on and what arrived on them.
 class RogueSender final : public NodeProgram {
  public:
-  bool init(const std::vector<Colour>& incident) override {
-    incident_ = incident;
-    return false;
+  bool init(std::span<const Colour>) override { return false; }
+  void send(int, Outbox& out) override {
+    for (Colour c = 1; c <= 9; ++c) out.set_colour(c, "spam");  // mostly non-incident
   }
-  std::map<Colour, Message> send(int) override {
-    std::map<Colour, Message> out;
-    for (Colour c = 1; c <= 9; ++c) out[c] = "spam";  // mostly non-incident
-    return out;
-  }
-  bool receive(int, const std::map<Colour, Message>& inbox) override {
-    received_count = inbox.size();
+  bool receive(int, const Inbox& in) override {
+    received_ports.push_back(in.ports());
+    for (int port = 0; port < in.ports(); ++port) received.emplace_back(in.at(port));
     return true;
   }
   Colour output() const override { return kUnmatched; }
-  static std::size_t received_count;
-
- private:
-  std::vector<Colour> incident_;
+  static std::vector<int> received_ports;
+  static std::vector<std::string> received;
 };
-std::size_t RogueSender::received_count = 0;
+std::vector<int> RogueSender::received_ports;
+std::vector<std::string> RogueSender::received;
 
 TEST(Engine, FailureInjectionRogueSendsAreIgnored) {
   // A program writing to non-incident colours cannot corrupt anyone: the
-  // engine only ever routes messages along real edges.
+  // engine only ever routes messages along real edges.  Every set_colour
+  // call is still a message sent — 2 nodes × 9 colours of 4 bytes — on
+  // both engines alike.
   graph::EdgeColouredGraph g(2, 9);
   g.add_edge(0, 1, 3);
-  const RunResult r = run_sync(g, [] { return std::make_unique<RogueSender>(); }, {10});
-  EXPECT_EQ(r.rounds, 1);
-  // Each node received exactly one message (its single incident colour).
-  EXPECT_EQ(RogueSender::received_count, 1u);
+  for (const EngineKind kind : {EngineKind::kSync, EngineKind::kFlat}) {
+    RogueSender::received_ports.clear();
+    RogueSender::received.clear();
+    const RunResult r = run(kind, g, [] { return std::make_unique<RogueSender>(); }, {10});
+    SCOPED_TRACE(engine_kind_name(kind));
+    EXPECT_EQ(r.rounds, 1);
+    EXPECT_EQ(r.messages_sent, 18u);
+    EXPECT_EQ(r.total_message_bytes, 72u);
+    EXPECT_EQ(r.max_message_bytes, 4u);
+    // Each node received exactly one message (its single incident colour).
+    EXPECT_EQ(RogueSender::received_ports, (std::vector<int>{1, 1}));
+    EXPECT_EQ(RogueSender::received, (std::vector<std::string>{"spam", "spam"}));
+  }
 }
 
 /// Misbehaving program: throws during a round.
 class Thrower final : public NodeProgram {
  public:
-  bool init(const std::vector<Colour>&) override { return false; }
-  std::map<Colour, Message> send(int) override {
-    throw std::runtime_error("node crashed");
-  }
-  bool receive(int, const std::map<Colour, Message>&) override { return true; }
+  bool init(std::span<const Colour>) override { return false; }
+  void send(int, Outbox&) override { throw std::runtime_error("node crashed"); }
+  bool receive(int, const Inbox&) override { return true; }
   Colour output() const override { return kUnmatched; }
 };
 
@@ -205,7 +212,7 @@ graph::EdgeColouredGraph announcement_edge(Colour output) {
 
 /// Node 0 halts with `output` at `halt_round`; node 1 listens.
 ProgramSource announcement_pair(Colour output, int halt_round,
-                                const std::shared_ptr<Message>& heard) {
+                                const std::shared_ptr<std::string>& heard) {
   return [output, halt_round, heard, node = 0]() mutable -> std::unique_ptr<NodeProgram> {
     if (node++ % 2 == 0) return std::make_unique<HaltWith>(output, halt_round);
     return std::make_unique<AnnouncementListener>(heard);
@@ -215,11 +222,11 @@ ProgramSource announcement_pair(Colour output, int halt_round,
 TEST(Engine, HaltedAnnouncementVisibleToNeighbours) {
   // A halted node announces kHaltedPrefix and its output in decimal, for
   // every output byte and on both engines (the flat engine serves it from
-  // a static table; run_sync renders it per edge per round).  The listener
+  // a static table; run_sync renders it with std::to_string).  The listener
   // hears it in the round after the halt: never in the halting round.
   for (int value = 0; value < 256; ++value) {
     const auto output = static_cast<Colour>(value);
-    const Message expected = std::string(1, kHaltedPrefix) + std::to_string(value);
+    const std::string expected = std::string(1, kHaltedPrefix) + std::to_string(value);
     const graph::EdgeColouredGraph g = announcement_edge(output);
     for (const int halt_round : {0, 3}) {
       RunResult results[2];
@@ -227,7 +234,7 @@ TEST(Engine, HaltedAnnouncementVisibleToNeighbours) {
         const std::string context = std::string(engine_kind_name(kind)) + " output " +
                                     std::to_string(value) + " halt round " +
                                     std::to_string(halt_round);
-        const auto heard = std::make_shared<Message>();
+        const auto heard = std::make_shared<std::string>();
         const RunResult r = run(kind, g, announcement_pair(output, halt_round, heard), {10});
         EXPECT_EQ(*heard, expected) << context;
         EXPECT_EQ(r.outputs[0], output) << context;
@@ -241,7 +248,7 @@ TEST(Engine, HaltedAnnouncementVisibleToNeighbours) {
     // Across a checkpoint: capture after round 2 (node 0 halted at round
     // 2, its announcement not yet heard), restore into a fresh flat
     // engine, and the resumed run must deliver the same announcement.
-    const auto captured = std::make_shared<Message>();
+    const auto captured = std::make_shared<std::string>();
     std::stringstream bytes;
     CheckpointOptions every_round;
     every_round.every = 1;
@@ -250,7 +257,7 @@ TEST(Engine, HaltedAnnouncementVisibleToNeighbours) {
     };
     const RunResult whole =
         run_flat(g, announcement_pair(output, 2, captured), {10, FaultOptions{}, every_round});
-    const auto heard = std::make_shared<Message>();
+    const auto heard = std::make_shared<std::string>();
     const ProgramSource resumed = announcement_pair(output, 2, heard);
     FlatEngine engine(g, resumed, 10, {});
     engine.restore(bytes);

@@ -514,23 +514,23 @@ TEST(Checkpoint, FingerprintDependsOnlyOnTheEdgeSet) {
   detour.add_edge(0, 1, 1);
   detour.remove_edge(4, 0);  // {0,1} moves into slot 1
   ASSERT_EQ(detour.edges()[0].u, 1);  // edges() order differs from forward's
-  const std::uint64_t fp = graph_fingerprint(forward);
-  EXPECT_EQ(graph_fingerprint(flipped), fp);
-  EXPECT_EQ(graph_fingerprint(detour), fp);
+  const std::uint64_t fp = forward.fingerprint();
+  EXPECT_EQ(flipped.fingerprint(), fp);
+  EXPECT_EQ(detour.fingerprint(), fp);
 
   // Recolouring one edge, or changing n or k, changes the fingerprint.
   graph::EdgeColouredGraph recoloured = forward;
   recoloured.remove_edge(1, 2);
   recoloured.add_edge(1, 2, 3);
-  EXPECT_NE(graph_fingerprint(recoloured), fp);
+  EXPECT_NE(recoloured.fingerprint(), fp);
   graph::EdgeColouredGraph wider(5, 4);
   graph::EdgeColouredGraph bigger(6, 3);
   for (const graph::Edge& e : forward.edges()) {
     wider.add_edge(e.u, e.v, e.colour);
     bigger.add_edge(e.u, e.v, e.colour);
   }
-  EXPECT_NE(graph_fingerprint(wider), fp);
-  EXPECT_NE(graph_fingerprint(bigger), fp);
+  EXPECT_NE(wider.fingerprint(), fp);
+  EXPECT_NE(bigger.fingerprint(), fp);
 }
 
 TEST(Checkpoint, SurvivesChurnThroughAPlanAndItsInverse) {
@@ -705,9 +705,9 @@ TEST(Checkpoint, CraftedFieldsAreRejectedOnRestore) {
 /// Runs forever-ish with no save_state override.
 class Oblivious final : public NodeProgram {
  public:
-  bool init(const std::vector<Colour>&) override { return false; }
-  std::map<Colour, Message> send(int) override { return {}; }
-  bool receive(int round, const std::map<Colour, Message>&) override { return round >= 4; }
+  bool init(std::span<const Colour>) override { return false; }
+  void send(int, Outbox&) override {}
+  bool receive(int round, const Inbox&) override { return round >= 4; }
   Colour output() const override { return kUnmatched; }
 };
 

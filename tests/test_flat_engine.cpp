@@ -1,14 +1,15 @@
 // Engine equivalence: run_flat is only allowed to exist because it agrees
 // with the reference oracle run_sync on every RunResult field, for every
-// program — the native greedy (with its flat fast path), the flooding
-// realisation of every LocalAlgorithm in src/algo/, and a zoo of
-// misbehaving programs probing the engine edge cases.
+// program — the native greedy, the flooding realisation of every
+// LocalAlgorithm in src/algo/, and a zoo of misbehaving programs probing
+// the engine edge cases.
 #include "local/flat_engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <latch>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -103,12 +104,12 @@ TEST(FlatEngine, FloodingMatchesViewEngine) {
 /// Halts immediately with output = smallest incident colour (or ⊥).
 class HaltAtInit final : public NodeProgram {
  public:
-  bool init(const std::vector<Colour>& incident) override {
+  bool init(std::span<const Colour> incident) override {
     out_ = incident.empty() ? kUnmatched : incident.front();
     return true;
   }
-  std::map<Colour, Message> send(int) override { return {}; }
-  bool receive(int, const std::map<Colour, Message>&) override { return true; }
+  void send(int, Outbox&) override {}
+  bool receive(int, const Inbox&) override { return true; }
   Colour output() const override { return out_; }
 
  private:
@@ -119,9 +120,9 @@ class HaltAtInit final : public NodeProgram {
 class HaltAfter final : public NodeProgram {
  public:
   explicit HaltAfter(int rounds) : remaining_(rounds) {}
-  bool init(const std::vector<Colour>&) override { return remaining_ == 0; }
-  std::map<Colour, Message> send(int) override { return {}; }
-  bool receive(int, const std::map<Colour, Message>&) override { return --remaining_ == 0; }
+  bool init(std::span<const Colour>) override { return remaining_ == 0; }
+  void send(int, Outbox&) override {}
+  bool receive(int, const Inbox&) override { return --remaining_ == 0; }
   Colour output() const override { return kUnmatched; }
 
  private:
@@ -132,26 +133,20 @@ class HaltAfter final : public NodeProgram {
 /// delivered) and a growing payload on the colours it does.
 class RogueGrower final : public NodeProgram {
  public:
-  bool init(const std::vector<Colour>& incident) override {
-    incident_ = incident;
-    return false;
-  }
-  std::map<Colour, Message> send(int round) override {
-    std::map<Colour, Message> out;
+  bool init(std::span<const Colour>) override { return false; }
+  void send(int round, Outbox& out) override {
     for (Colour c = 1; c <= 9; ++c) {
       // Crosses the kFlatInlineBytes boundary round over round: spills.
-      out[c] = Message(static_cast<std::size_t>(round) * 9, 'x');
+      out.set_colour(c, std::string(static_cast<std::size_t>(round) * 9, 'x'));
     }
-    return out;
   }
-  bool receive(int round, const std::map<Colour, Message>& inbox) override {
-    for (const auto& [c, m] : inbox) seen_ += m.size();
+  bool receive(int round, const Inbox& in) override {
+    for (int port = 0; port < in.ports(); ++port) seen_ += in.at(port).size();
     return round >= 3;
   }
   Colour output() const override { return static_cast<Colour>(seen_ % 5); }
 
  private:
-  std::vector<Colour> incident_;
   std::size_t seen_ = 0;
 };
 
@@ -159,40 +154,26 @@ class RogueGrower final : public NodeProgram {
 /// so receivers see the engine-synthesised empty message.
 class PartialSender final : public NodeProgram {
  public:
-  bool init(const std::vector<Colour>& incident) override {
-    incident_ = incident;
-    return incident_.empty();
-  }
-  std::map<Colour, Message> send(int) override {
-    return {{incident_.front(), "only"}};
-  }
-  bool receive(int round, const std::map<Colour, Message>& inbox) override {
+  bool init(std::span<const Colour> incident) override { return incident.empty(); }
+  void send(int, Outbox& out) override { out.set(0, "only"); }
+  bool receive(int round, const Inbox& in) override {
     heard_ = 0;
-    for (const auto& [c, m] : inbox) heard_ += m.empty() ? 0 : 1;
+    for (int port = 0; port < in.ports(); ++port) heard_ += in.at(port).empty() ? 0 : 1;
     return round >= 2;
   }
   Colour output() const override { return static_cast<Colour>(heard_); }
 
  private:
-  std::vector<Colour> incident_;
   int heard_ = 0;
 };
 
 /// Writes each port once per round, in whichever way the round number
 /// picks — the one-write rule must not trip on writes in later rounds or
-/// on distinct ports, and the sync oracle must see the same messages.
+/// on distinct ports, and both engines must deliver the same messages.
 class PortRotator final : public NodeProgram {
  public:
-  bool init(const std::vector<Colour>& incident) override {
-    incident_ = incident;
-    return incident_.empty();
-  }
-  std::map<Colour, Message> send(int round) override {
-    std::map<Colour, Message> out;
-    for (std::size_t i = 0; i < incident_.size(); ++i) out[incident_[i]] = message(round, i);
-    return out;
-  }
-  void send_flat(int round, FlatOutbox& out) override {
+  bool init(std::span<const Colour> incident) override { return incident.empty(); }
+  void send(int round, Outbox& out) override {
     if (round % 2 == 0) {
       out.broadcast(message(round, 0));
       return;
@@ -201,10 +182,10 @@ class PortRotator final : public NodeProgram {
       out.set(port, message(round, static_cast<std::size_t>(port)));
     }
   }
-  bool receive(int round, const std::map<Colour, Message>& inbox) override {
-    for (const auto& [c, m] : inbox) {
-      for (char ch : m) sum_ = sum_ * 31 + static_cast<unsigned char>(ch);
-      sum_ += c;
+  bool receive(int round, const Inbox& in) override {
+    for (int port = 0; port < in.ports(); ++port) {
+      for (char ch : in.at(port)) sum_ = sum_ * 31 + static_cast<unsigned char>(ch);
+      sum_ += in.colour(port);
     }
     return round >= 6;
   }
@@ -213,12 +194,11 @@ class PortRotator final : public NodeProgram {
  private:
   /// Even rounds broadcast the same bytes on every port (spilled from
   /// round 4 on); odd rounds send each port its own inline message.
-  static Message message(int round, std::size_t port) {
+  static std::string message(int round, std::size_t port) {
     if (round % 2 == 0) return round >= 4 ? "broadcast" + std::to_string(round) : "b";
     return std::to_string(round) + ":" + std::to_string(port);
   }
 
-  std::vector<Colour> incident_;
   std::size_t sum_ = 0;
 };
 
@@ -239,23 +219,22 @@ TEST(FlatEngine, ProgramZooAgrees) {
   expect_engines_agree(g, [] { return std::make_unique<PortRotator>(); }, 10, "port-rotator");
 }
 
-/// Breaks FlatOutbox's one-write rule in its first send: `first` and
+/// Breaks the Outbox one-write rule in its first send: `first` and
 /// `second` are each "set" (port 0) or "broadcast", with `payload`.
 class DoubleWriter final : public NodeProgram {
  public:
   DoubleWriter(std::string first, std::string second, std::string payload)
       : first_(std::move(first)), second_(std::move(second)), payload_(std::move(payload)) {}
-  bool init(const std::vector<Colour>&) override { return false; }
-  std::map<Colour, Message> send(int) override { return {}; }
-  void send_flat(int, FlatOutbox& out) override {
+  bool init(std::span<const Colour>) override { return false; }
+  void send(int, Outbox& out) override {
     write(out, first_);
     write(out, second_);
   }
-  bool receive(int, const std::map<Colour, Message>&) override { return true; }
+  bool receive(int, const Inbox&) override { return true; }
   Colour output() const override { return kUnmatched; }
 
  private:
-  void write(FlatOutbox& out, const std::string& how) const {
+  void write(Outbox& out, const std::string& how) const {
     if (how == "set") {
       out.set(0, payload_);
     } else {
@@ -269,10 +248,11 @@ class DoubleWriter final : public NodeProgram {
 };
 
 TEST(FlatEngine, SecondWriteToAPortInOneRoundThrows) {
-  // A port takes one message per round: a second write, by set() or
-  // broadcast(), throws instead of replacing the first (or, after a
-  // broadcast, being shadowed by the broadcast slot).  Inline (1-byte) and
-  // spilled (7-byte) payloads, serial and pooled.
+  // A port takes one message per round, on every engine: a second write,
+  // by set() or broadcast(), throws instead of replacing the first (or,
+  // after a broadcast, being shadowed by the broadcast slot).  Inline
+  // (1-byte) and spilled (7-byte) payloads; run_sync, serial flat and
+  // pooled flat.
   const graph::EdgeColouredGraph g = graph::path_graph(3, {1, 2});
   FlatEngineOptions pooled;
   pooled.threads = 2;
@@ -284,10 +264,13 @@ TEST(FlatEngine, SecondWriteToAPortInOneRoundThrows) {
       const auto factory = [&] {
         return std::make_unique<DoubleWriter>(order.first, order.second, payload);
       };
+      const std::string context =
+          order.first + " then " + order.second + " of " + std::to_string(payload.size()) +
+          " bytes";
+      EXPECT_THROW(run_sync(g, factory, {5}), std::logic_error) << context << " [sync]";
       for (const FlatEngineOptions& options : {FlatEngineOptions{}, pooled}) {
         EXPECT_THROW(run_flat(g, factory, {5}, options), std::logic_error)
-            << order.first << " then " << order.second << " of " << payload.size()
-            << " bytes";
+            << context << " [flat, threads=" << options.threads << "]";
       }
     }
   }
@@ -297,25 +280,16 @@ TEST(FlatEngine, SecondWriteToAPortInOneRoundThrows) {
 class Broadcaster final : public NodeProgram {
  public:
   explicit Broadcaster(std::string payload) : payload_(std::move(payload)) {}
-  bool init(const std::vector<Colour>& incident) override {
-    incident_ = incident;
-    return incident_.empty();
-  }
-  std::map<Colour, Message> send(int) override {
-    std::map<Colour, Message> out;
-    for (Colour c : incident_) out[c] = payload_;
-    return out;
-  }
-  void send_flat(int, FlatOutbox& out) override { out.broadcast(payload_); }
-  bool receive(int, const std::map<Colour, Message>& inbox) override {
-    for (const auto& [c, m] : inbox) heard_ += m == payload_ ? 1 : 0;
+  bool init(std::span<const Colour> incident) override { return incident.empty(); }
+  void send(int, Outbox& out) override { out.broadcast(payload_); }
+  bool receive(int, const Inbox& in) override {
+    for (int port = 0; port < in.ports(); ++port) heard_ += in.at(port) == payload_ ? 1 : 0;
     return true;
   }
   Colour output() const override { return static_cast<Colour>(heard_); }
 
  private:
   std::string payload_;
-  std::vector<Colour> incident_;
   int heard_ = 0;
 };
 
@@ -358,9 +332,9 @@ TEST(FlatEngine, ThrowsLikeTheOracleWhenNotHalting) {
 /// Throws during send — the flat engine must fail fast on any thread.
 class Thrower final : public NodeProgram {
  public:
-  bool init(const std::vector<Colour>&) override { return false; }
-  std::map<Colour, Message> send(int) override { throw std::runtime_error("node crashed"); }
-  bool receive(int, const std::map<Colour, Message>&) override { return true; }
+  bool init(std::span<const Colour>) override { return false; }
+  void send(int, Outbox&) override { throw std::runtime_error("node crashed"); }
+  bool receive(int, const Inbox&) override { return true; }
   Colour output() const override { return kUnmatched; }
 };
 

@@ -119,34 +119,13 @@ TEST(FlatStress, HubClusterPowerLawAgrees) {
 
 /// Broadcasts one byte per round for `rounds` rounds, then halts with the
 /// count of non-empty messages heard (mod 251) — any misdelivered,
-/// dropped or stale-slot-aliased message changes the output.  The flat
-/// overrides avoid building 10⁵-entry std::maps per round, keeping the
-/// n ≈ 10⁵ hot-row case fast on both engines.
+/// dropped or stale-slot-aliased message changes the output.
 class PulseProgram final : public NodeProgram {
  public:
   explicit PulseProgram(int rounds) : remaining_(rounds) {}
-  bool init(const std::vector<Colour>& incident) override {
-    incident_ = incident;
-    return false;
-  }
-  bool init_flat(const Colour* incident, int degree) override {
-    incident_.assign(incident, incident + degree);
-    return false;
-  }
-  std::map<Colour, Message> send(int) override {
-    std::map<Colour, Message> out;
-    const Message pulse(1, 'p');
-    for (Colour c : incident_) out.emplace(c, pulse);
-    return out;
-  }
-  void send_flat(int, FlatOutbox& out) override { out.broadcast("p"); }
-  bool receive(int round, const std::map<Colour, Message>& inbox) override {
-    for (const auto& [c, m] : inbox) {
-      if (!m.empty()) ++heard_;
-    }
-    return round >= remaining_;
-  }
-  bool receive_flat(int round, const FlatInbox& in) override {
+  bool init(std::span<const Colour>) override { return false; }
+  void send(int, Outbox& out) override { out.broadcast("p"); }
+  bool receive(int round, const Inbox& in) override {
     for (int port = 0; port < in.ports(); ++port) {
       if (!in.at(port).empty()) ++heard_;
     }
@@ -155,7 +134,6 @@ class PulseProgram final : public NodeProgram {
   Colour output() const override { return static_cast<Colour>(heard_ % 251); }
 
  private:
-  std::vector<Colour> incident_;
   int remaining_;
   std::size_t heard_ = 0;
 };
@@ -178,8 +156,8 @@ TEST(FlatStress, HotRowsAtHundredThousandNodes) {
 TEST(FlatStress, GreedySkewedAtHundredThousandNodes) {
   // Greedy end-to-end on a 10⁵-node skewed instance (hubs at degree 128,
   // colours 128..255, so the run lasts 254 rounds).  The serial flat run
-  // is the oracle here — run_sync's per-round map inboxes are O(d² log d)
-  // per hub and would dominate the suite; serial-vs-sync equivalence on
+  // is the oracle here — run_sync visits every node in every one of the
+  // 254 rounds and would dominate the suite; serial-vs-sync equivalence on
   // this family is already pinned at smaller n above.
   const graph::EdgeColouredGraph g =
       graph::hub_cluster_graph(/*hubs=*/776, /*hub_degree=*/128, /*first_colour=*/128);
@@ -203,24 +181,18 @@ TEST(FlatStress, GreedySkewedAtHundredThousandNodes) {
 class StaggeredChirper final : public NodeProgram {
  public:
   explicit StaggeredChirper(int rounds) : remaining_(rounds) {}
-  bool init(const std::vector<Colour>& incident) override {
-    incident_ = incident;
-    return incident_.empty();
-  }
-  std::map<Colour, Message> send(int round) override {
-    return {{incident_.front(), std::to_string(round)}};
-  }
-  bool receive(int round, const std::map<Colour, Message>& inbox) override {
-    for (const auto& [c, m] : inbox) {
-      for (char ch : m) sum_ = sum_ * 31 + static_cast<unsigned char>(ch);
-      sum_ += c;
+  bool init(std::span<const Colour> incident) override { return incident.empty(); }
+  void send(int round, Outbox& out) override { out.set(0, std::to_string(round)); }
+  bool receive(int round, const Inbox& in) override {
+    for (int port = 0; port < in.ports(); ++port) {
+      for (char ch : in.at(port)) sum_ = sum_ * 31 + static_cast<unsigned char>(ch);
+      sum_ += in.colour(port);
     }
     return round >= remaining_;
   }
   Colour output() const override { return static_cast<Colour>(sum_ % 255); }
 
  private:
-  std::vector<Colour> incident_;
   int remaining_;
   std::size_t sum_ = 0;
 };
@@ -256,24 +228,8 @@ TEST(FlatStress, WipeCycleRegressionAcrossTwoTagCycles) {
 class MixedChirper final : public NodeProgram {
  public:
   explicit MixedChirper(int rounds) : remaining_(rounds) {}
-  bool init(const std::vector<Colour>& incident) override {
-    incident_ = incident;
-    return incident_.empty();
-  }
-  std::map<Colour, Message> send(int round) override {
-    switch (kind(round)) {
-      case Kind::kPort:
-        return {{incident_.front(), message(round)}};
-      case Kind::kSilent:
-        return {};
-      default: {
-        std::map<Colour, Message> out;
-        for (Colour c : incident_) out[c] = message(round);
-        return out;
-      }
-    }
-  }
-  void send_flat(int round, FlatOutbox& out) override {
+  bool init(std::span<const Colour> incident) override { return incident.empty(); }
+  void send(int round, Outbox& out) override {
     switch (kind(round)) {
       case Kind::kPort:
         out.set(0, message(round));
@@ -284,10 +240,10 @@ class MixedChirper final : public NodeProgram {
         out.broadcast(message(round));
     }
   }
-  bool receive(int round, const std::map<Colour, Message>& inbox) override {
-    for (const auto& [c, m] : inbox) {
-      for (char ch : m) sum_ = sum_ * 31 + static_cast<unsigned char>(ch);
-      sum_ += c;
+  bool receive(int round, const Inbox& in) override {
+    for (int port = 0; port < in.ports(); ++port) {
+      for (char ch : in.at(port)) sum_ = sum_ * 31 + static_cast<unsigned char>(ch);
+      sum_ += in.colour(port);
     }
     return round >= remaining_;
   }
@@ -301,12 +257,11 @@ class MixedChirper final : public NodeProgram {
     return static_cast<Kind>(round % 4);
   }
 
-  static Message message(int round) {
+  static std::string message(int round) {
     const std::string digits = std::to_string(round);
     return kind(round) == Kind::kSpilledBroadcast ? "spilled:" + digits : digits;
   }
 
-  std::vector<Colour> incident_;
   int remaining_;
   std::size_t sum_ = 0;
 };

@@ -10,7 +10,6 @@
 #include <string>
 #include <utility>
 
-#include "local/checkpoint.hpp"
 #include "util/rng.hpp"
 
 namespace dmm::graph {
@@ -329,7 +328,7 @@ TEST(SharedStorage, MutatingOneCopyLeavesTheOtherUnchanged) {
   for (NodeIndex v = 0; v < g.node_count(); ++v) {
     halves_before.emplace_back(g.half_edges(v).begin(), g.half_edges(v).end());
   }
-  const std::uint64_t fingerprint = local::graph_fingerprint(g);
+  const std::uint64_t fingerprint = g.fingerprint();
   const auto expect_unchanged = [&](const EdgeColouredGraph& h, const std::string& when) {
     ASSERT_EQ(h.edges().size(), edges_before.size()) << when;
     for (std::size_t i = 0; i < edges_before.size(); ++i) {
@@ -347,7 +346,7 @@ TEST(SharedStorage, MutatingOneCopyLeavesTheOtherUnchanged) {
         EXPECT_EQ(now[i].colour, then[i].colour) << when;
       }
     }
-    EXPECT_EQ(local::graph_fingerprint(h), fingerprint) << when;
+    EXPECT_EQ(h.fingerprint(), fingerprint) << when;
   };
 
   // The copy mutates: the original keeps every field.
@@ -355,9 +354,9 @@ TEST(SharedStorage, MutatingOneCopyLeavesTheOtherUnchanged) {
   const Edge first = copy.edges().front();
   copy.remove_edge(first.u, first.v);
   copy.add_edge(first.v, first.u, first.colour);  // same edge set, new order
-  EXPECT_EQ(local::graph_fingerprint(copy), fingerprint);
+  EXPECT_EQ(copy.fingerprint(), fingerprint);
   copy.remove_edge(copy.edges().back().u, copy.edges().back().v);
-  EXPECT_NE(local::graph_fingerprint(copy), fingerprint);
+  EXPECT_NE(copy.fingerprint(), fingerprint);
   expect_unchanged(g, "after the copy mutated");
 
   // The original mutates: a copy taken before keeps every field.
@@ -394,9 +393,14 @@ TEST(SharedStorage, MovedFromGraphIsAValidEmptyGraph) {
   expect_empty(assigned_from);  // NOLINT(bugprone-use-after-move)
 }
 
-TEST(SharedStorage, CsrIsColourSortedAndSharedUntilAMutation) {
+TEST(SharedStorage, CsrAndFingerprintAreCachedPerVersionUntilAMutation) {
+  // The fingerprint as a graph that never cached anything computes it.
+  const auto fresh = [](const EdgeColouredGraph& h) {
+    return EdgeColouredGraph(h.node_count(), h.k(), h.edges()).fingerprint();
+  };
   EdgeColouredGraph g = scrambled_star();
   const std::shared_ptr<const Csr> csr = g.csr();
+  const std::uint64_t fingerprint = g.fingerprint();
   // Node 3 is isolated; node 0's scrambled row comes out in colour order.
   EXPECT_EQ(csr->row, (std::vector<std::size_t>{0, 4, 6, 8, 8, 9, 10}));
   EXPECT_EQ(csr->port_colour, (std::vector<gk::Colour>{1, 2, 4, 5, 1, 3, 2, 3, 4, 5}));
@@ -404,14 +408,18 @@ TEST(SharedStorage, CsrIsColourSortedAndSharedUntilAMutation) {
   EXPECT_EQ(csr->degree(0), 4);
   EXPECT_EQ(csr->slot_count(), 10u);
 
-  // One CSR per graph version, whichever copy asks.
+  // One CSR and one fingerprint per graph version, whichever copy asks.
   const EdgeColouredGraph copy = g;
   EXPECT_EQ(copy.csr(), csr);
   EXPECT_EQ(g.csr(), csr);
+  EXPECT_EQ(copy.fingerprint(), fingerprint);
 
-  // A mutation drops the handle's CSR; the next call builds the new
-  // version's, while holders of the old one keep it intact.
+  // A mutation drops the handle's CSR and fingerprint; the next call
+  // builds the new version's, while holders of the old one keep it intact.
   g.remove_edge(0, 5);
+  EXPECT_EQ(copy.fingerprint(), fingerprint);
+  EXPECT_NE(g.fingerprint(), fingerprint);
+  EXPECT_EQ(g.fingerprint(), fresh(g));
   const std::shared_ptr<const Csr> rebuilt = g.csr();
   EXPECT_NE(rebuilt, csr);
   EXPECT_EQ(rebuilt->row, (std::vector<std::size_t>{0, 3, 5, 7, 7, 8, 8}));
@@ -420,12 +428,16 @@ TEST(SharedStorage, CsrIsColourSortedAndSharedUntilAMutation) {
   EXPECT_EQ(csr->slot_count(), 10u);
   EXPECT_EQ(copy.csr(), csr);
 
-  // A sole owner mutates in place and drops its CSR the same way.
+  // A sole owner mutates in place and drops its CSR and fingerprint the
+  // same way.
   EdgeColouredGraph solo = scrambled_star();
   const std::shared_ptr<const Csr> before = solo.csr();
+  EXPECT_EQ(solo.fingerprint(), fingerprint);
   const HalfEdge* row0 = solo.half_edges(0).data();
   solo.add_edge(2, 3, 1);
   EXPECT_EQ(solo.half_edges(0).data(), row0);  // no detach
+  EXPECT_EQ(solo.fingerprint(), fresh(solo));
+  EXPECT_NE(solo.fingerprint(), fingerprint);
   EXPECT_NE(solo.csr(), before);
   EXPECT_EQ(solo.csr()->slot_count(), 12u);
   EXPECT_EQ(before->slot_count(), 10u);

@@ -75,9 +75,9 @@ class CountedProgram final : public NodeProgram {
   CountedProgram(const CountedProgram&) = delete;
   CountedProgram& operator=(const CountedProgram&) = delete;
 
-  bool init(const std::vector<Colour>&) override { return true; }
-  std::map<Colour, Message> send(int) override { return {}; }
-  bool receive(int, const std::map<Colour, Message>&) override { return true; }
+  bool init(std::span<const Colour>) override { return true; }
+  void send(int, Outbox&) override {}
+  bool receive(int, const Inbox&) override { return true; }
   Colour output() const override { return kUnmatched; }
 
  private:

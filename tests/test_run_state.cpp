@@ -30,17 +30,12 @@ namespace {
 class PortChirper final : public NodeProgram {
  public:
   explicit PortChirper(int halt_at) : halt_at_(halt_at) {}
-  bool init(const std::vector<Colour>& incident) override {
-    incident_ = incident;
-    return halt_at_ == 0;
+  bool init(std::span<const Colour>) override { return halt_at_ == 0; }
+  void send(int, Outbox& out) override {
+    for (int port = 0; port < out.ports(); ++port) out.set(port, "x");
   }
-  std::map<Colour, Message> send(int) override {
-    std::map<Colour, Message> out;
-    for (const Colour c : incident_) out[c] = "x";
-    return out;
-  }
-  bool receive(int round, const std::map<Colour, Message>& inbox) override {
-    for (const auto& [colour, message] : inbox) heard_ += message == "x" ? 1 : 0;
+  bool receive(int round, const Inbox& in) override {
+    for (int port = 0; port < in.ports(); ++port) heard_ += in.at(port) == "x" ? 1 : 0;
     return round >= halt_at_;
   }
   Colour output() const override { return static_cast<Colour>(heard_ + 1); }
@@ -48,7 +43,6 @@ class PortChirper final : public NodeProgram {
   void load_state(std::string_view in) override { heard_ = std::stoi(std::string(in)); }
 
  private:
-  std::vector<Colour> incident_;
   int halt_at_;
   int heard_ = 0;
 };
@@ -157,7 +151,7 @@ void expect_round_two(const EngineCheckpoint& cp, const graph::EdgeColouredGraph
                       const std::string& context) {
   EXPECT_EQ(cp.node_count, 5) << context;
   EXPECT_EQ(cp.k, 3) << context;
-  EXPECT_EQ(cp.edge_hash, graph_fingerprint(g)) << context;
+  EXPECT_EQ(cp.edge_hash, g.fingerprint()) << context;
   EXPECT_EQ(cp.round, 2) << context;
   EXPECT_EQ(cp.running, 3) << context;
   EXPECT_EQ(cp.crashes, 4u) << context;

@@ -70,6 +70,7 @@
 
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -78,6 +79,7 @@
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include "core/dmm.hpp"
 
@@ -106,52 +108,102 @@ std::string slurp(const std::string& path) {
   return buffer.str();
 }
 
+/// The whole token as a T, or nothing: "3x", "x", "" and a value out of
+/// T's range fail, and so does "2.5" for an integer T.  A floating-point T
+/// must also be finite.
+template <class T>
+std::optional<T> whole(const std::string& token) {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [stop, error] = std::from_chars(token.data(), end, value);
+  if (error != std::errc() || stop != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  return value;
+}
+
+/// The number after `name` in `args` (`fallback` when the flag is absent):
+/// a whole T of at least `min`.  A missing or malformed value, or one
+/// below `min`, prints `usage` and exits 2.
+template <class T>
+T number_option(const std::vector<std::string>& args, const std::string& name, T fallback,
+                T min, const std::string& usage) {
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    if (args[i] != name) continue;
+    const std::optional<T> value = i + 1 < args.size() ? whole<T>(args[i + 1]) : std::nullopt;
+    if (!value || *value < min) fail(usage);
+    return *value;
+  }
+  return fallback;
+}
+
+const char* const kInstanceUsage =
+    "instance spec: chain:<k> | figure1 | hypercube:<d> | bipartite:<d> | "
+    "random:<n>:<k>:<pct>:<seed> | star:<leaves> | skewed:<hubs>:<deg>:<first> | file:<path>";
+
+/// The numeric fields of an instance or algorithm spec, each a whole T;
+/// anything else prints `usage` and exits 2.
+template <class T>
+T spec_number(const std::string& token, const std::string& usage) {
+  const std::optional<T> value = whole<T>(token);
+  if (!value) fail(usage);
+  return *value;
+}
+
 graph::EdgeColouredGraph parse_instance(const std::string& spec) {
   const std::vector<std::string> parts = split(spec, ':');
   if (parts.empty()) fail("empty instance spec");
+  const std::string usage = "bad instance spec '" + spec + "'; " + kInstanceUsage;
+  const auto integer = [&](std::size_t i) { return spec_number<int>(parts[i], usage); };
   if (parts[0] == "chain" && parts.size() == 2) {
-    return graph::worst_case_chain(std::stoi(parts[1])).long_path;
+    return graph::worst_case_chain(integer(1)).long_path;
   }
   if (parts[0] == "figure1") return graph::figure1_graph();
   if (parts[0] == "hypercube" && parts.size() == 2) {
-    return graph::hypercube(std::stoi(parts[1]));
+    return graph::hypercube(integer(1));
   }
   if (parts[0] == "bipartite" && parts.size() == 2) {
-    return graph::complete_bipartite(std::stoi(parts[1]));
+    return graph::complete_bipartite(integer(1));
   }
   if (parts[0] == "random" && parts.size() == 5) {
-    Rng rng(std::stoull(parts[4]));
-    return graph::random_coloured_graph(std::stoi(parts[1]), std::stoi(parts[2]),
-                                        std::stod(parts[3]) / 100.0, rng);
+    Rng rng(spec_number<std::uint64_t>(parts[4], usage));
+    return graph::random_coloured_graph(integer(1), integer(2),
+                                        spec_number<double>(parts[3], usage) / 100.0, rng);
   }
   if (parts[0] == "star" && parts.size() == 2) {
-    return graph::star_graph(std::stoi(parts[1]));
+    return graph::star_graph(integer(1));
   }
   if (parts[0] == "skewed" && parts.size() == 4) {
-    return graph::hub_cluster_graph(std::stoll(parts[1]), std::stoi(parts[2]),
-                                    std::stoi(parts[3]));
+    return graph::hub_cluster_graph(spec_number<std::int64_t>(parts[1], usage), integer(2),
+                                    integer(3));
   }
   if (parts[0] == "file" && parts.size() == 2) {
     return io::read_graph(slurp(parts[1]));
   }
-  fail("unknown instance spec '" + spec + "'");
+  fail("unknown instance spec '" + spec + "'; " + kInstanceUsage);
 }
 
 std::unique_ptr<local::LocalAlgorithm> parse_algorithm(const std::string& spec) {
   const std::vector<std::string> parts = split(spec, ':');
   if (parts.empty()) fail("empty algorithm spec");
+  const std::string usage =
+      "bad algorithm spec '" + spec +
+      "'; algorithm spec: greedy:<k> | truncated:<k>:<r> | firstcolour:<k> | "
+      "arbitrary:<k>:<r>:<seed>";
+  const auto integer = [&](std::size_t i) { return spec_number<int>(parts[i], usage); };
   if (parts[0] == "greedy" && parts.size() == 2) {
-    return std::make_unique<algo::GreedyLocal>(std::stoi(parts[1]));
+    return std::make_unique<algo::GreedyLocal>(integer(1));
   }
   if (parts[0] == "truncated" && parts.size() == 3) {
-    return std::make_unique<algo::TruncatedGreedy>(std::stoi(parts[1]), std::stoi(parts[2]));
+    return std::make_unique<algo::TruncatedGreedy>(integer(1), integer(2));
   }
   if (parts[0] == "firstcolour" && parts.size() == 2) {
-    return std::make_unique<algo::FirstColourLocal>(std::stoi(parts[1]));
+    return std::make_unique<algo::FirstColourLocal>(integer(1));
   }
   if (parts[0] == "arbitrary" && parts.size() == 4) {
-    return std::make_unique<algo::ArbitraryLocal>(std::stoi(parts[1]), std::stoi(parts[2]),
-                                                  std::stoull(parts[3]));
+    return std::make_unique<algo::ArbitraryLocal>(integer(1), integer(2),
+                                                  spec_number<std::uint64_t>(parts[3], usage));
   }
   fail("unknown algorithm spec '" + spec + "'");
 }
@@ -171,20 +223,40 @@ bool flag(const std::vector<std::string>& args, const std::string& name) {
   return false;
 }
 
-/// FNV-1a over the per-node outputs and halt rounds — the one-line
-/// fingerprint the CI fault-recovery step diffs between an interrupted
-/// and an uninterrupted run.
-std::uint64_t outputs_fnv(const local::RunResult& run) {
+/// 64-bit FNV-1a over a sequence of values, each fed as 8 little-endian
+/// bytes.
+struct Fnv1a {
   std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::uint64_t v) {
+  void mix(std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
       h ^= (v >> (8 * i)) & 0xff;
       h *= 1099511628211ULL;
     }
-  };
-  for (const local::Colour c : run.outputs) mix(c);
-  for (const int r : run.halt_round) mix(static_cast<std::uint32_t>(r));
-  return h;
+  }
+};
+
+/// FNV-1a over the per-node outputs and halt rounds — the one-line
+/// fingerprint the CI fault-recovery step diffs between an interrupted
+/// and an uninterrupted run.
+std::uint64_t outputs_fnv(const local::RunResult& run) {
+  Fnv1a f;
+  for (const local::Colour c : run.outputs) f.mix(c);
+  for (const int r : run.halt_round) f.mix(static_cast<std::uint32_t>(r));
+  return f.h;
+}
+
+/// FNV-1a over the per-node halt rounds alone.
+std::uint64_t halt_rounds_fnv(const local::RunResult& run) {
+  Fnv1a f;
+  for (const int r : run.halt_round) f.mix(static_cast<std::uint32_t>(r));
+  return f.h;
+}
+
+/// Sixteen lower-case hex digits.
+std::string hex64(std::uint64_t value) {
+  char text[17];
+  std::snprintf(text, sizeof text, "%016llx", static_cast<unsigned long long>(value));
+  return text;
 }
 
 /// Atomic AND durable checkpoint write.  The tmp + rename pair covers a
@@ -235,19 +307,24 @@ void write_checkpoint_file(const local::EngineCheckpoint& ck, const std::string&
 /// engine with optional fault injection and checkpointing.
 int run_greedy(const std::vector<std::string>& args, const std::string& resume_path) {
   const char* cmd = resume_path.empty() ? "greedy" : "resume";
+  const std::string usage =
+      std::string(cmd) + ": usage: " +
+      (resume_path.empty() ? "greedy" : "resume <checkpoint-path>") +
+      " --instance <spec> [--engine sync|flat] [--threads N>=1] [--chunk-slots N>=0]"
+      " [--no-steal] [--faults <spec>] [--checkpoint <path>] [--checkpoint-every N>=1]"
+      " [--max-rounds N>=1] [--round-sleep-ms MS>=0] [--json]";
   const std::string spec = option(args, "--instance");
   if (spec.empty()) fail(std::string(cmd) + ": --instance required");
   const std::string engine_spec = option(args, "--engine", "sync");
   const auto engine = local::parse_engine_kind(engine_spec);
   if (!engine) fail(std::string(cmd) + ": unknown engine '" + engine_spec + "' (sync|flat)");
-  const int threads = std::stoi(option(args, "--threads", "1"));
+  const int threads = number_option(args, "--threads", 1, 1, usage);
   if (threads > 1 && *engine != local::EngineKind::kFlat) {
     fail(std::string(cmd) + ": --threads requires --engine flat");
   }
   // Scheduling knobs of the flat engine's persistent pool (results are
   // identical for every setting; these tune throughput on skewed graphs).
-  const long chunk_slots = std::stol(option(args, "--chunk-slots", "0"));
-  if (chunk_slots < 0) fail(std::string(cmd) + ": --chunk-slots must be >= 0");
+  const auto chunk_slots = number_option<std::int64_t>(args, "--chunk-slots", 0, 0, usage);
   const bool no_steal = flag(args, "--no-steal");
   if ((chunk_slots > 0 || no_steal) && *engine != local::EngineKind::kFlat) {
     fail(std::string(cmd) + ": --chunk-slots/--no-steal require --engine flat");
@@ -266,16 +343,14 @@ int run_greedy(const std::vector<std::string>& args, const std::string& resume_p
 
   // A restarted node still has to finish its protocol, so faulty runs get
   // headroom past the last restart round by default.
-  int max_rounds = std::max(g.k() + 1, plan.max_restart_round() + g.k() + 2);
-  const std::string max_rounds_opt = option(args, "--max-rounds");
-  if (!max_rounds_opt.empty()) max_rounds = std::stoi(max_rounds_opt);
+  const int max_rounds = number_option(
+      args, "--max-rounds", std::max(g.k() + 1, plan.max_restart_round() + g.k() + 2), 1, usage);
 
   local::CheckpointOptions checkpoint;
   const std::string ckpt_path = option(args, "--checkpoint", resume_path);
-  const int sleep_ms = std::stoi(option(args, "--round-sleep-ms", "0"));
+  const int sleep_ms = number_option(args, "--round-sleep-ms", 0, 0, usage);
   if (!ckpt_path.empty()) {
-    checkpoint.every = std::stoi(option(args, "--checkpoint-every", "1"));
-    if (checkpoint.every < 1) fail(std::string(cmd) + ": --checkpoint-every must be >= 1");
+    checkpoint.every = number_option(args, "--checkpoint-every", 1, 1, usage);
     checkpoint.sink = [&](const local::EngineCheckpoint& ck) {
       if (sleep_ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
       write_checkpoint_file(ck, ckpt_path);
@@ -307,16 +382,17 @@ int run_greedy(const std::vector<std::string>& args, const std::string& resume_p
   const verify::MatchingReport report = verify::check_outputs(g, run.outputs);
   const std::size_t matched = verify::matched_edges(g, run.outputs).size();
   if (flag(args, "--json")) {
-    char fnv[32];
-    std::snprintf(fnv, sizeof fnv, "%016llx",
-                  static_cast<unsigned long long>(outputs_fnv(run)));
     std::cout << "{\"instance\":\"" << spec << "\",\"engine\":\""
               << local::engine_kind_name(*engine) << "\",\"threads\":" << threads
               << ",\"rounds\":" << run.rounds << ",\"matched_edges\":" << matched
               << ",\"crashes\":" << run.crashes << ",\"restarts\":" << run.restarts
               << ",\"messages_dropped\":" << run.messages_dropped
+              << ",\"messages_sent\":" << run.messages_sent
+              << ",\"total_message_bytes\":" << run.total_message_bytes
+              << ",\"max_message_bytes\":" << run.max_message_bytes
               << ",\"valid\":" << (report.ok() ? "true" : "false") << ",\"outputs_fnv\":\""
-              << fnv << "\"}\n";
+              << hex64(outputs_fnv(run)) << "\",\"halt_rounds_fnv\":\""
+              << hex64(halt_rounds_fnv(run)) << "\"}\n";
   } else {
     std::cout << "instance: " << spec << " (n=" << g.node_count() << ", k=" << g.k() << ")\n";
     std::cout << "engine: " << local::engine_kind_name(*engine);
@@ -353,11 +429,12 @@ int cmd_resume(const std::vector<std::string>& args) {
 /// Multi-tenant front-end driver: N tenants × J greedy jobs through one
 /// MatchingService, every result fingerprinted against the standalone run.
 int cmd_serve(const std::vector<std::string>& args) {
-  const int tenants = std::stoi(option(args, "--tenants", "3"));
-  const int jobs_per_tenant = std::stoi(option(args, "--jobs-per-tenant", "4"));
-  if (tenants < 1 || jobs_per_tenant < 1) {
-    fail("serve: --tenants and --jobs-per-tenant must be >= 1");
-  }
+  const std::string usage =
+      "serve: usage: serve [--tenants N>=1] [--jobs-per-tenant N>=1] [--inflight N>=1]"
+      " [--quantum N>=1] [--threads N>=1] [--engine sync|flat] [--instance <spec>]"
+      " [--faults <spec>] [--max-rounds N>=1] [--json]";
+  const int tenants = number_option(args, "--tenants", 3, 1, usage);
+  const int jobs_per_tenant = number_option(args, "--jobs-per-tenant", 4, 1, usage);
   const std::string engine_spec = option(args, "--engine", "flat");
   const auto engine = local::parse_engine_kind(engine_spec);
   if (!engine) fail("serve: unknown engine '" + engine_spec + "' (sync|flat)");
@@ -369,9 +446,8 @@ int cmd_serve(const std::vector<std::string>& args) {
   if (!fault_spec.empty()) {
     plan = local::FaultPlan::random(g, local::parse_fault_spec(fault_spec));
   }
-  int max_rounds = std::max(g.k() + 1, plan.max_restart_round() + g.k() + 2);
-  const std::string max_rounds_opt = option(args, "--max-rounds");
-  if (!max_rounds_opt.empty()) max_rounds = std::stoi(max_rounds_opt);
+  const int max_rounds = number_option(
+      args, "--max-rounds", std::max(g.k() + 1, plan.max_restart_round() + g.k() + 2), 1, usage);
 
   // The oracle: the same job run standalone (closed-loop, private engine).
   local::RunOptions ropts;
@@ -382,9 +458,9 @@ int cmd_serve(const std::vector<std::string>& args) {
   const std::uint64_t want = outputs_fnv(standalone);
 
   svc::ServiceOptions opts;
-  opts.inflight = std::stoi(option(args, "--inflight", "8"));
-  opts.quantum = std::stoi(option(args, "--quantum", "4"));
-  opts.threads = std::stoi(option(args, "--threads", "2"));
+  opts.inflight = number_option(args, "--inflight", 8, 1, usage);
+  opts.quantum = number_option(args, "--quantum", 4, 1, usage);
+  opts.threads = number_option(args, "--threads", 2, 1, usage);
   svc::MatchingService service(opts);
 
   std::vector<std::vector<std::future<local::RunResult>>> futures(
@@ -417,9 +493,7 @@ int cmd_serve(const std::vector<std::string>& args) {
   }
   const svc::ServiceStats stats = service.stats();
 
-  char want_hex[32];
-  std::snprintf(want_hex, sizeof want_hex, "%016llx",
-                static_cast<unsigned long long>(want));
+  const std::string want_hex = hex64(want);
   if (flag(args, "--json")) {
     std::cout << "{\"instance\":\"" << spec << "\",\"engine\":\""
               << local::engine_kind_name(*engine) << "\",\"tenants\":" << tenants
@@ -431,11 +505,9 @@ int cmd_serve(const std::vector<std::string>& args) {
               << ",\"fairness_ratio\":" << stats.fairness_ratio << ",\"standalone_fnv\":\""
               << want_hex << "\",\"tenant\":[";
     for (int t = 0; t < tenants; ++t) {
-      char fnv[32];
-      std::snprintf(fnv, sizeof fnv, "%016llx",
-                    static_cast<unsigned long long>(tenant_fnv[static_cast<std::size_t>(t)]));
       if (t > 0) std::cout << ",";
-      std::cout << "{\"tenant\":\"tenant-" << t << "\",\"outputs_fnv\":\"" << fnv
+      std::cout << "{\"tenant\":\"tenant-" << t << "\",\"outputs_fnv\":\""
+                << hex64(tenant_fnv[static_cast<std::size_t>(t)])
                 << "\",\"match\":"
                 << (tenant_match[static_cast<std::size_t>(t)] ? "true" : "false") << "}";
     }
@@ -466,20 +538,25 @@ int cmd_serve(const std::vector<std::string>& args) {
 /// non-zero on ANY maximality violation, which is what makes it a CI
 /// smoke: a repair bug cannot hide behind the summary text.
 int cmd_churn(const std::vector<std::string>& args) {
+  const std::string usage =
+      "churn: usage: churn --instance <spec> [--batches N>=0] [--ops-per-batch N>=0]"
+      " [--seed S] [--insert-fraction PCT] [--engine sync|flat] [--threads N>=1]"
+      " [--oracle] [--json]";
   const std::string spec = option(args, "--instance");
   if (spec.empty()) fail("churn: --instance required");
   const std::string engine_spec = option(args, "--engine", "sync");
   const auto engine = local::parse_engine_kind(engine_spec);
   if (!engine) fail("churn: unknown engine '" + engine_spec + "' (sync|flat)");
-  const int threads = std::stoi(option(args, "--threads", "1"));
+  const int threads = number_option(args, "--threads", 1, 1, usage);
   if (threads > 1 && *engine != local::EngineKind::kFlat) {
     fail("churn: --threads requires --engine flat");
   }
   dyn::ChurnSpec churn_spec;
-  churn_spec.batches = std::stoi(option(args, "--batches", "8"));
-  churn_spec.ops_per_batch = std::stoi(option(args, "--ops-per-batch", "16"));
-  churn_spec.seed = std::stoull(option(args, "--seed", "0"));
-  churn_spec.insert_fraction = std::stod(option(args, "--insert-fraction", "50")) / 100.0;
+  churn_spec.batches = number_option(args, "--batches", 8, 0, usage);
+  churn_spec.ops_per_batch = number_option(args, "--ops-per-batch", 16, 0, usage);
+  churn_spec.seed = number_option<std::uint64_t>(args, "--seed", 0, 0, usage);
+  churn_spec.insert_fraction =
+      number_option(args, "--insert-fraction", 50.0, 0.0, usage) / 100.0;
   const bool oracle = flag(args, "--oracle");
 
   const graph::EdgeColouredGraph g = parse_instance(spec);
@@ -546,14 +623,17 @@ int cmd_churn(const std::vector<std::string>& args) {
 }
 
 int cmd_adversary(const std::vector<std::string>& args) {
-  const int k = std::stoi(option(args, "--k", "0"));
+  const std::string usage =
+      "adversary: usage: adversary --k K>=3 --algorithm <spec> [--certificate-out <path>]"
+      " [--pair-out <prefix>] [--no-memo] [--optimistic] [--threads N>=1] [--orbits]";
+  const int k = number_option(args, "--k", 0, 3, usage);
   const std::string algo_spec = option(args, "--algorithm");
-  if (k < 3 || algo_spec.empty()) fail("adversary: --k (>= 3) and --algorithm required");
+  if (k < 3 || algo_spec.empty()) fail(usage);
   const auto algorithm = parse_algorithm(algo_spec);
   lower::AdversaryOptions options;
   options.memoise = !flag(args, "--no-memo");
   options.optimistic = flag(args, "--optimistic");
-  options.threads = std::stoi(option(args, "--threads", "1"));
+  options.threads = number_option(args, "--threads", 1, 1, usage);
   options.orbits = flag(args, "--orbits");
   const lower::LowerBoundResult result = lower::run_adversary(k, *algorithm, options);
   std::cout << result.summary() << "\n";
@@ -579,16 +659,6 @@ int cmd_adversary(const std::vector<std::string>& args) {
   return result.tight() ? 0 : 3;
 }
 
-/// The whole token as an int, or nothing: "2.5", "3x", "x" and "" fail,
-/// as does a value out of int range.
-std::optional<int> whole_int(const std::string& token) {
-  int value = 0;
-  const char* end = token.data() + token.size();
-  const auto [stop, error] = std::from_chars(token.data(), end, value);
-  if (error != std::errc() || stop != end) return std::nullopt;
-  return value;
-}
-
 int cmd_views(const std::vector<std::string>& args) {
   // Positional k d rho and the flags in any order; every number is a whole
   // integer token and --threads / --max-views are at least 1.
@@ -601,7 +671,7 @@ int cmd_views(const std::vector<std::string>& args) {
   bool orbits = false;
   // The value after args[i], which must be a whole integer >= 1.
   const auto positive_after = [&](std::size_t& i) {
-    const std::optional<int> value = ++i < args.size() ? whole_int(args[i]) : std::nullopt;
+    const std::optional<int> value = ++i < args.size() ? whole<int>(args[i]) : std::nullopt;
     if (!value || *value < 1) fail(usage);
     return *value;
   };
@@ -614,7 +684,7 @@ int cmd_views(const std::vector<std::string>& args) {
       threads = positive_after(i);
     } else if (args[i] == "--max-views") {
       max_views = positive_after(i);
-    } else if (const std::optional<int> value = whole_int(args[i])) {
+    } else if (const std::optional<int> value = whole<int>(args[i])) {
       positional.push_back(*value);
     } else {
       fail(usage);
