@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <queue>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -134,52 +133,79 @@ bool arc_consistency(Problem& problem, Mask all_colours) {
   return true;
 }
 
-/// Backtracking search state.  MRV is served by a lazy min-heap of
-/// (domain size, variable) entries: every domain change pushes a fresh
-/// entry, and stale ones are discarded on pop — O(log n) per pick instead
-/// of the seed's O(n) scan per node (the dominant cost at 78k variables).
+/// Backtracking search state.  MRV (fail-first) picks the unassigned
+/// variable with the smallest domain, ties by index.  The unassigned
+/// variables are filed in one two-level bitset per domain size, 0 to k + 1:
+/// a domain change moves its variable between two buckets in O(1), and a
+/// pick takes the lowest set bit of the lowest non-empty bucket, reading
+/// one summary bit per 64 variables.
 struct SearchState {
   std::vector<Mask> domains;
   std::vector<Colour> assignment;
   std::vector<char> assigned;
-  std::priority_queue<std::pair<int, std::int32_t>, std::vector<std::pair<int, std::int32_t>>,
-                      std::greater<>>
-      mrv;
   std::uint64_t explored = 0;
 
   explicit SearchState(const Problem& problem)
       : domains(problem.base_domains),
         assignment(static_cast<std::size_t>(problem.n), gk::kNoColour),
-        assigned(static_cast<std::size_t>(problem.n), 0) {
-    for (std::int32_t v = 0; v < problem.n; ++v) {
-      mrv.emplace(domain_size(domains[static_cast<std::size_t>(v)]), v);
-    }
+        assigned(static_cast<std::size_t>(problem.n), 0),
+        sizes_(static_cast<std::size_t>(problem.index.k()) + 2),
+        words_((static_cast<std::size_t>(problem.n) + 63) / 64),
+        summaries_((words_ + 63) / 64),
+        filed_(static_cast<std::size_t>(problem.n), kUnfiled),
+        bits_(sizes_ * words_, 0),
+        summary_bits_(sizes_ * summaries_, 0) {
+    for (std::int32_t v = 0; v < problem.n; ++v) touch(v);
   }
 
-  void touch(std::int32_t v) { mrv.emplace(domain_size(domains[static_cast<std::size_t>(v)]), v); }
+  /// Files unassigned variable v under its current domain size.
+  void touch(std::int32_t v) {
+    const auto size = static_cast<std::uint8_t>(domain_size(domains[static_cast<std::size_t>(v)]));
+    std::uint8_t& filed = filed_[static_cast<std::size_t>(v)];
+    if (filed == size) return;
+    if (filed != kUnfiled) flip(filed, v);
+    flip(size, v);
+    filed = size;
+  }
 
-  /// Smallest-domain unassigned variable (ties by index), or -1.
+  /// Takes the smallest-domain unassigned variable (ties by index) out of
+  /// its bucket, or returns -1 when no variable is filed.
   std::int32_t pick() {
-    while (!mrv.empty()) {
-      const auto [size, v] = mrv.top();
-      if (!assigned[static_cast<std::size_t>(v)] &&
-          domain_size(domains[static_cast<std::size_t>(v)]) == size) {
-        mrv.pop();
-        return v;
-      }
-      mrv.pop();
-    }
-    // The heap invariant (every unassigned variable has a live entry)
-    // should make this scan dead code; it is a cheap safety net that runs
-    // at most once per solution.
-    for (std::int32_t v = 0; v < static_cast<std::int32_t>(domains.size()); ++v) {
-      if (!assigned[static_cast<std::size_t>(v)]) {
-        touch(v);
+    for (std::size_t size = 0; size < sizes_; ++size) {
+      const std::uint64_t* summary = summary_bits_.data() + size * summaries_;
+      for (std::size_t s = 0; s < summaries_; ++s) {
+        if (summary[s] == 0) continue;
+        const std::size_t w = s * 64 + static_cast<std::size_t>(std::countr_zero(summary[s]));
+        const auto v = static_cast<std::int32_t>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits_[size * words_ + w])));
+        flip(size, v);
+        filed_[static_cast<std::size_t>(v)] = kUnfiled;
         return v;
       }
     }
     return -1;
   }
+
+ private:
+  static constexpr std::uint8_t kUnfiled = 0xff;
+
+  /// Toggles v's bit in bucket `size`; its word's summary bit records
+  /// whether the word is non-zero.
+  void flip(std::size_t size, std::int32_t v) {
+    const std::size_t w = static_cast<std::size_t>(v) / 64;
+    std::uint64_t& word = bits_[size * words_ + w];
+    word ^= std::uint64_t{1} << (v % 64);
+    std::uint64_t& summary = summary_bits_[size * summaries_ + w / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (w % 64);
+    summary = word != 0 ? summary | bit : summary & ~bit;
+  }
+
+  std::size_t sizes_;      // buckets: domain sizes 0 to k + 1
+  std::size_t words_;      // 64-bit words per bucket
+  std::size_t summaries_;  // summary words per bucket
+  std::vector<std::uint8_t> filed_;  // per variable: its bucket, kUnfiled once picked
+  std::vector<std::uint64_t> bits_;  // bucket-major
+  std::vector<std::uint64_t> summary_bits_;
 };
 
 struct Frame {
@@ -226,7 +252,7 @@ bool search(const Problem& problem, SearchState& state, Mask first_value_mask,
     Frame& frame = stack.back();
     const std::int32_t var = frame.variable;
     if (frame.values == 0) {
-      state.touch(var);  // its pick-time heap entry was consumed
+      state.touch(var);  // pick took it out of its bucket
       stack.pop_back();
       if (!stack.empty()) undo(stack.back());
       continue;
@@ -496,13 +522,18 @@ std::optional<CompatiblePair> check_labelling(const ViewCatalogue& catalogue,
       return CompatiblePair{v, v, out};
     }
   }
-  for (const CompatiblePair& pair : compatible_pairs(catalogue)) {
-    if (!consistent(pair, labelling[static_cast<std::size_t>(pair.a)],
-                    labelling[static_cast<std::size_t>(pair.b)])) {
-      return pair;
+  // The pairs in compatible_pairs order, straight off the index: the list
+  // itself (115 MB at k = 4, ρ = 3) is never built.
+  std::optional<CompatiblePair> violated;
+  BicliqueIndex(catalogue).for_each_pair([&](int a, int b, Colour c) {
+    if (violated) return;
+    const CompatiblePair pair{a, b, c};
+    if (!consistent(pair, labelling[static_cast<std::size_t>(a)],
+                    labelling[static_cast<std::size_t>(b)])) {
+      violated = pair;
     }
-  }
-  return std::nullopt;
+  });
+  return violated;
 }
 
 }  // namespace dmm::nbhd

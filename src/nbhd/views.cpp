@@ -713,8 +713,9 @@ BicliqueIndex::BicliqueIndex(const OrbitCatalogue& catalogue) : k_(catalogue.k) 
   // half along c is σ·half(rep, σ⁻¹(c)) — i.e. (σ ∘ w⁻¹)·H where H is the
   // half's orbit-canonical form and w its witness.  Identity of halves
   // is therefore (H's intern id, the left coset of the lift modulo
-  // Stab(H)): serialisation and canonisation run once per (rep, colour),
-  // and every member key is a handful of permutation compositions.
+  // Stab(H)): serialisation runs once per (rep, colour), canonisation once
+  // per distinct serialisation, and every member key is a handful of
+  // permutation compositions.
   const int k = k_;
   const int rho = catalogue.rho;
   const int orbit_count = catalogue.orbit_count();
@@ -736,7 +737,17 @@ BicliqueIndex::BicliqueIndex(const OrbitCatalogue& catalogue) : k_(catalogue.k) 
     colsys::ViewId id = colsys::kNullView;
     std::uint8_t lift[colsys::kMaxOrbitColours + 1] = {};  // half == lift · canonical_half
   };
+  // Halves repeat heavily across representatives (at k = 4, ρ = 3 the
+  // 19 980 halves are 54 distinct serialisations), so each serialisation
+  // is interned first and canonised only on first sight; by_serial[id] is
+  // its reference.
+  colsys::CanonicalStore serial_store;
+  std::vector<HalfRef> by_serial;
   const auto make_ref = [&](const std::vector<std::uint8_t>& bytes) {
+    const colsys::ViewId serial = serial_store.intern(bytes);
+    if (static_cast<std::size_t>(serial) < by_serial.size()) {
+      return by_serial[static_cast<std::size_t>(serial)];
+    }
     HalfRef ref;
     std::vector<std::uint8_t> canonical;
     ColourPerm witness;
@@ -756,6 +767,7 @@ BicliqueIndex::BicliqueIndex(const OrbitCatalogue& catalogue) : k_(catalogue.k) 
     }
     const ColourPerm lift = colsys::inverse_perm(witness);
     for (Colour c = 1; c <= k; ++c) ref.lift[c] = lift[c];
+    by_serial.push_back(ref);
     return ref;
   };
   // Per (orbit, colour): the two half references of the representative.

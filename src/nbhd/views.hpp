@@ -201,11 +201,11 @@ class BicliqueIndex {
   explicit BicliqueIndex(const ViewCatalogue& catalogue);
 
   /// The same index over the member (orbit, coset) indices, built at orbit
-  /// level: the two halves are serialised and canonised once per
-  /// (representative, colour), and each member's half identity is the group
-  /// element lifting it through the representative's witness — no
-  /// per-member serialisation.  Equals BicliqueIndex(expand_catalogue(c))
-  /// class for class.
+  /// level: the two halves are serialised once per (representative, colour)
+  /// and canonised once per distinct serialisation, and each member's half
+  /// identity is the group element lifting it through the representative's
+  /// witness — no per-member serialisation.  Equals
+  /// BicliqueIndex(expand_catalogue(c)) class for class.
   explicit BicliqueIndex(const OrbitCatalogue& catalogue);
 
   int k() const noexcept { return k_; }

@@ -19,6 +19,7 @@
 #include "algo/truncated_greedy.hpp"
 #include "lower/adversary.hpp"
 #include "nbhd/csp.hpp"
+#include "util/hash.hpp"
 
 namespace dmm {
 namespace {
@@ -159,15 +160,23 @@ std::vector<nbhd::CompatiblePair> reference_compatible_pairs(
 
 // The parameter grid small enough for the O(frontier²) reference.  Each
 // row also pins the serial search of its CSP: nodes_explored raw and on the
-// orbit path.
+// orbit path, and on SAT rows the FNV-1a hash of each labelling (0 marks an
+// UNSAT row).
 struct Grid {
   int k, d, rho;
   std::uint64_t raw_nodes, orbit_nodes;
+  std::uint64_t raw_fnv = 0, orbit_fnv = 0;
 };
-const Grid kGrid[] = {{3, 2, 1, 4, 4},       {3, 2, 2, 17, 14}, {3, 2, 3, 48, 49},
-                      {4, 3, 1, 5, 5},       {4, 3, 2, 114, 33}, {4, 2, 2, 39, 19},
-                      {3, 3, 2, 1, 1},       {5, 4, 1, 6, 6},   {5, 4, 2, 1189, 309},
-                      {4, 1, 2, 4, 4}};
+const Grid kGrid[] = {{3, 2, 1, 4, 4},
+                      {3, 2, 2, 17, 14},
+                      {3, 2, 3, 48, 49, 0x3c669303973bb105, 0x1d853d8ed791acf9},
+                      {4, 3, 1, 5, 5},
+                      {4, 3, 2, 114, 33},
+                      {4, 2, 2, 39, 19},
+                      {3, 3, 2, 1, 1, 0xaf63bc4c8601b62c, 0xaf63bc4c8601b62c},
+                      {5, 4, 1, 6, 6},
+                      {5, 4, 2, 1189, 309},
+                      {4, 1, 2, 4, 4, 0xbe7a5e775165785d, 0xbe7a5e775165785d}};
 
 // ---------------------------------------------------------------------------
 // CanonicalStore unit behaviour.
@@ -338,11 +347,17 @@ TEST(CspEquivalence, PairReuseOverloadMatches) {
 TEST(CspEquivalence, SearchNodesArePinnedOnTheGrid) {
   // The serial search tree of every grid row, raw and on the orbit path:
   // a solver change that moves any count changes which branches it
-  // explores, not just how fast.
+  // explores, not just how fast.  A SAT row also pins the labelling found,
+  // which a change to the value order or the variable pick would move.
   for (const Grid& g : kGrid) {
-    EXPECT_EQ(nbhd::solve(nbhd::enumerate_views(g.k, g.d, g.rho)).nodes_explored, g.raw_nodes)
+    const nbhd::CspResult raw = nbhd::solve(nbhd::enumerate_views(g.k, g.d, g.rho));
+    const nbhd::CspResult orbit = nbhd::solve(nbhd::enumerate_orbits(g.k, g.d, g.rho));
+    EXPECT_EQ(raw.nodes_explored, g.raw_nodes) << "k=" << g.k << " d=" << g.d << " rho=" << g.rho;
+    EXPECT_EQ(orbit.nodes_explored, g.orbit_nodes)
         << "k=" << g.k << " d=" << g.d << " rho=" << g.rho;
-    EXPECT_EQ(nbhd::solve(nbhd::enumerate_orbits(g.k, g.d, g.rho)).nodes_explored, g.orbit_nodes)
+    EXPECT_EQ(raw.satisfiable ? fnv1a(raw.labelling) : 0, g.raw_fnv)
+        << "k=" << g.k << " d=" << g.d << " rho=" << g.rho;
+    EXPECT_EQ(orbit.satisfiable ? fnv1a(orbit.labelling) : 0, g.orbit_fnv)
         << "k=" << g.k << " d=" << g.d << " rho=" << g.rho;
   }
 }

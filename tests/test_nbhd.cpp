@@ -184,6 +184,47 @@ TEST(Csp, GreedyLabellingIsASolutionK3) {
       << static_cast<int>(violation->colour);
 }
 
+TEST(Csp, CheckLabellingReportsTheFirstViolationInPairOrder) {
+  // check_labelling walks the class index instead of a pair list; on every
+  // one-view corruption of greedy's labelling that keeps (M1) it must name
+  // the same first violated pair as a scan of compatible_pairs.
+  const ViewCatalogue cat = enumerate_views(3, 2, 3);
+  const std::vector<CompatiblePair> pairs = compatible_pairs(cat);
+  const std::vector<Colour> valid = induced_labelling(cat, algo::GreedyLocal(3));
+  const auto first_in_list = [&](const std::vector<Colour>& labelling) {
+    std::optional<CompatiblePair> first;
+    for (const CompatiblePair& p : pairs) {
+      const Colour x = labelling[static_cast<std::size_t>(p.a)];
+      const Colour y = labelling[static_cast<std::size_t>(p.b)];
+      if ((x == p.colour) != (y == p.colour) || (x == gk::kNoColour && y == gk::kNoColour)) {
+        first = p;
+        break;
+      }
+    }
+    return first;
+  };
+  int violated = 0;
+  for (int v = 0; v < cat.size(); ++v) {
+    std::vector<Colour> values = cat.views[static_cast<std::size_t>(v)].colours_at(
+        ColourSystem::root());
+    values.push_back(gk::kNoColour);
+    for (const Colour value : values) {
+      if (value == valid[static_cast<std::size_t>(v)]) continue;
+      std::vector<Colour> labelling = valid;
+      labelling[static_cast<std::size_t>(v)] = value;
+      const std::optional<CompatiblePair> expected = first_in_list(labelling);
+      const std::optional<CompatiblePair> found = check_labelling(cat, labelling);
+      ASSERT_EQ(found.has_value(), expected.has_value()) << "view " << v;
+      if (!found) continue;
+      ++violated;
+      EXPECT_EQ(found->a, expected->a) << "view " << v;
+      EXPECT_EQ(found->b, expected->b) << "view " << v;
+      EXPECT_EQ(found->colour, expected->colour) << "view " << v;
+    }
+  }
+  EXPECT_GT(violated, 0);
+}
+
 TEST(Csp, TruncatedGreedyLabellingViolatesConstraints) {
   // The 1-round truncated greedy induces a labelling at rho = 2 that must
   // break some constraint (since the CSP is UNSAT).

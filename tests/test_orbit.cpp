@@ -278,8 +278,12 @@ TEST(OrbitPairs, LiftedPairIndexEqualsRawIndexOnExpandedCatalogue) {
 TEST(OrbitPairs, OrbitIndexEqualsRawIndexOnExpandedCatalogue) {
   // Class ids follow first appearance in (member, colour) order, so the
   // orbit-level index and the raw index of the expansion agree class for
-  // class, not only pair for pair.
-  for (const Grid& g : kCspGrid) {
+  // class, not only pair for pair.  The k = 4, ρ = 3 catalogue is where the
+  // orbit build reuses canonised halves the most (19 980 halves, 54
+  // distinct serialisations).
+  std::vector<Grid> inputs(std::begin(kCspGrid), std::end(kCspGrid));
+  inputs.push_back({4, 3, 3});
+  for (const Grid& g : inputs) {
     const nbhd::OrbitCatalogue orbits = nbhd::enumerate_orbits(g.k, g.d, g.rho);
     const nbhd::BicliqueIndex lifted(orbits);
     const nbhd::BicliqueIndex raw(nbhd::expand_catalogue(orbits));

@@ -20,7 +20,8 @@
 //   dmm_cli export-dot --instance <spec> [--out <path>]
 //
 // `views` runs the Remark-2 / Linial pipeline end to end — catalogue size,
-// compatible-pair count, CSP verdict — so the UNSAT frontier is
+// compatible-pair count, CSP verdict, and the wall time of its enumerate,
+// pairs and solve phases — so the UNSAT frontier is
 // reproducible without building the bench binaries.  `--orbits` switches
 // to the colour-permutation orbit pipeline (identical verdicts, ~k!-fold
 // smaller materialised catalogue); on catalogues beyond the max_views
@@ -698,6 +699,16 @@ int cmd_views(const std::vector<std::string>& args) {
   nbhd::CspResult result;
   nbhd::OrbitGenStats gen;
   bool census_only = false;
+  // Steady-clock wall time of each phase; lap() reads the time since
+  // `since` and restarts it for the next phase.
+  using Clock = std::chrono::steady_clock;
+  double enumerate_ms = 0, pairs_ms = 0, solve_ms = 0;
+  const auto lap = [](Clock::time_point& since) {
+    const Clock::time_point now = Clock::now();
+    const double ms = std::chrono::duration<double, std::milli>(now - since).count();
+    since = now;
+    return ms;
+  };
   if (orbits) {
     const nbhd::OrbitCensus census = nbhd::orbit_census(k, d, rho);
     views = static_cast<long long>(census.views);
@@ -708,15 +719,23 @@ int cmd_views(const std::vector<std::string>& args) {
       // to the Burnside census alone.
       census_only = true;
     } else {
+      Clock::time_point since = Clock::now();
       const nbhd::OrbitCatalogue cat = nbhd::enumerate_orbits(k, d, rho, max_views, &gen);
+      enumerate_ms = lap(since);
       const std::vector<nbhd::CompatiblePair> pairs = nbhd::compatible_pairs(cat);
+      pairs_ms = lap(since);
       result = nbhd::solve(cat, pairs, nbhd::CspOptions{.threads = threads});
+      solve_ms = lap(since);
       pair_count = pairs.size();
     }
   } else {
+    Clock::time_point since = Clock::now();
     const nbhd::ViewCatalogue cat = nbhd::enumerate_views(k, d, rho, max_views);
+    enumerate_ms = lap(since);
     const std::vector<nbhd::CompatiblePair> pairs = nbhd::compatible_pairs(cat);
+    pairs_ms = lap(since);
     result = nbhd::solve(cat, pairs, {.threads = threads});
+    solve_ms = lap(since);
     views = cat.size();
     pair_count = pairs.size();
   }
@@ -735,7 +754,9 @@ int cmd_views(const std::vector<std::string>& args) {
       }
       std::cout << ",\"pairs\":" << pair_count
                 << ",\"satisfiable\":" << (result.satisfiable ? "true" : "false")
-                << ",\"csp_nodes\":" << result.nodes_explored;
+                << ",\"csp_nodes\":" << result.nodes_explored
+                << ",\"enumerate_ms\":" << enumerate_ms << ",\"pairs_ms\":" << pairs_ms
+                << ",\"solve_ms\":" << solve_ms;
     }
     std::cout << ",\"threads\":" << threads << "}\n";
   } else {
@@ -758,6 +779,8 @@ int cmd_views(const std::vector<std::string>& args) {
                 << result.nodes_explored << " search nodes";
       if (threads > 1) std::cout << ", " << threads << " threads";
       std::cout << ")\n";
+      std::cout << "time: enumerate " << enumerate_ms << " ms, pairs " << pairs_ms
+                << " ms, solve " << solve_ms << " ms\n";
       std::cout << "meaning: " << (result.satisfiable ? "some" : "no") << " (rho-1) = "
                 << rho - 1 << "-round algorithm exists on d-regular k-coloured instances\n";
     }
