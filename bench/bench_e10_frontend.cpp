@@ -8,8 +8,8 @@
 // on any divergence, so a green baseline row doubles as an equivalence
 // smoke check.  `sessions` is an exact workload property (the gate pins it
 // on equality); tenant_p50_ms / tenant_p99_ms / fairness_ratio are wall
-// measurements (banded); send_ms / receive_ms carry the engines' phase
-// split summed over the row's sessions (recorded, never gated).
+// measurements (banded); init_ms / send_ms / receive_ms carry the engines'
+// phase split summed over the row's sessions (recorded, never gated).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -75,8 +75,8 @@ benchjson::Record record_service_run(benchjson::Harness& harness, const std::str
   record.k = g.k();
   record.engine = local::engine_kind_name(kind);
   record.threads = threads;
-  record.rounds = standalone.rounds;
-  record.max_message_bytes = standalone.max_message_bytes;
+  record.metrics["rounds"] = standalone.rounds;
+  record.metrics["max_message_bytes"] = static_cast<double>(standalone.max_message_bytes);
 
   svc::ServiceOptions opts;
   opts.inflight = tenants * jobs_per_tenant;  // every session in flight at once
@@ -84,7 +84,7 @@ benchjson::Record record_service_run(benchjson::Harness& harness, const std::str
   opts.threads = threads;
 
   svc::ServiceStats stats;
-  record.wall_ns = benchjson::Harness::time_ns([&] {
+  record.metrics["wall_ns"] = benchjson::Harness::time_ns([&] {
     svc::MatchingService service(opts);
     std::vector<std::vector<std::future<local::RunResult>>> futures(
         static_cast<std::size_t>(tenants));
@@ -108,25 +108,29 @@ benchjson::Record record_service_run(benchjson::Harness& harness, const std::str
                        label.c_str());
           std::abort();
         }
-        record.send_ms += run.send_ns / 1e6;
-        record.receive_ms += run.receive_ns / 1e6;
-        record.crashes += static_cast<long long>(run.crashes);
-        record.restarts += static_cast<long long>(run.restarts);
-        record.messages_dropped += static_cast<long long>(run.messages_dropped);
+        // Summed over the row's sessions: the fault counters (exact) and
+        // each session's own setup / send / receive phase times (recorded).
+        record.metrics["crashes"] += static_cast<double>(run.crashes);
+        record.metrics["restarts"] += static_cast<double>(run.restarts);
+        record.metrics["messages_dropped"] += static_cast<double>(run.messages_dropped);
+        record.metrics["init_ms"] += run.init_ns / 1e6;
+        record.metrics["send_ms"] += run.send_ns / 1e6;
+        record.metrics["receive_ms"] += run.receive_ns / 1e6;
       }
     }
     stats = service.stats();
   });
-  record.sessions = static_cast<long long>(stats.sessions);
+  record.metrics["sessions"] = static_cast<double>(stats.sessions);
   // The worst tenant's percentiles: the number a fair-share regression
   // moves first.
+  double& p50 = record.metrics["tenant_p50_ms"];
+  double& p99 = record.metrics["tenant_p99_ms"];
   for (const svc::TenantStats& t : stats.tenants) {
-    record.tenant_p50_ms = std::max(record.tenant_p50_ms, t.p50_ms);
-    record.tenant_p99_ms = std::max(record.tenant_p99_ms, t.p99_ms);
+    p50 = std::max(p50, t.p50_ms);
+    p99 = std::max(p99, t.p99_ms);
   }
-  record.fairness_ratio = stats.fairness_ratio;
-  record.init_ms = standalone.init_ns / 1e6;
-  record.rss_bytes = benchjson::peak_rss_bytes();
+  record.metrics["fairness_ratio"] = stats.fairness_ratio;
+  record.metrics["rss_bytes"] = static_cast<double>(benchjson::peak_rss_bytes());
   harness.add(record);
   return record;
 }
@@ -160,10 +164,11 @@ void print_rows(benchjson::Harness& harness) {
     const benchjson::Record record =
         record_service_run(harness, *config.label, g, config.kind, kTenants, kJobs,
                            config.threads, *config.plan);
-    std::printf("%-32s %-6s %8d %12.2f %9lld %9.2f %9.2f %9.2f\n", config.label->c_str(),
+    const auto& metric = record.metrics;
+    std::printf("%-32s %-6s %8d %12.2f %9.0f %9.2f %9.2f %9.2f\n", config.label->c_str(),
                 local::engine_kind_name(config.kind), config.threads,
-                record.wall_ns / 1e6, record.sessions, record.tenant_p50_ms,
-                record.tenant_p99_ms, record.fairness_ratio);
+                metric.at("wall_ns") / 1e6, metric.at("sessions"), metric.at("tenant_p50_ms"),
+                metric.at("tenant_p99_ms"), metric.at("fairness_ratio"));
   }
   std::printf("\n");
 }

@@ -17,6 +17,7 @@
 // them on equality; wall_ns is banded like every other experiment.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -56,9 +57,9 @@ dyn::ChurnSpec spec_of(int batches, int ops, std::uint64_t seed) {
 
 /// One churn row: timed incremental apply, then the untimed verification
 /// replay (per-batch incremental + oracle maximality, counter equality).
-benchjson::Record record_churn_run(benchjson::Harness& harness, const std::string& label,
-                                   const graph::EdgeColouredGraph& g, local::EngineKind kind,
-                                   int threads, const dyn::ChurnSpec& spec) {
+dyn::RepairStats record_churn_run(benchjson::Harness& harness, const std::string& label,
+                                  const graph::EdgeColouredGraph& g, local::EngineKind kind,
+                                  int threads, const dyn::ChurnSpec& spec) {
   const dyn::ChurnPlan plan = dyn::ChurnPlan::random(g, spec);
   plan.require_applies(g);
 
@@ -71,7 +72,6 @@ benchjson::Record record_churn_run(benchjson::Harness& harness, const std::strin
   record.n = g.node_count();
   record.m = g.edge_count();
   record.k = g.k();
-  record.rounds = -1;
   record.engine = local::engine_kind_name(kind);
   record.threads = threads;
 
@@ -81,8 +81,8 @@ benchjson::Record record_churn_run(benchjson::Harness& harness, const std::strin
   init_ns = benchjson::Harness::time_ns(
       [&] { matcher_ptr = new dyn::DynamicMatcher(g, mopts); });
   dyn::DynamicMatcher& matcher = *matcher_ptr;
-  record.init_ms = init_ns / 1e6;
-  record.wall_ns = benchjson::Harness::time_ns([&] {
+  record.metrics["init_ms"] = init_ns / 1e6;
+  record.metrics["wall_ns"] = benchjson::Harness::time_ns([&] {
     for (const dyn::ChurnBatch& batch : plan.batches()) matcher.apply(batch);
   });
 
@@ -106,14 +106,15 @@ benchjson::Record record_churn_run(benchjson::Harness& harness, const std::strin
     std::abort();
   }
 
-  record.churn_ops = static_cast<long long>(matcher.stats().inserts + matcher.stats().deletes);
-  record.repairs = static_cast<long long>(matcher.stats().repairs);
-  record.touched_nodes = static_cast<long long>(matcher.stats().touched_nodes);
-  record.recompute_avoided = static_cast<long long>(matcher.stats().recompute_avoided);
-  record.rss_bytes = benchjson::peak_rss_bytes();
+  const dyn::RepairStats stats = matcher.stats();
+  record.metrics["churn_ops"] = static_cast<double>(stats.inserts + stats.deletes);
+  record.metrics["repairs"] = static_cast<double>(stats.repairs);
+  record.metrics["touched_nodes"] = static_cast<double>(stats.touched_nodes);
+  record.metrics["recompute_avoided"] = static_cast<double>(stats.recompute_avoided);
+  record.metrics["rss_bytes"] = static_cast<double>(benchjson::peak_rss_bytes());
   delete matcher_ptr;
-  harness.add(record);
-  return record;
+  harness.add(std::move(record));
+  return stats;
 }
 
 void print_rows(benchjson::Harness& harness) {
@@ -127,32 +128,32 @@ void print_rows(benchjson::Harness& harness) {
               "wall (ms)", "ops", "ns/op", "repairs", "touched", "avoided");
   for (const ChurnCase& c : cases) {
     const graph::EdgeColouredGraph g = c.make();
-    benchjson::Record sync_row;
+    dyn::RepairStats sync_stats;
     struct EngineRow {
       local::EngineKind kind;
       int threads;
     };
     const EngineRow engines[] = {{local::EngineKind::kSync, 1}, {local::EngineKind::kFlat, 4}};
     for (const EngineRow& e : engines) {
-      const benchjson::Record record =
+      const dyn::RepairStats stats =
           record_churn_run(harness, c.label, g, e.kind, e.threads, c.spec);
       if (e.kind == local::EngineKind::kSync) {
-        sync_row = record;
-      } else if (record.churn_ops != sync_row.churn_ops ||
-                 record.repairs != sync_row.repairs ||
-                 record.touched_nodes != sync_row.touched_nodes ||
-                 record.recompute_avoided != sync_row.recompute_avoided) {
+        sync_stats = stats;
+      } else if (!(stats == sync_stats)) {
         // The counters are a pure function of (instance, seed); an engine
         // that changes them has leaked into the repair path.
         std::fprintf(stderr, "e12: %s counters differ between engines\n", c.label);
         std::abort();
       }
-      std::printf("%-32s %-6s %8d %12.2f %8lld %8.0f %8lld %10lld %14lld\n", c.label,
-                  local::engine_kind_name(e.kind), e.threads, record.wall_ns / 1e6,
-                  record.churn_ops,
-                  record.churn_ops > 0 ? record.wall_ns / static_cast<double>(record.churn_ops)
-                                       : 0.0,
-                  record.repairs, record.touched_nodes, record.recompute_avoided);
+      const double wall_ns = harness.records().back().metrics.at("wall_ns");
+      const std::uint64_t ops = stats.inserts + stats.deletes;
+      std::printf("%-32s %-6s %8d %12.2f %8llu %8.0f %8llu %10llu %14llu\n", c.label,
+                  local::engine_kind_name(e.kind), e.threads, wall_ns / 1e6,
+                  static_cast<unsigned long long>(ops),
+                  ops > 0 ? wall_ns / static_cast<double>(ops) : 0.0,
+                  static_cast<unsigned long long>(stats.repairs),
+                  static_cast<unsigned long long>(stats.touched_nodes),
+                  static_cast<unsigned long long>(stats.recompute_avoided));
     }
   }
   std::printf("\n");

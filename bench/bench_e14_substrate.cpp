@@ -36,7 +36,7 @@ void print_rows(benchjson::Harness& harness) {
   for (const local::EngineKind kind : {local::EngineKind::kSync, local::EngineKind::kFlat}) {
     const local::RunResult run = benchjson::record_engine_run(
         harness, instance, big, kind, algo::greedy_program_factory(), big.k() + 1);
-    const double wall = harness.records().back().wall_ns;
+    const double wall = harness.records().back().metrics.at("wall_ns");
     (kind == local::EngineKind::kSync ? sync_ns : flat_ns) = wall;
     std::printf("%-8s %14.2f %10d\n", local::engine_kind_name(kind), wall / 1e6, run.rounds);
   }
@@ -64,7 +64,7 @@ void print_rows(benchjson::Harness& harness) {
           harness, inst, small, kind, algo::greedy_program_factory(), small.k() + 1);
       std::printf("%-34s %-8s %8d %14.2f %10d\n", inst.c_str(),
                   local::engine_kind_name(kind), 1,
-                  harness.records().back().wall_ns / 1e6, run.rounds);
+                  harness.records().back().metrics.at("wall_ns") / 1e6, run.rounds);
     }
   }
   {
@@ -78,7 +78,7 @@ void print_rows(benchjson::Harness& harness) {
       const local::RunResult run =
           benchjson::record_engine_run(harness, inst, skewed, local::EngineKind::kFlat,
                                        algo::greedy_program_factory(), 256, options);
-      const double wall = harness.records().back().wall_ns;
+      const double wall = harness.records().back().metrics.at("wall_ns");
       if (threads == 1) serial_ns = wall;
       std::printf("%-34s %-8s %8d %14.2f %10d\n", inst.c_str(), "flat", threads,
                   wall / 1e6, run.rounds);
@@ -104,11 +104,12 @@ void print_rows(benchjson::Harness& harness) {
     const local::RunResult run = benchjson::record_engine_run(
         harness, "random n=10000000 k=4", huge, local::EngineKind::kFlat,
         algo::greedy_program_factory(), huge.k() + 1);
-    const benchjson::Record& rec = harness.records().back();
+    const auto& metric = harness.records().back().metrics;
+    const double wall_ms = metric.at("wall_ns") / 1e6;
     std::printf("%-8s %14.2f %10d   init %.2f ms (%.0f%% of wall)  rss %.1f GiB\n",
-                "flat", rec.wall_ns / 1e6, run.rounds, rec.init_ms,
-                100.0 * rec.init_ms / (rec.wall_ns / 1e6),
-                static_cast<double>(rec.rss_bytes) / (1024.0 * 1024.0 * 1024.0));
+                "flat", wall_ms, run.rounds, metric.at("init_ms"),
+                100.0 * metric.at("init_ms") / wall_ms,
+                metric.at("rss_bytes") / (1024.0 * 1024.0 * 1024.0));
     std::printf("\n");
 
     // Skewed scale row (ISSUE 7 acceptance): greedy on a 10⁶-node hub
@@ -127,7 +128,7 @@ void print_rows(benchjson::Harness& harness) {
                                        local::EngineKind::kFlat,
                                        algo::greedy_program_factory(), 256, options);
       std::printf("%-8s t%-3d %14.2f %10d\n", "flat", threads,
-                  harness.records().back().wall_ns / 1e6, run.rounds);
+                  harness.records().back().metrics.at("wall_ns") / 1e6, run.rounds);
     }
     std::printf("\n");
   }

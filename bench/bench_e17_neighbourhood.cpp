@@ -6,21 +6,25 @@
 // pairs, bitset CSP with arc consistency) the full table through
 // k = 4, rho = 3 (78 732 views, ~9.6M constraints) runs in ~1 s where the
 // seed pipeline took ~20 s, and the k = 5, rho = 2 row is part of the
-// standard table.  `--orbits` switches every row to the colour-permutation
-// orbit pipeline (one materialised representative per orbit, pair index
-// lifted through permutation witnesses, identical verdicts); the census
-// row reports the k = 5, rho = 3 catalogue — ~2.1e10 views, ~1.8e8 orbits
-// — by pure Burnside arithmetic; its *reps* are reachable by the orderly
-// generator (the nightly --scale smoke streams them under a wall budget).
-// Each row is recorded in BENCH_e17.json with the pipeline stats (views,
-// pairs, csp_nodes, threads, orbits, orbit_reduction, reps_generated).
+// standard table.  Every row runs twice: on the raw catalogue, then on the
+// colour-permutation orbit pipeline (one materialised representative per
+// orbit, pair index lifted through permutation witnesses, identical
+// verdicts).  The census row reports the k = 5, rho = 3 catalogue —
+// ~2.1e10 views, ~1.8e8 orbits — by pure Burnside arithmetic; its *reps*
+// are reachable by the orderly generator (the nightly --scale smoke streams
+// them under a wall budget).  Each row is recorded in BENCH_e17.json with
+// its pipeline metrics (views, pairs, csp_nodes; orbits, orbit_reduction,
+// reps_generated on orbit rows).
 #include <benchmark/benchmark.h>
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 
 #include "bench_json.hpp"
 #include "core/dmm.hpp"
@@ -29,58 +33,66 @@ namespace {
 
 using namespace dmm;
 
-void print_rows(benchjson::Harness& harness, int threads, bool orbits) {
-  std::printf("## E17: r-round algorithms as labellings of the (r+1)-view catalogue%s\n",
-              orbits ? " (orbit-reduced)" : "");
-  std::printf("%4s %4s %5s %11s %9s %10s %12s %14s %10s\n", "k", "d", "rho", "views", "orbits",
-              "pairs", "satisfiable", "search nodes", "wall ms");
-  struct Row {
-    int k, d, rho;
-  };
+struct Row {
+  int k, d, rho;
+};
+
+// One table row: the (k, d, rho) catalogue enumerated, paired and solved,
+// raw or from its orbit representatives.
+void print_row(benchjson::Harness& harness, const Row& row, int threads, bool orbits) {
+  benchjson::Record record;
+  record.instance = std::string("views k=") + std::to_string(row.k) +
+                    " d=" + std::to_string(row.d) + " rho=" + std::to_string(row.rho) +
+                    (orbits ? " orbits" : "");
+  record.k = row.k;
+  record.threads = threads;
+  auto& metric = record.metrics;
+  metric["rounds"] = row.rho - 1;  // an rho-catalogue decides (rho-1)-round algorithms
+  long long views = 0, orbit_count = 0;
+  std::size_t pair_count = 0;
+  nbhd::CspResult result;
+  if (orbits) {
+    nbhd::OrbitGenStats gen;
+    metric["wall_ns"] = benchjson::Harness::time_ns([&] {
+      const nbhd::OrbitCatalogue cat =
+          nbhd::enumerate_orbits(row.k, row.d, row.rho, 2'000'000, &gen);
+      const auto pairs = nbhd::compatible_pairs(cat);
+      result = nbhd::solve(cat, pairs, {.threads = threads});
+      views = cat.view_count();
+      orbit_count = cat.orbit_count();
+      pair_count = pairs.size();
+    });
+    metric["orbits"] = static_cast<double>(orbit_count);
+    metric["orbit_reduction"] = static_cast<double>(views) / static_cast<double>(orbit_count);
+    metric["reps_generated"] = static_cast<double>(gen.reps_generated);
+  } else {
+    metric["wall_ns"] = benchjson::Harness::time_ns([&] {
+      const nbhd::ViewCatalogue cat = nbhd::enumerate_views(row.k, row.d, row.rho);
+      const auto pairs = nbhd::compatible_pairs(cat);
+      result = nbhd::solve(cat, pairs, {.threads = threads});
+      views = cat.size();
+      pair_count = pairs.size();
+    });
+  }
+  metric["views"] = static_cast<double>(views);
+  metric["pairs"] = static_cast<double>(pair_count);
+  metric["csp_nodes"] = static_cast<double>(result.nodes_explored);
+  std::printf("%4d %4d %5d %11lld %9lld %10zu %12s %14llu %10.1f\n", row.k, row.d, row.rho,
+              views, orbit_count, pair_count, result.satisfiable ? "SAT" : "UNSAT",
+              static_cast<unsigned long long>(result.nodes_explored), metric["wall_ns"] / 1e6);
+  harness.add(std::move(record));
+}
+
+void print_rows(benchjson::Harness& harness, int threads) {
   const Row rows[] = {{3, 2, 1}, {3, 2, 2}, {3, 2, 3}, {4, 3, 1},
                       {4, 3, 2}, {4, 3, 3}, {5, 4, 2}};
-  for (const Row& row : rows) {
-    benchjson::Record record;
-    record.instance = std::string("views k=") + std::to_string(row.k) +
-                      " d=" + std::to_string(row.d) + " rho=" + std::to_string(row.rho) +
-                      (orbits ? " orbits" : "");
-    record.k = row.k;
-    record.rounds = row.rho - 1;  // an rho-catalogue decides (rho-1)-round algorithms
-    record.threads = threads;
-    long long views = 0, orbit_count = 0;
-    std::size_t pair_count = 0;
-    nbhd::CspResult result;
-    if (orbits) {
-      nbhd::OrbitGenStats gen;
-      record.wall_ns = benchjson::Harness::time_ns([&] {
-        const nbhd::OrbitCatalogue cat =
-            nbhd::enumerate_orbits(row.k, row.d, row.rho, 2'000'000, &gen);
-        const auto pairs = nbhd::compatible_pairs(cat);
-        result = nbhd::solve(cat, pairs, {.threads = threads});
-        views = cat.view_count();
-        orbit_count = cat.orbit_count();
-        pair_count = pairs.size();
-      });
-      record.orbits = orbit_count;
-      record.orbit_reduction =
-          orbit_count > 0 ? static_cast<double>(views) / static_cast<double>(orbit_count) : 0.0;
-      record.reps_generated = gen.reps_generated;
-    } else {
-      record.wall_ns = benchjson::Harness::time_ns([&] {
-        const nbhd::ViewCatalogue cat = nbhd::enumerate_views(row.k, row.d, row.rho);
-        const auto pairs = nbhd::compatible_pairs(cat);
-        result = nbhd::solve(cat, pairs, {.threads = threads});
-        views = cat.size();
-        pair_count = pairs.size();
-      });
-    }
-    record.views = views;
-    record.pairs = static_cast<long long>(pair_count);
-    record.csp_nodes = static_cast<long long>(result.nodes_explored);
-    std::printf("%4d %4d %5d %11lld %9lld %10zu %12s %14llu %10.1f\n", row.k, row.d, row.rho,
-                views, orbit_count, pair_count, result.satisfiable ? "SAT" : "UNSAT",
-                static_cast<unsigned long long>(result.nodes_explored), record.wall_ns / 1e6);
-    harness.add(std::move(record));
+  for (const bool orbits : {false, true}) {
+    std::printf("## E17: r-round algorithms as labellings of the (r+1)-view catalogue%s\n",
+                orbits ? " (orbit-reduced)" : "");
+    std::printf("%4s %4s %5s %11s %9s %10s %12s %14s %10s\n", "k", "d", "rho", "views",
+                "orbits", "pairs", "satisfiable", "search nodes", "wall ms");
+    for (const Row& row : rows) print_row(harness, row, threads, orbits);
+    std::printf("\n");
   }
   // The k = 5, rho = 3 orbit census: materialisation throws the max_views
   // guard (~2.1e10 views), the Burnside count is arithmetic.  This is the
@@ -89,15 +101,17 @@ void print_rows(benchjson::Harness& harness, int threads, bool orbits) {
     benchjson::Record record;
     record.instance = "orbit census k=5 d=4 rho=3";
     record.k = 5;
-    record.rounds = 2;
     record.threads = threads;
+    auto& metric = record.metrics;
+    metric["rounds"] = 2;
     nbhd::OrbitCensus census;
-    record.wall_ns = benchjson::Harness::time_ns([&] { census = nbhd::orbit_census(5, 4, 3); });
-    record.views = static_cast<long long>(census.views);
-    record.orbits = static_cast<long long>(census.orbits);
-    record.orbit_reduction = census.orbits > 0 ? census.views / census.orbits : 0.0;
-    std::printf("%4d %4d %5d %11lld %9lld %10s %12s %14s %10.1f  (census only)\n", 5, 4, 3,
-                record.views, record.orbits, "-", "-", "-", record.wall_ns / 1e6);
+    metric["wall_ns"] =
+        benchjson::Harness::time_ns([&] { census = nbhd::orbit_census(5, 4, 3); });
+    metric["views"] = census.views;
+    metric["orbits"] = census.orbits;
+    metric["orbit_reduction"] = census.views / census.orbits;
+    std::printf("orbit census k=5 d=4 rho=3: %.0f views in %.0f orbits, %.1f ms (census only)\n",
+                census.views, census.orbits, metric["wall_ns"] / 1e6);
     harness.add(std::move(record));
   }
   std::printf("\n(UNSAT at rho <= k-1 is the *universal* form of Theorem 5: no (rho-1)-round\n"
@@ -113,15 +127,14 @@ void print_rows(benchjson::Harness& harness, int threads, bool orbits) {
 // a ~45-minute single-core run, so the budget row normally stops early).
 // If the budget does cover the whole walk, the closed-form member count
 // must land exactly on the 21 474 836 480 raw views.
-void print_orderly_scale_row(benchjson::Harness& harness) {
-  long long budget_ms = 120'000;
-  if (const char* env = std::getenv("DMM_ORDERLY_BUDGET_MS")) budget_ms = std::atoll(env);
+void print_orderly_scale_row(benchjson::Harness& harness, long long budget_ms) {
   benchjson::Record record;
   record.instance = "orderly reps k=5 d=4 rho=3";
   record.k = 5;
-  record.rounds = 2;
+  auto& metric = record.metrics;
+  metric["rounds"] = 2;
   nbhd::OrbitGenStats gen;
-  record.wall_ns = benchjson::Harness::time_ns([&] {
+  metric["wall_ns"] = benchjson::Harness::time_ns([&] {
     const auto start = std::chrono::steady_clock::now();
     long long seen = 0;
     gen = nbhd::orderly_orbit_reps(5, 4, 3, [&](nbhd::OrderlyRep&&) {
@@ -132,16 +145,14 @@ void print_orderly_scale_row(benchjson::Harness& harness) {
   if (gen.complete && gen.member_views != 21'474'836'480.0) {
     throw std::logic_error("e17 orderly scale row: member count disagrees with the census");
   }
-  record.views = static_cast<long long>(gen.member_views);
-  record.orbits = gen.reps_generated;
-  record.orbit_reduction = gen.reps_generated > 0
-                               ? gen.member_views / static_cast<double>(gen.reps_generated)
-                               : 0.0;
-  record.reps_generated = gen.reps_generated;
+  metric["views"] = gen.member_views;
+  metric["orbits"] = static_cast<double>(gen.reps_generated);
+  metric["orbit_reduction"] = gen.member_views / static_cast<double>(gen.reps_generated);
+  metric["reps_generated"] = static_cast<double>(gen.reps_generated);
   std::printf("orderly scale smoke: k=5 d=4 rho=3 — %lld reps covering %.0f raw views in "
               "%.1f ms (%s)\n\n",
               static_cast<long long>(gen.reps_generated), gen.member_views,
-              record.wall_ns / 1e6, gen.complete ? "complete" : "budget stop");
+              metric["wall_ns"] / 1e6, gen.complete ? "complete" : "budget stop");
   harness.add(std::move(record));
 }
 
@@ -207,26 +218,43 @@ void BM_SolveCspK5Rho2(benchmark::State& state) {
 }
 BENCHMARK(BM_SolveCspK5Rho2)->Unit(benchmark::kMillisecond);
 
+const char* const kUsage =
+    "usage: bench_e17_neighbourhood [--smoke] [--scale] [--json-dir <dir>] [--threads N>=1] "
+    "[google-benchmark flags]; DMM_ORDERLY_BUDGET_MS, if set, is a whole number >= 1";
+
+/// `token` as a whole T of at least 1 ("2.5", "x", "0" and out-of-range
+/// values fail); anything else prints the usage line and exits 2.
+template <class T>
+T positive(const char* token) {
+  T value{};
+  const char* end = token + std::strlen(token);
+  const auto [stop, error] = std::from_chars(token, end, value);
+  if (error != std::errc() || stop != end || value < 1) {
+    std::fprintf(stderr, "bench_e17: %s\n", kUsage);
+    std::exit(2);
+  }
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   dmm::benchjson::Harness harness("e17", argc, argv);
-  // Strip --threads / --orbits before google-benchmark sees the arguments.
+  // Strip --threads before google-benchmark sees the arguments.
   int threads = 1;
-  bool orbits = false;
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-    } else if (std::string(argv[i]) == "--orbits") {
-      orbits = true;
+    if (std::string(argv[i]) == "--threads") {
+      threads = positive<int>(i + 1 < argc ? argv[++i] : "");
     } else {
       argv[kept++] = argv[i];
     }
   }
   argc = kept;
-  print_rows(harness, threads, orbits);
-  if (harness.scale()) print_orderly_scale_row(harness);
+  const char* budget = std::getenv("DMM_ORDERLY_BUDGET_MS");
+  const long long budget_ms = budget ? positive<long long>(budget) : 120'000;
+  print_rows(harness, threads);
+  if (harness.scale()) print_orderly_scale_row(harness, budget_ms);
   if (!harness.smoke()) {
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();

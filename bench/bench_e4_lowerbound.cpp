@@ -21,21 +21,19 @@ void record_run(benchjson::Harness& harness, const std::string& label, int k,
   benchjson::Record record;
   record.instance = label;
   record.k = k;
-  record.rounds = -1;
-  record.wall_ns = wall_ns;
-  record.views = static_cast<long long>(result.stats.evaluations);
-  record.memo_hits = static_cast<long long>(result.stats.memo_hits);
   record.threads = result.stats.threads;
-  // dmm-bench-4 colour-symmetry stats: with the orbit memo on, the byte
-  // store holds one key per view orbit; the reduction is entries/orbits.
-  record.orbits = static_cast<long long>(result.stats.orbits);
-  record.orbit_reduction =
-      result.stats.orbits > 0 ? static_cast<double>(result.stats.memo_entries) /
-                                    static_cast<double>(result.stats.orbits)
-                              : 0.0;
-  // dmm-bench-5: on e4 rows the "reps" are the evaluator-interned orbit
-  // keys — one canonical form per view orbit the adversary ever touched.
-  record.reps_generated = static_cast<long long>(result.stats.orbits);
+  record.metrics["wall_ns"] = wall_ns;
+  record.metrics["evaluations"] = static_cast<double>(result.stats.evaluations);
+  record.metrics["memo_hits"] = static_cast<double>(result.stats.memo_hits);
+  if (result.stats.orbits > 0) {
+    // The orbit memo's byte store holds one key per view orbit: the
+    // reduction is entries per orbit, and the "reps" are those keys, one
+    // canonical form per view orbit the adversary ever touched.
+    record.metrics["orbits"] = static_cast<double>(result.stats.orbits);
+    record.metrics["orbit_reduction"] = static_cast<double>(result.stats.memo_entries) /
+                                        static_cast<double>(result.stats.orbits);
+    record.metrics["reps_generated"] = static_cast<double>(result.stats.orbits);
+  }
   harness.add(std::move(record));
 }
 

@@ -20,8 +20,17 @@ namespace {
 
 using namespace dmm;
 
-// One greedy run under `plan` on the chosen engine, recorded with the
-// dmm-bench-6 fault counters filled in from the RunResult.
+// The metrics every e9 row takes from its RunResult: the engine-run ones
+// plus the fault counters (exact).
+void add_fault_metrics(benchjson::Record& record, const local::RunResult& run) {
+  benchjson::add_run_metrics(record, run);
+  record.metrics["crashes"] = static_cast<double>(run.crashes);
+  record.metrics["restarts"] = static_cast<double>(run.restarts);
+  record.metrics["messages_dropped"] = static_cast<double>(run.messages_dropped);
+}
+
+// One greedy run under `plan` on the chosen engine, recorded with its
+// fault counters.
 local::RunResult record_faulty_run(benchjson::Harness& harness, const std::string& instance,
                                    const graph::EdgeColouredGraph& g, local::EngineKind kind,
                                    const local::FaultPlan& plan, int max_rounds,
@@ -36,20 +45,14 @@ local::RunResult record_faulty_run(benchjson::Harness& harness, const std::strin
   record.threads = kind == local::EngineKind::kFlat ? options.threads : 1;
   const local::FaultOptions faults{&plan};
   local::RunResult run;
-  record.wall_ns = benchjson::Harness::time_ns([&] {
+  record.metrics["wall_ns"] = benchjson::Harness::time_ns([&] {
     run = kind == local::EngineKind::kFlat
               ? local::run_flat(g, algo::greedy_program_factory(),
                                 {max_rounds, faults, checkpoint}, options)
               : local::run_sync(g, algo::greedy_program_factory(),
                                 {max_rounds, faults, checkpoint});
   });
-  record.rounds = run.rounds;
-  record.max_message_bytes = run.max_message_bytes;
-  record.init_ms = run.init_ns / 1e6;
-  record.rss_bytes = benchjson::peak_rss_bytes();
-  record.crashes = static_cast<long long>(run.crashes);
-  record.restarts = static_cast<long long>(run.restarts);
-  record.messages_dropped = static_cast<long long>(run.messages_dropped);
+  add_fault_metrics(record, run);
   harness.add(std::move(record));
   return run;
 }
@@ -92,25 +95,25 @@ void print_rows(benchjson::Harness& harness) {
               "wall (ms)", "rounds", "crashes", "restarts", "drops");
   const std::string clean_label = "random n=20000 k=8";
   const std::string faulty_label = "random n=20000 k=8 faults";
-  for (const local::EngineKind kind : {local::EngineKind::kSync, local::EngineKind::kFlat}) {
-    const local::RunResult run =
-        record_faulty_run(harness, clean_label, g, kind, no_faults, g.k() + 1);
-    std::printf("%-28s %-6s %8d %12.2f %7d %8llu %9llu %7llu\n", clean_label.c_str(),
-                local::engine_kind_name(kind), 1, harness.records().back().wall_ns / 1e6,
-                run.rounds, static_cast<unsigned long long>(run.crashes),
+  const auto print_row = [&](const std::string& label, local::EngineKind kind, int threads,
+                             const local::RunResult& run) {
+    std::printf("%-28s %-6s %8d %12.2f %7d %8llu %9llu %7llu\n", label.c_str(),
+                local::engine_kind_name(kind), threads,
+                harness.records().back().metrics.at("wall_ns") / 1e6, run.rounds,
+                static_cast<unsigned long long>(run.crashes),
                 static_cast<unsigned long long>(run.restarts),
                 static_cast<unsigned long long>(run.messages_dropped));
+  };
+  for (const local::EngineKind kind : {local::EngineKind::kSync, local::EngineKind::kFlat}) {
+    print_row(clean_label, kind, 1,
+              record_faulty_run(harness, clean_label, g, kind, no_faults, g.k() + 1));
   }
   local::RunResult faulty_serial;
   for (const local::EngineKind kind : {local::EngineKind::kSync, local::EngineKind::kFlat}) {
     const local::RunResult run =
         record_faulty_run(harness, faulty_label, g, kind, plan, rounds_budget);
     if (kind == local::EngineKind::kSync) faulty_serial = run;
-    std::printf("%-28s %-6s %8d %12.2f %7d %8llu %9llu %7llu\n", faulty_label.c_str(),
-                local::engine_kind_name(kind), 1, harness.records().back().wall_ns / 1e6,
-                run.rounds, static_cast<unsigned long long>(run.crashes),
-                static_cast<unsigned long long>(run.restarts),
-                static_cast<unsigned long long>(run.messages_dropped));
+    print_row(faulty_label, kind, 1, run);
   }
   {
     // The schedule-independence claim in one row: four workers, same plan,
@@ -121,11 +124,7 @@ void print_rows(benchjson::Harness& harness) {
     const local::RunResult run = record_faulty_run(harness, faulty_label, g,
                                                    local::EngineKind::kFlat, plan,
                                                    rounds_budget, options);
-    std::printf("%-28s %-6s %8d %12.2f %7d %8llu %9llu %7llu\n", faulty_label.c_str(), "flat",
-                4, harness.records().back().wall_ns / 1e6, run.rounds,
-                static_cast<unsigned long long>(run.crashes),
-                static_cast<unsigned long long>(run.restarts),
-                static_cast<unsigned long long>(run.messages_dropped));
+    print_row(faulty_label, local::EngineKind::kFlat, 4, run);
     if (run.outputs != faulty_serial.outputs || run.crashes != faulty_serial.crashes ||
         run.restarts != faulty_serial.restarts ||
         run.messages_dropped != faulty_serial.messages_dropped) {
@@ -162,20 +161,14 @@ void print_rows(benchjson::Harness& harness) {
     record.engine = local::engine_kind_name(kind);
     const local::FaultOptions faults{&plan};
     local::RunResult run;
-    record.wall_ns = benchjson::Harness::time_ns([&] {
+    record.metrics["wall_ns"] = benchjson::Harness::time_ns([&] {
       run = kind == local::EngineKind::kFlat
                 ? local::run_flat(g, algo::greedy_program_factory(),
                                   {rounds_budget, faults, capture})
                 : local::run_sync(g, algo::greedy_program_factory(),
                                   {rounds_budget, faults, capture});
     });
-    record.rounds = run.rounds;
-    record.max_message_bytes = run.max_message_bytes;
-    record.init_ms = run.init_ns / 1e6;
-    record.rss_bytes = benchjson::peak_rss_bytes();
-    record.crashes = static_cast<long long>(run.crashes);
-    record.restarts = static_cast<long long>(run.restarts);
-    record.messages_dropped = static_cast<long long>(run.messages_dropped);
+    add_fault_metrics(record, run);
     if (!captured) {
       std::fprintf(stderr, "e9: checkpoint sink never fired\n");
       std::abort();
@@ -183,23 +176,21 @@ void print_rows(benchjson::Harness& harness) {
     std::ostringstream frames;
     last.write(frames);
     const std::string bytes = frames.str();
-    record.checkpoint_bytes = static_cast<long long>(bytes.size());
+    record.metrics["checkpoint_bytes"] = static_cast<double>(bytes.size());
 
     // restore_ms: parse + validate the frames, and on the flat row also
     // load them into a live engine (the sync engine has no persistent
     // object to restore into — its resume path re-reads inside run_sync).
     local::EngineCheckpoint parsed;
-    record.restore_ms = benchjson::Harness::time_ns([&] {
-                          std::istringstream in(bytes);
-                          parsed = local::EngineCheckpoint::read(in);
-                          parsed.require_matches(g);
-                          if (kind == local::EngineKind::kFlat) {
-                            local::FlatEngine engine(g, algo::greedy_program_factory(),
-                                                     rounds_budget, {});
-                            engine.restore(parsed);
-                          }
-                        }) /
-                        1e6;
+    record.metrics["restore_ms"] = benchjson::Harness::time_ns([&] {
+      std::istringstream in(bytes);
+      parsed = local::EngineCheckpoint::read(in);
+      parsed.require_matches(g);
+      if (kind == local::EngineKind::kFlat) {
+        local::FlatEngine engine(g, algo::greedy_program_factory(), rounds_budget, {});
+        engine.restore(parsed);
+      }
+    }) / 1e6;
 
     local::CheckpointOptions resume;
     resume.resume = &parsed;
@@ -215,11 +206,11 @@ void print_rows(benchjson::Harness& harness) {
       std::fprintf(stderr, "e9: resumed run diverged from the uninterrupted run\n");
       std::abort();
     }
+    std::printf("%-28s %-6s %12.2f %12.0f %13.3f %8s\n", ckpt_label.c_str(),
+                local::engine_kind_name(kind), record.metrics["wall_ns"] / 1e6,
+                record.metrics["checkpoint_bytes"], record.metrics["restore_ms"],
+                ok ? "ok" : "FAIL");
     harness.add(std::move(record));
-    const benchjson::Record& rec = harness.records().back();
-    std::printf("%-28s %-6s %12.2f %12lld %13.3f %8s\n", ckpt_label.c_str(),
-                local::engine_kind_name(kind), rec.wall_ns / 1e6, rec.checkpoint_bytes,
-                rec.restore_ms, ok ? "ok" : "FAIL");
   }
   std::printf("\n");
 }

@@ -1,7 +1,5 @@
 #include "bench_json.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -40,261 +38,30 @@ std::string escape(const std::string& text) {
   return out;
 }
 
-/// Minimal scanner for the writer's own output.
-class Scanner {
- public:
-  explicit Scanner(const std::string& text) : text_(text) {}
-
-  void expect(char c) {
-    skip_space();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      throw std::invalid_argument(std::string("bench_json: expected '") + c + "' at offset " +
-                                  std::to_string(pos_));
-    }
-    ++pos_;
-  }
-
-  std::string string_value() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) throw std::invalid_argument("bench_json: bad \\u");
-            c = static_cast<char>(std::stoi(text_.substr(pos_, 4), nullptr, 16));
-            pos_ += 4;
-            break;
-          }
-          default: c = esc;
-        }
-      }
-      out += c;
-    }
-    if (pos_ >= text_.size()) throw std::invalid_argument("bench_json: unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  double number_value() {
-    skip_space();
-    std::size_t used = 0;
-    const double value = std::stod(text_.substr(pos_), &used);
-    if (used == 0) throw std::invalid_argument("bench_json: expected a number");
-    pos_ += used;
-    return value;
-  }
-
-  void key(const char* name) {
-    skip_space();
-    const std::string got = string_value();
-    if (got != name) {
-      throw std::invalid_argument("bench_json: expected field '" + std::string(name) +
-                                  "', got '" + got + "'");
-    }
-    expect(':');
-  }
-
- private:
-  void skip_space() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
 }  // namespace
 
-bool known_experiment(const std::string& experiment) {
-  return std::any_of(std::begin(kExperiments), std::end(kExperiments),
-                     [&](const char* e) { return experiment == e; });
-}
-
 std::string to_json(const Record& record) {
-  if (!std::isfinite(record.wall_ns)) {
-    throw std::invalid_argument("bench_json: wall_ns must be finite (instance '" +
-                                record.instance + "')");
-  }
-  if (!std::isfinite(record.init_ms)) {
-    throw std::invalid_argument("bench_json: init_ms must be finite (instance '" +
-                                record.instance + "')");
-  }
-  if (!std::isfinite(record.orbit_reduction)) {
-    throw std::invalid_argument("bench_json: orbit_reduction must be finite (instance '" +
-                                record.instance + "')");
-  }
-  if (!std::isfinite(record.restore_ms)) {
-    throw std::invalid_argument("bench_json: restore_ms must be finite (instance '" +
-                                record.instance + "')");
-  }
-  if (!std::isfinite(record.send_ms) || !std::isfinite(record.receive_ms)) {
-    throw std::invalid_argument("bench_json: send_ms/receive_ms must be finite (instance '" +
-                                record.instance + "')");
-  }
-  if (!std::isfinite(record.tenant_p50_ms) || !std::isfinite(record.tenant_p99_ms) ||
-      !std::isfinite(record.fairness_ratio)) {
-    throw std::invalid_argument("bench_json: tenant latency stats must be finite (instance '" +
-                                record.instance + "')");
-  }
-  char wall[64];
-  std::snprintf(wall, sizeof wall, "%.17g", record.wall_ns);
-  char init[64];
-  std::snprintf(init, sizeof init, "%.17g", record.init_ms);
-  char reduction[64];
-  std::snprintf(reduction, sizeof reduction, "%.17g", record.orbit_reduction);
-  char restore[64];
-  std::snprintf(restore, sizeof restore, "%.17g", record.restore_ms);
-  char send[64];
-  std::snprintf(send, sizeof send, "%.17g", record.send_ms);
-  char receive[64];
-  std::snprintf(receive, sizeof receive, "%.17g", record.receive_ms);
-  char p50[64];
-  std::snprintf(p50, sizeof p50, "%.17g", record.tenant_p50_ms);
-  char p99[64];
-  std::snprintf(p99, sizeof p99, "%.17g", record.tenant_p99_ms);
-  char fairness[64];
-  std::snprintf(fairness, sizeof fairness, "%.17g", record.fairness_ratio);
   std::ostringstream out;
-  out << "{\"instance\":\"" << escape(record.instance) << "\""
-      << ",\"n\":" << record.n << ",\"m\":" << record.m << ",\"k\":" << record.k
-      << ",\"rounds\":" << record.rounds << ",\"wall_ns\":" << wall << ",\"engine\":\""
-      << escape(record.engine) << "\",\"max_message_bytes\":" << record.max_message_bytes
-      << ",\"views\":" << record.views << ",\"pairs\":" << record.pairs
-      << ",\"csp_nodes\":" << record.csp_nodes << ",\"memo_hits\":" << record.memo_hits
-      << ",\"threads\":" << record.threads << ",\"init_ms\":" << init
-      << ",\"rss_bytes\":" << record.rss_bytes << ",\"orbits\":" << record.orbits
-      << ",\"orbit_reduction\":" << reduction
-      << ",\"reps_generated\":" << record.reps_generated
-      << ",\"crashes\":" << record.crashes << ",\"restarts\":" << record.restarts
-      << ",\"messages_dropped\":" << record.messages_dropped
-      << ",\"checkpoint_bytes\":" << record.checkpoint_bytes
-      << ",\"restore_ms\":" << restore << ",\"send_ms\":" << send
-      << ",\"receive_ms\":" << receive << ",\"sessions\":" << record.sessions
-      << ",\"tenant_p50_ms\":" << p50 << ",\"tenant_p99_ms\":" << p99
-      << ",\"fairness_ratio\":" << fairness << ",\"churn_ops\":" << record.churn_ops
-      << ",\"repairs\":" << record.repairs << ",\"touched_nodes\":" << record.touched_nodes
-      << ",\"recompute_avoided\":" << record.recompute_avoided << "}";
+  out << "{\"instance\":\"" << escape(record.instance) << "\",\"engine\":\""
+      << escape(record.engine) << "\",\"threads\":" << record.threads << ",\"n\":" << record.n
+      << ",\"m\":" << record.m << ",\"k\":" << record.k << ",\"metrics\":{";
+  const char* separator = "";
+  for (const auto& [name, value] : record.metrics) {
+    if (!std::isfinite(value)) {
+      throw std::invalid_argument("bench_json: metric '" + name + "' must be finite (instance '" +
+                                  record.instance + "')");
+    }
+    char number[32];
+    std::snprintf(number, sizeof number, "%.17g", value);
+    out << separator << '"' << escape(name) << "\":" << number;
+    separator = ",";
+  }
+  out << "}}";
   return out.str();
-}
-
-Record parse_record(const std::string& json) {
-  Scanner in(json);
-  Record r;
-  in.expect('{');
-  in.key("instance");
-  r.instance = in.string_value();
-  in.expect(',');
-  in.key("n");
-  r.n = static_cast<int>(in.number_value());
-  in.expect(',');
-  in.key("m");
-  r.m = static_cast<int>(in.number_value());
-  in.expect(',');
-  in.key("k");
-  r.k = static_cast<int>(in.number_value());
-  in.expect(',');
-  in.key("rounds");
-  r.rounds = static_cast<int>(in.number_value());
-  in.expect(',');
-  in.key("wall_ns");
-  r.wall_ns = in.number_value();
-  in.expect(',');
-  in.key("engine");
-  r.engine = in.string_value();
-  in.expect(',');
-  in.key("max_message_bytes");
-  r.max_message_bytes = static_cast<std::size_t>(in.number_value());
-  in.expect(',');
-  in.key("views");
-  r.views = static_cast<long long>(in.number_value());
-  in.expect(',');
-  in.key("pairs");
-  r.pairs = static_cast<long long>(in.number_value());
-  in.expect(',');
-  in.key("csp_nodes");
-  r.csp_nodes = static_cast<long long>(in.number_value());
-  in.expect(',');
-  in.key("memo_hits");
-  r.memo_hits = static_cast<long long>(in.number_value());
-  in.expect(',');
-  in.key("threads");
-  r.threads = static_cast<int>(in.number_value());
-  in.expect(',');
-  in.key("init_ms");
-  r.init_ms = in.number_value();
-  in.expect(',');
-  in.key("rss_bytes");
-  r.rss_bytes = static_cast<long long>(in.number_value());
-  in.expect(',');
-  in.key("orbits");
-  r.orbits = static_cast<long long>(in.number_value());
-  in.expect(',');
-  in.key("orbit_reduction");
-  r.orbit_reduction = in.number_value();
-  in.expect(',');
-  in.key("reps_generated");
-  r.reps_generated = static_cast<long long>(in.number_value());
-  in.expect(',');
-  in.key("crashes");
-  r.crashes = static_cast<long long>(in.number_value());
-  in.expect(',');
-  in.key("restarts");
-  r.restarts = static_cast<long long>(in.number_value());
-  in.expect(',');
-  in.key("messages_dropped");
-  r.messages_dropped = static_cast<long long>(in.number_value());
-  in.expect(',');
-  in.key("checkpoint_bytes");
-  r.checkpoint_bytes = static_cast<long long>(in.number_value());
-  in.expect(',');
-  in.key("restore_ms");
-  r.restore_ms = in.number_value();
-  in.expect(',');
-  in.key("send_ms");
-  r.send_ms = in.number_value();
-  in.expect(',');
-  in.key("receive_ms");
-  r.receive_ms = in.number_value();
-  in.expect(',');
-  in.key("sessions");
-  r.sessions = static_cast<long long>(in.number_value());
-  in.expect(',');
-  in.key("tenant_p50_ms");
-  r.tenant_p50_ms = in.number_value();
-  in.expect(',');
-  in.key("tenant_p99_ms");
-  r.tenant_p99_ms = in.number_value();
-  in.expect(',');
-  in.key("fairness_ratio");
-  r.fairness_ratio = in.number_value();
-  in.expect(',');
-  in.key("churn_ops");
-  r.churn_ops = static_cast<long long>(in.number_value());
-  in.expect(',');
-  in.key("repairs");
-  r.repairs = static_cast<long long>(in.number_value());
-  in.expect(',');
-  in.key("touched_nodes");
-  r.touched_nodes = static_cast<long long>(in.number_value());
-  in.expect(',');
-  in.key("recompute_avoided");
-  r.recompute_avoided = static_cast<long long>(in.number_value());
-  in.expect('}');
-  return r;
 }
 
 Harness::Harness(std::string experiment, int& argc, char** argv)
     : experiment_(std::move(experiment)) {
-  if (!known_experiment(experiment_)) {
-    throw std::invalid_argument("bench_json: unknown experiment '" + experiment_ +
-                                "' (the set is enumerated in bench_json.hpp)");
-  }
   if (const char* env = std::getenv("DMM_BENCH_JSON_DIR")) directory_ = env;
   // Strip harness flags so google-benchmark's own parser never sees them.
   int kept = 1;
@@ -329,7 +96,7 @@ long long peak_rss_bytes() {
 }
 
 void Harness::add(Record record) {
-  (void)to_json(record);  // validates (finite wall time) before storing
+  (void)to_json(record);  // validates (finite metrics) before storing
   records_.push_back(std::move(record));
 }
 
@@ -353,7 +120,7 @@ int Harness::write() const {
     std::fprintf(stderr, "bench_json: cannot write %s\n", path().c_str());
     return 2;
   }
-  out << "{\"schema\":\"dmm-bench-8\",\"experiment\":\"" << escape(experiment_)
+  out << "{\"schema\":\"dmm-bench-9\",\"experiment\":\"" << escape(experiment_)
       << "\",\"records\":[";
   for (std::size_t i = 0; i < records_.size(); ++i) {
     if (i) out << ",";

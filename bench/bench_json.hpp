@@ -3,138 +3,49 @@
 //
 // File format (one JSON object per file):
 //
-//   {"schema":"dmm-bench-8","experiment":"e14","records":[
-//     {"instance":"random n=100000 k=4","n":100000,"m":159862,"k":4,
-//      "rounds":3,"wall_ns":12345678.0,"engine":"flat",
-//      "max_message_bytes":1,"views":0,"pairs":0,"csp_nodes":0,
-//      "memo_hits":0,"threads":1,"init_ms":1.25,"rss_bytes":104857600,
-//      "orbits":0,"orbit_reduction":0,"reps_generated":0,"crashes":0,
-//      "restarts":0,"messages_dropped":0,"checkpoint_bytes":0,
-//      "restore_ms":0,"send_ms":4.5,"receive_ms":6.25,"sessions":0,
-//      "tenant_p50_ms":0,"tenant_p99_ms":0,"fairness_ratio":0,
-//      "churn_ops":0,"repairs":0,"touched_nodes":0,
-//      "recompute_avoided":0}, ...]}
+//   {"schema":"dmm-bench-9","experiment":"e14","records":[
+//     {"instance":"random n=100000 k=12","engine":"flat","threads":1,
+//      "n":100000,"m":360288,"k":12,"metrics":{"init_ms":13.197248,
+//      "max_message_bytes":1,"receive_ms":13.614471999999999,"rounds":11,
+//      "rss_bytes":53747712,"send_ms":3.4535399999999998,
+//      "wall_ns":35726471}}, ...]}
 //
-// Schema history: dmm-bench-2 appended the lower-bound pipeline stats —
-// views, pairs, csp_nodes, memo_hits, threads — to every record (zero / 1
-// where not applicable).  dmm-bench-3 appended the memory-model stats:
-// init_ms (engine setup wall-clock — the phase the pooled program arena
-// shrinks; 0 where no engine runs) and rss_bytes (peak process RSS after
-// the measured section; 0 on platforms without getrusage), so the n = 10⁷
-// scale rows capture whether init still dominates.  dmm-bench-4 appended
-// the colour-symmetry stats: orbits (distinct colour-permutation orbits —
-// catalogue orbits on e17 rows, evaluator memo orbits on e4 rows) and
-// orbit_reduction (the raw/orbit count ratio, the ~k!-fold cut; both 0
-// where the orbit layer is off).  dmm-bench-5 appended reps_generated —
-// canonical representatives built by the orderly generator on e17 orbit
-// rows (== orbits there: the generator never emits a non-canonical view)
-// and evaluator-interned orbit keys on e4 rows; 0 where the orbit layer is
-// off.  dmm-bench-6 (this PR) appends the fault/recovery stats measured by
-// the new e9 experiment: crashes, restarts and messages_dropped (the
-// RunResult fault counters — exact, so they gate on equality),
-// checkpoint_bytes (serialised EngineCheckpoint size; deterministic) and
-// restore_ms (wall-clock of EngineCheckpoint::read + engine restore; a
-// measurement, never gated).  All zero on fault-free rows.  dmm-bench-7
-// (this PR) appends the session/front-end stats: send_ms / receive_ms (the
-// engines' per-phase wall-clock split, RunResult::send_ns/receive_ns; pure
-// measurements, never gated or part of engine equivalence) and the e10
-// multi-tenant front-end columns — sessions (completed sessions behind the
-// row; exact, gates on equality), tenant_p50_ms / tenant_p99_ms (sojourn
-// latency percentiles across tenants) and fairness_ratio (max/min tenant
-// mean sojourn; wall-banded).  All zero on rows without a service.
-// dmm-bench-8 (this PR) appends the dynamic-matching stats measured by the
-// new e12 experiment (docs/dynamic.md): churn_ops (insert/delete events
-// applied), repairs (matching edges created by incremental repair),
-// touched_nodes (Σ per batch of distinct nodes the repairs visited) and
-// recompute_avoided (Σ per batch of nodes a from-scratch rerun would have
-// revisited for nothing).  All four are pure functions of
-// (instance, seed) — engine- and thread-independent — so they gate on
-// exact equality; all zero on churn-free rows.
-//
-// The record field names are part of the schema and locked by
-// tests/test_bench_json.cpp; wall times must be finite (NaN is a
-// measurement bug and is rejected at write time, not discovered by a
-// downstream parser).
-//
-// The experiment set is enumerated explicitly — the seed shipped no e9,
-// e10 or e12; e9 (bench_e9_faults.cpp), e10 (bench_e10_frontend.cpp) and
-// e12 (bench_e12_churn.cpp) have since filled every gap, but the set
-// stays an explicit list so the next gap fails loudly instead of being
-// iterated over.
+// A record is its identity — the (instance, engine, threads) gate key and
+// the graph shape n, m, k (0 when not graph-shaped) — plus the metrics the
+// row actually measured, in the style of google-benchmark's named user
+// counters.  A row that measures nothing of a kind simply has no such
+// metric: there are no inert placeholders.  Every metric name, its unit
+// and how the baseline gate treats it are registered once, in the METRICS
+// table of tools/run_benches.py; docs/benchmarks.md lists them.  Metric
+// values are finite numbers (NaN is a measurement bug, rejected at write
+// time rather than discovered by a downstream reader) printed with %.17g,
+// so counters print as integers and doubles round-trip bit for bit.
 #pragma once
 
-#include <cstddef>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
 namespace dmm::benchjson {
 
-/// Every experiment that exists in this repository, in bench/ file order.
-inline constexpr const char* kExperiments[] = {
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9",
-    "e10", "e11", "e12", "e13", "e14", "e15", "e16", "e17",
-};
-
-bool known_experiment(const std::string& experiment);
-
 struct Record {
-  std::string instance;              // instance family / table row label
-  int n = 0;                         // nodes (0 when not graph-shaped)
-  int m = 0;                         // edges
-  int k = 0;                         // palette size
-  int rounds = 0;                    // rounds used (-1 when not applicable)
-  double wall_ns = 0.0;              // wall-clock of the measured section
-  std::string engine = "-";          // "sync", "flat", or "-"
-  std::size_t max_message_bytes = 0;
-  // Lower-bound pipeline stats (dmm-bench-2); zero where not applicable.
-  long long views = 0;               // view catalogue size
-  long long pairs = 0;               // compatible pairs
-  long long csp_nodes = 0;           // CSP search nodes explored
-  long long memo_hits = 0;           // evaluator memo hits
-  int threads = 1;                   // worker threads used by the run
-  // Memory-model stats (dmm-bench-3); zero where not applicable.
-  double init_ms = 0.0;              // engine setup (programs + init) wall-clock
-  long long rss_bytes = 0;           // peak process RSS when recorded
-  // Colour-symmetry stats (dmm-bench-4); zero where the orbit layer is off.
-  long long orbits = 0;              // distinct colour-permutation orbits
-  double orbit_reduction = 0.0;      // raw count / orbit count (~k!-fold cut)
-  // Orderly-generation stats (dmm-bench-5); zero where the orbit layer is off.
-  long long reps_generated = 0;      // canonical reps built by the generator
-  // Fault/recovery stats (dmm-bench-6); zero on fault-free rows.
-  long long crashes = 0;             // crash events applied
-  long long restarts = 0;            // restarts applied
-  long long messages_dropped = 0;    // messages dropped in flight
-  long long checkpoint_bytes = 0;    // serialised EngineCheckpoint size
-  double restore_ms = 0.0;           // read + restore wall-clock (not gated)
-  // Session/front-end stats (dmm-bench-7); zero where not applicable.
-  double send_ms = 0.0;              // engine send-phase wall-clock (not gated)
-  double receive_ms = 0.0;           // engine receive-phase wall-clock (not gated)
-  long long sessions = 0;            // completed service sessions (exact)
-  double tenant_p50_ms = 0.0;        // median tenant sojourn latency (not gated)
-  double tenant_p99_ms = 0.0;        // p99 tenant sojourn latency (not gated)
-  double fairness_ratio = 0.0;       // max/min tenant mean sojourn (banded)
-  // Dynamic-matching stats (dmm-bench-8); zero on churn-free rows.  Pure
-  // functions of (instance, seed): all gate on exact equality.
-  long long churn_ops = 0;           // insert/delete events applied
-  long long repairs = 0;             // matching edges created by repair
-  long long touched_nodes = 0;       // Σ distinct nodes repairs visited, per batch
-  long long recompute_avoided = 0;   // Σ nodes a from-scratch rerun would redo
-
-  bool operator==(const Record&) const = default;
+  std::string instance;                   // instance family / table row label
+  std::string engine = "-";               // "sync", "flat", or "-"
+  int threads = 1;                        // worker threads used by the run
+  int n = 0;                              // nodes (0 when not graph-shaped)
+  int m = 0;                              // edges
+  int k = 0;                              // palette size
+  std::map<std::string, double> metrics;  // name -> value, written in name order
 };
 
 /// Peak resident set size of this process in bytes (getrusage); 0 where
 /// the platform has no such counter.
 long long peak_rss_bytes();
 
-/// One-line JSON object with the schema's exact field order.  Throws
-/// std::invalid_argument on a non-finite wall_ns.
+/// One-line JSON object: the identity fields, then the metrics object.
+/// Throws std::invalid_argument on a non-finite metric.
 std::string to_json(const Record& record);
-
-/// Exact inverse of to_json (round-trip checked in the tests).  Throws
-/// std::invalid_argument on malformed input.
-Record parse_record(const std::string& json);
 
 /// Collects records for one experiment and writes BENCH_<exp>.json.
 ///
@@ -143,8 +54,9 @@ Record parse_record(const std::string& json);
 ///   --smoke            only the instrumented tables run, benchmark loops
 ///                      are skipped by the caller (see bench mains)
 ///   --scale            opt-in n = 10⁷ scale rows (the `bench_scale`
-///                      nightly leg; only e14 reacts, every binary accepts
-///                      the flag so run_benches.py can pass it uniformly)
+///                      nightly leg; e14 and e17 react, every binary
+///                      accepts the flag so run_benches.py can pass it
+///                      uniformly)
 ///   --json-dir <path>  output directory (default: $DMM_BENCH_JSON_DIR,
 ///                      falling back to the working directory)
 class Harness {
@@ -157,10 +69,10 @@ class Harness {
   /// Validates (via to_json) and stores one record.
   void add(Record record);
 
-  /// Runs fn(), fills record.wall_ns with its wall-clock, stores it.
+  /// Runs fn(), records its wall-clock as the `wall_ns` metric, stores it.
   template <class F>
   void timed(Record record, F&& fn) {
-    record.wall_ns = time_ns([&] { fn(); });
+    record.metrics["wall_ns"] = time_ns([&] { fn(); });
     add(std::move(record));
   }
 
@@ -184,7 +96,6 @@ class Harness {
     Harness harness(experiment, argc, argv);
     Record table;
     table.instance = "experiment table";
-    table.rounds = -1;
     harness.timed(std::move(table), std::forward<Table>(print_table));
     if (!harness.smoke()) run_benchmarks();
     return harness.write();

@@ -1,111 +1,64 @@
 // The BENCH_*.json trajectory files are consumed by scripts across PRs, so
-// the writer is under test: stable field names, exact round-trips, finite
-// wall times, and an explicitly enumerated experiment set (e12 closed the
-// last numbering gap, but the set stays an explicit list — nothing may
-// assume "e1..e17" holds forever).
+// the writer is under test: identity fields in a fixed order, metrics in
+// name order as %.17g numbers, escaped strings, finite values only.  The
+// reader side is tools/run_benches.py; tools/test_run_benches.py loads the
+// same fixture line this suite pins, so writer and reader are checked
+// against one shared byte string.
 #include "bench_json.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
-#include <vector>
+#include <string>
 
 namespace dmm::benchjson {
 namespace {
 
-Record sample() {
+// The record tests/data/bench_record.json holds, built in code.
+Record fixture_record() {
   Record r;
-  r.instance = "random n=256 k=4";
+  r.instance = "chain k=8 \"quoted\" \\ tab\t";
+  r.engine = "flat";
+  r.threads = 2;
   r.n = 256;
   r.m = 380;
   r.k = 4;
-  r.rounds = 3;
-  r.wall_ns = 1234567.25;
-  r.engine = "flat";
-  r.max_message_bytes = 1;
-  r.views = 78732;
-  r.pairs = 9570312;
-  r.csp_nodes = 135864;
-  r.memo_hits = 11;
-  r.threads = 2;
-  r.init_ms = 1.5;
-  r.rss_bytes = 104857600;
-  r.orbits = 3330;
-  r.orbit_reduction = 23.64;
-  r.reps_generated = 3330;
-  r.crashes = 4;
-  r.restarts = 3;
-  r.messages_dropped = 17;
-  r.checkpoint_bytes = 2048;
-  r.restore_ms = 0.75;
-  r.send_ms = 4.5;
-  r.receive_ms = 6.25;
-  r.sessions = 1000;
-  r.tenant_p50_ms = 12.5;
-  r.tenant_p99_ms = 31.25;
-  r.fairness_ratio = 1.125;
-  r.churn_ops = 416;
-  r.repairs = 38;
-  r.touched_nodes = 935;
-  r.recompute_avoided = 23065;
+  r.metrics["wall_ns"] = 1234567.25;
+  r.metrics["rounds"] = 3;
+  r.metrics["csp_nodes"] = 135864;
+  r.metrics["orbit_reduction"] = 23.64;
   return r;
 }
 
-TEST(BenchJson, StableFieldNamesAndOrder) {
-  // This string is the schema; changing it breaks every downstream reader.
-  EXPECT_EQ(to_json(sample()),
-            "{\"instance\":\"random n=256 k=4\",\"n\":256,\"m\":380,\"k\":4,"
-            "\"rounds\":3,\"wall_ns\":1234567.25,\"engine\":\"flat\","
-            "\"max_message_bytes\":1,\"views\":78732,\"pairs\":9570312,"
-            "\"csp_nodes\":135864,\"memo_hits\":11,\"threads\":2,"
-            "\"init_ms\":1.5,\"rss_bytes\":104857600,"
-            "\"orbits\":3330,\"orbit_reduction\":23.640000000000001,"
-            "\"reps_generated\":3330,\"crashes\":4,\"restarts\":3,"
-            "\"messages_dropped\":17,\"checkpoint_bytes\":2048,"
-            "\"restore_ms\":0.75,\"send_ms\":4.5,\"receive_ms\":6.25,"
-            "\"sessions\":1000,\"tenant_p50_ms\":12.5,\"tenant_p99_ms\":31.25,"
-            "\"fairness_ratio\":1.125,\"churn_ops\":416,\"repairs\":38,"
-            "\"touched_nodes\":935,\"recompute_avoided\":23065}");
+TEST(BenchJson, WriterOutputIsTheSharedFixtureLine) {
+  // This line is the schema; changing it breaks every downstream reader.
+  std::ifstream in(DMM_BENCH_FIXTURE);
+  ASSERT_TRUE(in.good()) << DMM_BENCH_FIXTURE;
+  std::string line;
+  std::getline(in, line);
+  EXPECT_EQ(to_json(fixture_record()), line);
 }
 
-TEST(BenchJson, PipelineStatsDefaultToInert) {
-  // Records from benches that predate the lower-bound pipeline carry the
-  // neutral values, so one validator covers every experiment.
-  const Record r;
-  EXPECT_EQ(r.views, 0);
-  EXPECT_EQ(r.pairs, 0);
-  EXPECT_EQ(r.csp_nodes, 0);
-  EXPECT_EQ(r.memo_hits, 0);
-  EXPECT_EQ(r.threads, 1);
-  // dmm-bench-3 memory-model stats are likewise inert by default.
-  EXPECT_EQ(r.init_ms, 0.0);
-  EXPECT_EQ(r.rss_bytes, 0);
-  // dmm-bench-4 colour-symmetry stats too.
-  EXPECT_EQ(r.orbits, 0);
-  EXPECT_EQ(r.orbit_reduction, 0.0);
-  // dmm-bench-5 orderly-generation stats too.
-  EXPECT_EQ(r.reps_generated, 0);
-  // dmm-bench-6 fault/recovery stats too.
-  EXPECT_EQ(r.crashes, 0);
-  EXPECT_EQ(r.restarts, 0);
-  EXPECT_EQ(r.messages_dropped, 0);
-  EXPECT_EQ(r.checkpoint_bytes, 0);
-  EXPECT_EQ(r.restore_ms, 0.0);
-  // dmm-bench-7 session/front-end stats too.
-  EXPECT_EQ(r.send_ms, 0.0);
-  EXPECT_EQ(r.receive_ms, 0.0);
-  EXPECT_EQ(r.sessions, 0);
-  EXPECT_EQ(r.tenant_p50_ms, 0.0);
-  EXPECT_EQ(r.tenant_p99_ms, 0.0);
-  EXPECT_EQ(r.fairness_ratio, 0.0);
-  // dmm-bench-8 dynamic-matching stats too.
-  EXPECT_EQ(r.churn_ops, 0);
-  EXPECT_EQ(r.repairs, 0);
-  EXPECT_EQ(r.touched_nodes, 0);
-  EXPECT_EQ(r.recompute_avoided, 0);
+TEST(BenchJson, DefaultRecordHasIdentityOnly) {
+  // A row that measures nothing carries no metrics, not inert zeros.
+  EXPECT_EQ(to_json(Record{}),
+            "{\"instance\":\"\",\"engine\":\"-\",\"threads\":1,\"n\":0,\"m\":0,\"k\":0,"
+            "\"metrics\":{}}");
+}
+
+TEST(BenchJson, DoublesRoundTripBitForBit) {
+  Record r;
+  r.metrics["wall_ns"] = 1.0 / 3.0 * 1e9;
+  r.metrics["views"] = 21474836480.0;  // a count beyond 32 bits prints as an integer
+  const std::string json = to_json(r);
+  const std::string::size_type wall = json.find("\"wall_ns\":");
+  ASSERT_NE(wall, std::string::npos);
+  EXPECT_EQ(std::strtod(json.c_str() + wall + 10, nullptr), r.metrics["wall_ns"]);
+  EXPECT_NE(json.find("\"views\":21474836480,"), std::string::npos) << json;
 }
 
 TEST(BenchJson, PeakRssIsPositiveOnLinux) {
@@ -116,98 +69,16 @@ TEST(BenchJson, PeakRssIsPositiveOnLinux) {
 #endif
 }
 
-TEST(BenchJson, RoundTripsExactly) {
-  Record r = sample();
-  EXPECT_EQ(parse_record(to_json(r)), r);
-  // Doubles survive the %.17g round-trip bit for bit.
-  r.wall_ns = 1.0 / 3.0 * 1e9;
-  EXPECT_EQ(parse_record(to_json(r)).wall_ns, r.wall_ns);
-  // Awkward strings survive escaping.
-  r.instance = "quote \" backslash \\ tab \t done";
-  EXPECT_EQ(parse_record(to_json(r)), r);
-}
-
-TEST(BenchJson, RejectsNonFiniteWallTimes) {
-  Record r = sample();
-  r.wall_ns = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(to_json(r), std::invalid_argument);
-  r.wall_ns = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(to_json(r), std::invalid_argument);
-  r.wall_ns = -std::numeric_limits<double>::infinity();
-  EXPECT_THROW(to_json(r), std::invalid_argument);
-  r = sample();
-  r.init_ms = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(to_json(r), std::invalid_argument);
-  r = sample();
-  r.orbit_reduction = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(to_json(r), std::invalid_argument);
-  r.orbit_reduction = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(to_json(r), std::invalid_argument);
-  r = sample();
-  r.restore_ms = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(to_json(r), std::invalid_argument);
-  r = sample();
-  r.send_ms = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(to_json(r), std::invalid_argument);
-  r = sample();
-  r.receive_ms = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(to_json(r), std::invalid_argument);
-  r = sample();
-  r.fairness_ratio = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(to_json(r), std::invalid_argument);
-}
-
-TEST(BenchJson, RejectsMalformedRecords) {
-  EXPECT_THROW(parse_record("{}"), std::invalid_argument);
-  EXPECT_THROW(parse_record("{\"instance\":\"x\",\"n\":1}"), std::invalid_argument);
-  EXPECT_THROW(parse_record("not json"), std::invalid_argument);
-  // A dmm-bench-3 record (orbits/orbit_reduction absent) is rejected: the
-  // schema's field set is closed, old trajectories must not parse as new.
-  const std::string current = to_json(sample());
-  const std::string::size_type cut = current.find(",\"orbits\"");
-  ASSERT_NE(cut, std::string::npos);
-  EXPECT_THROW(parse_record(current.substr(0, cut) + "}"), std::invalid_argument);
-  // Likewise a dmm-bench-4 record (reps_generated absent).
-  const std::string::size_type cut5 = current.find(",\"reps_generated\"");
-  ASSERT_NE(cut5, std::string::npos);
-  EXPECT_THROW(parse_record(current.substr(0, cut5) + "}"), std::invalid_argument);
-  // And a dmm-bench-5 record (fault/recovery stats absent).
-  const std::string::size_type cut6 = current.find(",\"crashes\"");
-  ASSERT_NE(cut6, std::string::npos);
-  EXPECT_THROW(parse_record(current.substr(0, cut6) + "}"), std::invalid_argument);
-  // And a dmm-bench-6 record (session/front-end stats absent).
-  const std::string::size_type cut7 = current.find(",\"send_ms\"");
-  ASSERT_NE(cut7, std::string::npos);
-  EXPECT_THROW(parse_record(current.substr(0, cut7) + "}"), std::invalid_argument);
-  // And a dmm-bench-7 record (dynamic-matching stats absent).
-  const std::string::size_type cut8 = current.find(",\"churn_ops\"");
-  ASSERT_NE(cut8, std::string::npos);
-  EXPECT_THROW(parse_record(current.substr(0, cut8) + "}"), std::invalid_argument);
-  // A record whose orbits field is present but mis-ordered is rejected too.
-  std::string swapped = current;
-  swapped.replace(swapped.find("\"orbits\""), 8, "\"orbitz\"");
-  EXPECT_THROW(parse_record(swapped), std::invalid_argument);
-}
-
-TEST(BenchJson, ExperimentSetIsExplicit) {
-  // 17 experiments exist (e9 arrived with the fault layer, e10 with the
-  // multi-tenant front-end, e12 with the dynamic-matching churn bench —
-  // the numbering has no gaps left, but the set stays an explicit list).
-  EXPECT_EQ(std::end(kExperiments) - std::begin(kExperiments), 17);
-  EXPECT_TRUE(known_experiment("e12"));
-  for (const char* e : kExperiments) {
-    EXPECT_TRUE(known_experiment(e)) << e;
+TEST(BenchJson, RejectsNonFiniteMetrics) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    for (const char* name : {"wall_ns", "init_ms", "orbit_reduction", "fairness_ratio"}) {
+      Record r = fixture_record();
+      r.metrics[name] = bad;
+      EXPECT_THROW(to_json(r), std::invalid_argument) << name << " = " << bad;
+    }
   }
-  EXPECT_FALSE(known_experiment("e0"));
-  EXPECT_FALSE(known_experiment("e18"));
-}
-
-TEST(BenchJson, HarnessRejectsUnknownExperiments) {
-  int argc = 1;
-  char binary[] = "bench";
-  char* argv[] = {binary, nullptr};
-  EXPECT_THROW(Harness("e18", argc, argv), std::invalid_argument);
-  EXPECT_THROW(Harness("bogus", argc, argv), std::invalid_argument);
 }
 
 TEST(BenchJson, HarnessStripsItsFlagsAndWrites) {
@@ -221,16 +92,22 @@ TEST(BenchJson, HarnessStripsItsFlagsAndWrites) {
   Harness h("e1", argc, argv);
   // Only the binary name and the google-benchmark flag survive.
   EXPECT_TRUE(h.smoke());
+  EXPECT_FALSE(h.scale());
   ASSERT_EQ(argc, 2);
   EXPECT_STREQ(argv[1], passthrough);
 
-  h.add(sample());
-  Record second = sample();
+  h.add(fixture_record());
+  Record second;
   second.instance = "chain k=8";
   second.engine = "sync";
   h.timed(second, [] {});
   ASSERT_EQ(h.records().size(), 2u);
-  EXPECT_GE(h.records()[1].wall_ns, 0.0);
+  EXPECT_GE(h.records()[1].metrics.at("wall_ns"), 0.0);
+
+  Record bad;
+  bad.metrics["wall_ns"] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(h.add(bad), std::invalid_argument);
+  EXPECT_EQ(h.records().size(), 2u);
 
   EXPECT_EQ(h.write(), 0);
   std::ifstream in(h.path());
@@ -238,12 +115,12 @@ TEST(BenchJson, HarnessStripsItsFlagsAndWrites) {
   std::stringstream content;
   content << in.rdbuf();
   const std::string text = content.str();
-  EXPECT_NE(text.find("\"schema\":\"dmm-bench-8\""), std::string::npos);
-  EXPECT_NE(text.find("\"experiment\":\"e1\""), std::string::npos);
-  // Each stored record is embedded verbatim, so the file parses record by
-  // record with the same parser the round-trip test uses.
+  EXPECT_EQ(text.rfind("{\"schema\":\"dmm-bench-9\",\"experiment\":\"e1\",\"records\":[\n", 0),
+            0u)
+      << text;
+  // Each stored record is embedded verbatim, one per line.
   for (const Record& r : h.records()) {
-    EXPECT_NE(text.find(to_json(r)), std::string::npos);
+    EXPECT_NE(text.find("\n  " + to_json(r)), std::string::npos);
   }
   std::remove(h.path().c_str());
 }
