@@ -4,7 +4,7 @@
 
 #include <cstdio>
 
-#include "bench_json.hpp"
+#include "bench_main.hpp"
 #include "core/dmm.hpp"
 
 namespace {
@@ -66,8 +66,5 @@ BENCHMARK(BM_ExtensionSameObject)->Arg(6)->Arg(8)->Arg(10);
 }  // namespace
 
 int main(int argc, char** argv) {
-  return dmm::benchjson::Harness::run_table_experiment("e11", argc, argv, print_rows, [&] {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-  });
+  return dmm::benchjson::run_table_experiment("e11", argc, argv, print_rows);
 }

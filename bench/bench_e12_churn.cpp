@@ -22,7 +22,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "bench_json.hpp"
+#include "bench_main.hpp"
 #include "core/dmm.hpp"
 
 namespace {
@@ -177,11 +177,5 @@ BENCHMARK(BM_ChurnApply);
 }  // namespace
 
 int main(int argc, char** argv) {
-  dmm::benchjson::Harness harness("e12", argc, argv);
-  print_rows(harness);
-  if (!harness.smoke()) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-  }
-  return harness.write();
+  return dmm::benchjson::run_experiment("e12", argc, argv, print_rows);
 }

@@ -5,7 +5,7 @@
 
 #include <cstdio>
 
-#include "bench_json.hpp"
+#include "bench_main.hpp"
 #include "core/dmm.hpp"
 
 namespace {
@@ -98,8 +98,5 @@ BENCHMARK(BM_EdgePacking)->Arg(16)->Arg(32);
 }  // namespace
 
 int main(int argc, char** argv) {
-  return dmm::benchjson::Harness::run_table_experiment("e13", argc, argv, print_rows, [&] {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-  });
+  return dmm::benchjson::run_table_experiment("e13", argc, argv, print_rows);
 }

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "bench_engines.hpp"
+#include "bench_main.hpp"
 #include "core/dmm.hpp"
 
 namespace {
@@ -35,7 +36,7 @@ void print_rows(benchjson::Harness& harness) {
   double flat_ns = 0;
   for (const local::EngineKind kind : {local::EngineKind::kSync, local::EngineKind::kFlat}) {
     const local::RunResult run = benchjson::record_engine_run(
-        harness, instance, big, kind, algo::greedy_program_factory(), big.k() + 1);
+        harness, instance, big, kind, algo::greedy_program_factory(), {big.k() + 1});
     const double wall = harness.records().back().metrics.at("wall_ns");
     (kind == local::EngineKind::kSync ? sync_ns : flat_ns) = wall;
     std::printf("%-8s %14.2f %10d\n", local::engine_kind_name(kind), wall / 1e6, run.rounds);
@@ -61,7 +62,7 @@ void print_rows(benchjson::Harness& harness) {
     for (const local::EngineKind kind :
          {local::EngineKind::kSync, local::EngineKind::kFlat}) {
       const local::RunResult run = benchjson::record_engine_run(
-          harness, inst, small, kind, algo::greedy_program_factory(), small.k() + 1);
+          harness, inst, small, kind, algo::greedy_program_factory(), {small.k() + 1});
       std::printf("%-34s %-8s %8d %14.2f %10d\n", inst.c_str(),
                   local::engine_kind_name(kind), 1,
                   harness.records().back().metrics.at("wall_ns") / 1e6, run.rounds);
@@ -77,7 +78,7 @@ void print_rows(benchjson::Harness& harness) {
       options.threads = threads;
       const local::RunResult run =
           benchjson::record_engine_run(harness, inst, skewed, local::EngineKind::kFlat,
-                                       algo::greedy_program_factory(), 256, options);
+                                       algo::greedy_program_factory(), {256}, options);
       const double wall = harness.records().back().metrics.at("wall_ns");
       if (threads == 1) serial_ns = wall;
       std::printf("%-34s %-8s %8d %14.2f %10d\n", inst.c_str(), "flat", threads,
@@ -103,7 +104,7 @@ void print_rows(benchjson::Harness& harness) {
         graph::random_coloured_graph(10'000'000, 4, 0.5, scale_rng);
     const local::RunResult run = benchjson::record_engine_run(
         harness, "random n=10000000 k=4", huge, local::EngineKind::kFlat,
-        algo::greedy_program_factory(), huge.k() + 1);
+        algo::greedy_program_factory(), {huge.k() + 1});
     const auto& metric = harness.records().back().metrics;
     const double wall_ms = metric.at("wall_ns") / 1e6;
     std::printf("%-8s %14.2f %10d   init %.2f ms (%.0f%% of wall)  rss %.1f GiB\n",
@@ -126,7 +127,7 @@ void print_rows(benchjson::Harness& harness) {
       const local::RunResult run =
           benchjson::record_engine_run(harness, "hub_cluster n=1000008 d=128", skewed,
                                        local::EngineKind::kFlat,
-                                       algo::greedy_program_factory(), 256, options);
+                                       algo::greedy_program_factory(), {256}, options);
       std::printf("%-8s t%-3d %14.2f %10d\n", "flat", threads,
                   harness.records().back().metrics.at("wall_ns") / 1e6, run.rounds);
     }
@@ -227,11 +228,5 @@ BENCHMARK(BM_FlatEngineThreaded)->Arg(1)->Arg(2)->Arg(4);
 }  // namespace
 
 int main(int argc, char** argv) {
-  dmm::benchjson::Harness harness("e14", argc, argv);
-  print_rows(harness);
-  if (!harness.smoke()) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-  }
-  return harness.write();
+  return dmm::benchjson::run_experiment("e14", argc, argv, print_rows);
 }

@@ -9,7 +9,7 @@
 
 #include <cstdio>
 
-#include "bench_json.hpp"
+#include "bench_main.hpp"
 #include "core/dmm.hpp"
 
 namespace {
@@ -68,8 +68,5 @@ BENCHMARK(BM_AdversaryUnmemoised)->Arg(3)->Arg(4)->Unit(benchmark::kMillisecond)
 }  // namespace
 
 int main(int argc, char** argv) {
-  return dmm::benchjson::Harness::run_table_experiment("e15", argc, argv, print_rows, [&] {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-  });
+  return dmm::benchjson::run_table_experiment("e15", argc, argv, print_rows);
 }

@@ -17,16 +17,15 @@
 // reps_generated on orbit rows).
 #include <benchmark/benchmark.h>
 
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
-#include <system_error>
+#include <utility>
 
-#include "bench_json.hpp"
+#include "bench_main.hpp"
 #include "core/dmm.hpp"
 
 namespace {
@@ -218,46 +217,23 @@ void BM_SolveCspK5Rho2(benchmark::State& state) {
 }
 BENCHMARK(BM_SolveCspK5Rho2)->Unit(benchmark::kMillisecond);
 
-const char* const kUsage =
-    "usage: bench_e17_neighbourhood [--smoke] [--scale] [--json-dir <dir>] [--threads N>=1] "
-    "[google-benchmark flags]; DMM_ORDERLY_BUDGET_MS, if set, is a whole number >= 1";
-
-/// `token` as a whole T of at least 1 ("2.5", "x", "0" and out-of-range
-/// values fail); anything else prints the usage line and exits 2.
-template <class T>
-T positive(const char* token) {
-  T value{};
-  const char* end = token + std::strlen(token);
-  const auto [stop, error] = std::from_chars(token, end, value);
-  if (error != std::errc() || stop != end || value < 1) {
-    std::fprintf(stderr, "bench_e17: %s\n", kUsage);
-    std::exit(2);
-  }
-  return value;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  dmm::benchjson::Harness harness("e17", argc, argv);
-  // Strip --threads before google-benchmark sees the arguments.
   int threads = 1;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--threads") {
-      threads = positive<int>(i + 1 < argc ? argv[++i] : "");
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argc = kept;
+  dmm::util::Flags flags(dmm::benchjson::usage_line(argv[0], "[--threads N>=1]") +
+                         "; DMM_ORDERLY_BUDGET_MS, if set, is a whole number >= 1");
+  flags.number("--threads", threads, 1);
   const char* budget = std::getenv("DMM_ORDERLY_BUDGET_MS");
-  const long long budget_ms = budget ? positive<long long>(budget) : 120'000;
-  print_rows(harness, threads);
-  if (harness.scale()) print_orderly_scale_row(harness, budget_ms);
-  if (!harness.smoke()) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+  const std::optional<long long> budget_ms =
+      dmm::util::parse_number<long long>(budget ? budget : "120000", 1);
+  if (!budget_ms) {
+    std::fprintf(stderr, "%s: bad DMM_ORDERLY_BUDGET_MS\n%s\n", argv[0], flags.usage().c_str());
+    return 2;
   }
-  return harness.write();
+  return dmm::benchjson::run_experiment(
+      "e17", argc, argv, std::move(flags), [&](dmm::benchjson::Harness& harness) {
+        print_rows(harness, threads);
+        if (harness.scale()) print_orderly_scale_row(harness, *budget_ms);
+      });
 }

@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "bench_engines.hpp"
+#include "bench_main.hpp"
 #include "core/dmm.hpp"
 
 namespace {
@@ -36,7 +37,7 @@ void print_rows(benchjson::Harness& harness) {
     const int k = row.g.k();
     for (const local::EngineKind kind : {local::EngineKind::kSync, local::EngineKind::kFlat}) {
       const local::RunResult run = benchjson::record_engine_run(
-          harness, row.name, row.g, kind, algo::greedy_program_factory(), k + 1);
+          harness, row.name, row.g, kind, algo::greedy_program_factory(), {k + 1});
       const auto matched = verify::matched_edges(row.g, run.outputs);
       const bool ok = verify::check_outputs(row.g, run.outputs).ok();
       std::printf("%-28s %-5s %4d %8d %8d %8zu %8s\n", row.name,
@@ -96,11 +97,5 @@ BENCHMARK(BM_GreedyViewBased)->Arg(256)->Arg(1024);
 }  // namespace
 
 int main(int argc, char** argv) {
-  dmm::benchjson::Harness harness("e1", argc, argv);
-  print_rows(harness);
-  if (!harness.smoke()) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-  }
-  return harness.write();
+  return dmm::benchjson::run_experiment("e1", argc, argv, print_rows);
 }

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "bench_engines.hpp"
+#include "bench_main.hpp"
 #include "core/dmm.hpp"
 
 namespace {
@@ -22,7 +23,7 @@ void print_rows(benchjson::Harness& harness) {
     for (const local::EngineKind kind : {local::EngineKind::kSync, local::EngineKind::kFlat}) {
       run = benchjson::record_engine_run(harness, "worst-case chain k=" + std::to_string(k),
                                          wc.long_path, kind, algo::greedy_program_factory(),
-                                         k + 1);
+                                         {k + 1});
     }
     graph::EdgeColouredGraph merged(wc.long_path.node_count() + wc.short_path.node_count(), k);
     for (const auto& e : wc.long_path.edges()) merged.add_edge(e.u, e.v, e.colour);
@@ -70,11 +71,5 @@ BENCHMARK(BM_IndistinguishabilityCheck)->Arg(8)->Arg(32)->Arg(128);
 }  // namespace
 
 int main(int argc, char** argv) {
-  dmm::benchjson::Harness harness("e2", argc, argv);
-  print_rows(harness);
-  if (!harness.smoke()) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-  }
-  return harness.write();
+  return dmm::benchjson::run_experiment("e2", argc, argv, print_rows);
 }

@@ -7,7 +7,7 @@
 #include <memory>
 #include <vector>
 
-#include "bench_json.hpp"
+#include "bench_main.hpp"
 #include "core/dmm.hpp"
 
 namespace {
@@ -50,8 +50,5 @@ BENCHMARK(BM_Lemma4);
 }  // namespace
 
 int main(int argc, char** argv) {
-  return dmm::benchjson::Harness::run_table_experiment("e3", argc, argv, print_rows, [&] {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-  });
+  return dmm::benchjson::run_table_experiment("e3", argc, argv, print_rows);
 }

@@ -9,7 +9,7 @@
 
 #include <cstdio>
 
-#include "bench_json.hpp"
+#include "bench_main.hpp"
 #include "core/dmm.hpp"
 
 namespace {
@@ -138,11 +138,5 @@ BENCHMARK(BM_AdversaryVsTruncated)->Arg(3)->Arg(4)->Unit(benchmark::kMillisecond
 }  // namespace
 
 int main(int argc, char** argv) {
-  dmm::benchjson::Harness harness("e4", argc, argv);
-  print_rows(harness);
-  if (!harness.smoke()) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-  }
-  return harness.write();
+  return dmm::benchjson::run_experiment("e4", argc, argv, print_rows);
 }

@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "bench_engines.hpp"
+#include "bench_main.hpp"
 #include "core/dmm.hpp"
 
 namespace {
@@ -29,7 +30,7 @@ void print_rows(benchjson::Harness& harness) {
     local::RunResult run;
     for (const local::EngineKind kind : {local::EngineKind::kSync, local::EngineKind::kFlat}) {
       run = benchjson::record_engine_run(harness, "tight-pair U ball k=" + std::to_string(k),
-                                         g, kind, algo::greedy_program_factory(), k + 1);
+                                         g, kind, algo::greedy_program_factory(), {k + 1});
     }
     std::printf("%4d %4d %12s %12s %14d\n", k, k - 1,
                 tp.u.tree().is_regular(k - 1) ? "yes" : "NO",
@@ -53,11 +54,5 @@ BENCHMARK(BM_GreedyOnRegularTree)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
 }  // namespace
 
 int main(int argc, char** argv) {
-  dmm::benchjson::Harness harness("e5", argc, argv);
-  print_rows(harness);
-  if (!harness.smoke()) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-  }
-  return harness.write();
+  return dmm::benchjson::run_experiment("e5", argc, argv, print_rows);
 }

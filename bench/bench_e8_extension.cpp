@@ -5,7 +5,7 @@
 
 #include <cstdio>
 
-#include "bench_json.hpp"
+#include "bench_main.hpp"
 #include "core/dmm.hpp"
 
 namespace {
@@ -79,8 +79,5 @@ BENCHMARK(BM_Lemma8BothOrders)->Arg(5)->Arg(7);
 }  // namespace
 
 int main(int argc, char** argv) {
-  return dmm::benchjson::Harness::run_table_experiment("e8", argc, argv, print_rows, [&] {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-  });
+  return dmm::benchjson::run_table_experiment("e8", argc, argv, print_rows);
 }

@@ -14,47 +14,18 @@
 #include <string>
 
 #include "bench_engines.hpp"
+#include "bench_main.hpp"
 #include "core/dmm.hpp"
 
 namespace {
 
 using namespace dmm;
 
-// The metrics every e9 row takes from its RunResult: the engine-run ones
-// plus the fault counters (exact).
+// The fault counters every e9 row adds to the engine-run metrics (exact).
 void add_fault_metrics(benchjson::Record& record, const local::RunResult& run) {
-  benchjson::add_run_metrics(record, run);
   record.metrics["crashes"] = static_cast<double>(run.crashes);
   record.metrics["restarts"] = static_cast<double>(run.restarts);
   record.metrics["messages_dropped"] = static_cast<double>(run.messages_dropped);
-}
-
-// One greedy run under `plan` on the chosen engine, recorded with its
-// fault counters.
-local::RunResult record_faulty_run(benchjson::Harness& harness, const std::string& instance,
-                                   const graph::EdgeColouredGraph& g, local::EngineKind kind,
-                                   const local::FaultPlan& plan, int max_rounds,
-                                   const local::FlatEngineOptions& options = {},
-                                   const local::CheckpointOptions& checkpoint = {}) {
-  benchjson::Record record;
-  record.instance = instance;
-  record.n = g.node_count();
-  record.m = g.edge_count();
-  record.k = g.k();
-  record.engine = local::engine_kind_name(kind);
-  record.threads = kind == local::EngineKind::kFlat ? options.threads : 1;
-  const local::FaultOptions faults{&plan};
-  local::RunResult run;
-  record.metrics["wall_ns"] = benchjson::Harness::time_ns([&] {
-    run = kind == local::EngineKind::kFlat
-              ? local::run_flat(g, algo::greedy_program_factory(),
-                                {max_rounds, faults, checkpoint}, options)
-              : local::run_sync(g, algo::greedy_program_factory(),
-                                {max_rounds, faults, checkpoint});
-  });
-  add_fault_metrics(record, run);
-  harness.add(std::move(record));
-  return run;
 }
 
 // The e9 workload: large enough that per-round engine cost is visible,
@@ -86,8 +57,16 @@ int faulty_max_rounds(const graph::EdgeColouredGraph& g, const local::FaultPlan&
 void print_rows(benchjson::Harness& harness) {
   const graph::EdgeColouredGraph g = workload();
   const local::FaultPlan plan = workload_plan(g);
-  const local::FaultPlan no_faults;
+  const local::FaultOptions faults{&plan};
   const int rounds_budget = faulty_max_rounds(g, plan);
+  const local::ProgramSource greedy = algo::greedy_program_factory();
+  // One greedy run on the chosen engine, recorded with its fault counters.
+  const auto record_run = [&](const std::string& label, local::EngineKind kind,
+                              const local::RunOptions& options,
+                              const local::FlatEngineOptions& flat = {}) {
+    return benchjson::record_engine_run(harness, label, g, kind, greedy, options, flat,
+                                        add_fault_metrics);
+  };
 
   std::printf("## E9a: fault-free vs faulty, greedy at n = %d, k = %d\n", g.node_count(),
               g.k());
@@ -105,13 +84,11 @@ void print_rows(benchjson::Harness& harness) {
                 static_cast<unsigned long long>(run.messages_dropped));
   };
   for (const local::EngineKind kind : {local::EngineKind::kSync, local::EngineKind::kFlat}) {
-    print_row(clean_label, kind, 1,
-              record_faulty_run(harness, clean_label, g, kind, no_faults, g.k() + 1));
+    print_row(clean_label, kind, 1, record_run(clean_label, kind, {g.k() + 1}));
   }
   local::RunResult faulty_serial;
   for (const local::EngineKind kind : {local::EngineKind::kSync, local::EngineKind::kFlat}) {
-    const local::RunResult run =
-        record_faulty_run(harness, faulty_label, g, kind, plan, rounds_budget);
+    const local::RunResult run = record_run(faulty_label, kind, {rounds_budget, faults});
     if (kind == local::EngineKind::kSync) faulty_serial = run;
     print_row(faulty_label, kind, 1, run);
   }
@@ -121,9 +98,8 @@ void print_rows(benchjson::Harness& harness) {
     // rows above.
     local::FlatEngineOptions options;
     options.threads = 4;
-    const local::RunResult run = record_faulty_run(harness, faulty_label, g,
-                                                   local::EngineKind::kFlat, plan,
-                                                   rounds_budget, options);
+    const local::RunResult run =
+        record_run(faulty_label, local::EngineKind::kFlat, {rounds_budget, faults}, options);
     print_row(faulty_label, local::EngineKind::kFlat, 4, run);
     if (run.outputs != faulty_serial.outputs || run.crashes != faulty_serial.crashes ||
         run.restarts != faulty_serial.restarts ||
@@ -153,51 +129,38 @@ void print_rows(benchjson::Harness& harness) {
       last = ck;
       captured = true;
     };
-    benchjson::Record record;
-    record.instance = ckpt_label;
-    record.n = g.node_count();
-    record.m = g.edge_count();
-    record.k = g.k();
-    record.engine = local::engine_kind_name(kind);
-    const local::FaultOptions faults{&plan};
-    local::RunResult run;
-    record.metrics["wall_ns"] = benchjson::Harness::time_ns([&] {
-      run = kind == local::EngineKind::kFlat
-                ? local::run_flat(g, algo::greedy_program_factory(),
-                                  {rounds_budget, faults, capture})
-                : local::run_sync(g, algo::greedy_program_factory(),
-                                  {rounds_budget, faults, capture});
-    });
-    add_fault_metrics(record, run);
-    if (!captured) {
-      std::fprintf(stderr, "e9: checkpoint sink never fired\n");
-      std::abort();
-    }
-    std::ostringstream frames;
-    last.write(frames);
-    const std::string bytes = frames.str();
-    record.metrics["checkpoint_bytes"] = static_cast<double>(bytes.size());
-
-    // restore_ms: parse + validate the frames, and on the flat row also
-    // load them into a live engine (the sync engine has no persistent
-    // object to restore into — its resume path re-reads inside run_sync).
     local::EngineCheckpoint parsed;
-    record.metrics["restore_ms"] = benchjson::Harness::time_ns([&] {
-      std::istringstream in(bytes);
-      parsed = local::EngineCheckpoint::read(in);
-      parsed.require_matches(g);
-      if (kind == local::EngineKind::kFlat) {
-        local::FlatEngine engine(g, algo::greedy_program_factory(), rounds_budget, {});
-        engine.restore(parsed);
-      }
-    }) / 1e6;
+    const local::RunResult run = benchjson::record_engine_run(
+        harness, ckpt_label, g, kind, greedy, {rounds_budget, faults, capture}, {},
+        [&](benchjson::Record& record, const local::RunResult& result) {
+          add_fault_metrics(record, result);
+          if (!captured) {
+            std::fprintf(stderr, "e9: checkpoint sink never fired\n");
+            std::abort();
+          }
+          std::ostringstream frames;
+          last.write(frames);
+          const std::string bytes = frames.str();
+          record.metrics["checkpoint_bytes"] = static_cast<double>(bytes.size());
+
+          // restore_ms: parse + validate the frames, and on the flat row
+          // also load them into a live engine (the sync engine has no
+          // persistent object to restore into — its resume path re-reads
+          // inside run_sync).
+          record.metrics["restore_ms"] = benchjson::Harness::time_ns([&] {
+            std::istringstream in(bytes);
+            parsed = local::EngineCheckpoint::read(in);
+            parsed.require_matches(g);
+            if (kind == local::EngineKind::kFlat) {
+              local::FlatEngine engine(g, greedy, rounds_budget, {});
+              engine.restore(parsed);
+            }
+          }) / 1e6;
+        });
 
     local::CheckpointOptions resume;
     resume.resume = &parsed;
-    const local::RunResult resumed =
-        kind == local::EngineKind::kFlat
-            ? local::run_flat(g, algo::greedy_program_factory(), {rounds_budget, faults, resume})
-            : local::run_sync(g, algo::greedy_program_factory(), {rounds_budget, faults, resume});
+    const local::RunResult resumed = local::run(kind, g, greedy, {rounds_budget, faults, resume});
     const bool ok = resumed.outputs == run.outputs && resumed.halt_round == run.halt_round &&
                     resumed.rounds == run.rounds && resumed.crashes == run.crashes &&
                     resumed.restarts == run.restarts &&
@@ -206,11 +169,10 @@ void print_rows(benchjson::Harness& harness) {
       std::fprintf(stderr, "e9: resumed run diverged from the uninterrupted run\n");
       std::abort();
     }
+    const auto& metric = harness.records().back().metrics;
     std::printf("%-28s %-6s %12.2f %12.0f %13.3f %8s\n", ckpt_label.c_str(),
-                local::engine_kind_name(kind), record.metrics["wall_ns"] / 1e6,
-                record.metrics["checkpoint_bytes"], record.metrics["restore_ms"],
-                ok ? "ok" : "FAIL");
-    harness.add(std::move(record));
+                local::engine_kind_name(kind), metric.at("wall_ns") / 1e6,
+                metric.at("checkpoint_bytes"), metric.at("restore_ms"), ok ? "ok" : "FAIL");
   }
   std::printf("\n");
 }
@@ -289,11 +251,5 @@ BENCHMARK(BM_CheckpointRestore);
 }  // namespace
 
 int main(int argc, char** argv) {
-  dmm::benchjson::Harness harness("e9", argc, argv);
-  print_rows(harness);
-  if (!harness.smoke()) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-  }
-  return harness.write();
+  return dmm::benchjson::run_experiment("e9", argc, argv, print_rows);
 }

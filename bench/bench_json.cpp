@@ -12,39 +12,16 @@
 #include <sys/resource.h>
 #endif
 
+#include "util/json.hpp"
+
 namespace dmm::benchjson {
-
-namespace {
-
-std::string escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string to_json(const Record& record) {
   std::ostringstream out;
-  out << "{\"instance\":\"" << escape(record.instance) << "\",\"engine\":\""
-      << escape(record.engine) << "\",\"threads\":" << record.threads << ",\"n\":" << record.n
-      << ",\"m\":" << record.m << ",\"k\":" << record.k << ",\"metrics\":{";
+  out << "{\"instance\":\"" << util::json_escape(record.instance) << "\",\"engine\":\""
+      << util::json_escape(record.engine) << "\",\"threads\":" << record.threads
+      << ",\"n\":" << record.n << ",\"m\":" << record.m << ",\"k\":" << record.k
+      << ",\"metrics\":{";
   const char* separator = "";
   for (const auto& [name, value] : record.metrics) {
     if (!std::isfinite(value)) {
@@ -53,31 +30,22 @@ std::string to_json(const Record& record) {
     }
     char number[32];
     std::snprintf(number, sizeof number, "%.17g", value);
-    out << separator << '"' << escape(name) << "\":" << number;
+    out << separator << '"' << util::json_escape(name) << "\":" << number;
     separator = ",";
   }
   out << "}}";
   return out.str();
 }
 
-Harness::Harness(std::string experiment, int& argc, char** argv)
+Harness::Harness(std::string experiment, const std::vector<std::string>& args,
+                 util::Flags flags)
     : experiment_(std::move(experiment)) {
   if (const char* env = std::getenv("DMM_BENCH_JSON_DIR")) directory_ = env;
-  // Strip harness flags so google-benchmark's own parser never sees them.
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke_ = true;
-    } else if (arg == "--scale") {
-      scale_ = true;
-    } else if (arg == "--json-dir" && i + 1 < argc) {
-      directory_ = argv[++i];
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argc = kept;
+  flags.flag("--smoke", smoke_)
+      .flag("--scale", scale_)
+      .option("--json-dir", directory_)
+      .forward("--benchmark_", benchmark_args_);
+  flags.parse(args);
 }
 
 long long peak_rss_bytes() {
@@ -120,7 +88,7 @@ int Harness::write() const {
     std::fprintf(stderr, "bench_json: cannot write %s\n", path().c_str());
     return 2;
   }
-  out << "{\"schema\":\"dmm-bench-9\",\"experiment\":\"" << escape(experiment_)
+  out << "{\"schema\":\"dmm-bench-9\",\"experiment\":\"" << util::json_escape(experiment_)
       << "\",\"records\":[";
   for (std::size_t i = 0; i < records_.size(); ++i) {
     if (i) out << ",";

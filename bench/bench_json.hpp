@@ -27,6 +27,8 @@
 #include <string>
 #include <vector>
 
+#include "util/flags.hpp"
+
 namespace dmm::benchjson {
 
 struct Record {
@@ -49,10 +51,13 @@ std::string to_json(const Record& record);
 
 /// Collects records for one experiment and writes BENCH_<exp>.json.
 ///
-/// The constructor strips the harness flags out of argc/argv so that
-/// google-benchmark never sees them:
+/// The constructor reads the command line (the arguments after the binary
+/// name): the harness flags below, the flags the bench declared on `flags`
+/// (whose usage line names them all), and google-benchmark's own
+/// `--benchmark_*` tokens, kept in benchmark_args() for google-benchmark to
+/// check.  Anything else throws util::UsageError.
 ///   --smoke            only the instrumented tables run, benchmark loops
-///                      are skipped by the caller (see bench mains)
+///                      are skipped (see run_experiment, bench_main.hpp)
 ///   --scale            opt-in n = 10⁷ scale rows (the `bench_scale`
 ///                      nightly leg; e14 and e17 react, every binary
 ///                      accepts the flag so run_benches.py can pass it
@@ -61,10 +66,11 @@ std::string to_json(const Record& record);
 ///                      falling back to the working directory)
 class Harness {
  public:
-  Harness(std::string experiment, int& argc, char** argv);
+  Harness(std::string experiment, const std::vector<std::string>& args, util::Flags flags);
 
   bool smoke() const noexcept { return smoke_; }
   bool scale() const noexcept { return scale_; }
+  const std::vector<std::string>& benchmark_args() const noexcept { return benchmark_args_; }
 
   /// Validates (via to_json) and stores one record.
   void add(Record record);
@@ -87,25 +93,12 @@ class Harness {
   const std::vector<Record>& records() const noexcept { return records_; }
   std::string path() const;
 
-  /// Shared main() body for the table-only experiments: one whole-table
-  /// record, benchmark loops skipped in --smoke mode.  (The engine-aware
-  /// benches e1/e2/e5/e14 record per-instance rows instead.)
-  template <class Table, class Benchmarks>
-  static int run_table_experiment(const char* experiment, int& argc, char** argv,
-                                  Table&& print_table, Benchmarks&& run_benchmarks) {
-    Harness harness(experiment, argc, argv);
-    Record table;
-    table.instance = "experiment table";
-    harness.timed(std::move(table), std::forward<Table>(print_table));
-    if (!harness.smoke()) run_benchmarks();
-    return harness.write();
-  }
-
  private:
   std::string experiment_;
   std::string directory_;
   bool smoke_ = false;
   bool scale_ = false;
+  std::vector<std::string> benchmark_args_;
   std::vector<Record> records_;
 };
 

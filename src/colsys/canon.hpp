@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "colsys/colour_system.hpp"
+#include "util/hash.hpp"
 
 namespace dmm::colsys {
 
@@ -210,12 +211,7 @@ std::vector<ColourPerm> serialisation_stabiliser(const std::vector<std::uint8_t>
 /// simple streaming hash beats fancier mixing).
 struct SerialisationHash {
   std::size_t operator()(const std::vector<std::uint8_t>& bytes) const noexcept {
-    std::size_t h = 1469598103934665603ull;
-    for (const std::uint8_t b : bytes) {
-      h ^= b;
-      h *= 1099511628211ull;
-    }
-    return h;
+    return fnv1a(bytes);
   }
 };
 

@@ -7,6 +7,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/hash.hpp"
+
 namespace dmm::io {
 
 namespace {
@@ -219,7 +221,6 @@ lower::Certificate read_certificate(const std::string& text) {
 namespace {
 
 constexpr char kFrameMagic[4] = {'D', 'M', 'M', 'F'};
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
 void put_u32(std::ostream& out, std::uint32_t v) {
   char b[4];
@@ -264,26 +265,16 @@ std::uint64_t get_u64(std::istream& in, const char* context) {
 /// payload_len and the payload bytes, chained through one FNV state.
 std::uint64_t frame_checksum(std::string_view type, std::uint32_t version,
                              std::string_view payload) {
-  std::uint64_t sum = fnv1a64(type.data(), type.size());
+  std::uint64_t sum = fnv1a(type.data(), type.size());
   char header[12];
   for (int i = 0; i < 4; ++i) header[i] = static_cast<char>((version >> (8 * i)) & 0xff);
   const auto len = static_cast<std::uint64_t>(payload.size());
   for (int i = 0; i < 8; ++i) header[4 + i] = static_cast<char>((len >> (8 * i)) & 0xff);
-  sum = fnv1a64(header, sizeof(header), sum);
-  return fnv1a64(payload.data(), payload.size(), sum);
+  sum = fnv1a(header, sizeof(header), sum);
+  return fnv1a(payload.data(), payload.size(), sum);
 }
 
 }  // namespace
-
-std::uint64_t fnv1a64(const void* data, std::size_t size, std::uint64_t seed) noexcept {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 void ByteWriter::varint(std::uint64_t v) {
   while (v >= 0x80) {

@@ -69,12 +69,6 @@ class CorruptFrameError : public std::runtime_error {
 /// cannot become a multi-terabyte resize.
 inline constexpr std::uint64_t kMaxFramePayload = std::uint64_t{1} << 30;
 
-inline constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-
-/// FNV-1a over `size` bytes, chainable through `seed`.
-std::uint64_t fnv1a64(const void* data, std::size_t size,
-                      std::uint64_t seed = kFnvOffset) noexcept;
-
 /// Append-only payload builder.  Integers are LEB128 varints (svarint
 /// zigzags first); byte runs are varint-length-prefixed.
 class ByteWriter {

@@ -117,8 +117,6 @@ struct MatchingService::Impl {
       if (!job.faults.empty()) ropts.faults.plan = &entry->pending->job.faults;
       local::FlatEngineOptions fopts;
       fopts.threads = opts.threads;
-      fopts.chunk_slots = opts.chunk_slots;
-      fopts.steal = opts.steal;
       try {
         entry->session = local::make_session(job.engine, entry->pending->job.graph,
                                              entry->pending->job.source, ropts, fopts,

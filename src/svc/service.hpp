@@ -74,9 +74,6 @@ struct ServiceOptions {
   /// Worker budget of the shared Runtime used by flat sessions.  1 keeps
   /// everything serial (no pool is ever spawned).
   int threads = 1;
-  /// Forwarded to FlatEngineOptions for flat sessions.
-  std::size_t chunk_slots = 0;
-  bool steal = true;
   /// Reject instances with more nodes than this (0 = unlimited).
   std::size_t max_nodes = 0;
   /// Test hook: called on the scheduler thread immediately before each

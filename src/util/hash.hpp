@@ -9,11 +9,16 @@
 
 namespace dmm {
 
-/// 64-bit FNV-1a over a byte sequence; stable across runs (unlike std::hash
-/// for strings on some platforms) so memo tables can be compared in tests.
-inline std::uint64_t fnv1a(const void* data, std::size_t n) noexcept {
+/// FNV-1a's 64-bit offset basis: the hash of no bytes.
+inline constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
+
+/// 64-bit FNV-1a over a byte sequence, chained on from `seed` (the hash of
+/// the bytes before); stable across runs (unlike std::hash for strings on
+/// some platforms) so memo tables can be compared in tests.
+inline std::uint64_t fnv1a(const void* data, std::size_t n,
+                           std::uint64_t seed = kFnvOffset) noexcept {
   const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 14695981039346656037ull;
+  std::uint64_t h = seed;
   for (std::size_t i = 0; i < n; ++i) {
     h ^= p[i];
     h *= 1099511628211ull;

@@ -14,6 +14,9 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
+
+#include "util/json.hpp"
 
 namespace dmm::benchjson {
 namespace {
@@ -81,20 +84,13 @@ TEST(BenchJson, RejectsNonFiniteMetrics) {
   }
 }
 
-TEST(BenchJson, HarnessStripsItsFlagsAndWrites) {
-  char binary[] = "bench";
-  char smoke[] = "--smoke";
-  char json_dir[] = "--json-dir";
-  char dir[] = ".";
-  char passthrough[] = "--benchmark_filter=x";
-  char* argv[] = {binary, smoke, json_dir, dir, passthrough, nullptr};
-  int argc = 5;
-  Harness h("e1", argc, argv);
-  // Only the binary name and the google-benchmark flag survive.
+TEST(BenchJson, HarnessReadsItsFlagsAndWrites) {
+  Harness h("e1", {"--smoke", "--json-dir", ".", "--benchmark_filter=x"},
+            util::Flags("usage: bench"));
+  // The google-benchmark flag is kept, whole, for google-benchmark to check.
   EXPECT_TRUE(h.smoke());
   EXPECT_FALSE(h.scale());
-  ASSERT_EQ(argc, 2);
-  EXPECT_STREQ(argv[1], passthrough);
+  EXPECT_EQ(h.benchmark_args(), std::vector<std::string>{"--benchmark_filter=x"});
 
   h.add(fixture_record());
   Record second;
@@ -123,6 +119,30 @@ TEST(BenchJson, HarnessStripsItsFlagsAndWrites) {
     EXPECT_NE(text.find("\n  " + to_json(r)), std::string::npos);
   }
   std::remove(h.path().c_str());
+}
+
+TEST(BenchJson, HarnessRejectsUndeclaredFlags) {
+  // The constructor throws, so no row runs and no file is written.
+  const std::vector<std::vector<std::string>> bad = {
+      {"--smoke", "--bogus"}, {"--smoke", "--thread", "4"}, {"--smoke", "--smoke"},
+      {"--json-dir"},         {"stray"},                    {"--threads", "4"}};
+  for (const std::vector<std::string>& args : bad) {
+    EXPECT_THROW(Harness("e1", args, util::Flags("usage: bench")), util::UsageError)
+        << args[0];
+  }
+  // A bench's own flag is read where the bench declared it (e17's --threads).
+  int threads = 1;
+  Harness h("e17", {"--threads", "4", "--scale"},
+            util::Flags("usage: bench [--threads N>=1]").number("--threads", threads, 1));
+  EXPECT_EQ(threads, 4);
+  EXPECT_TRUE(h.scale());
+  EXPECT_FALSE(h.smoke());
+}
+
+TEST(BenchJson, EscapeKeepsStringFieldsInsideTheirQuotes) {
+  // The same escaping serves dmm_cli's --json instance field.
+  EXPECT_EQ(util::json_escape("file:q\"x.txt"), "file:q\\\"x.txt");
+  EXPECT_EQ(util::json_escape("a\\b\nc\x01"), "a\\\\b\\nc\\u0001");
 }
 
 }  // namespace

@@ -12,12 +12,17 @@
 //   dmm_cli churn      --instance <spec> [--batches <n>] [--ops-per-batch <n>]
 //                      [--seed <s>] [--insert-fraction <pct>] [--engine <sync|flat>]
 //                      [--threads <n>] [--oracle] [--json]
-//   dmm_cli adversary  --k <k> --algorithm <spec> [--certificate-out <path>] [--no-memo]
-//                      [--optimistic] [--threads <n>] [--orbits]
+//   dmm_cli adversary  --k <k> --algorithm <spec> [--certificate-out <path>]
+//                      [--pair-out <prefix>] [--no-memo] [--optimistic] [--threads <n>]
+//                      [--orbits]
 //   dmm_cli views      <k> <d> <rho> [--threads <n>] [--json] [--max-views <n>] [--orbits]
 //   dmm_cli lemma4     --algorithm <spec>
 //   dmm_cli check      --certificate <path> --algorithm <spec>
 //   dmm_cli export-dot --instance <spec> [--out <path>]
+//
+// Every verb declares its flags once (util::Flags): an unknown or repeated
+// flag, a missing or malformed value, a number below its bound, a missing
+// required flag or a stray argument prints the verb's usage line and exits 2.
 //
 // `views` runs the Remark-2 / Linial pipeline end to end — catalogue size,
 // compatible-pair count, CSP verdict, and the wall time of its enumerate,
@@ -69,9 +74,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -80,9 +83,11 @@
 #include <optional>
 #include <sstream>
 #include <thread>
-#include <type_traits>
 
 #include "core/dmm.hpp"
+#include "util/flags.hpp"
+#include "util/hash.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -109,36 +114,6 @@ std::string slurp(const std::string& path) {
   return buffer.str();
 }
 
-/// The whole token as a T, or nothing: "3x", "x", "" and a value out of
-/// T's range fail, and so does "2.5" for an integer T.  A floating-point T
-/// must also be finite.
-template <class T>
-std::optional<T> whole(const std::string& token) {
-  T value{};
-  const char* end = token.data() + token.size();
-  const auto [stop, error] = std::from_chars(token.data(), end, value);
-  if (error != std::errc() || stop != end) return std::nullopt;
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(value)) return std::nullopt;
-  }
-  return value;
-}
-
-/// The number after `name` in `args` (`fallback` when the flag is absent):
-/// a whole T of at least `min`.  A missing or malformed value, or one
-/// below `min`, prints `usage` and exits 2.
-template <class T>
-T number_option(const std::vector<std::string>& args, const std::string& name, T fallback,
-                T min, const std::string& usage) {
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] != name) continue;
-    const std::optional<T> value = i + 1 < args.size() ? whole<T>(args[i + 1]) : std::nullopt;
-    if (!value || *value < min) fail(usage);
-    return *value;
-  }
-  return fallback;
-}
-
 const char* const kInstanceUsage =
     "instance spec: chain:<k> | figure1 | hypercube:<d> | bipartite:<d> | "
     "random:<n>:<k>:<pct>:<seed> | star:<leaves> | skewed:<hubs>:<deg>:<first> | file:<path>";
@@ -147,7 +122,7 @@ const char* const kInstanceUsage =
 /// anything else prints `usage` and exits 2.
 template <class T>
 T spec_number(const std::string& token, const std::string& usage) {
-  const std::optional<T> value = whole<T>(token);
+  const std::optional<T> value = util::parse_number<T>(token);
   if (!value) fail(usage);
   return *value;
 }
@@ -209,48 +184,26 @@ std::unique_ptr<local::LocalAlgorithm> parse_algorithm(const std::string& spec) 
   fail("unknown algorithm spec '" + spec + "'");
 }
 
-std::string option(const std::vector<std::string>& args, const std::string& name,
-                   const std::string& fallback = "") {
-  for (std::size_t i = 0; i + 1 < args.size(); ++i) {
-    if (args[i] == name) return args[i + 1];
-  }
-  return fallback;
+/// FNV-1a of `word` fed as 8 little-endian bytes, chained on from `h`.
+std::uint64_t fnv_word(std::uint64_t h, std::uint64_t word) {
+  unsigned char bytes[8];
+  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<unsigned char>(word >> (8 * i));
+  return fnv1a(bytes, sizeof bytes, h);
 }
 
-bool flag(const std::vector<std::string>& args, const std::string& name) {
-  for (const std::string& a : args) {
-    if (a == name) return true;
-  }
-  return false;
+/// FNV-1a over the per-node halt rounds, chained on from `h`.
+std::uint64_t halt_rounds_fnv(const local::RunResult& run, std::uint64_t h = kFnvOffset) {
+  for (const int r : run.halt_round) h = fnv_word(h, static_cast<std::uint32_t>(r));
+  return h;
 }
-
-/// 64-bit FNV-1a over a sequence of values, each fed as 8 little-endian
-/// bytes.
-struct Fnv1a {
-  std::uint64_t h = 1469598103934665603ULL;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  }
-};
 
 /// FNV-1a over the per-node outputs and halt rounds — the one-line
 /// fingerprint the CI fault-recovery step diffs between an interrupted
 /// and an uninterrupted run.
 std::uint64_t outputs_fnv(const local::RunResult& run) {
-  Fnv1a f;
-  for (const local::Colour c : run.outputs) f.mix(c);
-  for (const int r : run.halt_round) f.mix(static_cast<std::uint32_t>(r));
-  return f.h;
-}
-
-/// FNV-1a over the per-node halt rounds alone.
-std::uint64_t halt_rounds_fnv(const local::RunResult& run) {
-  Fnv1a f;
-  for (const int r : run.halt_round) f.mix(static_cast<std::uint32_t>(r));
-  return f.h;
+  std::uint64_t h = kFnvOffset;
+  for (const local::Colour c : run.outputs) h = fnv_word(h, c);
+  return halt_rounds_fnv(run, h);
 }
 
 /// Sixteen lower-case hex digits.
@@ -304,64 +257,93 @@ void write_checkpoint_file(const local::EngineCheckpoint& ck, const std::string&
   ::close(dirfd);
 }
 
+/// The run set-up greedy/resume, serve and churn share: --instance,
+/// --engine, --threads, --json and (with `faults`) the --faults plan and
+/// the --max-rounds budget.  Set the verb's defaults, declare(), parse the
+/// flags, then build(); an empty `instance` makes --instance required.
+struct RunSetup {
+  std::string instance;
+  local::EngineKind engine = local::EngineKind::kSync;
+  int threads = 1;
+  bool engine_threads = true;  // --threads sizes the flat engine, so needs --engine flat
+  bool json = false;
+  bool faults = true;
+  std::string fault_spec;
+  int max_rounds = 0;     // 0: not given, so build() picks the default
+  local::FaultPlan plan;  // set by build()
+
+  void declare(util::Flags& flags) {
+    flags.option("--instance", instance);
+    if (instance.empty()) flags.required();
+    flags.option("--engine", engine, local::parse_engine_kind)
+        .number("--threads", threads, 1)
+        .flag("--json", json);
+    if (faults) flags.option("--faults", fault_spec).number("--max-rounds", max_rounds, 1);
+  }
+
+  /// The instance; also sets `plan`, and `max_rounds` unless given.
+  graph::EdgeColouredGraph build(const std::string& cmd) {
+    if (engine_threads && threads > 1 && engine != local::EngineKind::kFlat) {
+      fail(cmd + ": --threads requires --engine flat");
+    }
+    graph::EdgeColouredGraph g = parse_instance(instance);
+    // The plan is seeded and schedule-independent, so the same --faults
+    // spec names the same plan on both engines and across a kill/resume
+    // boundary.
+    if (!fault_spec.empty()) {
+      plan = local::FaultPlan::random(g, local::parse_fault_spec(fault_spec));
+    }
+    // A restarted node still has to finish its protocol, so faulty runs get
+    // headroom past the last restart round by default.
+    if (max_rounds == 0) max_rounds = std::max(g.k() + 1, plan.max_restart_round() + g.k() + 2);
+    return g;
+  }
+};
+
 /// Shared body of `greedy` and `resume <path>`: run greedy on the chosen
 /// engine with optional fault injection and checkpointing.
-int run_greedy(const std::vector<std::string>& args, const std::string& resume_path) {
-  const char* cmd = resume_path.empty() ? "greedy" : "resume";
-  const std::string usage =
-      std::string(cmd) + ": usage: " +
-      (resume_path.empty() ? "greedy" : "resume <checkpoint-path>") +
-      " --instance <spec> [--engine sync|flat] [--threads N>=1] [--chunk-slots N>=0]"
-      " [--no-steal] [--faults <spec>] [--checkpoint <path>] [--checkpoint-every N>=1]"
-      " [--max-rounds N>=1] [--round-sleep-ms MS>=0] [--json]";
-  const std::string spec = option(args, "--instance");
-  if (spec.empty()) fail(std::string(cmd) + ": --instance required");
-  const std::string engine_spec = option(args, "--engine", "sync");
-  const auto engine = local::parse_engine_kind(engine_spec);
-  if (!engine) fail(std::string(cmd) + ": unknown engine '" + engine_spec + "' (sync|flat)");
-  const int threads = number_option(args, "--threads", 1, 1, usage);
-  if (threads > 1 && *engine != local::EngineKind::kFlat) {
-    fail(std::string(cmd) + ": --threads requires --engine flat");
-  }
+int run_greedy(const std::vector<std::string>& args, bool resume) {
+  const std::string cmd = resume ? "resume" : "greedy";
+  util::Flags flags(cmd + ": usage: " + (resume ? "resume <checkpoint-path>" : "greedy") +
+                    " --instance <spec> [--engine sync|flat] [--threads N>=1]"
+                    " [--chunk-slots N>=0] [--no-steal] [--faults <spec>] [--checkpoint <path>]"
+                    " [--checkpoint-every N>=1] [--max-rounds N>=1] [--round-sleep-ms MS>=0]"
+                    " [--json]");
+  std::string resume_path;
+  if (resume) flags.positional(resume_path);
+  RunSetup setup;
+  setup.declare(flags);
   // Scheduling knobs of the flat engine's persistent pool (results are
   // identical for every setting; these tune throughput on skewed graphs).
-  const auto chunk_slots = number_option<std::int64_t>(args, "--chunk-slots", 0, 0, usage);
-  const bool no_steal = flag(args, "--no-steal");
-  if ((chunk_slots > 0 || no_steal) && *engine != local::EngineKind::kFlat) {
-    fail(std::string(cmd) + ": --chunk-slots/--no-steal require --engine flat");
-  }
-  const graph::EdgeColouredGraph g = parse_instance(spec);
-
-  // Fault injection: the plan is seeded and schedule-independent, so the
-  // same --faults spec names the same plan on both engines and across a
-  // kill/resume boundary.
-  local::FaultPlan plan;
-  const std::string fault_spec = option(args, "--faults");
-  if (!fault_spec.empty()) {
-    plan = local::FaultPlan::random(g, local::parse_fault_spec(fault_spec));
-  }
-  const local::FaultOptions faults{&plan};
-
-  // A restarted node still has to finish its protocol, so faulty runs get
-  // headroom past the last restart round by default.
-  const int max_rounds = number_option(
-      args, "--max-rounds", std::max(g.k() + 1, plan.max_restart_round() + g.k() + 2), 1, usage);
-
+  local::FlatEngineOptions flat;
+  bool no_steal = false;
+  std::string ckpt_path;
   local::CheckpointOptions checkpoint;
-  const std::string ckpt_path = option(args, "--checkpoint", resume_path);
-  const int sleep_ms = number_option(args, "--round-sleep-ms", 0, 0, usage);
+  checkpoint.every = 1;
+  int sleep_ms = 0;
+  flags.number("--chunk-slots", flat.chunk_slots, 0)
+      .flag("--no-steal", no_steal)
+      .option("--checkpoint", ckpt_path)
+      .number("--checkpoint-every", checkpoint.every, 1)
+      .number("--round-sleep-ms", sleep_ms, 0);
+  flags.parse(args);
+  if ((flat.chunk_slots > 0 || no_steal) && setup.engine != local::EngineKind::kFlat) {
+    fail(cmd + ": --chunk-slots/--no-steal require --engine flat");
+  }
+  const graph::EdgeColouredGraph g = setup.build(cmd);
+
+  if (ckpt_path.empty()) ckpt_path = resume_path;
   if (!ckpt_path.empty()) {
-    checkpoint.every = number_option(args, "--checkpoint-every", 1, 1, usage);
     checkpoint.sink = [&](const local::EngineCheckpoint& ck) {
       if (sleep_ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
       write_checkpoint_file(ck, ckpt_path);
     };
   } else if (sleep_ms > 0) {
-    fail(std::string(cmd) + ": --round-sleep-ms requires --checkpoint");
+    fail(cmd + ": --round-sleep-ms requires --checkpoint");
   }
 
   local::EngineCheckpoint restored;
-  if (!resume_path.empty()) {
+  if (resume) {
     std::ifstream in(resume_path, std::ios::binary);
     if (!in) fail("resume: cannot read " + resume_path);
     restored = local::EngineCheckpoint::read(in);
@@ -369,22 +351,20 @@ int run_greedy(const std::vector<std::string>& args, const std::string& resume_p
     checkpoint.resume = &restored;
   }
 
+  const local::RunOptions options{setup.max_rounds, {&setup.plan}, checkpoint};
   local::RunResult run;
-  if (*engine == local::EngineKind::kFlat) {
-    local::FlatEngineOptions options;
-    options.threads = threads;
-    options.chunk_slots = static_cast<std::size_t>(chunk_slots);
-    options.steal = !no_steal;
-    run = local::run_flat(g, algo::greedy_program_factory(), {max_rounds, faults, checkpoint},
-                          options);
+  if (setup.engine == local::EngineKind::kFlat) {
+    flat.threads = setup.threads;
+    flat.steal = !no_steal;
+    run = local::run_flat(g, algo::greedy_program_factory(), options, flat);
   } else {
-    run = local::run_sync(g, algo::greedy_program_factory(), {max_rounds, faults, checkpoint});
+    run = local::run_sync(g, algo::greedy_program_factory(), options);
   }
   const verify::MatchingReport report = verify::check_outputs(g, run.outputs);
   const std::size_t matched = verify::matched_edges(g, run.outputs).size();
-  if (flag(args, "--json")) {
-    std::cout << "{\"instance\":\"" << spec << "\",\"engine\":\""
-              << local::engine_kind_name(*engine) << "\",\"threads\":" << threads
+  if (setup.json) {
+    std::cout << "{\"instance\":\"" << util::json_escape(setup.instance) << "\",\"engine\":\""
+              << local::engine_kind_name(setup.engine) << "\",\"threads\":" << setup.threads
               << ",\"rounds\":" << run.rounds << ",\"matched_edges\":" << matched
               << ",\"crashes\":" << run.crashes << ",\"restarts\":" << run.restarts
               << ",\"messages_dropped\":" << run.messages_dropped
@@ -395,16 +375,17 @@ int run_greedy(const std::vector<std::string>& args, const std::string& resume_p
               << hex64(outputs_fnv(run)) << "\",\"halt_rounds_fnv\":\""
               << hex64(halt_rounds_fnv(run)) << "\"}\n";
   } else {
-    std::cout << "instance: " << spec << " (n=" << g.node_count() << ", k=" << g.k() << ")\n";
-    std::cout << "engine: " << local::engine_kind_name(*engine);
-    if (threads > 1) std::cout << " (threads=" << threads << ")";
+    std::cout << "instance: " << setup.instance << " (n=" << g.node_count() << ", k=" << g.k()
+              << ")\n";
+    std::cout << "engine: " << local::engine_kind_name(setup.engine);
+    if (setup.threads > 1) std::cout << " (threads=" << setup.threads << ")";
     std::cout << "\n";
-    if (!resume_path.empty()) {
+    if (resume) {
       std::cout << "resumed: " << resume_path << " (rounds 1.." << restored.round
                 << " already complete)\n";
     }
     std::cout << "rounds: " << run.rounds << " (bound k-1 = " << g.k() - 1 << ")\n";
-    if (!plan.empty()) {
+    if (!setup.plan.empty()) {
       std::cout << "faults: " << run.crashes << " crash(es), " << run.restarts
                 << " restart(s), " << run.messages_dropped << " message(s) dropped\n";
     }
@@ -414,54 +395,42 @@ int run_greedy(const std::vector<std::string>& args, const std::string& resume_p
   }
   // Crashed nodes legitimately break the matching at their edges, so a
   // faulty run reports the verdict but does not fail on it.
-  if (!plan.empty()) return 0;
+  if (!setup.plan.empty()) return 0;
   return report.ok() ? 0 : 1;
-}
-
-int cmd_greedy(const std::vector<std::string>& args) { return run_greedy(args, ""); }
-
-int cmd_resume(const std::vector<std::string>& args) {
-  if (args.empty() || args[0].rfind("--", 0) == 0) {
-    fail("resume: usage: resume <checkpoint-path> --instance <spec> [greedy options]");
-  }
-  return run_greedy({args.begin() + 1, args.end()}, args[0]);
 }
 
 /// Multi-tenant front-end driver: N tenants × J greedy jobs through one
 /// MatchingService, every result fingerprinted against the standalone run.
 int cmd_serve(const std::vector<std::string>& args) {
-  const std::string usage =
+  util::Flags flags(
       "serve: usage: serve [--tenants N>=1] [--jobs-per-tenant N>=1] [--inflight N>=1]"
       " [--quantum N>=1] [--threads N>=1] [--engine sync|flat] [--instance <spec>]"
-      " [--faults <spec>] [--max-rounds N>=1] [--json]";
-  const int tenants = number_option(args, "--tenants", 3, 1, usage);
-  const int jobs_per_tenant = number_option(args, "--jobs-per-tenant", 4, 1, usage);
-  const std::string engine_spec = option(args, "--engine", "flat");
-  const auto engine = local::parse_engine_kind(engine_spec);
-  if (!engine) fail("serve: unknown engine '" + engine_spec + "' (sync|flat)");
-  const std::string spec = option(args, "--instance", "random:600:4:70:1");
-  const graph::EdgeColouredGraph g = parse_instance(spec);
-
-  local::FaultPlan plan;
-  const std::string fault_spec = option(args, "--faults");
-  if (!fault_spec.empty()) {
-    plan = local::FaultPlan::random(g, local::parse_fault_spec(fault_spec));
-  }
-  const int max_rounds = number_option(
-      args, "--max-rounds", std::max(g.k() + 1, plan.max_restart_round() + g.k() + 2), 1, usage);
+      " [--faults <spec>] [--max-rounds N>=1] [--json]");
+  RunSetup setup;
+  setup.instance = "random:600:4:70:1";
+  setup.engine = local::EngineKind::kFlat;
+  setup.threads = 2;
+  setup.engine_threads = false;  // the service's shared runtime serves either engine
+  setup.declare(flags);
+  int tenants = 3;
+  int jobs_per_tenant = 4;
+  svc::ServiceOptions opts;
+  flags.number("--tenants", tenants, 1)
+      .number("--jobs-per-tenant", jobs_per_tenant, 1)
+      .number("--inflight", opts.inflight, 1)
+      .number("--quantum", opts.quantum, 1);
+  flags.parse(args);
+  const graph::EdgeColouredGraph g = setup.build("serve");
 
   // The oracle: the same job run standalone (closed-loop, private engine).
   local::RunOptions ropts;
-  ropts.max_rounds = max_rounds;
-  if (!plan.empty()) ropts.faults.plan = &plan;
+  ropts.max_rounds = setup.max_rounds;
+  if (!setup.plan.empty()) ropts.faults.plan = &setup.plan;
   const local::RunResult standalone =
-      local::run(*engine, g, algo::greedy_program_factory(), ropts);
+      local::run(setup.engine, g, algo::greedy_program_factory(), ropts);
   const std::uint64_t want = outputs_fnv(standalone);
 
-  svc::ServiceOptions opts;
-  opts.inflight = number_option(args, "--inflight", 8, 1, usage);
-  opts.quantum = number_option(args, "--quantum", 4, 1, usage);
-  opts.threads = number_option(args, "--threads", 2, 1, usage);
+  opts.threads = setup.threads;
   svc::MatchingService service(opts);
 
   std::vector<std::vector<std::future<local::RunResult>>> futures(
@@ -471,9 +440,9 @@ int cmd_serve(const std::vector<std::string>& args) {
     for (svc::Job& job : jobs) {
       job.graph = g;
       job.source = algo::greedy_program_factory();
-      job.max_rounds = max_rounds;
-      job.engine = *engine;
-      job.faults = plan;
+      job.max_rounds = setup.max_rounds;
+      job.engine = setup.engine;
+      job.faults = setup.plan;
     }
     futures[static_cast<std::size_t>(t)] =
         service.submit_batch("tenant-" + std::to_string(t), std::move(jobs));
@@ -495,9 +464,9 @@ int cmd_serve(const std::vector<std::string>& args) {
   const svc::ServiceStats stats = service.stats();
 
   const std::string want_hex = hex64(want);
-  if (flag(args, "--json")) {
-    std::cout << "{\"instance\":\"" << spec << "\",\"engine\":\""
-              << local::engine_kind_name(*engine) << "\",\"tenants\":" << tenants
+  if (setup.json) {
+    std::cout << "{\"instance\":\"" << util::json_escape(setup.instance) << "\",\"engine\":\""
+              << local::engine_kind_name(setup.engine) << "\",\"tenants\":" << tenants
               << ",\"jobs_per_tenant\":" << jobs_per_tenant
               << ",\"inflight\":" << opts.inflight << ",\"quantum\":" << opts.quantum
               << ",\"threads\":" << opts.threads << ",\"sessions\":" << stats.sessions
@@ -514,10 +483,10 @@ int cmd_serve(const std::vector<std::string>& args) {
     }
     std::cout << "],\"all_match\":" << (all_match ? "true" : "false") << "}\n";
   } else {
-    std::cout << "instance: " << spec << " (n=" << g.node_count() << ", k=" << g.k()
+    std::cout << "instance: " << setup.instance << " (n=" << g.node_count() << ", k=" << g.k()
               << ")\n";
     std::cout << "service: " << tenants << " tenant(s) x " << jobs_per_tenant
-              << " job(s), engine " << local::engine_kind_name(*engine) << ", inflight "
+              << " job(s), engine " << local::engine_kind_name(setup.engine) << ", inflight "
               << opts.inflight << ", quantum " << opts.quantum << ", threads "
               << opts.threads << "\n";
     std::cout << "sessions: " << stats.sessions << " (pool spawns: " << stats.pool_spawns
@@ -539,32 +508,28 @@ int cmd_serve(const std::vector<std::string>& args) {
 /// non-zero on ANY maximality violation, which is what makes it a CI
 /// smoke: a repair bug cannot hide behind the summary text.
 int cmd_churn(const std::vector<std::string>& args) {
-  const std::string usage =
+  util::Flags flags(
       "churn: usage: churn --instance <spec> [--batches N>=0] [--ops-per-batch N>=0]"
       " [--seed S] [--insert-fraction PCT] [--engine sync|flat] [--threads N>=1]"
-      " [--oracle] [--json]";
-  const std::string spec = option(args, "--instance");
-  if (spec.empty()) fail("churn: --instance required");
-  const std::string engine_spec = option(args, "--engine", "sync");
-  const auto engine = local::parse_engine_kind(engine_spec);
-  if (!engine) fail("churn: unknown engine '" + engine_spec + "' (sync|flat)");
-  const int threads = number_option(args, "--threads", 1, 1, usage);
-  if (threads > 1 && *engine != local::EngineKind::kFlat) {
-    fail("churn: --threads requires --engine flat");
-  }
+      " [--oracle] [--json]");
+  RunSetup setup;
+  setup.faults = false;
+  setup.declare(flags);
   dyn::ChurnSpec churn_spec;
-  churn_spec.batches = number_option(args, "--batches", 8, 0, usage);
-  churn_spec.ops_per_batch = number_option(args, "--ops-per-batch", 16, 0, usage);
-  churn_spec.seed = number_option<std::uint64_t>(args, "--seed", 0, 0, usage);
-  churn_spec.insert_fraction =
-      number_option(args, "--insert-fraction", 50.0, 0.0, usage) / 100.0;
-  const bool oracle = flag(args, "--oracle");
-
-  const graph::EdgeColouredGraph g = parse_instance(spec);
+  double insert_pct = 50.0;
+  bool oracle = false;
+  flags.number("--batches", churn_spec.batches, 0)
+      .number("--ops-per-batch", churn_spec.ops_per_batch, 0)
+      .number("--seed", churn_spec.seed, 0)
+      .number("--insert-fraction", insert_pct, 0.0)
+      .flag("--oracle", oracle);
+  flags.parse(args);
+  churn_spec.insert_fraction = insert_pct / 100.0;
+  const graph::EdgeColouredGraph g = setup.build("churn");
   const dyn::ChurnPlan plan = dyn::ChurnPlan::random(g, churn_spec);
   dyn::MatcherOptions mopts;
-  mopts.engine = *engine;
-  mopts.threads = threads;
+  mopts.engine = setup.engine;
+  mopts.threads = setup.threads;
   dyn::DynamicMatcher matcher(g, mopts);
   plan.require_applies(g);
 
@@ -591,9 +556,9 @@ int cmd_churn(const std::vector<std::string>& args) {
   const dyn::RepairStats& stats = matcher.stats();
   const std::size_t matched =
       verify::matched_edges(matcher.graph(), matcher.outputs()).size();
-  if (flag(args, "--json")) {
-    std::cout << "{\"instance\":\"" << spec << "\",\"engine\":\""
-              << local::engine_kind_name(*engine) << "\",\"threads\":" << threads
+  if (setup.json) {
+    std::cout << "{\"instance\":\"" << util::json_escape(setup.instance) << "\",\"engine\":\""
+              << local::engine_kind_name(setup.engine) << "\",\"threads\":" << setup.threads
               << ",\"seed\":" << churn_spec.seed << ",\"batches\":" << stats.batches
               << ",\"inserts\":" << stats.inserts << ",\"deletes\":" << stats.deletes
               << ",\"repairs\":" << stats.repairs
@@ -603,7 +568,7 @@ int cmd_churn(const std::vector<std::string>& args) {
               << matcher.graph().edge_count() << ",\"oracle\":" << (oracle ? "true" : "false")
               << ",\"valid\":" << (bad_batches == 0 ? "true" : "false") << "}\n";
   } else {
-    std::cout << "instance: " << spec << " (n=" << g.node_count() << ", k=" << g.k()
+    std::cout << "instance: " << setup.instance << " (n=" << g.node_count() << ", k=" << g.k()
               << ", edges " << g.edge_count() << " -> " << matcher.graph().edge_count()
               << ")\n";
     std::cout << "churn: " << stats.batches << " batch(es), " << stats.inserts
@@ -624,22 +589,27 @@ int cmd_churn(const std::vector<std::string>& args) {
 }
 
 int cmd_adversary(const std::vector<std::string>& args) {
-  const std::string usage =
+  util::Flags flags(
       "adversary: usage: adversary --k K>=3 --algorithm <spec> [--certificate-out <path>]"
-      " [--pair-out <prefix>] [--no-memo] [--optimistic] [--threads N>=1] [--orbits]";
-  const int k = number_option(args, "--k", 0, 3, usage);
-  const std::string algo_spec = option(args, "--algorithm");
-  if (k < 3 || algo_spec.empty()) fail(usage);
-  const auto algorithm = parse_algorithm(algo_spec);
+      " [--pair-out <prefix>] [--no-memo] [--optimistic] [--threads N>=1] [--orbits]");
+  int k = 0;
+  std::string algo_spec, cert_path, pair_prefix;
+  bool no_memo = false;
   lower::AdversaryOptions options;
-  options.memoise = !flag(args, "--no-memo");
-  options.optimistic = flag(args, "--optimistic");
-  options.threads = number_option(args, "--threads", 1, 1, usage);
-  options.orbits = flag(args, "--orbits");
+  flags.number("--k", k, 3).required()
+      .option("--algorithm", algo_spec).required()
+      .option("--certificate-out", cert_path)
+      .option("--pair-out", pair_prefix)
+      .flag("--no-memo", no_memo)
+      .flag("--optimistic", options.optimistic)
+      .number("--threads", options.threads, 1)
+      .flag("--orbits", options.orbits);
+  flags.parse(args);
+  options.memoise = !no_memo;
+  const auto algorithm = parse_algorithm(algo_spec);
   const lower::LowerBoundResult result = lower::run_adversary(k, *algorithm, options);
   std::cout << result.summary() << "\n";
   if (const auto* tp = std::get_if<lower::TightPair>(&result.outcome)) {
-    const std::string pair_prefix = option(args, "--pair-out");
     if (!pair_prefix.empty()) {
       std::ofstream(pair_prefix + ".U.txt") << io::write_template(tp->u);
       std::ofstream(pair_prefix + ".V.txt") << io::write_template(tp->v);
@@ -649,11 +619,10 @@ int cmd_adversary(const std::vector<std::string>& args) {
     }
   }
   if (const auto* cert = std::get_if<lower::Certificate>(&result.outcome)) {
-    const std::string out_path = option(args, "--certificate-out");
-    if (!out_path.empty()) {
-      std::ofstream out(out_path);
+    if (!cert_path.empty()) {
+      std::ofstream out(cert_path);
       out << io::write_certificate(*cert);
-      std::cout << "certificate written to " << out_path << "\n";
+      std::cout << "certificate written to " << cert_path << "\n";
     }
     return 1;  // refuted: report non-zero so scripts can branch
   }
@@ -661,38 +630,21 @@ int cmd_adversary(const std::vector<std::string>& args) {
 }
 
 int cmd_views(const std::vector<std::string>& args) {
-  // Positional k d rho and the flags in any order; every number is a whole
-  // integer token and --threads / --max-views are at least 1.
-  const std::string usage =
-      "views: usage: views <k> <d> <rho> [--threads N>=1] [--max-views N>=1] [--json] [--orbits]";
-  std::vector<int> positional;
+  util::Flags flags(
+      "views: usage: views <k> <d> <rho> [--threads N>=1] [--max-views N>=1] [--json] [--orbits]");
+  int k = 0, d = 0, rho = 0;
   int threads = 1;
   int max_views = 2'000'000;
   bool json = false;
   bool orbits = false;
-  // The value after args[i], which must be a whole integer >= 1.
-  const auto positive_after = [&](std::size_t& i) {
-    const std::optional<int> value = ++i < args.size() ? whole<int>(args[i]) : std::nullopt;
-    if (!value || *value < 1) fail(usage);
-    return *value;
-  };
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--json") {
-      json = true;
-    } else if (args[i] == "--orbits") {
-      orbits = true;
-    } else if (args[i] == "--threads") {
-      threads = positive_after(i);
-    } else if (args[i] == "--max-views") {
-      max_views = positive_after(i);
-    } else if (const std::optional<int> value = whole<int>(args[i])) {
-      positional.push_back(*value);
-    } else {
-      fail(usage);
-    }
-  }
-  if (positional.size() != 3) fail(usage);
-  const int k = positional[0], d = positional[1], rho = positional[2];
+  flags.positional(k)
+      .positional(d)
+      .positional(rho)
+      .number("--threads", threads, 1)
+      .number("--max-views", max_views, 1)
+      .flag("--json", json)
+      .flag("--orbits", orbits);
+  flags.parse(args);
 
   long long views = 0, orbit_count = 0;
   std::size_t pair_count = 0;
@@ -790,8 +742,10 @@ int cmd_views(const std::vector<std::string>& args) {
 }
 
 int cmd_lemma4(const std::vector<std::string>& args) {
-  const std::string algo_spec = option(args, "--algorithm");
-  if (algo_spec.empty()) fail("lemma4: --algorithm required");
+  util::Flags flags("lemma4: usage: lemma4 --algorithm <spec>");
+  std::string algo_spec;
+  flags.option("--algorithm", algo_spec).required();
+  flags.parse(args);
   const auto algorithm = parse_algorithm(algo_spec);
   const lower::Lemma4Result result = lower::run_lemma4(*algorithm);
   std::cout << result.summary << "\n";
@@ -803,9 +757,10 @@ int cmd_lemma4(const std::vector<std::string>& args) {
 }
 
 int cmd_check(const std::vector<std::string>& args) {
-  const std::string cert_path = option(args, "--certificate");
-  const std::string algo_spec = option(args, "--algorithm");
-  if (cert_path.empty() || algo_spec.empty()) fail("check: --certificate and --algorithm required");
+  util::Flags flags("check: usage: check --certificate <path> --algorithm <spec>");
+  std::string cert_path, algo_spec;
+  flags.option("--certificate", cert_path).required().option("--algorithm", algo_spec).required();
+  flags.parse(args);
   const lower::Certificate cert = io::read_certificate(slurp(cert_path));
   const auto algorithm = parse_algorithm(algo_spec);
   lower::Evaluator eval(*algorithm);
@@ -817,11 +772,11 @@ int cmd_check(const std::vector<std::string>& args) {
 }
 
 int cmd_export_dot(const std::vector<std::string>& args) {
-  const std::string spec = option(args, "--instance");
-  if (spec.empty()) fail("export-dot: --instance required");
-  const graph::EdgeColouredGraph g = parse_instance(spec);
-  const std::string dot = io::to_dot(g);
-  const std::string out_path = option(args, "--out");
+  util::Flags flags("export-dot: usage: export-dot --instance <spec> [--out <path>]");
+  std::string spec, out_path;
+  flags.option("--instance", spec).required().option("--out", out_path);
+  flags.parse(args);
+  const std::string dot = io::to_dot(parse_instance(spec));
   if (out_path.empty()) {
     std::cout << dot;
   } else {
@@ -848,8 +803,8 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   std::vector<std::string> args(argv + 2, argv + argc);
   try {
-    if (command == "greedy") return cmd_greedy(args);
-    if (command == "resume") return cmd_resume(args);
+    if (command == "greedy") return run_greedy(args, false);
+    if (command == "resume") return run_greedy(args, true);
     if (command == "serve") return cmd_serve(args);
     if (command == "churn") return cmd_churn(args);
     if (command == "adversary") return cmd_adversary(args);
