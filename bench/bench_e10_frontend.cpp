@@ -61,7 +61,7 @@ benchjson::Record record_service_run(benchjson::Harness& harness, const std::str
                                      local::EngineKind kind, int tenants,
                                      int jobs_per_tenant, int threads,
                                      const local::FaultPlan& plan) {
-  const int max_rounds = std::max(g.k() + 1, plan.max_restart_round() + g.k() + 2);
+  const int max_rounds = plan.default_max_rounds(g.k());
   local::RunOptions ropts;
   ropts.max_rounds = max_rounds;
   if (!plan.empty()) ropts.faults.plan = &plan;

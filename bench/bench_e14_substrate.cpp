@@ -3,6 +3,10 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <memory>
+#include <span>
+#include <string>
+#include <string_view>
 
 #include "bench_engines.hpp"
 #include "bench_main.hpp"
@@ -11,6 +15,64 @@
 namespace {
 
 using namespace dmm;
+
+/// Greedy that never sleeps: it forwards every call but next_active_round
+/// to a GreedyProgram and leaves that query at its default, so the flat
+/// engine steps every running node in every round.  The hub rows' "awake"
+/// twins run it: on a hub cluster, greedy proper sleeps through ~99% of
+/// its node-rounds, which leaves too little per-round work to measure how
+/// chunking and work stealing cope with the hub rows.
+class AwakeGreedy final : public local::NodeProgram {
+ public:
+  bool init(std::span<const gk::Colour> incident) override { return greedy_.init(incident); }
+  void send(int round, local::Outbox& out) override { greedy_.send(round, out); }
+  bool receive(int round, const local::Inbox& in) override { return greedy_.receive(round, in); }
+  gk::Colour output() const override { return greedy_.output(); }
+  void save_state(std::string& out) const override { greedy_.save_state(out); }
+  void load_state(std::string_view in) override { greedy_.load_state(in); }
+
+ private:
+  algo::GreedyProgram greedy_;
+};
+
+class AwakeGreedyFactory final : public local::ProgramFactory {
+ public:
+  void make_programs(std::size_t count, local::ProgramPool& pool) const override {
+    pool.emplace_batch<AwakeGreedy>(count);
+  }
+  local::NodeProgram* make_one(local::ProgramPool& pool) const override {
+    return pool.emplace<AwakeGreedy>();
+  }
+};
+
+/// Runs greedy, then its awake twin, flat at 1 and 8 workers on a hub
+/// cluster, and prints the awake pair's t1/t8 ratio: the skew stress.
+void record_skewed_rows(benchjson::Harness& harness, const std::string& instance,
+                        const graph::EdgeColouredGraph& g) {
+  const local::ProgramSource awake(std::make_shared<const AwakeGreedyFactory>());
+  for (const bool sleeps : {true, false}) {
+    const std::string inst = sleeps ? instance : instance + " awake";
+    double serial_ns = 0;
+    for (const int threads : {1, 8}) {
+      local::FlatEngineOptions options;
+      options.threads = threads;
+      const local::RunResult run = benchjson::record_engine_run(
+          harness, inst, g, local::EngineKind::kFlat,
+          sleeps ? algo::greedy_program_factory() : awake, {256}, options);
+      const auto& metric = harness.records().back().metrics;
+      const double wall = metric.at("wall_ns");
+      if (threads == 1) serial_ns = wall;
+      std::printf("%-34s %-8s %8d %14.2f %10d   send+receive %.2f ms\n", inst.c_str(), "flat",
+                  threads, wall / 1e6, run.rounds,
+                  metric.at("send_ms") + metric.at("receive_ms"));
+      if (threads == 8 && !sleeps) {
+        std::printf("skewed flat t1/t8 ratio (awake): %.2fx (hardware-dependent; "
+                    "threads_spawned=%zu, constant in rounds)\n",
+                    serial_ns / wall, run.threads_spawned);
+      }
+    }
+  }
+}
 
 void print_rows(benchjson::Harness& harness) {
   std::printf("## E14: substrate characteristics\n");
@@ -49,9 +111,10 @@ void print_rows(benchjson::Harness& harness) {
   // old static node-count partition serialised one worker.  The small row
   // runs both engines (the run_sync oracle visits every node in every one
   // of the 254 rounds, so it stays small); the 258k-node row runs flat
-  // serial vs flat with 8 workers — on multicore hardware the t8 row is
-  // where the chunker's ≥ 3× shows up, and both are pinned in the e14
-  // baseline.
+  // serial vs flat with 8 workers, both pinned in the e14 baseline.  Greedy
+  // sleeps through almost every node-round here, so the "awake" twins
+  // (recorded, not gated) carry the per-round load: on multicore hardware
+  // their t8 row is where the chunker's ≥ 3× shows up.
   std::printf("## E14d: skewed instances, greedy on hub clusters\n");
   std::printf("%-34s %-8s %8s %14s %10s\n", "instance", "engine", "threads",
               "wall (ms)", "rounds");
@@ -68,28 +131,9 @@ void print_rows(benchjson::Harness& harness) {
                   harness.records().back().metrics.at("wall_ns") / 1e6, run.rounds);
     }
   }
-  {
-    const graph::EdgeColouredGraph skewed =
-        graph::hub_cluster_graph(/*hubs=*/2000, /*hub_degree=*/128, /*first_colour=*/128);
-    const std::string inst = "hub_cluster n=258000 d=128";
-    double serial_ns = 0;
-    for (const int threads : {1, 8}) {
-      local::FlatEngineOptions options;
-      options.threads = threads;
-      const local::RunResult run =
-          benchjson::record_engine_run(harness, inst, skewed, local::EngineKind::kFlat,
-                                       algo::greedy_program_factory(), {256}, options);
-      const double wall = harness.records().back().metrics.at("wall_ns");
-      if (threads == 1) serial_ns = wall;
-      std::printf("%-34s %-8s %8d %14.2f %10d\n", inst.c_str(), "flat", threads,
-                  wall / 1e6, run.rounds);
-      if (threads == 8) {
-        std::printf("skewed flat t1/t8 ratio: %.2fx (hardware-dependent; "
-                    "threads_spawned=%zu, constant in rounds)\n",
-                    serial_ns / wall, run.threads_spawned);
-      }
-    }
-  }
+  record_skewed_rows(
+      harness, "hub_cluster n=258000 d=128",
+      graph::hub_cluster_graph(/*hubs=*/2000, /*hub_degree=*/128, /*first_colour=*/128));
   std::printf("\n");
 
   // E14c (opt-in: --scale, the nightly bench_scale leg): greedy at
@@ -113,24 +157,16 @@ void print_rows(benchjson::Harness& harness) {
                 metric.at("rss_bytes") / (1024.0 * 1024.0 * 1024.0));
     std::printf("\n");
 
-    // Skewed scale row (ISSUE 7 acceptance): greedy on a 10⁶-node hub
+    // Skewed scale rows: greedy and its awake twin on a 10⁶-node hub
     // cluster, flat serial vs 8 workers.  The ≥ 3× t1/t8 bar is a
-    // multicore claim — run_benches.py --scale validates the rows exist
-    // and reports the ratio, but only hardware with ≥ 8 cores can meet
-    // the bar (a single-CPU runner executes both rows on one core).
-    std::printf("## E14e: scale skewed row, greedy on hub_cluster n = 1000008 (flat)\n");
-    const graph::EdgeColouredGraph skewed =
-        graph::hub_cluster_graph(/*hubs=*/7752, /*hub_degree=*/128, /*first_colour=*/128);
-    for (const int threads : {1, 8}) {
-      local::FlatEngineOptions options;
-      options.threads = threads;
-      const local::RunResult run =
-          benchjson::record_engine_run(harness, "hub_cluster n=1000008 d=128", skewed,
-                                       local::EngineKind::kFlat,
-                                       algo::greedy_program_factory(), {256}, options);
-      std::printf("%-8s t%-3d %14.2f %10d\n", "flat", threads,
-                  harness.records().back().metrics.at("wall_ns") / 1e6, run.rounds);
-    }
+    // multicore claim on the awake pair — run_benches.py --scale validates
+    // the rows exist and reports that ratio, but only hardware with ≥ 8
+    // cores can meet the bar (a single-CPU runner executes both rows on
+    // one core).
+    std::printf("## E14e: scale skewed rows, greedy on hub_cluster n = 1000008 (flat)\n");
+    record_skewed_rows(
+        harness, "hub_cluster n=1000008 d=128",
+        graph::hub_cluster_graph(/*hubs=*/7752, /*hub_degree=*/128, /*first_colour=*/128));
     std::printf("\n");
   }
 }

@@ -7,7 +7,6 @@
 // recorded but never gated.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -48,17 +47,11 @@ local::FaultPlan workload_plan(const graph::EdgeColouredGraph& g) {
   return local::FaultPlan::random(g, spec);
 }
 
-int faulty_max_rounds(const graph::EdgeColouredGraph& g, const local::FaultPlan& plan) {
-  // A restarted node still has to finish its protocol, so faulty runs get
-  // headroom past the last restart.
-  return std::max(g.k() + 1, plan.max_restart_round() + g.k() + 2);
-}
-
 void print_rows(benchjson::Harness& harness) {
   const graph::EdgeColouredGraph g = workload();
   const local::FaultPlan plan = workload_plan(g);
   const local::FaultOptions faults{&plan};
-  const int rounds_budget = faulty_max_rounds(g, plan);
+  const int rounds_budget = plan.default_max_rounds(g.k());
   const local::ProgramSource greedy = algo::greedy_program_factory();
   // One greedy run on the chosen engine, recorded with its fault counters.
   const auto record_run = [&](const std::string& label, local::EngineKind kind,
@@ -181,7 +174,7 @@ void BM_FaultyRun(benchmark::State& state) {
   const graph::EdgeColouredGraph g = workload();
   const local::FaultPlan plan = workload_plan(g);
   const local::FaultOptions faults{&plan};
-  const int budget = faulty_max_rounds(g, plan);
+  const int budget = plan.default_max_rounds(g.k());
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         local::run_flat(g, algo::greedy_program_factory(), {budget, faults}));

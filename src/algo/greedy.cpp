@@ -72,12 +72,14 @@ void GreedyProgram::send(int round, local::Outbox& out) {
 bool GreedyProgram::receive(int round, const local::Inbox& in) {
   // After the exchange in round t we know the neighbours' status at the end
   // of step t, which decides step t+1 (edges of colour t+1) — and only the
-  // colour-(t+1) neighbour can be our partner in that step.
-  const Colour next = static_cast<Colour>(round + 1);
-  if (!matched_) {
-    for (int i = 0; i < in.ports(); ++i) {
-      if (in.colour(i) != next) continue;
-      const std::string_view m = in.at(i);
+  // colour-(t+1) neighbour can be our partner in that step.  The cursor
+  // points past every decided colour (the loop moves it only after a
+  // resume, which starts it at 0), so that port is the one it names.
+  const int next = round + 1;
+  while (cursor_ < degree_ && incident_[cursor_] < next) ++cursor_;
+  if (cursor_ < degree_ && incident_[cursor_] == next) {
+    if (!matched_) {
+      const std::string_view m = in.at(cursor_);
       // A halted neighbour announces its output; a matched announcement or
       // an explicit "M" both mean "taken".  An announced ⊥ means
       // permanently free, but a ⊥ neighbour can never be our
@@ -87,11 +89,22 @@ bool GreedyProgram::receive(int round, const local::Inbox& in) {
           m == "M" || (!m.empty() && m.front() == local::kHaltedPrefix && m != "!0");
       if (!neighbour_matched) {
         matched_ = true;
-        output_ = next;
+        output_ = static_cast<Colour>(next);
       }
     }
+    ++cursor_;
   }
-  return try_finish(/*completed_step=*/round + 1);
+  return try_finish(/*completed_step=*/next);
+}
+
+int GreedyProgram::next_active_round(int round) const noexcept {
+  // Colours up to round + 1 are decided.  Until the round c - 1 that reads
+  // the next incident colour c, an unmatched node sends "F" and its
+  // receive reads nothing.  After receive(round) the cursor already points
+  // at c, so the scan does not move.
+  int port = cursor_;
+  while (port < degree_ && incident_[port] <= round + 1) ++port;
+  return port < degree_ ? incident_[port] - 1 : round + 1;
 }
 
 void GreedyProgram::save_state(std::string& out) const {

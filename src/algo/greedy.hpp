@@ -11,6 +11,7 @@
 //     which is what the lower-bound adversary interrogates.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -33,13 +34,16 @@ std::vector<Colour> greedy_outputs(const colsys::ColourSystem& system);
 
 /// Message-passing greedy.  Halts at round c-1 when matched along colour c;
 /// an never-matched node halts once its largest incident colour has been
-/// resolved.
+/// resolved.  Round t reads only the colour-(t+1) port, so a node can act
+/// only in the rounds c-1 of its incident colours c: next_active_round
+/// names the next one, and the flat engine lets the node sleep until then.
 class GreedyProgram final : public local::NodeProgram {
  public:
   bool init(std::span<const Colour> incident) override;
   void send(int round, local::Outbox& out) override;
   bool receive(int round, const local::Inbox& in) override;
   Colour output() const override { return output_; }
+  int next_active_round(int round) const noexcept override;
   // Checkpoint hooks: the whole dynamic state is {matched_, output_} — the
   // incident colours are re-derived by init.  Two bytes per node.
   // load_state rejects (std::invalid_argument) a state no run produces:
@@ -60,6 +64,11 @@ class GreedyProgram final : public local::NodeProgram {
   int degree_ = 0;
   Colour output_ = local::kUnmatched;
   bool matched_ = false;
+  // The first port whose colour is not decided yet (degree ≤ 255, so one
+  // byte).  receive reads that port alone, and next_active_round answers
+  // from it.  Not checkpoint state: receive re-derives it from the round,
+  // so a resumed run starts it at 0.
+  std::uint8_t cursor_ = 0;
 };
 
 static_assert(sizeof(GreedyProgram) <= 24, "one vtable pointer, one row pointer, 8 bytes of state");

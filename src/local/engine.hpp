@@ -157,7 +157,9 @@ class Inbox {
 /// instance information ever provided is the list of incident edge colours
 /// and the received messages (indexed by port, i.e. by incident colour,
 /// which is how an anonymous node tells its ports apart in an
-/// edge-coloured graph).  Every engine drives the same three calls.
+/// edge-coloured graph).  Every engine drives the same three calls; the
+/// flat engine may also ask next_active_round and skip rounds in which the
+/// node cannot act.
 class NodeProgram {
  public:
   virtual ~NodeProgram() = default;
@@ -180,6 +182,19 @@ class NodeProgram {
 
   /// The local output; valid once halted.
   virtual Colour output() const = 0;
+
+  /// The next round in which the node can act, asked right after its
+  /// receive in `round` returned false.  The contract: in every round r
+  /// with round < r < the answer, send(r) would write the same bytes as
+  /// send(round) did, and receive(r) would return false and change nothing
+  /// that save_state or output can see, whatever the inbox holds.  The
+  /// flat engine lets a node whose send(round) was one inline broadcast
+  /// sleep until the answer when that skips two or more rounds
+  /// (flat_engine.hpp); run_sync, the PN adapter and runs with a fault plan
+  /// never ask.  The default, round + 1, never
+  /// sleeps.  Debug and sanitizer builds step every sleeper anyway and
+  /// throw std::logic_error when the contract fails.
+  virtual int next_active_round(int round) const noexcept { return round + 1; }
 
   // Checkpoint hooks (optional; checkpoint.hpp).  save_state serialises
   // everything the program's future behaviour depends on *beyond* what

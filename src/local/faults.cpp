@@ -132,6 +132,10 @@ int FaultPlan::max_restart_round() const noexcept {
   return last;
 }
 
+int FaultPlan::default_max_rounds(int k) const noexcept {
+  return std::max(k + 1, max_restart_round() + k + 2);
+}
+
 void FaultPlan::require_fits(graph::NodeIndex node_count) const {
   for (const FaultEvent& e : events_) {
     if (e.node < 0 || e.node >= node_count) {

@@ -95,6 +95,11 @@ class FaultPlan {
   /// finish its protocol.
   int max_restart_round() const noexcept;
 
+  /// The default round budget of a greedy run under this plan on a graph
+  /// of `k` colours: k + 1, or k + 2 rounds past the last restart round,
+  /// whichever is larger.
+  int default_max_rounds(int k) const noexcept;
+
   /// Throws std::invalid_argument when any event targets a node outside
   /// [0, node_count).  The engines call this before round 1, so a
   /// mistargeted plan is rejected even when the run halts before the

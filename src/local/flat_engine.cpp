@@ -7,6 +7,7 @@
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 
 #include "local/checkpoint.hpp"
 #include "local/faults.hpp"
@@ -24,6 +25,32 @@ constexpr std::uint8_t kSpillLen = 0xff;
 /// into per-node chunks whose claim overhead exceeds their work.
 constexpr std::size_t kChunksPerWorker = 16;
 constexpr std::size_t kMinAutoChunkSlots = 1024;
+
+/// Buckets of the sleepers' timing wheel: a sleep lasts at most
+/// kWakeWheel − 1 rounds, so every node in bucket r % kWakeWheel wakes in
+/// round r.  A node that asks for a later round is woken early and asked
+/// again, which the next_active_round contract allows.
+constexpr int kWakeWheel = 256;
+
+/// A sleep costs a wheel entry, a wake and a merge back into the live
+/// list, about what stepping the node through a round costs, so a node
+/// sleeps only when it would skip at least this many rounds.  (Greedy at
+/// n = 10⁵, k = 12, serial, on a 4-core x86 container: with one-round
+/// sleeps too, send + receive read ~19 ms; with this bound, ~17 ms.)
+constexpr int kMinSkippedRounds = 2;
+
+/// A sleeper's broadcast slot keeps its payload and gains this bit in its
+/// length, which makes resolve() serve it whatever its stamp says.
+/// Broadcast slots only ever hold inline payloads, so the bit is free.
+constexpr std::uint8_t kSleepingLen = 0x80;
+
+/// Builds without NDEBUG, and sanitizer builds (CMakeLists.txt), step every
+/// sleeper anyway and check the next_active_round contract.
+#if !defined(NDEBUG) || defined(DMM_SLEEP_CONTRACT_CHECK)
+constexpr bool kCheckSleepers = true;
+#else
+constexpr bool kCheckSleepers = false;
+#endif
 
 double phase_elapsed_ns(std::chrono::steady_clock::time_point since) {
   return static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -73,6 +100,7 @@ struct FlatSlot {
 };
 static_assert(sizeof(FlatSlot) == 8, "eight slots per cache line");
 static_assert(kFlatInlineBytes >= 6, "payload must hold a spill {offset, arena} pair");
+static_assert(kFlatInlineBytes < kSleepingLen, "an inline length never carries the sleeping bit");
 
 struct FlatPlane {
   std::vector<FlatSlot> slots;
@@ -251,7 +279,11 @@ void FlatEngine::initialise(const EngineCheckpoint* cp) {
   // million nodes never pays for the message plane (or the worker pool).
   planes_ready_ = false;
   stats_.assign(static_cast<std::size_t>(workers_), MessageStats{});
-  newly_halted_.assign(static_cast<std::size_t>(workers_), {});
+  departures_.assign(static_cast<std::size_t>(workers_), {});
+  for (std::vector<graph::NodeIndex>& bucket : wake_) bucket.clear();
+  asleep_ = 0;
+  asleep_messages_ = 0;
+  asleep_bytes_ = 0;
 }
 
 RunResult FlatEngine::run(const FaultOptions& faults, const CheckpointOptions& checkpoint) {
@@ -262,6 +294,8 @@ RunResult FlatEngine::run(const FaultOptions& faults, const CheckpointOptions& c
 
 void FlatEngine::begin(const RunOptions& options) {
   state_.configure(options);
+  // Faulty runs never sleep: the drop pass and crash and restart events
+  // would have to wake nodes.
   faulty_ = state_.plan != nullptr;
   drop_mask_ = faulty_ && state_.plan->has_drops();
   if (options.checkpoint.resume != nullptr) restore(*options.checkpoint.resume);
@@ -313,8 +347,14 @@ void FlatEngine::step_round(int round) {
   // Phase 1: running nodes stream this round's messages into their own
   // slot rows (or their broadcast slot); down nodes send nothing.  A chunk
   // (contiguous node range) is claimed by exactly one worker per phase, so
-  // no two workers ever touch the same slot.
+  // no two workers ever touch the same slot.  A sleeper's broadcast stands
+  // in its slot already; it is counted here, one message per port, as its
+  // send would have counted it (its length is in max_bytes since then).
   const auto send_start = std::chrono::steady_clock::now();
+  if (asleep_ > 0) {
+    stats_[0].sent += asleep_messages_;
+    stats_[0].total_bytes += asleep_bytes_;
+  }
   for_chunks([&](int worker, graph::NodeIndex begin, graph::NodeIndex end) {
     Outbox out;
     out.plane_ = &plane;
@@ -362,7 +402,9 @@ void FlatEngine::step_round(int round) {
   // Phase 2: hand each running node a lazy view over its peers' slots,
   // reflecting the start-of-round halted state (a node halting this
   // round must not leak its decision to same-round receivers).  New
-  // halts are collected per worker and applied after the barrier.
+  // halts and sleeps are collected per worker and applied after the
+  // barrier.  A node may sleep only when this round's send was one inline
+  // broadcast: that slot is what its neighbours read while it sleeps.
   for_chunks([&](int worker, graph::NodeIndex begin, graph::NodeIndex end) {
     for (const graph::NodeIndex v : live_in(begin, end)) {
       if (state_.down[static_cast<std::size_t>(v)]) continue;
@@ -374,26 +416,157 @@ void FlatEngine::step_round(int round) {
       in.row_ = row;
       in.count_ = csr.degree(v);
       in.stamp_ = stamp;
-      if (pool_[static_cast<std::size_t>(v)]->receive(round, in)) {
-        newly_halted_[static_cast<std::size_t>(worker)].push_back(v);
+      NodeProgram& program = *pool_[static_cast<std::size_t>(v)];
+      std::vector<Departure>& departures = departures_[static_cast<std::size_t>(worker)];
+      if (program.receive(round, in)) {
+        departures.push_back({v, 0});
+      } else if (!faulty_) {
+        // The program is in cache; its broadcast slot may not be, so the
+        // slot is read only for a sleep worth taking.
+        const int wake = program.next_active_round(round);
+        if (wake - round - 1 >= kMinSkippedRounds &&
+            plane.broadcast[static_cast<std::size_t>(v)].stamp == stamp) {
+          departures.push_back({v, wake});
+        }
       }
     }
   });
+  if (kCheckSleepers && asleep_ > 0) check_sleepers(round, stamp);
 
-  for (auto& batch : newly_halted_) {
-    for (graph::NodeIndex v : batch) state_.halt(v, round, pool_);
+  for (auto& batch : departures_) {
+    for (const Departure& d : batch) {
+      if (d.wake == 0) {
+        state_.halt(d.node, round, pool_);
+      } else {
+        sleep(d.node, d.wake, round);
+      }
+    }
     batch.clear();
   }
   // The running count is exactly the nodes neither halted nor dead
-  // (restored checkpoints are checked for it), so a size mismatch means
-  // this round's halts or permanent crashes left nodes to drop.
-  if (live_.size() != static_cast<std::size_t>(state_.running)) {
+  // (restored checkpoints are checked for it), and the awake ones are the
+  // live list, so a size mismatch means this round's halts, sleeps or
+  // permanent crashes left nodes to drop.
+  if (live_.size() + asleep_ != static_cast<std::size_t>(state_.running)) {
+    const bool sleeping = asleep_ > 0;
     std::erase_if(live_, [&](graph::NodeIndex v) {
-      return state_.halted[static_cast<std::size_t>(v)] ||
-             state_.dead[static_cast<std::size_t>(v)];
+      const auto i = static_cast<std::size_t>(v);
+      return state_.halted[i] || state_.dead[i] ||
+             (sleeping && (plane_->broadcast[i].len & kSleepingLen) != 0);
     });
   }
+  if (asleep_ > 0) wake_for(round + 1);
   state_.result.receive_ns += phase_elapsed_ns(receive_start);
+}
+
+/// Takes `v` off the live list until round `wake` (cut to the wheel).  Its
+/// broadcast slot, stamped this round, keeps serving neighbours under the
+/// sleeping bit, and its messages join the running sums.
+void FlatEngine::sleep(graph::NodeIndex v, int wake, int round) {
+  if (wake_.empty()) wake_.resize(kWakeWheel);
+  if (wake - round >= kWakeWheel) wake = round + kWakeWheel - 1;
+  wake_[static_cast<std::size_t>(wake % kWakeWheel)].push_back(v);
+  FlatSlot& slot = plane_->broadcast[static_cast<std::size_t>(v)];
+  const auto degree = static_cast<std::size_t>(csr_->degree(v));
+  ++asleep_;
+  asleep_messages_ += degree;
+  asleep_bytes_ += degree * slot.len;
+  slot.len |= kSleepingLen;
+}
+
+/// Merges the nodes waking in `round` back into the live list, which stays
+/// sorted (chunks slice it by node range, and a serial run walks memory in
+/// order), and takes them out of the running sums.  Their broadcast slots
+/// are cleared: from this round on they send again, and neither the
+/// sleeping bit nor a stale stamp may pass for a message.
+void FlatEngine::wake_for(int round) {
+  std::vector<graph::NodeIndex>& bucket = wake_[static_cast<std::size_t>(round % kWakeWheel)];
+  for (const graph::NodeIndex v : bucket) {
+    FlatSlot& slot = plane_->broadcast[static_cast<std::size_t>(v)];
+    const auto degree = static_cast<std::size_t>(csr_->degree(v));
+    asleep_messages_ -= degree;
+    asleep_bytes_ -= degree * (slot.len & ~kSleepingLen);
+    slot = FlatSlot{};
+  }
+  asleep_ -= bucket.size();
+  const auto awake = static_cast<std::ptrdiff_t>(live_.size());
+  live_.insert(live_.end(), bucket.begin(), bucket.end());
+  bucket.clear();
+  std::sort(live_.begin() + awake, live_.end());
+  std::inplace_merge(live_.begin(), live_.begin() + awake, live_.end());
+}
+
+/// The contract check of builds without NDEBUG: every sleeper is stepped
+/// as if awake — send into scratch slots, then receive over the plane —
+/// and must write its sleeping broadcast on every port, not halt, and
+/// leave its save_state bytes alone (when it has the checkpoint hooks).
+/// Workers split the wheel's buckets, so a threaded run checks in parallel.
+void FlatEngine::check_sleepers(int round, std::uint8_t stamp) {
+  const graph::Csr& csr = *csr_;
+  const auto saved = [](const NodeProgram& program, std::string& out) {
+    out.clear();
+    try {
+      program.save_state(out);
+      return true;
+    } catch (const std::logic_error&) {
+      return false;  // no checkpoint hooks: nothing to compare
+    }
+  };
+  const auto fail = [&](graph::NodeIndex v, const char* what) {
+    throw std::logic_error("FlatEngine: node " + std::to_string(v) + " asleep in round " +
+                           std::to_string(round) + " " + what +
+                           " (NodeProgram::next_active_round contract)");
+  };
+  const auto check = [&](int worker) {
+    std::vector<PortSlot> slots;
+    std::string bytes;
+    std::string before;
+    std::string after;
+    MessageStats scratch;
+    for (auto b = static_cast<std::size_t>(worker); b < wake_.size();
+         b += static_cast<std::size_t>(workers_)) {
+      for (const graph::NodeIndex v : wake_[b]) {
+        NodeProgram& program = *pool_[static_cast<std::size_t>(v)];
+        const FlatSlot& sleeping = plane_->broadcast[static_cast<std::size_t>(v)];
+        const std::string_view said(sleeping.payload, sleeping.len & ~kSleepingLen);
+        const std::size_t row = csr.row[static_cast<std::size_t>(v)];
+        const std::span<const Colour> colours(csr.port_colour.data() + row,
+                                              static_cast<std::size_t>(csr.degree(v)));
+        const bool stateful = saved(program, before);
+        slots.assign(colours.size(), PortSlot{});
+        bytes.clear();
+        Outbox out(colours, slots.data(), bytes, round, scratch);
+        program.send(round, out);
+        for (const PortSlot& slot : slots) {
+          if (slot.round != round ||
+              std::string_view(bytes).substr(slot.offset, slot.len) != said) {
+            fail(v, "sent other bytes than its sleeping broadcast");
+          }
+        }
+        Inbox in;
+        in.engine_ = this;
+        in.plane_ = plane_.get();
+        in.colours_ = colours.data();
+        in.row_ = row;
+        in.count_ = static_cast<int>(colours.size());
+        in.stamp_ = stamp;
+        if (program.receive(round, in)) fail(v, "halted");
+        if (stateful && (!saved(program, after) || after != before)) {
+          fail(v, "changed its saved state");
+        }
+      }
+    }
+  };
+  if (workers_ == 1) {
+    check(0);
+    return;
+  }
+  // The send phase already ran on the pool this round, so it exists; a
+  // shared pool may carry more workers than this engine uses.
+  auto phase = [&](int worker) {
+    if (worker < workers_) check(worker);
+  };
+  runtime_->pool()->run(phase);
 }
 
 RunResult FlatEngine::result() { return state_.finish(stats_); }
@@ -422,8 +595,8 @@ std::string_view FlatEngine::resolve(const FlatPlane& plane, std::size_t s,
   if (faulty_ && state_.down[static_cast<std::size_t>(u)]) return {};
   std::string_view view;
   const FlatSlot& shared = plane.broadcast[static_cast<std::size_t>(u)];
-  if (shared.stamp == stamp) {
-    view = {shared.payload, shared.len};
+  if (shared.stamp == stamp || (shared.len & kSleepingLen) != 0) {
+    view = {shared.payload, static_cast<std::size_t>(shared.len & ~kSleepingLen)};
   } else {
     const std::size_t u_row = csr.row[static_cast<std::size_t>(u)];
     const std::size_t u_end = csr.row[static_cast<std::size_t>(u) + 1];
@@ -461,20 +634,29 @@ std::string_view FlatEngine::slot_view(const FlatPlane& plane, std::size_t s,
 
 /// The tag cycle restarted: every stamp value is about to be reused, so
 /// stale slots must be cleared — but only the port rows and broadcast
-/// slots of live senders.  A halted node never writes again and resolve()
-/// serves its announcement from the table without reading its slots; a
-/// dead node never writes again and reads as absent.  Down rows are wiped
-/// too: a down node may restart mid-cycle and leave unwritten ports whose
-/// stale stamps must never alias a fresh tag (pinned by the two-tag-cycle
-/// cases in tests/test_flat_stress.cpp).
+/// slots of live senders, and the port rows of sleepers.  A halted node
+/// never writes again and resolve() serves its announcement from the table
+/// without reading its slots; a dead node never writes again and reads as
+/// absent.  Down rows are wiped too: a down node may restart mid-cycle and
+/// leave unwritten ports whose stale stamps must never alias a fresh tag
+/// (pinned by the two-tag-cycle cases in tests/test_flat_stress.cpp).  A
+/// sleeper's broadcast slot is still being served and is cleared when it
+/// wakes, but a woken node that writes single ports must not find old
+/// stamps in its row either.
 void FlatEngine::wipe_live_rows() {
   const graph::Csr& csr = *csr_;
-  for (const graph::NodeIndex v : live_) {
+  const auto wipe_ports = [&](graph::NodeIndex v) {
     const std::size_t begin = csr.row[static_cast<std::size_t>(v)];
     const std::size_t end = csr.row[static_cast<std::size_t>(v) + 1];
     std::fill(plane_->slots.begin() + static_cast<std::ptrdiff_t>(begin),
               plane_->slots.begin() + static_cast<std::ptrdiff_t>(end), FlatSlot{});
+  };
+  for (const graph::NodeIndex v : live_) {
+    wipe_ports(v);
     plane_->broadcast[static_cast<std::size_t>(v)] = FlatSlot{};
+  }
+  for (const std::vector<graph::NodeIndex>& bucket : wake_) {
+    for (const graph::NodeIndex v : bucket) wipe_ports(v);
   }
 }
 
@@ -604,6 +786,8 @@ std::string_view Inbox::at(int port) const {
   if (messages_ != nullptr) return messages_[port];
   return engine_->resolve(*plane_, flat_slot(row_, port), stamp_);
 }
+
+bool sleep_contract_checked() noexcept { return kCheckSleepers; }
 
 RunResult run_flat(const graph::EdgeColouredGraph& g, const ProgramSource& source,
                    const RunOptions& options, const FlatEngineOptions& engine_options) {

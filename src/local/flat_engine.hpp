@@ -24,6 +24,20 @@
 //     nodes (neither halted nor dead; down nodes stay listed and are
 //     skipped), compacted after each round's halts, so a round costs
 //     O(live nodes + ports read) rather than O(n + 2m);
+//   * on a fault-free run, a node whose send was one inline broadcast and
+//     whose NodeProgram::next_active_round lies at least two rounds past
+//     the next sleeps until then (a shorter sleep costs more than it
+//     saves): it leaves the live list for a wake bucket indexed by round
+//     (a 256-slot timing wheel; a longer sleep is cut to fit it), so greedy
+//     costs O(awake nodes) per round — on a hub cluster, a few percent of
+//     the live ones.  Its broadcast slot keeps serving its last broadcast,
+//     flagged as sleeping so resolve() ignores the stale stamp, and a
+//     running sum of the sleepers' degrees and payload bytes adds their
+//     messages to each round's accounting, so every RunResult field and
+//     every mid-sleep checkpoint match run_sync's.  On waking, the slot is
+//     cleared; the tag-cycle wipe reaches sleepers' port rows too.  Builds
+//     without NDEBUG, and sanitizer builds, also step every sleeper into
+//     scratch and throw std::logic_error when it breaks the contract;
 //   * the send and receive phases optionally run on a persistent worker
 //     pool (options.threads > 1) owned by a Runtime (runtime.hpp) — a
 //     standalone engine's own, private one, or one shared by many
@@ -180,6 +194,9 @@ class FlatEngine final : public Session {
   std::string_view slot_view(const FlatPlane& plane, std::size_t s,
                              std::uint8_t stamp) const noexcept;
   void wipe_live_rows();
+  void sleep(graph::NodeIndex v, int wake, int round);
+  void wake_for(int round);
+  void check_sleepers(int round, std::uint8_t stamp);
   std::span<const graph::NodeIndex> live_in(graph::NodeIndex begin,
                                             graph::NodeIndex end) const noexcept;
   void plan_chunks(std::size_t chunk_slots);
@@ -225,18 +242,36 @@ class FlatEngine final : public Session {
   bool primed_ = false;
   bool planes_ready_ = false;
   std::vector<MessageStats> stats_;  // per worker, folded in by result()/snapshot()
-  std::vector<std::vector<graph::NodeIndex>> newly_halted_;  // per worker
-  // The nodes neither halted nor dead, sorted (down nodes stay in it and
-  // are skipped): every phase of a round walks this list instead of 0..n.
-  // Built by a run's first step, compacted after each round's halts.
+  // A node leaving the live list after this round's receive: halted
+  // (wake == 0), or asleep until round `wake`.
+  struct Departure {
+    graph::NodeIndex node;
+    int wake;
+  };
+  std::vector<std::vector<Departure>> departures_;  // per worker
+  // The nodes neither halted, dead nor asleep, sorted (down nodes stay in
+  // it and are skipped): every phase of a round walks this list instead of
+  // 0..n.  Built by a run's first step, then after each round compacted of
+  // its halts and sleeps, with the next round's wakers merged in.
   std::vector<graph::NodeIndex> live_;
   std::unique_ptr<FlatPlane> plane_;
+
+  // Sleepers, fault-free runs only.  The wheel is built on the first sleep;
+  // bucket `r % size` holds the nodes waking in round r.
+  std::vector<std::vector<graph::NodeIndex>> wake_;
+  std::size_t asleep_ = 0;
+  std::size_t asleep_messages_ = 0;  // sum of the sleepers' degrees
+  std::size_t asleep_bytes_ = 0;     // and of degree × broadcast length
 
   // Delivery masks of the current run (set by begin(), read by resolve()).
   bool faulty_ = false;
   bool drop_mask_ = false;
   int round_now_ = 0;
 };
+
+/// True when this build checks the next_active_round contract by stepping
+/// every sleeper (builds without NDEBUG, and sanitizer builds).
+bool sleep_contract_checked() noexcept;
 
 /// run_sync's flat counterpart: same options, same RunResult.
 RunResult run_flat(const graph::EdgeColouredGraph& g, const ProgramSource& source,

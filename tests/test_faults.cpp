@@ -407,6 +407,20 @@ TEST(Checkpoint, RandomGraphKillAtEveryRound) {
   expect_resume_equivalence(g, algo::greedy_program_factory(), 64, &plan, "random n=40 k=6");
 }
 
+TEST(Checkpoint, GreedyKillAtEveryRoundWhileMostNodesSleep) {
+  // On a hub cluster with colours 8..55, each hub matches its colour-8 leaf
+  // in round 7 and halts, and every other leaf sleeps from round 1 until
+  // the round that reads its one colour: at most captures nearly every
+  // running node is asleep on the flat engine.  Its
+  // captures must still be byte-identical to run_sync's (the sleepers'
+  // messages counted, their state untouched), and a resumed flat run asks
+  // the programs again and sleeps from there.
+  const graph::EdgeColouredGraph g =
+      graph::hub_cluster_graph(/*hubs=*/3, /*hub_degree=*/48, /*first_colour=*/8);
+  expect_resume_equivalence(g, algo::greedy_program_factory(), g.k() + 1, nullptr,
+                            "greedy hub_cluster(3,48,8)");
+}
+
 TEST(Checkpoint, FlatEngineObjectCheckpointStream) {
   // The FlatEngine object API: checkpoint(ostream) from a sink, then a
   // fresh engine restore(istream) + run() to the bit-identical result.

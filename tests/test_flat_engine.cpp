@@ -11,6 +11,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -347,6 +348,61 @@ TEST(FlatEngine, ExceptionsPropagateFromWorkers) {
   threaded.threads = 2;
   EXPECT_THROW(run_flat(g, [] { return std::make_unique<Thrower>(); }, {10}, threaded),
                std::runtime_error);
+}
+
+/// Broadcasts "x" every round and claims, after every round, that it next
+/// acts in round `wake` (halting there).  Honest, it keeps that promise;
+/// each lie breaks it in round 3, while asleep on the flat engine: other
+/// bytes, a halt, or a state change that save_state shows.
+class SleepLiar final : public NodeProgram {
+ public:
+  enum class Lie { kNone, kBytes, kHalts, kState };
+  SleepLiar(Lie lie, int wake) : lie_(lie), wake_(wake) {}
+  bool init(std::span<const Colour> incident) override { return incident.empty(); }
+  void send(int round, Outbox& out) override {
+    out.broadcast(lie_ == Lie::kBytes && round == 3 ? "y" : "x");
+  }
+  bool receive(int round, const Inbox&) override {
+    if (lie_ == Lie::kState && round == 3) ++state_;
+    return round >= wake_ || (lie_ == Lie::kHalts && round == 3);
+  }
+  Colour output() const override { return static_cast<Colour>(state_); }
+  int next_active_round(int) const noexcept override { return wake_; }
+  void save_state(std::string& out) const override { out = std::to_string(state_); }
+  void load_state(std::string_view in) override { state_ = std::stoi(std::string(in)); }
+
+ private:
+  Lie lie_;
+  int wake_;
+  int state_ = 0;
+};
+
+TEST(FlatEngine, SleepersThatKeepTheContractMatchTheOracle) {
+  Rng rng(61);
+  const graph::EdgeColouredGraph g = graph::random_coloured_graph(24, 4, 0.8, rng);
+  const auto honest = [] { return std::make_unique<SleepLiar>(SleepLiar::Lie::kNone, 10); };
+  expect_engines_agree(g, honest, 20, "honest sleepers");
+  // A wake round past the budget: the sleepers never halt in time, and the
+  // flat engine throws where run_sync does.
+  const auto late = [] { return std::make_unique<SleepLiar>(SleepLiar::Lie::kNone, 1000); };
+  EXPECT_THROW(run_sync(g, late, {20}), std::runtime_error);
+  EXPECT_THROW(run_flat(g, late, {20}), std::runtime_error);
+}
+
+TEST(FlatEngine, ContractCheckCatchesALyingSleeper) {
+  if (!sleep_contract_checked()) GTEST_SKIP() << "the sleeper check is off under NDEBUG";
+  Rng rng(61);
+  const graph::EdgeColouredGraph g = graph::random_coloured_graph(24, 4, 0.8, rng);
+  for (const SleepLiar::Lie lie :
+       {SleepLiar::Lie::kBytes, SleepLiar::Lie::kHalts, SleepLiar::Lie::kState}) {
+    const auto liar = [lie] { return std::make_unique<SleepLiar>(lie, 10); };
+    EXPECT_THROW(run_flat(g, liar, {20}), std::logic_error) << static_cast<int>(lie);
+    FlatEngineOptions threaded;
+    threaded.threads = 3;
+    EXPECT_THROW(run_flat(g, liar, {20}, threaded), std::logic_error) << static_cast<int>(lie);
+    // run_sync never asks the query, so it just runs the liar.
+    EXPECT_NO_THROW(run_sync(g, liar, {20})) << static_cast<int>(lie);
+  }
 }
 
 TEST(FlatEngine, RowOffsetsAre64BitSafe) {

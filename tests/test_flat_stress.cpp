@@ -15,14 +15,18 @@
 // max-degree hub rows serialised the old static node-count partition), and
 // across two round-stamp tag cycles with mixed halted/running nodes (the
 // wipe_live_rows regression), once more under crashes, restarts and drops
-// so the engine's live-node list changes across both wipes.  It also pins
-// the structural gauge of the fix: threads are spawned once per engine, so
-// threads_spawned is workers − 1 regardless of how many rounds run — the
-// old engine spawned 2·rounds·(workers−1).
+// so the engine's live-node list changes across both wipes, and once with
+// nodes that sleep across both wipes and wake to write single ports.  It
+// also pins the structural gauge of the fix: threads are spawned once per
+// engine, so threads_spawned is workers − 1 regardless of how many rounds
+// run — the old engine spawned 2·rounds·(workers−1).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "algo/greedy.hpp"
@@ -347,6 +351,104 @@ TEST(FlatStress, LiveListAcrossTwoTagCyclesUnderFaults) {
     }
   }
   expect_grid_agrees(g, factory, 601, oracle, grid, "live list under faults", &plan);
+}
+
+/// Acts once every `period` rounds (the rounds ≡ `phase`) and sleeps in
+/// between.  An active round writes one inline message on a single port,
+/// the next one along each time, leaves the others silent, and folds every
+/// port it hears into a checksum; it halts in the first active round at or
+/// past `rounds`.  A dormant round broadcasts one constant byte, ignores
+/// its inbox, and answers next_active_round with the next active round.
+/// So on the flat engine a node sleeps through each dormant stretch and
+/// wakes to write single ports: a woken node that read its stale
+/// broadcast or port stamps, or a sleeper whose broadcast stopped being
+/// served, changes the checksum of some node.  `steps` counts send calls,
+/// to show the nodes did sleep.
+class SleepyChirper final : public NodeProgram {
+ public:
+  SleepyChirper(int rounds, int period, int phase, std::atomic<std::size_t>* steps)
+      : remaining_(rounds), period_(period), phase_(phase), steps_(steps) {}
+  bool init(std::span<const Colour> incident) override { return incident.empty(); }
+  void send(int round, Outbox& out) override {
+    steps_->fetch_add(1, std::memory_order_relaxed);
+    if (!active(round)) {
+      out.broadcast("z");
+      return;
+    }
+    out.set(round / period_ % out.ports(), std::to_string(round));
+  }
+  bool receive(int round, const Inbox& in) override {
+    if (!active(round)) return false;
+    for (int port = 0; port < in.ports(); ++port) {
+      for (char ch : in.at(port)) sum_ = sum_ * 31 + static_cast<unsigned char>(ch);
+      sum_ += in.colour(port);
+    }
+    return round >= remaining_;
+  }
+  Colour output() const override { return static_cast<Colour>(sum_ % 255); }
+  int next_active_round(int round) const noexcept override {
+    const int next = round + 1;
+    return next + ((phase_ - next % period_) % period_ + period_) % period_;
+  }
+  void save_state(std::string& out) const override { out = std::to_string(sum_); }
+  void load_state(std::string_view in) override { sum_ = std::stoull(std::string(in)); }
+
+ private:
+  bool active(int round) const { return round % period_ == phase_; }
+
+  int remaining_;
+  int period_;
+  int phase_;
+  std::atomic<std::size_t>* steps_;
+  std::size_t sum_ = 0;
+};
+
+TEST(FlatStress, SleepersAcrossTwoTagCycles) {
+  // 600 rounds cross both tag-cycle restarts (rounds 256 and 511), and the
+  // phases are 2, 3 or 4 (mod the period), so many neighbours act in the
+  // same rounds.
+  //   * Period 255 writes port 0 in round 2, sleeps across round 256 and
+  //     writes port 1 in round 257, whose tag is round 2's: port 0 must
+  //     read as silent, which only the wipe of sleepers' rows ensures.
+  //   * Period 256 broadcasts in round 3 and sleeps until round 258, the
+  //     longest sleep the wake wheel holds, which has round 3's tag: its
+  //     port write there must not be shadowed by that old broadcast.
+  //   * Period 300 asks for more than the wheel holds, so it wakes early,
+  //     broadcasts and sleeps again; periods 4 and 97 sleep short and long.
+  // A third of the nodes halt at their first active round from 5 on.
+  Rng rng(77);
+  const int n = 60;
+  const graph::EdgeColouredGraph g = graph::random_coloured_graph(n, 5, 0.9, rng);
+  const int periods[] = {4, 97, 255, 256, 300};
+  std::atomic<std::size_t> steps{0};
+  int counter = 0;
+  const auto factory = [&]() -> std::unique_ptr<NodeProgram> {
+    const int i = counter++ % n;
+    const int period = periods[i % 5];
+    return std::make_unique<SleepyChirper>(i % 3 == 0 ? 5 : 600, period, (2 + i % 3) % period,
+                                           &steps);
+  };
+  const RunResult oracle = run_sync(g, factory, {900});
+  EXPECT_GE(oracle.rounds, 600);  // crossed both tag cycles
+  const std::size_t awake_steps = steps.exchange(0);
+  expect_grid_agrees(g, factory, 900, oracle, full_grid(), "sleepy chirper");
+  // The grid made 24 runs; without the contract check's extra steps, the
+  // sleepers made them take far fewer send calls than 24 oracle runs.
+  if (!sleep_contract_checked()) {
+    EXPECT_LT(steps.load(), 24 * awake_steps / 4);
+  }
+
+  // The stale port pinned down: on the path 0 -1- 1 -2- 2, every node with
+  // period 255 and phase 3, node 1 writes its colour-1 port in round 3,
+  // sleeps across round 256, and in round 258, whose tag is round 3's,
+  // writes its colour-2 port: node 0 must hear nothing on colour 1.
+  const graph::EdgeColouredGraph path = graph::path_graph(2, {1, 2});
+  const auto lockstep = [&]() -> std::unique_ptr<NodeProgram> {
+    return std::make_unique<SleepyChirper>(600, 255, 3, &steps);
+  };
+  const RunResult path_oracle = run_sync(path, lockstep, {900});
+  EXPECT_EQ(path_oracle.rounds, 768);
+  expect_grid_agrees(path, lockstep, 900, path_oracle, full_grid(), "lockstep sleepy chirper");
 }
 
 TEST(FlatStress, ThreadsSpawnedOncePerEngineNotPerRound) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <vector>
+
 #include "graph/generators.hpp"
 #include "local/view_engine.hpp"
 #include "verify/matching.hpp"
@@ -138,6 +141,45 @@ TEST(Greedy, UsesConstantSizeMessages) {
     const graph::EdgeColouredGraph g = graph::random_coloured_graph(60, k, 0.9, rng);
     const local::RunResult mp = local::run_sync(g, greedy_program_factory(), {k + 2});
     EXPECT_LE(mp.max_message_bytes, 1u) << "k=" << k;
+  }
+}
+
+TEST(Greedy, NextActiveRoundMatchesABruteForceScanOfTheRow) {
+  // After receive(round) returns false, the answer is the round that reads
+  // the next colour above round + 1 — c − 1 for the smallest such c.  Every
+  // neighbour says "M", so the node never matches and lives to its largest
+  // colour.  A freshly initialised program (cursor at port 0, as after a
+  // resume) must give the same answer as the stepped one.
+  Rng rng(251);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int span = trial < 100 ? 12 : 255;
+    std::vector<Colour> row;
+    for (int c = 2; c <= span; ++c) {
+      if (rng.uniform(0, 3) == 0) row.push_back(static_cast<Colour>(c));
+    }
+    if (row.empty()) row.push_back(static_cast<Colour>(span));
+    const std::vector<std::string_view> taken(row.size(), "M");
+    const local::Inbox inbox(row, taken.data());
+    GreedyProgram stepped;
+    ASSERT_FALSE(stepped.init(row));
+    for (int round = 1;; ++round) {
+      const bool halted = stepped.receive(round, inbox);
+      ASSERT_EQ(halted, round + 1 >= row.back()) << "trial " << trial << " round " << round;
+      if (halted) break;
+      int expected = round + 1;
+      for (const Colour c : row) {
+        if (c > round + 1) {
+          expected = c - 1;
+          break;
+        }
+      }
+      GreedyProgram fresh;
+      ASSERT_FALSE(fresh.init(row));
+      EXPECT_EQ(stepped.next_active_round(round), expected)
+          << "trial " << trial << " round " << round;
+      EXPECT_EQ(fresh.next_active_round(round), expected)
+          << "trial " << trial << " round " << round;
+    }
   }
 }
 

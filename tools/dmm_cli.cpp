@@ -65,6 +65,7 @@
 // bit-identical to the uninterrupted one (the CI fault-recovery step
 // diffs the outputs_fnv of both).  --round-sleep-ms slows the run down
 // (sleeping inside the checkpoint sink only) so a kill lands mid-run.
+// Both need --checkpoint (resume checkpoints back into its <path>).
 //
 // `serve` drives the multi-tenant front-end (svc::MatchingService,
 // docs/service.md): it submits --jobs-per-tenant copies of the greedy job
@@ -104,6 +105,15 @@ std::vector<std::string> split(const std::string& text, char sep) {
   std::string part;
   while (std::getline(in, part, sep)) parts.push_back(part);
   return parts;
+}
+
+/// Writes `text` to `path`, or fails (exit 2) naming the path: a missing
+/// directory or a full disk must not pass for a written file.
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  out << text;
+  out.close();
+  if (!out) fail("cannot write " + path);
 }
 
 std::string slurp(const std::string& path) {
@@ -295,7 +305,7 @@ struct RunSetup {
     }
     // A restarted node still has to finish its protocol, so faulty runs get
     // headroom past the last restart round by default.
-    if (max_rounds == 0) max_rounds = std::max(g.k() + 1, plan.max_restart_round() + g.k() + 2);
+    if (max_rounds == 0) max_rounds = plan.default_max_rounds(g.k());
     return g;
   }
 };
@@ -315,31 +325,37 @@ int run_greedy(const std::vector<std::string>& args, bool resume) {
   setup.declare(flags);
   // Scheduling knobs of the flat engine's persistent pool (results are
   // identical for every setting; these tune throughput on skewed graphs).
+  // Each knob below is -1 until given, so a knob given where it does
+  // nothing is a usage error whatever its value.
   local::FlatEngineOptions flat;
+  std::int64_t chunk_slots = -1;
   bool no_steal = false;
   std::string ckpt_path;
   local::CheckpointOptions checkpoint;
-  checkpoint.every = 1;
-  int sleep_ms = 0;
-  flags.number("--chunk-slots", flat.chunk_slots, 0)
+  int sleep_ms = -1;
+  flags.number("--chunk-slots", chunk_slots, 0)
       .flag("--no-steal", no_steal)
       .option("--checkpoint", ckpt_path)
       .number("--checkpoint-every", checkpoint.every, 1)
       .number("--round-sleep-ms", sleep_ms, 0);
   flags.parse(args);
-  if ((flat.chunk_slots > 0 || no_steal) && setup.engine != local::EngineKind::kFlat) {
+  if ((chunk_slots >= 0 || no_steal) && setup.engine != local::EngineKind::kFlat) {
     fail(cmd + ": --chunk-slots/--no-steal require --engine flat");
   }
+  if (chunk_slots >= 0) flat.chunk_slots = static_cast<std::size_t>(chunk_slots);
   const graph::EdgeColouredGraph g = setup.build(cmd);
 
+  // `resume <path>` checkpoints back into the file it resumed from.
   if (ckpt_path.empty()) ckpt_path = resume_path;
-  if (!ckpt_path.empty()) {
+  if (ckpt_path.empty()) {
+    if (checkpoint.every > 0) fail(cmd + ": --checkpoint-every requires --checkpoint");
+    if (sleep_ms >= 0) fail(cmd + ": --round-sleep-ms requires --checkpoint");
+  } else {
+    if (checkpoint.every == 0) checkpoint.every = 1;
     checkpoint.sink = [&](const local::EngineCheckpoint& ck) {
       if (sleep_ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
       write_checkpoint_file(ck, ckpt_path);
     };
-  } else if (sleep_ms > 0) {
-    fail(cmd + ": --round-sleep-ms requires --checkpoint");
   }
 
   local::EngineCheckpoint restored;
@@ -611,17 +627,16 @@ int cmd_adversary(const std::vector<std::string>& args) {
   std::cout << result.summary() << "\n";
   if (const auto* tp = std::get_if<lower::TightPair>(&result.outcome)) {
     if (!pair_prefix.empty()) {
-      std::ofstream(pair_prefix + ".U.txt") << io::write_template(tp->u);
-      std::ofstream(pair_prefix + ".V.txt") << io::write_template(tp->v);
-      std::ofstream(pair_prefix + ".U.dot") << io::to_dot(tp->u, tp->d);
-      std::ofstream(pair_prefix + ".V.dot") << io::to_dot(tp->v, tp->d);
+      write_file(pair_prefix + ".U.txt", io::write_template(tp->u));
+      write_file(pair_prefix + ".V.txt", io::write_template(tp->v));
+      write_file(pair_prefix + ".U.dot", io::to_dot(tp->u, tp->d));
+      write_file(pair_prefix + ".V.dot", io::to_dot(tp->v, tp->d));
       std::cout << "tight pair written to " << pair_prefix << ".{U,V}.{txt,dot}\n";
     }
   }
   if (const auto* cert = std::get_if<lower::Certificate>(&result.outcome)) {
     if (!cert_path.empty()) {
-      std::ofstream out(cert_path);
-      out << io::write_certificate(*cert);
+      write_file(cert_path, io::write_certificate(*cert));
       std::cout << "certificate written to " << cert_path << "\n";
     }
     return 1;  // refuted: report non-zero so scripts can branch
@@ -780,8 +795,7 @@ int cmd_export_dot(const std::vector<std::string>& args) {
   if (out_path.empty()) {
     std::cout << dot;
   } else {
-    std::ofstream out(out_path);
-    out << dot;
+    write_file(out_path, dot);
     std::cout << "dot written to " << out_path << "\n";
   }
   return 0;

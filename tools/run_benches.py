@@ -282,11 +282,14 @@ def validate_scale_row(path: pathlib.Path) -> None:
           f"{rows[0]['metrics']['wall_ns'] / 1e6:.1f} ms wall)")
 
     # The skewed scale rows: the 10^6-node hub cluster must be run flat at
-    # t=1 and t=8.  The t1/t8 ratio is reported, not gated — it is a
-    # property of the runner's core count, not of the code (a 1-CPU runner
-    # executes both rows on the same core).
+    # t=1 and t=8 by the awake twin (greedy that never sleeps; greedy
+    # proper sleeps through almost every node-round there, leaving the
+    # workers too little to share).  The t1/t8 ratio is reported, not
+    # gated — it is a property of the runner's core count, not of the code
+    # (a 1-CPU runner executes both rows on the same core).
     skewed = {r["threads"]: r for r in records
-              if r["instance"].startswith("hub_cluster") and r["n"] >= 1_000_000}
+              if r["instance"].startswith("hub_cluster") and r["instance"].endswith(" awake")
+              and r["n"] >= 1_000_000}
     if not skewed:
         raise SystemExit(f"error: {path}: --scale run but no skewed hub_cluster record")
     for threads in (1, 8):
@@ -297,7 +300,7 @@ def validate_scale_row(path: pathlib.Path) -> None:
         if skewed[threads]["engine"] != "flat":
             raise SystemExit(f"error: {path}: skewed scale row must be flat: {skewed[threads]}")
     ratio = metric_of(path, skewed[1], "wall_ns") / metric_of(path, skewed[8], "wall_ns")
-    print(f"scale: e14 skewed n=10^6 rows ok (flat t1/t8 = {ratio:.2f}x, "
+    print(f"scale: e14 skewed n=10^6 awake rows ok (flat t1/t8 = {ratio:.2f}x, "
           f"hardware-dependent)")
 
 

@@ -226,17 +226,22 @@ class RunnerTest(GateTest):
 
 
 class ScaleValidatorTest(GateTest):
-    def e14(self, init_ms=100.0, wall_ns=1e9, skewed=(1, 8)):
+    def e14(self, init_ms=100.0, wall_ns=1e9, skewed=(1, 8), awake=(1, 8)):
         rows = [row("random n=10000000 k=4", n=10_000_000, init_ms=init_ms, rss_bytes=2 ** 31,
                     wall_ns=wall_ns)]
-        rows += [row("hub_cluster n=1000008 d=128", threads=t, n=1_000_008, wall_ns=5e8)
+        rows += [row("hub_cluster n=1000008 d=128", threads=t, n=1_000_008, wall_ns=5e7)
                  for t in skewed]
+        rows += [row("hub_cluster n=1000008 d=128 awake", threads=t, n=1_000_008, wall_ns=5e8)
+                 for t in awake]
         return self.write("run", rows, experiment="e14")
 
     def test_e14_scale_rows(self):
         rb.validate_scale_row(self.e14())
         self.fails(rb.validate_scale_row, self.e14(init_ms=600.0), pattern="init dominates")
-        self.fails(rb.validate_scale_row, self.e14(skewed=(1,)), pattern="threads=8")
+        self.fails(rb.validate_scale_row, self.e14(awake=(1,)), pattern="threads=8")
+        # The ratio comes from the awake pair alone: the sleeping rows do
+        # not stand in for it.
+        self.fails(rb.validate_scale_row, self.e14(awake=()), pattern="no skewed")
         self.fails(rb.validate_scale_row, self.write("run", [row()], experiment="e14"),
                    pattern="no n=10^7 record")
         no_rss = self.write("run", [row(n=10_000_000, init_ms=1.0, wall_ns=1e9)], "e14")
