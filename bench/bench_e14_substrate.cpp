@@ -3,7 +3,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -35,21 +34,11 @@ class AwakeGreedy final : public local::NodeProgram {
   algo::GreedyProgram greedy_;
 };
 
-class AwakeGreedyFactory final : public local::ProgramFactory {
- public:
-  void make_programs(std::size_t count, local::ProgramPool& pool) const override {
-    pool.emplace_batch<AwakeGreedy>(count);
-  }
-  local::NodeProgram* make_one(local::ProgramPool& pool) const override {
-    return pool.emplace<AwakeGreedy>();
-  }
-};
-
 /// Runs greedy, then its awake twin, flat at 1 and 8 workers on a hub
 /// cluster, and prints the awake pair's t1/t8 ratio: the skew stress.
 void record_skewed_rows(benchjson::Harness& harness, const std::string& instance,
                         const graph::EdgeColouredGraph& g) {
-  const local::ProgramSource awake(std::make_shared<const AwakeGreedyFactory>());
+  const local::ProgramSource awake = [] { return AwakeGreedy(); };
   for (const bool sleeps : {true, false}) {
     const std::string inst = sleeps ? instance : instance + " awake";
     double serial_ns = 0;
@@ -137,10 +126,10 @@ void print_rows(benchjson::Harness& harness) {
   std::printf("\n");
 
   // E14c (opt-in: --scale, the nightly bench_scale leg): greedy at
-  // n = 10⁷ on the flat engine — the row ISSUE 4 opens.  The acceptance
-  // gauge is the init share: with arena-pooled programs the setup phase
-  // (construction + init) must no longer dominate the run.  Only the flat
-  // engine is exercised; run_sync at this size is hours, not seconds.
+  // n = 10⁷ on the flat engine.  The acceptance gauge is the init share:
+  // with the programs built in one block the setup phase (construction +
+  // init) must not dominate the run.  Only the flat engine is exercised;
+  // run_sync at this size is hours, not seconds.
   if (harness.scale()) {
     std::printf("## E14c: scale row, greedy at n = 10000000, k = 4 (flat engine)\n");
     Rng scale_rng(43);

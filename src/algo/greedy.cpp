@@ -1,10 +1,7 @@
 #include "algo/greedy.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
-
-#include "local/program_pool.hpp"
 
 namespace dmm::algo {
 
@@ -128,18 +125,8 @@ void GreedyProgram::load_state(std::string_view in) {
   output_ = output;
 }
 
-void GreedyProgramFactory::make_programs(std::size_t count, local::ProgramPool& pool) const {
-  // The tuned batched path: all n programs in one contiguous arena block,
-  // so the engines' per-node walk is a sequential sweep.
-  pool.emplace_batch<GreedyProgram>(count);
-}
-
-local::NodeProgram* GreedyProgramFactory::make_one(local::ProgramPool& pool) const {
-  return pool.emplace<GreedyProgram>();
-}
-
 local::ProgramSource greedy_program_factory() {
-  return local::ProgramSource(std::make_shared<const GreedyProgramFactory>());
+  return [] { return GreedyProgram(); };
 }
 
 Colour GreedyLocal::evaluate(const colsys::ColourSystem& view) const {

@@ -56,10 +56,10 @@ class GreedyProgram final : public local::NodeProgram {
   bool try_finish(int completed_step);
 
   // The node's sorted incident colours, borrowed from the engine's row
-  // rather than copied, so a pooled greedy run performs no per-node
-  // allocation at all.  A pointer and an int, not a 16-byte span: the
-  // program stays at 24 bytes, and the programs are most of the n = 10⁷
-  // row's memory (test_engine_scale).
+  // rather than copied, so a greedy run performs no per-node allocation
+  // at all.  A pointer and an int, not a 16-byte span: the program stays
+  // at 24 bytes, and the programs are most of the n = 10⁷ row's memory
+  // (test_engine_scale).
   const Colour* incident_ = nullptr;
   int degree_ = 0;
   Colour output_ = local::kUnmatched;
@@ -73,15 +73,7 @@ class GreedyProgram final : public local::NodeProgram {
 
 static_assert(sizeof(GreedyProgram) <= 24, "one vtable pointer, one row pointer, 8 bytes of state");
 
-/// Pooled factory for GreedyProgram with the tuned batched path: one
-/// contiguous arena block for all n programs.
-class GreedyProgramFactory final : public local::ProgramFactory {
- public:
-  void make_programs(std::size_t count, local::ProgramPool& pool) const override;
-  local::NodeProgram* make_one(local::ProgramPool& pool) const override;
-};
-
-/// The pooled greedy source (accepted directly by local::run/run_sync/
+/// One GreedyProgram per node (accepted directly by local::run/run_sync/
 /// run_flat).
 local::ProgramSource greedy_program_factory();
 

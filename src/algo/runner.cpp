@@ -16,10 +16,7 @@ EngineRealisation flooded(std::shared_ptr<const local::LocalAlgorithm> algorithm
   EngineRealisation r;
   r.name = "flood:" + algorithm->name();
   r.round_bound = algorithm->running_time() + 1;
-  r.factory = local::flooding_program_factory(algorithm, k);
-  r.heap_factory = [algorithm = std::move(algorithm), k] {
-    return std::make_unique<local::FloodingProgram>(algorithm, k);
-  };
+  r.factory = local::flooding_program_factory(std::move(algorithm), k);
   return r;
 }
 
@@ -28,8 +25,7 @@ EngineRealisation flooded(std::shared_ptr<const local::LocalAlgorithm> algorithm
 std::vector<EngineRealisation> engine_realisations(int k, int flood_radius_cap) {
   std::vector<EngineRealisation> out;
   // The native message-passing greedy (Lemma 1), always available.
-  out.push_back({"greedy", greedy_program_factory(),
-                 [] { return std::make_unique<GreedyProgram>(); }, k + 1});
+  out.push_back({"greedy", greedy_program_factory(), k + 1});
 
   const auto add_flooded = [&](std::shared_ptr<const local::LocalAlgorithm> algorithm) {
     if (algorithm->running_time() <= flood_radius_cap) {

@@ -18,11 +18,7 @@ namespace dmm::algo {
 
 struct EngineRealisation {
   std::string name;
-  local::ProgramSource factory;       // pooled (arena) construction path
-  // The same programs built one unique_ptr at a time — the heap path the
-  // pooled one must match bit for bit (tests/test_program_pool.cpp runs
-  // every realisation both ways on both engines).
-  local::NodeProgramFactory heap_factory;
+  local::ProgramSource factory;
   int round_bound = 0;  // safe max_rounds for this realisation on palette [k]
 };
 

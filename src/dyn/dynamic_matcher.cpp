@@ -21,9 +21,8 @@ DynamicMatcher::DynamicMatcher(graph::EdgeColouredGraph g, const MatcherOptions&
 std::vector<Colour> DynamicMatcher::recompute(local::EngineKind engine) {
   local::RunOptions options;
   options.max_rounds = g_.k() + 1;
-  local::FlatEngineOptions engine_options;
-  engine_options.threads = opts_.threads;
-  auto session = local::make_session(engine, g_, source_, options, engine_options, &runtime_);
+  // runtime_ (built with opts_.threads) sets a flat session's workers.
+  auto session = local::make_session(engine, g_, source_, options, {}, &runtime_);
   while (!session->done()) session->step();
   return session->result().outputs;
 }

@@ -113,7 +113,7 @@ class DynamicMatcher {
   graph::EdgeColouredGraph g_;
   MatcherOptions opts_;
   local::Runtime runtime_;
-  local::ProgramSource source_;  // pooled greedy, shared by every recompute
+  local::ProgramSource source_;  // greedy, shared by every recompute
   std::vector<Colour> outputs_;
   RepairStats stats_;
   // Per-batch distinct-node accounting: a node is "touched" once per

@@ -7,8 +7,8 @@
 //    it cannot cheat on anonymity.
 //
 // 2. NodeProgram (engine.hpp) — an operational message-passing state
-//    machine, used by the synchronous engine.  The two styles are
-//    cross-validated in the test suite (experiment E12).
+//    machine, driven by both simulation engines.  The two styles are
+//    cross-validated in tests/test_model_equivalence.cpp.
 //
 // Local outputs use the paper's encoding (§2.4): kUnmatched (⊥) or the
 // colour of the matched edge.

@@ -22,6 +22,11 @@ void NodeProgram::load_state(std::string_view /*in*/) {
       "NodeProgram::load_state: this program does not support checkpointing");
 }
 
+void ProgramSource::build(std::size_t count, ProgramPool& pool) const {
+  if (fill_ == nullptr) throw std::logic_error("ProgramSource: empty source");
+  fill_(make_.get(), count, pool);
+}
+
 namespace {
 
 double elapsed_ns(std::chrono::steady_clock::time_point since) {
@@ -88,7 +93,7 @@ class SyncSession final : public Session {
     state_.configure(options);
     state_.reset();
     // Setup phase (timed into init_ns): the port table and slots, then
-    // batch-construct the programs into the pool and deliver each node its
+    // build the programs into the pool and deliver each node its
     // initial knowledge — its row of the port table, alive for the whole
     // run.  On a resume init still runs on every node — it hands each
     // program its initial knowledge, from which graph-shaped state is
@@ -102,7 +107,6 @@ class SyncSession final : public Session {
       announcements_[output] = std::string(1, kHaltedPrefix) + std::to_string(output);
     }
     const EngineCheckpoint* resume = options.checkpoint.resume;
-    pool_.reserve(static_cast<std::size_t>(n_));
     source.build(static_cast<std::size_t>(n_), pool_);
     for (graph::NodeIndex v = 0; v < n_; ++v) {
       if (pool_[static_cast<std::size_t>(v)]->init(ports_.colours(v)) && resume == nullptr) {

@@ -12,9 +12,11 @@
 // round k-1).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
 #include <optional>
 #include <span>
 #include <string>
@@ -209,58 +211,88 @@ class NodeProgram {
 
 inline constexpr char kHaltedPrefix = '!';
 
-/// Per-node factory: one heap allocation per node.  A ProgramSource built
-/// from one adopts each program into the pool (tests build throwaway,
-/// often stateful, programs this way); the batched ProgramFactory path
-/// below is what the engines are tuned for.
-using NodeProgramFactory = std::function<std::unique_ptr<NodeProgram>()>;
-
-class ProgramPool;  // program_pool.hpp: arena-backed type-erased storage
-
-/// Batched program construction: the engines hand the factory the whole
-/// node range at once and it constructs every program in place inside the
-/// pool's slab arena.  The per-node default bridges to make_one, so a
-/// factory only has to implement the batch path when it is hot (greedy and
-/// flooding override make_programs; see algo/greedy.hpp).
-class ProgramFactory {
+/// A run's programs: n values of one NodeProgram type, built in place in
+/// one uninitialised block, program v at byte v·sizeof(T), so pool[v] is
+/// one pointer load and the engines' per-node walk is a sequential sweep.
+/// The pool keeps its block across refills: fill() destroys the previous
+/// programs and builds the new ones in the same block whenever they fit,
+/// so a reused engine allocates nothing.  A constructor (or callable) that
+/// throws at node i leaves exactly the i programs before it, which clear()
+/// or the destructor destroy once each.
+class ProgramPool {
  public:
-  virtual ~ProgramFactory() = default;
+  ProgramPool() = default;
+  ~ProgramPool() { clear(); }
 
-  /// Appends programs for `count` nodes to the pool, in node order.  The
-  /// default performs `count` make_one calls.
-  virtual void make_programs(std::size_t count, ProgramPool& pool) const;
+  ProgramPool(const ProgramPool&) = delete;
+  ProgramPool& operator=(const ProgramPool&) = delete;
 
-  /// Constructs a single program into the pool.
-  virtual NodeProgram* make_one(ProgramPool& pool) const = 0;
+  /// Replaces the programs with `count` results of make(), called once per
+  /// node in node order.  Each is built in place (guaranteed copy elision:
+  /// T need not be copyable or movable).
+  template <class F>
+  void fill(std::size_t count, F& make) {
+    using T = std::invoke_result_t<F&>;
+    static_assert(std::is_base_of_v<NodeProgram, T>);
+    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                  "the block is aligned for operator new only");
+    clear();
+    if (count > SIZE_MAX / sizeof(T)) throw std::bad_alloc();
+    const std::size_t bytes = count * sizeof(T);
+    if (bytes > capacity_) {
+      // Uninitialised: zero-filling 10⁷ programs would be 229 MiB of writes.
+      block_ = std::make_unique_for_overwrite<std::byte[]>(bytes);
+      capacity_ = bytes;
+    }
+    items_.reserve(count);  // so push_back cannot throw past a constructed program
+    std::byte* slot = block_.get();
+    for (std::size_t v = 0; v < count; ++v, slot += sizeof(T)) {
+      items_.push_back(new (slot) T(make()));
+    }
+  }
+
+  NodeProgram* operator[](std::size_t v) const noexcept { return items_[v]; }
+  std::size_t size() const noexcept { return items_.size(); }
+
+  /// Destroys every program, the last built first; the block stays.
+  void clear() noexcept {
+    for (auto it = items_.rbegin(); it != items_.rend(); ++it) (*it)->~NodeProgram();
+    items_.clear();
+  }
+
+ private:
+  std::unique_ptr<std::byte[]> block_;
+  std::size_t capacity_ = 0;  // bytes in block_
+  std::vector<NodeProgram*> items_;  // node order, each into block_
 };
 
-/// What the engines accept: a ProgramFactory.  Any callable returning
-/// std::unique_ptr<NodeProgram> converts too, wrapped in a factory whose
-/// make_one adopts each heap-built program into the pool; copies of the
-/// source share that callable, state included.  Both construction paths
-/// must produce bit-identical RunResults — pinned by
-/// tests/test_program_pool.cpp.
+/// What the engines accept: a callable that returns a program by value,
+/// e.g. `[] { return algo::GreedyProgram(); }`.  build() calls it once per
+/// node, in node order, through one type-erased call per build (the
+/// per-node loop is ProgramPool::fill, inlined for the callable's type).
+/// Copies of a source share the callable and its state: a callable that
+/// counts nodes keeps counting across every copy and every build.
 class ProgramSource {
  public:
   ProgramSource() = default;
 
-  template <class F,
-            std::enable_if_t<std::is_invocable_r_v<std::unique_ptr<NodeProgram>, F&>, int> = 0>
-  ProgramSource(F factory)  // NOLINT(google-explicit-constructor)
-      : factory_(adopting(NodeProgramFactory(std::move(factory)))) {}
+  template <class F, class T = std::invoke_result_t<F&>,
+            std::enable_if_t<std::is_base_of_v<NodeProgram, T>, int> = 0>
+  ProgramSource(F make)  // NOLINT(google-explicit-constructor)
+      : make_(std::make_shared<F>(std::move(make))), fill_(&fill<F>) {}
 
-  ProgramSource(std::shared_ptr<const ProgramFactory> factory)  // NOLINT(google-explicit-constructor)
-      : factory_(std::move(factory)) {}
-
-  /// Fills `pool` with programs for `count` nodes (program_pool.cpp).
+  /// Refills `pool` with programs for `count` nodes (ProgramPool::fill).
   /// Throws std::logic_error when the source is empty.
   void build(std::size_t count, ProgramPool& pool) const;
 
  private:
-  /// The factory wrapping `make` (null when `make` is empty).
-  static std::shared_ptr<const ProgramFactory> adopting(NodeProgramFactory make);
+  template <class F>
+  static void fill(void* make, std::size_t count, ProgramPool& pool) {
+    pool.fill(count, *static_cast<F*>(make));
+  }
 
-  std::shared_ptr<const ProgramFactory> factory_;
+  std::shared_ptr<void> make_;  // the callable, shared by every copy
+  void (*fill_)(void*, std::size_t, ProgramPool&) = nullptr;
 };
 
 struct RunResult {
@@ -282,7 +314,7 @@ struct RunResult {
   // Wall-clock of the setup phase (program construction + init calls —
   // and, on the flat engine, the constructor's CSR borrow, which builds the
   // CSR on a graph version's first flat run, and chunk planning), the part
-  // the pooled allocator exists to shrink; surfaced as `init_ms` in the
+  // one program block per run keeps small; surfaced as `init_ms` in the
   // BENCH_*.json schema.  Worker threads spawn later, on the first
   // parallel phase, inside send_ns.  Not part of engine equivalence.
   double init_ns = 0.0;

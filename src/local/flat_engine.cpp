@@ -253,14 +253,13 @@ FlatEngine::~FlatEngine() = default;
 
 void FlatEngine::initialise(const EngineCheckpoint* cp) {
   state_.reset();
-  pool_.clear();
-  pool_.reserve(static_cast<std::size_t>(n_));
 
-  // Setup phase (timed into init_ns): batch-construct every program in
-  // the pool's arena, then hand each node a span straight into its CSR
-  // colour row — no per-node vector is materialised.  On a resume init
-  // still runs on every node — programs re-derive graph-shaped state from
-  // it — but the round-0 halts it reports are already in the checkpoint.
+  // Setup phase (timed into init_ns): build every program into the pool's
+  // block (a refill reuses it), then hand each node a span straight into
+  // its CSR colour row — no per-node vector is materialised.  On a resume
+  // init still runs on every node — programs re-derive graph-shaped state
+  // from it — but the round-0 halts it reports are already in the
+  // checkpoint.
   const graph::Csr& csr = *csr_;
   const auto init_start = std::chrono::steady_clock::now();
   source_.build(static_cast<std::size_t>(n_), pool_);

@@ -70,7 +70,6 @@
 #include <span>
 
 #include "local/engine.hpp"
-#include "local/program_pool.hpp"
 #include "local/run_state.hpp"
 #include "local/runtime.hpp"
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "io/serialize.hpp"
-#include "local/program_pool.hpp"
 
 namespace dmm::local {
 
@@ -85,17 +84,9 @@ void FloodingProgram::load_state(std::string_view in) {
   view_ = io::read_system(in);
 }
 
-void FloodingProgramFactory::make_programs(std::size_t count, ProgramPool& pool) const {
-  pool.emplace_batch<FloodingProgram>(count, algorithm_, k_);
-}
-
-NodeProgram* FloodingProgramFactory::make_one(ProgramPool& pool) const {
-  return pool.emplace<FloodingProgram>(algorithm_, k_);
-}
-
 ProgramSource flooding_program_factory(std::shared_ptr<const LocalAlgorithm> algorithm,
                                        int k) {
-  return ProgramSource(std::make_shared<const FloodingProgramFactory>(std::move(algorithm), k));
+  return [algorithm = std::move(algorithm), k] { return FloodingProgram(algorithm, k); };
 }
 
 }  // namespace dmm::local

@@ -46,21 +46,6 @@ class FloodingProgram final : public NodeProgram {
   Colour output_ = kUnmatched;
 };
 
-/// Pooled factory for FloodingProgram; the batched path constructs all n
-/// simulators back to back in the pool's arena.
-class FloodingProgramFactory final : public ProgramFactory {
- public:
-  FloodingProgramFactory(std::shared_ptr<const LocalAlgorithm> algorithm, int k)
-      : algorithm_(std::move(algorithm)), k_(k) {}
-
-  void make_programs(std::size_t count, ProgramPool& pool) const override;
-  NodeProgram* make_one(ProgramPool& pool) const override;
-
- private:
-  std::shared_ptr<const LocalAlgorithm> algorithm_;
-  int k_;
-};
-
 /// One FloodingProgram per node, all simulating `algorithm`.
 ProgramSource flooding_program_factory(std::shared_ptr<const LocalAlgorithm> algorithm,
                                        int k);

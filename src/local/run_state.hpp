@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "local/engine.hpp"
-#include "local/program_pool.hpp"
 
 namespace dmm::local {
 

@@ -2,8 +2,9 @@
 // definition of a distributed algorithm, §2.3) to every node of a finite
 // graph by extracting each node's radius-(r+1) view.
 //
-// Together with the message-passing engine this gives two independent
-// implementations of the model; tests check they agree (experiment E12).
+// Together with the message-passing engines this gives two independent
+// implementations of the model; tests/test_model_equivalence.cpp checks
+// they agree.
 #pragma once
 
 #include <vector>

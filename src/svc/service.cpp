@@ -115,12 +115,11 @@ struct MatchingService::Impl {
       local::RunOptions ropts;
       ropts.max_rounds = job.max_rounds;
       if (!job.faults.empty()) ropts.faults.plan = &entry->pending->job.faults;
-      local::FlatEngineOptions fopts;
-      fopts.threads = opts.threads;
       try {
+        // The shared runtime, not FlatEngineOptions::threads, sets a flat
+        // session's workers.
         entry->session = local::make_session(job.engine, entry->pending->job.graph,
-                                             entry->pending->job.source, ropts, fopts,
-                                             &runtime);
+                                             entry->pending->job.source, ropts, {}, &runtime);
       } catch (...) {
         entry->error = std::current_exception();
       }
@@ -244,23 +243,9 @@ void validate(const Job& job, const ServiceOptions& opts) {
 }  // namespace
 
 std::future<local::RunResult> MatchingService::submit(const std::string& tenant, Job job) {
-  validate(job, impl_->opts);
-  auto pending = std::make_unique<Impl::Pending>();
-  pending->job = std::move(job);
-  pending->submitted = Clock::now();
-  std::future<local::RunResult> future = pending->promise.get_future();
-  {
-    const std::lock_guard<std::mutex> lock(impl_->mu);
-    if (impl_->stop) {
-      throw std::runtime_error("MatchingService::submit: service is shut down");
-    }
-    Impl::Tenant& t = impl_->tenants[tenant];
-    ++t.submitted;
-    t.queue.push_back(std::move(pending));
-    ++impl_->queued;
-  }
-  impl_->cv.notify_one();
-  return future;
+  std::vector<Job> one;
+  one.push_back(std::move(job));
+  return std::move(submit_batch(tenant, std::move(one)).front());
 }
 
 std::vector<std::future<local::RunResult>> MatchingService::submit_batch(

@@ -1,9 +1,9 @@
 // Shared definition of engine-result equivalence for the test suites.
 //
-// Both the flat-vs-sync suite (test_flat_engine.cpp) and the
-// pooled-vs-heap suite (test_program_pool.cpp) pin their paths to "every
+// Every suite that compares two runs — flat against sync, resumed against
+// uninterrupted, service against standalone — pins them to "every
 // RunResult field identical"; keeping the predicate in one place means the
-// two suites cannot drift on what "every field" means.  init_ns is
+// suites cannot drift on what "every field" means.  init_ns is
 // deliberately excluded: it is a wall-clock measurement, not part of the
 // simulated behaviour.
 #pragma once

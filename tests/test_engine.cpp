@@ -47,32 +47,20 @@ class HaltAfter final : public NodeProgram {
   int remaining_;
 };
 
-/// Halts with a chosen output after `halt_round` rounds (0 = in init),
-/// sending nothing.
-class HaltWith final : public NodeProgram {
- public:
-  HaltWith(Colour output, int halt_round) : output_(output), halt_round_(halt_round) {}
-  bool init(std::span<const Colour>) override { return halt_round_ == 0; }
-  void send(int, Outbox&) override {}
-  bool receive(int round, const Inbox&) override { return round >= halt_round_; }
-  Colour output() const override { return output_; }
-  void save_state(std::string&) const override {}
-  void load_state(std::string_view) override {}
-
- private:
-  Colour output_;
-  int halt_round_;
-};
-
-/// Keeps listening until a neighbour's halted-announcement arrives, then
-/// copies it to `heard` and halts.  Nothing to checkpoint: until it halts
+/// One node of an announcement pair, sending nothing.  The speaker halts
+/// with a chosen output after `halt_round` rounds (0 = in init).  The
+/// listener keeps listening until a neighbour's halted-announcement
+/// arrives, then copies it to `heard` and halts with ⊥.  Nothing to
+/// checkpoint: the speaker's state is fixed, and until the listener halts
 /// it has heard nothing.
-class AnnouncementListener final : public NodeProgram {
+class AnnouncementNode final : public NodeProgram {
  public:
-  explicit AnnouncementListener(std::shared_ptr<std::string> heard) : heard_(std::move(heard)) {}
-  bool init(std::span<const Colour>) override { return false; }
+  AnnouncementNode(Colour output, int halt_round) : output_(output), halt_round_(halt_round) {}
+  explicit AnnouncementNode(std::shared_ptr<std::string> heard) : heard_(std::move(heard)) {}
+  bool init(std::span<const Colour>) override { return !heard_ && halt_round_ == 0; }
   void send(int, Outbox&) override {}
-  bool receive(int, const Inbox& in) override {
+  bool receive(int round, const Inbox& in) override {
+    if (!heard_) return round >= halt_round_;
     for (int port = 0; port < in.ports(); ++port) {
       const std::string_view message = in.at(port);
       if (!message.empty() && message.front() == kHaltedPrefix) {
@@ -82,17 +70,19 @@ class AnnouncementListener final : public NodeProgram {
     }
     return false;
   }
-  Colour output() const override { return kUnmatched; }
+  Colour output() const override { return output_; }
   void save_state(std::string&) const override {}
   void load_state(std::string_view) override {}
 
  private:
-  std::shared_ptr<std::string> heard_;
+  std::shared_ptr<std::string> heard_;  // null for the speaker
+  Colour output_ = kUnmatched;
+  int halt_round_ = 0;
 };
 
 TEST(Engine, ZeroRoundAlgorithmHaltsAtRoundZero) {
   const graph::EdgeColouredGraph g = graph::path_graph(3, {1, 2});
-  const RunResult r = run_sync(g, [] { return std::make_unique<HaltAtInit>(); }, {10});
+  const RunResult r = run_sync(g, [] { return HaltAtInit(); }, {10});
   EXPECT_EQ(r.rounds, 0);
   EXPECT_EQ(r.outputs[0], 1);
   EXPECT_EQ(r.outputs[1], 1);
@@ -102,18 +92,14 @@ TEST(Engine, ZeroRoundAlgorithmHaltsAtRoundZero) {
 
 TEST(Engine, RunningTimeIsMaxHaltRound) {
   const graph::EdgeColouredGraph g = graph::path_graph(3, {1, 2});
-  const RunResult r = run_sync(g, [] { return std::make_unique<HaltAfter>(3); }, {10});
+  const RunResult r = run_sync(g, [] { return HaltAfter(3); }, {10});
   EXPECT_EQ(r.rounds, 3);
 }
 
 TEST(Engine, MixedHaltRoundsReported) {
   const graph::EdgeColouredGraph g = graph::path_graph(3, {1, 2});
   int counter = 0;
-  const RunResult r = run_sync(
-      g,
-      [&]() -> std::unique_ptr<NodeProgram> {
-        return std::make_unique<HaltAfter>(counter++);
-      }, {10});
+  const RunResult r = run_sync(g, [&] { return HaltAfter(counter++); }, {10});
   EXPECT_EQ(r.halt_round[0], 0);
   EXPECT_EQ(r.halt_round[1], 1);
   EXPECT_EQ(r.halt_round[2], 2);
@@ -122,13 +108,12 @@ TEST(Engine, MixedHaltRoundsReported) {
 
 TEST(Engine, ThrowsIfAlgorithmNeverHalts) {
   const graph::EdgeColouredGraph g = graph::path_graph(3, {1, 2});
-  EXPECT_THROW(run_sync(g, [] { return std::make_unique<HaltAfter>(100); }, {5}),
-               std::runtime_error);
+  EXPECT_THROW(run_sync(g, [] { return HaltAfter(100); }, {5}), std::runtime_error);
 }
 
 TEST(Engine, IsolatedNodesHaltImmediately) {
   const graph::EdgeColouredGraph g(4, 2);  // no edges
-  const RunResult r = run_sync(g, [] { return std::make_unique<HaltAfter>(0); }, {10});
+  const RunResult r = run_sync(g, [] { return HaltAfter(0); }, {10});
   EXPECT_EQ(r.rounds, 0);
 }
 
@@ -162,7 +147,7 @@ TEST(Engine, FailureInjectionRogueSendsAreIgnored) {
   for (const EngineKind kind : {EngineKind::kSync, EngineKind::kFlat}) {
     RogueSender::received_ports.clear();
     RogueSender::received.clear();
-    const RunResult r = run(kind, g, [] { return std::make_unique<RogueSender>(); }, {10});
+    const RunResult r = run(kind, g, [] { return RogueSender(); }, {10});
     SCOPED_TRACE(engine_kind_name(kind));
     EXPECT_EQ(r.rounds, 1);
     EXPECT_EQ(r.messages_sent, 18u);
@@ -188,16 +173,14 @@ TEST(Engine, FailureInjectionExceptionsPropagate) {
   // an exception rather than a silently wrong result.
   graph::EdgeColouredGraph g(2, 2);
   g.add_edge(0, 1, 1);
-  EXPECT_THROW(run_sync(g, [] { return std::make_unique<Thrower>(); }, {10}),
-               std::runtime_error);
+  EXPECT_THROW(run_sync(g, [] { return Thrower(); }, {10}), std::runtime_error);
 }
 
 TEST(Engine, MessageAccounting) {
   // Greedy uses constant-size messages (the remark after Theorem 2): one
   // byte of status per edge per round.
   const graph::EdgeColouredGraph g = graph::worst_case_chain(8).long_path;
-  const RunResult r = run_sync(
-      g, [] { return std::make_unique<HaltAfter>(2); }, {10});
+  const RunResult r = run_sync(g, [] { return HaltAfter(2); }, {10});
   EXPECT_EQ(r.max_message_bytes, 0u);  // HaltAfter sends empty messages
   EXPECT_EQ(r.total_message_bytes, 0u);
 }
@@ -213,9 +196,8 @@ graph::EdgeColouredGraph announcement_edge(Colour output) {
 /// Node 0 halts with `output` at `halt_round`; node 1 listens.
 ProgramSource announcement_pair(Colour output, int halt_round,
                                 const std::shared_ptr<std::string>& heard) {
-  return [output, halt_round, heard, node = 0]() mutable -> std::unique_ptr<NodeProgram> {
-    if (node++ % 2 == 0) return std::make_unique<HaltWith>(output, halt_round);
-    return std::make_unique<AnnouncementListener>(heard);
+  return [output, halt_round, heard, node = 0]() mutable {
+    return node++ % 2 == 0 ? AnnouncementNode(output, halt_round) : AnnouncementNode(heard);
   };
 }
 

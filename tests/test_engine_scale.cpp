@@ -42,8 +42,8 @@ TEST(EngineScale, GreedyHundredThousandNodes) {
   EXPECT_TRUE(verify::check_outputs(g, run.outputs).ok());
 }
 
-// The bench_scale row (ISSUE 4): greedy at n = 10⁷ on the flat engine with
-// arena-pooled programs.  Too heavy for the tier-1 loop, so it runs only
+// The bench_scale row: greedy at n = 10⁷ on the flat engine, its programs
+// built in one block.  Too heavy for the tier-1 loop, so it runs only
 // when DMM_SCALE_TESTS is set — the nightly CI leg does
 // `DMM_SCALE_TESTS=1 ctest -L scale` (tests/CMakeLists.txt labels this
 // suite `scale`).
@@ -66,8 +66,8 @@ TEST(EngineScale, GreedyTenMillionNodes) {
   EXPECT_EQ(run.max_message_bytes, 1u);
   EXPECT_EQ(run.outputs, algo::greedy_outputs(g));
   EXPECT_TRUE(verify::check_outputs(g, run.outputs).ok());
-  // The acceptance gauge: with pooled construction, setup (programs +
-  // init) must no longer be the dominant phase of the run.
+  // The acceptance gauge: with the programs built in one block, setup
+  // (programs + init) must not be the dominant phase of the run.
   EXPECT_LT(run.init_ns, wall_ns / 2)
       << "init " << run.init_ns / 1e6 << " ms of " << wall_ns / 1e6 << " ms total";
 }

@@ -731,10 +731,8 @@ TEST(Checkpoint, ProgramWithoutSaveStateFailsLoudly) {
   CheckpointOptions opts;
   opts.every = 1;
   opts.sink = [](const EngineCheckpoint&) {};
-  EXPECT_THROW(run_sync(g, [] { return std::make_unique<Oblivious>(); }, {16, {}, opts}),
-               std::logic_error);
-  EXPECT_THROW(run_flat(g, [] { return std::make_unique<Oblivious>(); }, {16, {}, opts}),
-               std::logic_error);
+  EXPECT_THROW(run_sync(g, [] { return Oblivious(); }, {16, {}, opts}), std::logic_error);
+  EXPECT_THROW(run_flat(g, [] { return Oblivious(); }, {16, {}, opts}), std::logic_error);
 }
 
 }  // namespace

@@ -206,18 +206,12 @@ class PortRotator final : public NodeProgram {
 TEST(FlatEngine, ProgramZooAgrees) {
   Rng rng(7);
   const graph::EdgeColouredGraph g = graph::random_coloured_graph(40, 6, 0.8, rng);
-  expect_engines_agree(g, [] { return std::make_unique<HaltAtInit>(); }, 10, "halt-at-init");
+  expect_engines_agree(g, [] { return HaltAtInit(); }, 10, "halt-at-init");
   int counter = 0;
-  expect_engines_agree(
-      g,
-      [&]() -> std::unique_ptr<NodeProgram> {
-        return std::make_unique<HaltAfter>(counter++ % 5);
-      },
-      10, "staggered-halts");
-  expect_engines_agree(g, [] { return std::make_unique<RogueGrower>(); }, 10, "rogue-grower");
-  expect_engines_agree(g, [] { return std::make_unique<PartialSender>(); }, 10,
-                       "partial-sender");
-  expect_engines_agree(g, [] { return std::make_unique<PortRotator>(); }, 10, "port-rotator");
+  expect_engines_agree(g, [&] { return HaltAfter(counter++ % 5); }, 10, "staggered-halts");
+  expect_engines_agree(g, [] { return RogueGrower(); }, 10, "rogue-grower");
+  expect_engines_agree(g, [] { return PartialSender(); }, 10, "partial-sender");
+  expect_engines_agree(g, [] { return PortRotator(); }, 10, "port-rotator");
 }
 
 /// Breaks the Outbox one-write rule in its first send: `first` and
@@ -262,9 +256,7 @@ TEST(FlatEngine, SecondWriteToAPortInOneRoundThrows) {
       {"set", "set"}, {"broadcast", "set"}, {"set", "broadcast"}, {"broadcast", "broadcast"}};
   for (const std::string payload : {"x", "1234567"}) {
     for (const std::pair<std::string, std::string>& order : orders) {
-      const auto factory = [&] {
-        return std::make_unique<DoubleWriter>(order.first, order.second, payload);
-      };
+      const auto factory = [&] { return DoubleWriter(order.first, order.second, payload); };
       const std::string context =
           order.first + " then " + order.second + " of " + std::to_string(payload.size()) +
           " bytes";
@@ -302,7 +294,7 @@ TEST(FlatEngine, BroadcastArrivesOnEveryPortInlineOrSpilled) {
   const graph::EdgeColouredGraph g = graph::random_coloured_graph(50, 7, 0.9, rng);
   const std::size_t directed = 2 * g.edges().size();
   for (const std::string payload : {"M", "123456", "1234567"}) {
-    const auto factory = [&] { return std::make_unique<Broadcaster>(payload); };
+    const auto factory = [&] { return Broadcaster(payload); };
     expect_engines_agree(g, factory, 4, std::to_string(payload.size()) + "-byte broadcast");
     const RunResult r = run_flat(g, factory, {4});
     for (graph::NodeIndex v = 0; v < g.node_count(); ++v) {
@@ -322,7 +314,7 @@ TEST(FlatEngine, IsolatedNodesAndEmptyGraphs) {
 
 TEST(FlatEngine, ThrowsLikeTheOracleWhenNotHalting) {
   const graph::EdgeColouredGraph g = graph::path_graph(3, {1, 2});
-  const auto factory = [] { return std::make_unique<HaltAfter>(100); };
+  const auto factory = [] { return HaltAfter(100); };
   EXPECT_THROW(run_sync(g, factory, {5}), std::runtime_error);
   EXPECT_THROW(run_flat(g, factory, {5}), std::runtime_error);
   FlatEngineOptions threaded;
@@ -342,12 +334,10 @@ class Thrower final : public NodeProgram {
 TEST(FlatEngine, ExceptionsPropagateFromWorkers) {
   graph::EdgeColouredGraph g(2, 2);
   g.add_edge(0, 1, 1);
-  EXPECT_THROW(run_flat(g, [] { return std::make_unique<Thrower>(); }, {10}),
-               std::runtime_error);
+  EXPECT_THROW(run_flat(g, [] { return Thrower(); }, {10}), std::runtime_error);
   FlatEngineOptions threaded;
   threaded.threads = 2;
-  EXPECT_THROW(run_flat(g, [] { return std::make_unique<Thrower>(); }, {10}, threaded),
-               std::runtime_error);
+  EXPECT_THROW(run_flat(g, [] { return Thrower(); }, {10}, threaded), std::runtime_error);
 }
 
 /// Broadcasts "x" every round and claims, after every round, that it next
@@ -380,11 +370,11 @@ class SleepLiar final : public NodeProgram {
 TEST(FlatEngine, SleepersThatKeepTheContractMatchTheOracle) {
   Rng rng(61);
   const graph::EdgeColouredGraph g = graph::random_coloured_graph(24, 4, 0.8, rng);
-  const auto honest = [] { return std::make_unique<SleepLiar>(SleepLiar::Lie::kNone, 10); };
+  const auto honest = [] { return SleepLiar(SleepLiar::Lie::kNone, 10); };
   expect_engines_agree(g, honest, 20, "honest sleepers");
   // A wake round past the budget: the sleepers never halt in time, and the
   // flat engine throws where run_sync does.
-  const auto late = [] { return std::make_unique<SleepLiar>(SleepLiar::Lie::kNone, 1000); };
+  const auto late = [] { return SleepLiar(SleepLiar::Lie::kNone, 1000); };
   EXPECT_THROW(run_sync(g, late, {20}), std::runtime_error);
   EXPECT_THROW(run_flat(g, late, {20}), std::runtime_error);
 }
@@ -395,7 +385,7 @@ TEST(FlatEngine, ContractCheckCatchesALyingSleeper) {
   const graph::EdgeColouredGraph g = graph::random_coloured_graph(24, 4, 0.8, rng);
   for (const SleepLiar::Lie lie :
        {SleepLiar::Lie::kBytes, SleepLiar::Lie::kHalts, SleepLiar::Lie::kState}) {
-    const auto liar = [lie] { return std::make_unique<SleepLiar>(lie, 10); };
+    const auto liar = [lie] { return SleepLiar(lie, 10); };
     EXPECT_THROW(run_flat(g, liar, {20}), std::logic_error) << static_cast<int>(lie);
     FlatEngineOptions threaded;
     threaded.threads = 3;

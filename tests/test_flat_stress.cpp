@@ -23,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -151,7 +150,7 @@ TEST(FlatStress, HotRowsAtHundredThousandNodes) {
   const graph::EdgeColouredGraph g =
       graph::hub_cluster_graph(/*hubs=*/390, /*hub_degree=*/255, /*first_colour=*/1);
   EXPECT_EQ(g.node_count(), 99840);
-  const auto factory = [] { return std::make_unique<PulseProgram>(3); };
+  const auto factory = [] { return PulseProgram(3); };
   const RunResult oracle = run_sync(g, factory, {8});
   EXPECT_EQ(oracle.rounds, 3);
   expect_grid_agrees(g, factory, 8, oracle, full_grid(), "hub_cluster(390,255) pulse");
@@ -212,9 +211,9 @@ TEST(FlatStress, WipeCycleRegressionAcrossTwoTagCycles) {
   const int n = 60;
   const graph::EdgeColouredGraph g = graph::random_coloured_graph(n, 5, 0.9, rng);
   int counter = 0;
-  const auto factory = [&]() -> std::unique_ptr<NodeProgram> {
+  const auto factory = [&] {
     const int i = counter++ % n;
-    return std::make_unique<StaggeredChirper>(i % 3 == 0 ? 5 : 600);
+    return StaggeredChirper(i % 3 == 0 ? 5 : 600);
   };
   const RunResult oracle = run_sync(g, factory, {601});
   EXPECT_EQ(oracle.rounds, 600);  // crossed both tag cycles
@@ -318,8 +317,8 @@ TEST(FlatStress, LiveListAcrossTwoTagCyclesUnderFaults) {
   for (graph::NodeIndex v : neighbours(flaky)) lifetime[static_cast<std::size_t>(v)] = 600;
   lifetime[static_cast<std::size_t>(flaky)] = 600;
   int counter = 0;
-  const auto factory = [&]() -> std::unique_ptr<NodeProgram> {
-    return std::make_unique<MixedChirper>(lifetime[static_cast<std::size_t>(counter++ % n)]);
+  const auto factory = [&] {
+    return MixedChirper(lifetime[static_cast<std::size_t>(counter++ % n)]);
   };
 
   FaultPlan plan;
@@ -422,11 +421,10 @@ TEST(FlatStress, SleepersAcrossTwoTagCycles) {
   const int periods[] = {4, 97, 255, 256, 300};
   std::atomic<std::size_t> steps{0};
   int counter = 0;
-  const auto factory = [&]() -> std::unique_ptr<NodeProgram> {
+  const auto factory = [&] {
     const int i = counter++ % n;
     const int period = periods[i % 5];
-    return std::make_unique<SleepyChirper>(i % 3 == 0 ? 5 : 600, period, (2 + i % 3) % period,
-                                           &steps);
+    return SleepyChirper(i % 3 == 0 ? 5 : 600, period, (2 + i % 3) % period, &steps);
   };
   const RunResult oracle = run_sync(g, factory, {900});
   EXPECT_GE(oracle.rounds, 600);  // crossed both tag cycles
@@ -443,9 +441,7 @@ TEST(FlatStress, SleepersAcrossTwoTagCycles) {
   // sleeps across round 256, and in round 258, whose tag is round 3's,
   // writes its colour-2 port: node 0 must hear nothing on colour 1.
   const graph::EdgeColouredGraph path = graph::path_graph(2, {1, 2});
-  const auto lockstep = [&]() -> std::unique_ptr<NodeProgram> {
-    return std::make_unique<SleepyChirper>(600, 255, 3, &steps);
-  };
+  const auto lockstep = [&] { return SleepyChirper(600, 255, 3, &steps); };
   const RunResult path_oracle = run_sync(path, lockstep, {900});
   EXPECT_EQ(path_oracle.rounds, 768);
   expect_grid_agrees(path, lockstep, 900, path_oracle, full_grid(), "lockstep sleepy chirper");
@@ -461,9 +457,9 @@ TEST(FlatStress, ThreadsSpawnedOncePerEngineNotPerRound) {
   const int n = 60;
   const graph::EdgeColouredGraph g = graph::random_coloured_graph(n, 5, 0.9, rng);
   int counter = 0;
-  const auto factory = [&]() -> std::unique_ptr<NodeProgram> {
+  const auto factory = [&] {
     const int i = counter++ % n;
-    return std::make_unique<StaggeredChirper>(i % 3 == 0 ? 5 : 600);
+    return StaggeredChirper(i % 3 == 0 ? 5 : 600);
   };
   for (int threads : {1, 2, 7, 16}) {
     FlatEngineOptions options;

@@ -1,4 +1,4 @@
-// Experiment E12: the three realisations of the model agree.
+// The three realisations of the model agree.
 //
 //   (1) message-passing engine (run_sync + GreedyProgram),
 //   (2) view-based execution (run_views + GreedyLocal),

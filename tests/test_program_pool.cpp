@@ -1,116 +1,121 @@
-// The arena-pooled program path (util::Arena + local::ProgramPool +
-// ProgramFactory) is only allowed to exist because it is observationally
-// identical to the legacy one-unique_ptr-per-node path: this suite runs
-// every registered realisation through both construction paths on both
-// engines and requires every RunResult field to match, and pins the
-// arena's reuse/reset contract (exercised under the ASan+UBSan CI leg,
-// where a double-destroy or a dangling slab pointer would abort).
-#include "local/program_pool.hpp"
-
+// The storage behind every run's programs: a local::ProgramSource calls its
+// callable once per node, in node order, and builds each result in place
+// in the local::ProgramPool's one block.  The engines rely on the contract
+// pinned here: a refill reuses the block and replaces the programs, a
+// throwing constructor leaves only what it built (each destroyed once —
+// the ASan+UBSan CI leg aborts on a double destroy or a leak), copies of a
+// source share its state, and the programs sit back to back.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
-#include <string>
+#include <stdexcept>
+#include <vector>
 
 #include "algo/greedy.hpp"
-#include "algo/runner.hpp"
-#include "engine_test_util.hpp"
-#include "graph/generators.hpp"
-#include "local/flat_engine.hpp"
-#include "util/arena.hpp"
-#include "util/rng.hpp"
+#include "local/engine.hpp"
 
 namespace dmm::local {
 namespace {
 
-// --- util::Arena ---------------------------------------------------------
+struct Tally {
+  int throw_at = -1;           // the id whose constructor throws
+  int live = 0;
+  std::vector<int> destroyed;  // ids, in destruction order
+};
 
-TEST(Arena, AlignsAndBumps) {
-  util::Arena arena(256);
-  auto* a = static_cast<char*>(arena.allocate(3, 1));
-  auto* b = static_cast<double*>(arena.allocate(sizeof(double), alignof(double)));
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % alignof(double), 0u);
-  EXPECT_NE(static_cast<void*>(a), static_cast<void*>(b));
-  *b = 1.5;  // must be writable
-  EXPECT_EQ(*b, 1.5);
-  EXPECT_GE(arena.bytes_allocated(), 3 + sizeof(double));
-  EXPECT_THROW(arena.allocate(8, 3), std::invalid_argument);  // non-power-of-two
-}
-
-TEST(Arena, OversizedRequestsGetDedicatedSlabs) {
-  util::Arena arena(64);
-  void* big = arena.allocate(10000, alignof(std::max_align_t));
-  ASSERT_NE(big, nullptr);
-  EXPECT_GE(arena.bytes_reserved(), 10000u);
-}
-
-TEST(Arena, ResetReusesSlabsWithoutGrowing) {
-  util::Arena arena(1024);
-  auto fill = [&arena] {
-    for (int i = 0; i < 100; ++i) arena.allocate(64, 8);
-  };
-  fill();
-  const std::size_t reserved = arena.bytes_reserved();
-  const std::size_t slabs = arena.slab_count();
-  EXPECT_GT(reserved, 0u);
-  // Steady state: reset + identical refill must not acquire new memory.
-  for (int round = 0; round < 5; ++round) {
-    arena.reset();
-    EXPECT_EQ(arena.bytes_allocated(), 0u);
-    fill();
-    EXPECT_EQ(arena.bytes_reserved(), reserved);
-    EXPECT_EQ(arena.slab_count(), slabs);
-  }
-}
-
-// --- ProgramPool lifetime ------------------------------------------------
-
-/// Counts constructions and destructions so the pool's clear() contract is
-/// observable.
+/// Logs its construction and destruction in a Tally.  It can be neither
+/// copied nor moved, so only guaranteed copy elision lets a source build it.
 class CountedProgram final : public NodeProgram {
  public:
-  explicit CountedProgram(int* live) : live_(live) { ++*live_; }
-  ~CountedProgram() override { --*live_; }
+  CountedProgram(Tally* tally, int id) : tally_(tally), id_(id) {
+    if (id == tally_->throw_at) throw std::runtime_error("CountedProgram: refused");
+    ++tally_->live;
+  }
+  ~CountedProgram() override {
+    --tally_->live;
+    tally_->destroyed.push_back(id_);
+  }
   CountedProgram(const CountedProgram&) = delete;
   CountedProgram& operator=(const CountedProgram&) = delete;
 
+  int id() const { return id_; }
   bool init(std::span<const Colour>) override { return true; }
   void send(int, Outbox&) override {}
   bool receive(int, const Inbox&) override { return true; }
   Colour output() const override { return kUnmatched; }
 
  private:
-  int* live_;
+  Tally* tally_;
+  int id_;
 };
 
-TEST(ProgramPool, ClearDestroysPooledAndAdoptedPrograms) {
-  int live = 0;
-  ProgramPool pool;
-  for (int i = 0; i < 10; ++i) pool.emplace<CountedProgram>(&live);
-  pool.adopt(std::make_unique<CountedProgram>(&live));
-  EXPECT_EQ(pool.size(), 11u);
-  EXPECT_EQ(live, 11);
-  pool.clear();
-  EXPECT_EQ(pool.size(), 0u);
-  EXPECT_EQ(live, 0);
-  // The pool is reusable after clear, on the same slabs.
-  const std::size_t reserved = pool.arena().bytes_reserved();
-  for (int i = 0; i < 10; ++i) pool.emplace<CountedProgram>(&live);
-  EXPECT_EQ(live, 10);
-  EXPECT_EQ(pool.arena().bytes_reserved(), reserved);
-  pool.clear();
-  EXPECT_EQ(live, 0);
+/// Numbers its programs 0, 1, 2, … across every build, by every copy.
+ProgramSource counted(Tally& tally) {
+  return [&tally, next = 0]() mutable { return CountedProgram(&tally, next++); };
 }
 
-TEST(ProgramPool, EmplaceBatchIsContiguous) {
+int id_at(const ProgramPool& pool, std::size_t v) {
+  return static_cast<const CountedProgram*>(pool[v])->id();
+}
+
+TEST(ProgramPool, RefillReusesTheBlockAndReplacesThePrograms) {
+  Tally tally;
   ProgramPool pool;
-  pool.emplace_batch<algo::GreedyProgram>(64);
+  const ProgramSource source = counted(tally);
+  source.build(8, pool);
+  const NodeProgram* const node0 = pool[0];
+  source.build(8, pool);
+  EXPECT_EQ(pool.size(), 8u);
+  EXPECT_EQ(tally.live, 8);
+  EXPECT_EQ(pool[0], node0);
+  EXPECT_EQ(id_at(pool, 0), 8);
+  EXPECT_EQ(tally.destroyed, (std::vector<int>{7, 6, 5, 4, 3, 2, 1, 0}));
+  source.build(3, pool);  // a smaller refill fits the same block
+  EXPECT_EQ(pool.size(), 3u);
+  EXPECT_EQ(tally.live, 3);
+  EXPECT_EQ(pool[0], node0);
+}
+
+TEST(ProgramPool, ThrowingConstructorLeavesTheProgramsBeforeIt) {
+  for (const bool cleared : {true, false}) {
+    Tally tally;
+    tally.throw_at = 5;
+    {
+      ProgramPool pool;
+      EXPECT_THROW(counted(tally).build(10, pool), std::runtime_error);
+      EXPECT_EQ(pool.size(), 5u);
+      EXPECT_EQ(tally.live, 5);
+      for (std::size_t v = 0; v < pool.size(); ++v) EXPECT_EQ(id_at(pool, v), static_cast<int>(v));
+      if (cleared) {
+        pool.clear();
+        EXPECT_EQ(pool.size(), 0u);
+      }
+    }
+    // Each built program destroyed exactly once — by clear() or by the
+    // destructor, never both — the last built first.
+    EXPECT_EQ(tally.live, 0) << "cleared=" << cleared;
+    EXPECT_EQ(tally.destroyed, (std::vector<int>{4, 3, 2, 1, 0})) << "cleared=" << cleared;
+  }
+}
+
+TEST(ProgramSource, CallsOncePerNodeInNodeOrderAndCopiesShareState) {
+  Tally tally;
+  ProgramPool pool;
+  const ProgramSource source = counted(tally);
+  const ProgramSource copy = source;  // NOLINT(performance-unnecessary-copy-initialization)
+  source.build(4, pool);
+  for (std::size_t v = 0; v < 4; ++v) EXPECT_EQ(id_at(pool, v), static_cast<int>(v));
+  copy.build(3, pool);  // the copy carries on the same count
+  for (std::size_t v = 0; v < 3; ++v) EXPECT_EQ(id_at(pool, v), static_cast<int>(4 + v));
+}
+
+TEST(ProgramPool, ProgramsAreContiguous) {
+  ProgramPool pool;
+  algo::greedy_program_factory().build(64, pool);
   ASSERT_EQ(pool.size(), 64u);
-  // One block: adjacent programs are exactly sizeof apart.
-  for (std::size_t i = 1; i < 64; ++i) {
-    const auto prev = reinterpret_cast<std::uintptr_t>(pool[i - 1]);
-    const auto cur = reinterpret_cast<std::uintptr_t>(pool[i]);
+  for (std::size_t v = 1; v < 64; ++v) {
+    const auto prev = reinterpret_cast<std::uintptr_t>(pool[v - 1]);
+    const auto cur = reinterpret_cast<std::uintptr_t>(pool[v]);
     EXPECT_EQ(cur - prev, sizeof(algo::GreedyProgram));
   }
 }
@@ -118,50 +123,6 @@ TEST(ProgramPool, EmplaceBatchIsContiguous) {
 TEST(ProgramSource, EmptySourceThrows) {
   ProgramPool pool;
   EXPECT_THROW(ProgramSource().build(1, pool), std::logic_error);
-}
-
-// --- pooled vs unique_ptr equivalence fuzz ------------------------------
-// (expect_same_result comes from engine_test_util.hpp, shared with the
-// flat-vs-sync suite so both pin the same definition of equivalence.)
-
-TEST(ProgramPool, PooledMatchesHeapForEveryRealisationAndEngine) {
-  // Every registered algorithm, both engines, both construction paths:
-  // RunResult must be bit-identical.  This is the fuzz suite ISSUE 4 asks
-  // for; ~60 random instances plus the adversarial chains.
-  int checked = 0;
-  for (std::uint64_t seed = 0; seed < 60; ++seed) {
-    Rng rng(seed * 31 + 7);
-    const int n = 2 + static_cast<int>(seed % 23);
-    const int k = 1 + static_cast<int>(seed % 4);
-    const graph::EdgeColouredGraph g = graph::random_coloured_graph(n, k, 0.6, rng);
-    for (const algo::EngineRealisation& r : algo::engine_realisations(k)) {
-      for (const EngineKind kind : {EngineKind::kSync, EngineKind::kFlat}) {
-        const std::string context = r.name + " seed=" + std::to_string(seed) +
-                                    " engine=" + engine_kind_name(kind);
-        expect_same_result(run(kind, g, r.factory, {r.round_bound}),
-                           run(kind, g, ProgramSource(r.heap_factory), {r.round_bound}),
-                           context);
-        ++checked;
-      }
-    }
-  }
-  EXPECT_GT(checked, 400);
-}
-
-TEST(ProgramPool, PooledMatchesHeapOnWorstCaseChains) {
-  for (int k = 2; k <= 6; ++k) {
-    const graph::WorstCase wc = graph::worst_case_chain(k);
-    for (const graph::EdgeColouredGraph* g : {&wc.long_path, &wc.short_path}) {
-      for (const algo::EngineRealisation& r :
-           algo::engine_realisations(k, /*flood_radius_cap=*/k)) {
-        for (const EngineKind kind : {EngineKind::kSync, EngineKind::kFlat}) {
-          expect_same_result(run(kind, *g, r.factory, {r.round_bound}),
-                             run(kind, *g, ProgramSource(r.heap_factory), {r.round_bound}),
-                             "chain k=" + std::to_string(k) + " " + r.name);
-        }
-      }
-    }
-  }
 }
 
 }  // namespace

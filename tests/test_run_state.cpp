@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -98,9 +97,9 @@ graph::EdgeColouredGraph path() {
 }
 
 ProgramSource chirpers() {
-  return [node = 0]() mutable -> std::unique_ptr<NodeProgram> {
+  return [node = 0]() mutable {
     static constexpr int kHaltAt[] = {0, 4, 3, 5, 6};
-    return std::make_unique<PortChirper>(kHaltAt[node++ % 5]);
+    return PortChirper(kHaltAt[node++ % 5]);
   };
 }
 

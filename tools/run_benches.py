@@ -275,8 +275,8 @@ def validate_scale_row(path: pathlib.Path) -> None:
         if init_ms * 2 > wall_ms:
             raise SystemExit(
                 f"error: {path}: init dominates the scale row "
-                f"({init_ms:.1f} ms of {wall_ms:.1f} ms) — the pooled "
-                f"program arena regressed"
+                f"({init_ms:.1f} ms of {wall_ms:.1f} ms) — setup (CSR build, "
+                f"program construction, init calls) regressed"
             )
     print(f"scale: e14 n=10^7 row ok ({rows[0]['metrics']['init_ms']:.1f} ms init, "
           f"{rows[0]['metrics']['wall_ns'] / 1e6:.1f} ms wall)")
