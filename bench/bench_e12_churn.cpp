@@ -107,7 +107,9 @@ dyn::RepairStats record_churn_run(benchjson::Harness& harness, const std::string
   }
 
   const dyn::RepairStats stats = matcher.stats();
-  record.metrics["churn_ops"] = static_cast<double>(stats.inserts + stats.deletes);
+  const std::uint64_t ops = stats.inserts + stats.deletes;
+  record.metrics["churn_ops"] = static_cast<double>(ops);
+  if (ops > 0) record.metrics["ns_per_op"] = record.metrics["wall_ns"] / static_cast<double>(ops);
   record.metrics["repairs"] = static_cast<double>(stats.repairs);
   record.metrics["touched_nodes"] = static_cast<double>(stats.touched_nodes);
   record.metrics["recompute_avoided"] = static_cast<double>(stats.recompute_avoided);
@@ -145,12 +147,12 @@ void print_rows(benchjson::Harness& harness) {
         std::fprintf(stderr, "e12: %s counters differ between engines\n", c.label);
         std::abort();
       }
-      const double wall_ns = harness.records().back().metrics.at("wall_ns");
+      const auto& metrics = harness.records().back().metrics;
       const std::uint64_t ops = stats.inserts + stats.deletes;
       std::printf("%-32s %-6s %8d %12.2f %8llu %8.0f %8llu %10llu %14llu\n", c.label,
-                  local::engine_kind_name(e.kind), e.threads, wall_ns / 1e6,
+                  local::engine_kind_name(e.kind), e.threads, metrics.at("wall_ns") / 1e6,
                   static_cast<unsigned long long>(ops),
-                  ops > 0 ? wall_ns / static_cast<double>(ops) : 0.0,
+                  ops > 0 ? metrics.at("ns_per_op") : 0.0,
                   static_cast<unsigned long long>(stats.repairs),
                   static_cast<unsigned long long>(stats.touched_nodes),
                   static_cast<unsigned long long>(stats.recompute_avoided));

@@ -21,19 +21,9 @@ void record_run(benchjson::Harness& harness, const std::string& label, int k,
   benchjson::Record record;
   record.instance = label;
   record.k = k;
-  record.threads = result.stats.threads;
   record.metrics["wall_ns"] = wall_ns;
   record.metrics["evaluations"] = static_cast<double>(result.stats.evaluations);
   record.metrics["memo_hits"] = static_cast<double>(result.stats.memo_hits);
-  if (result.stats.orbits > 0) {
-    // The orbit memo's byte store holds one key per view orbit: the
-    // reduction is entries per orbit, and the "reps" are those keys, one
-    // canonical form per view orbit the adversary ever touched.
-    record.metrics["orbits"] = static_cast<double>(result.stats.orbits);
-    record.metrics["orbit_reduction"] = static_cast<double>(result.stats.memo_entries) /
-                                        static_cast<double>(result.stats.orbits);
-    record.metrics["reps_generated"] = static_cast<double>(result.stats.orbits);
-  }
   harness.add(std::move(record));
 }
 
@@ -63,27 +53,6 @@ void print_rows(benchjson::Harness& harness) {
                     ? "yes"
                     : "-");
     record_run(harness, "adversary vs " + greedy.name(), k, result, wall_ns);
-  }
-  // Orbit-memo rows (ISSUE 5): same outcomes, evaluator memo keyed by
-  // colour-permutation orbit — the stored-key space shrinks towards 1/k!.
-  for (int k = 3; k <= 5; ++k) {
-    const algo::GreedyLocal greedy(k);
-    const lower::AdversaryOptions options{.memoise = true,
-                                          .optimistic = k >= 5,
-                                          .max_template_nodes = 2e7,
-                                          .threads = 1,
-                                          .orbits = true};
-    lower::LowerBoundResult result;
-    const double wall_ns = benchjson::Harness::time_ns(
-        [&] { result = lower::run_adversary(k, greedy, options); });
-    const std::string label = greedy.name() + " [orbit memo]";
-    std::printf("%-30s %3d %3d %-10s %10llu %10llu %10d %12s\n", label.c_str(), k,
-                greedy.running_time(), result.tight() ? "tight" : "other",
-                static_cast<unsigned long long>(result.stats.evaluations),
-                static_cast<unsigned long long>(result.stats.memo_hits),
-                result.stats.max_template_nodes,
-                result.stats.orbits > 0 ? "orbits" : "-");
-    record_run(harness, "adversary vs " + label, k, result, wall_ns);
   }
   for (int k = 3; k <= 4; ++k) {
     for (int r = 0; r < k - 1; ++r) {

@@ -620,11 +620,6 @@ void SerialisedView::canonicalise(std::vector<std::uint8_t>& out, ColourPerm* wi
   if (witness) *witness = std::move(canon.best_perm);
 }
 
-void orbit_canonical_bytes(const ColourSystem& view, int radius, std::vector<std::uint8_t>& out,
-                           ColourPerm* witness) {
-  SerialisedView(view, radius).canonicalise(out, witness);
-}
-
 std::vector<ColourPerm> serialisation_stabiliser(const std::vector<std::uint8_t>& bytes) {
   return SerialisedView(bytes).stabiliser();
 }
@@ -648,29 +643,6 @@ ViewId CanonicalStore::intern(const ColourSystem& view, int radius) {
   return intern(scratch_);
 }
 
-OrbitId CanonicalStore::intern_orbit(const ColourSystem& view, int radius, ColourPerm* witness) {
-  orbit_scratch_.clear();
-  orbit_canonical_bytes(view, radius, orbit_scratch_, witness);
-  return intern_orbit_canonical(orbit_scratch_);
-}
-
-OrbitId CanonicalStore::intern_orbit_canonical(const std::vector<std::uint8_t>& canonical_bytes) {
-  const auto [it, inserted] =
-      orbit_index_.try_emplace(canonical_bytes, static_cast<OrbitId>(orbit_keys_.size()));
-  if (inserted) {
-    orbit_keys_.push_back(&it->first);
-    key_bytes_ += canonical_bytes.size();
-  }
-  return it->second;
-}
-
-const std::vector<std::uint8_t>& CanonicalStore::orbit_bytes(OrbitId id) const {
-  if (id < 0 || id >= orbit_count()) {
-    throw std::out_of_range("CanonicalStore::orbit_bytes: bad id");
-  }
-  return *orbit_keys_[static_cast<std::size_t>(id)];
-}
-
 ViewId CanonicalStore::find(const std::vector<std::uint8_t>& bytes) const {
   const auto it = index_.find(bytes);
   return it == index_.end() ? kNullView : it->second;
@@ -686,8 +658,8 @@ std::size_t CanonicalStore::resident_bytes() const noexcept {
   // bucket array + the id→key pointer table.  An estimate, not an audit.
   constexpr std::size_t kNodeOverhead =
       sizeof(std::vector<std::uint8_t>) + sizeof(ViewId) + 2 * sizeof(void*);
-  return key_bytes_ + (keys_.size() + orbit_keys_.size()) * (kNodeOverhead + sizeof(void*)) +
-         (index_.bucket_count() + orbit_index_.bucket_count()) * sizeof(void*);
+  return key_bytes_ + keys_.size() * (kNodeOverhead + sizeof(void*)) +
+         index_.bucket_count() * sizeof(void*);
 }
 
 }  // namespace dmm::colsys

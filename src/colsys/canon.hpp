@@ -17,16 +17,15 @@
 //
 // Colour-permutation orbits.  Every structure above is also acted on by
 // S_k relabelling the colours globally (π·V renames each edge colour c to
-// π(c)); catalogues, pair indices and memo key sets are closed under that
-// action, so they carry ~k! copies of every structure.  The orbit layer
-// quotients them: the *orbit-canonical form* of a view is the
+// π(c)); view catalogues and pair indices are closed under that action,
+// so they carry ~k! copies of every structure.  The orbit layer quotients
+// them: the *orbit-canonical form* of a view is the
 // lexicographically smallest serialisation over all k! relabellings, found
 // by an incremental branch-and-bound (colour images are assigned lazily in
-// emission order and pruned against the incumbent — not a literal k! loop),
-// and CanonicalStore::intern_orbit hands out dense OrbitIds for it.  The
-// witness permutation (the relabelling that realises the minimum) is what
-// lets callers lift per-colour data between a raw view and its orbit
-// representative.
+// emission order and pruned against the incumbent — not a literal k! loop)
+// in SerialisedView::canonicalise.  The witness permutation (the
+// relabelling that realises the minimum) is what lets callers lift
+// per-colour data between a raw view and its orbit representative.
 #pragma once
 
 #include <cstdint>
@@ -42,10 +41,6 @@ namespace dmm::colsys {
 /// interning order starting at 0, so stores whose interning order mirrors a
 /// catalogue's view order have ViewId == view index.
 using ViewId = std::int32_t;
-
-/// Dense id of an interned *orbit-canonical* serialisation (a colour
-/// permutation orbit of views).  Lives in its own id space.
-using OrbitId = std::int32_t;
 
 inline constexpr ViewId kNullView = -1;
 
@@ -197,9 +192,7 @@ class SerialisedView {
   std::vector<std::size_t> prefix_marks_;  // prefix_ length before each push
 };
 
-/// Convenience wrappers over SerialisedView for one-shot callers.
-void orbit_canonical_bytes(const ColourSystem& view, int radius, std::vector<std::uint8_t>& out,
-                           ColourPerm* witness = nullptr);
+/// SerialisedView(bytes).stabiliser(), for one-shot callers.
 std::vector<ColourPerm> serialisation_stabiliser(const std::vector<std::uint8_t>& bytes);
 
 // ---------------------------------------------------------------------------
@@ -232,27 +225,8 @@ class CanonicalStore {
 
   std::int32_t size() const noexcept { return static_cast<std::int32_t>(keys_.size()); }
 
-  /// Orbit interning: canonises view[radius] modulo colour permutation and
-  /// interns the orbit-canonical bytes into a separate dense OrbitId space.
-  /// `witness`, if non-null, receives a π with π·view == representative.
-  /// Requires view.k() ≤ kMaxOrbitColours.
-  OrbitId intern_orbit(const ColourSystem& view, int radius, ColourPerm* witness = nullptr);
-
-  /// Interns bytes that are already orbit-canonical (callers that ran the
-  /// canoniser themselves, e.g. the evaluator's serialise-then-canonise
-  /// fast path).
-  OrbitId intern_orbit_canonical(const std::vector<std::uint8_t>& canonical_bytes);
-
-  /// The orbit-canonical bytes of an orbit id.
-  const std::vector<std::uint8_t>& orbit_bytes(OrbitId id) const;
-
-  std::int32_t orbit_count() const noexcept {
-    return static_cast<std::int32_t>(orbit_keys_.size());
-  }
-
   /// Approximate heap footprint: interned key bytes plus index/bucket
-  /// overhead (both id spaces).  Reported by AdversaryStats so memo growth
-  /// is observable.
+  /// overhead.  Reported by AdversaryStats so memo growth is observable.
   std::size_t resident_bytes() const noexcept;
 
  private:
@@ -262,11 +236,8 @@ class CanonicalStore {
   // id order, so each serialisation is stored exactly once.
   Index index_;
   std::vector<const std::vector<std::uint8_t>*> keys_;
-  Index orbit_index_;
-  std::vector<const std::vector<std::uint8_t>*> orbit_keys_;
   std::size_t key_bytes_ = 0;
   std::vector<std::uint8_t> scratch_;
-  std::vector<std::uint8_t> orbit_scratch_;
 };
 
 /// Dense (ViewId, Colour) → ViewId memo for per-colour root transforms.

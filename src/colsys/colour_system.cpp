@@ -251,8 +251,7 @@ ColourSystem ColourSystem::grafted(Colour c, const ColourSystem& other,
   return out;
 }
 
-ColourSystem ColourSystem::permuted(const std::vector<Colour>& perm,
-                                    std::vector<NodeId>* old_to_new) const {
+ColourSystem ColourSystem::permuted(const std::vector<Colour>& perm) const {
   if (static_cast<int>(perm.size()) != k_ + 1) {
     throw std::invalid_argument("ColourSystem::permuted: perm must have size k + 1");
   }
@@ -277,7 +276,6 @@ ColourSystem ColourSystem::permuted(const std::vector<Colour>& perm,
       queue.push_back(u);
     }
   }
-  if (old_to_new) *old_to_new = std::move(map);
   return out;
 }
 

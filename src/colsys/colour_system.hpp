@@ -119,9 +119,8 @@ class ColourSystem {
   /// `perm` must be a bijection of [k] given as a (k+1)-vector with
   /// perm[0] == kNoColour (see colsys::ColourPerm).  Children are
   /// re-inserted in relabelled colour order, so serialisations of the
-  /// result are canonical.  `old_to_new` receives the node relabelling.
-  ColourSystem permuted(const std::vector<Colour>& perm,
-                        std::vector<NodeId>* old_to_new = nullptr) const;
+  /// result are canonical.
+  ColourSystem permuted(const std::vector<Colour>& perm) const;
 
   /// Canonical byte serialisation of V[radius] (children visited in colour
   /// order), suitable for hashing and equality of rooted coloured trees.

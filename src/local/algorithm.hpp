@@ -37,15 +37,6 @@ class LocalAlgorithm {
   /// system rooted at the node.  Must be a pure function of the view.
   virtual Colour evaluate(const colsys::ColourSystem& view) const = 0;
 
-  /// True iff the algorithm commutes with global colour relabellings:
-  /// A(π·V) = π(A(V)) for every permutation π of [k] (with π(⊥) = ⊥).
-  /// Such "order-invariant" algorithms admit one evaluator memo entry per
-  /// colour-permutation *orbit* of views; everything else (greedy included
-  /// — it processes colours in increasing order) must keep one answer per
-  /// view, and the orbit memo stores per-coset answers instead.  Default:
-  /// not equivariant, which is always sound.
-  virtual bool colour_equivariant() const { return false; }
-
   virtual std::string name() const = 0;
 };
 

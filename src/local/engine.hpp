@@ -213,12 +213,13 @@ inline constexpr char kHaltedPrefix = '!';
 
 /// A run's programs: n values of one NodeProgram type, built in place in
 /// one uninitialised block, program v at byte v·sizeof(T), so pool[v] is
-/// one pointer load and the engines' per-node walk is a sequential sweep.
-/// The pool keeps its block across refills: fill() destroys the previous
-/// programs and builds the new ones in the same block whenever they fit,
-/// so a reused engine allocates nothing.  A constructor (or callable) that
-/// throws at node i leaves exactly the i programs before it, which clear()
-/// or the destructor destroy once each.
+/// address arithmetic (no per-node pointer table) and the engines'
+/// per-node walk is a sequential sweep.  The pool keeps its block across
+/// refills: fill() destroys the previous programs and builds the new ones
+/// in the same block whenever they fit, so a reused engine allocates
+/// nothing.  A constructor (or callable) that throws at node i leaves
+/// exactly the i programs before it, which clear() or the destructor
+/// destroy once each.
 class ProgramPool {
  public:
   ProgramPool() = default;
@@ -244,26 +245,36 @@ class ProgramPool {
       block_ = std::make_unique_for_overwrite<std::byte[]>(bytes);
       capacity_ = bytes;
     }
-    items_.reserve(count);  // so push_back cannot throw past a constructed program
+    stride_ = sizeof(T);
     std::byte* slot = block_.get();
-    for (std::size_t v = 0; v < count; ++v, slot += sizeof(T)) {
-      items_.push_back(new (slot) T(make()));
+    for (; size_ < count; ++size_, slot += sizeof(T)) {
+      T* program = new (slot) T(make());
+      // The NodeProgram base may sit at an offset inside T (after another
+      // base); it is the same in every T, so take it from the first.
+      if (size_ == 0) {
+        base_offset_ = static_cast<std::size_t>(
+            reinterpret_cast<std::byte*>(static_cast<NodeProgram*>(program)) - slot);
+      }
     }
   }
 
-  NodeProgram* operator[](std::size_t v) const noexcept { return items_[v]; }
-  std::size_t size() const noexcept { return items_.size(); }
+  NodeProgram* operator[](std::size_t v) const noexcept {
+    return std::launder(
+        reinterpret_cast<NodeProgram*>(block_.get() + v * stride_ + base_offset_));
+  }
+  std::size_t size() const noexcept { return size_; }
 
   /// Destroys every program, the last built first; the block stays.
   void clear() noexcept {
-    for (auto it = items_.rbegin(); it != items_.rend(); ++it) (*it)->~NodeProgram();
-    items_.clear();
+    while (size_ > 0) (*this)[--size_]->~NodeProgram();
   }
 
  private:
   std::unique_ptr<std::byte[]> block_;
-  std::size_t capacity_ = 0;  // bytes in block_
-  std::vector<NodeProgram*> items_;  // node order, each into block_
+  std::size_t capacity_ = 0;     // bytes in block_
+  std::size_t stride_ = 0;       // sizeof the programs' type
+  std::size_t base_offset_ = 0;  // of NodeProgram inside that type
+  std::size_t size_ = 0;         // programs built, node order
 };
 
 /// What the engines accept: a callable that returns a program by value,

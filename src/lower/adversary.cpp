@@ -1,6 +1,7 @@
 #include "lower/adversary.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -32,8 +33,6 @@ std::string LowerBoundResult::summary() const {
   out += " [" + std::to_string(stats.evaluations) + " evaluations, " +
          std::to_string(stats.memo_hits) + " memo hits, " + std::to_string(stats.memo_entries) +
          " memo entries, " + std::to_string(stats.memo_bytes / 1024) + " KiB resident";
-  if (stats.orbits > 0) out += ", " + std::to_string(stats.orbits) + " orbits";
-  if (stats.threads > 1) out += ", " + std::to_string(stats.threads) + " threads";
   out += "]";
   return out;
 }
@@ -50,11 +49,12 @@ std::optional<Certificate> hunt_violation(const Template& tmpl, Evaluator& eval,
     norm_limit = std::min(norm_limit, tmpl.valid_radius() - (r + 2));
   }
   const std::vector<NodeId> nodes = tmpl.tree().nodes_up_to(norm_limit);
-  const std::size_t start = std::min(control.start_index, nodes.size());
-  // Warm the memo in parallel; the serial sweep below still takes every
-  // decision (and finds the same first breach, since answers are pure).
-  eval.prefetch(tmpl, std::vector<NodeId>(nodes.begin() + static_cast<std::ptrdiff_t>(start),
-                                          nodes.end()));
+  const std::size_t start = control.start_index;
+  if (start != 0 && start >= nodes.size()) {
+    throw std::invalid_argument("hunt_violation: start index " + std::to_string(start) +
+                                " is past the sweep's " + std::to_string(nodes.size()) +
+                                " nodes");
+  }
   for (std::size_t i = start; i < nodes.size(); ++i) {
     // Checkpoint *before* probing node i, so `continue` paths below cannot
     // skew the cadence: resuming at i re-probes exactly the unvisited tail.
@@ -128,15 +128,13 @@ LowerBoundResult run_adversary(int k, const local::LocalAlgorithm& algorithm,
   result.k = k;
   result.algorithm = algorithm.name();
 
-  Evaluator eval(algorithm, options.memoise, options.threads, options.orbits);
+  Evaluator eval(algorithm, options.memoise);
   auto finish = [&](std::variant<TightPair, Certificate, Inconclusive> outcome) {
     result.outcome = std::move(outcome);
     result.stats.evaluations = eval.evaluations();
     result.stats.memo_hits = eval.memo_hits();
     result.stats.memo_entries = eval.memo_entries();
-    result.stats.orbits = eval.orbits();
     result.stats.memo_bytes = eval.memo_bytes();
-    result.stats.threads = eval.threads();
     return result;
   };
 
@@ -268,11 +266,18 @@ HuntCheckpoint load_hunt_checkpoint(std::istream& in, Evaluator& eval) {
   }
   io::ByteReader reader(frame.payload);
   Template tmpl = io::read_template(std::string(reader.bytes()));
-  const int norm_limit = static_cast<int>(reader.svarint());
+  // Range-check before narrowing: a 64-bit limit would otherwise wrap to
+  // an unrelated int (2^40 reads as 0).
+  const std::int64_t norm_limit = reader.svarint();
+  if (norm_limit < std::numeric_limits<int>::min() ||
+      norm_limit > std::numeric_limits<int>::max()) {
+    throw std::runtime_error("load_hunt_checkpoint: norm limit " + std::to_string(norm_limit) +
+                             " is out of range");
+  }
   const std::size_t next_index = static_cast<std::size_t>(reader.varint());
   reader.expect_done("hunt checkpoint");
   eval.load(in);
-  return HuntCheckpoint{std::move(tmpl), norm_limit, next_index};
+  return HuntCheckpoint{std::move(tmpl), static_cast<int>(norm_limit), next_index};
 }
 
 Lemma4Result run_lemma4(const local::LocalAlgorithm& algorithm) {

@@ -51,10 +51,8 @@ struct TightPair {
 struct AdversaryStats {
   std::uint64_t evaluations = 0;  // distinct views handed to A
   std::uint64_t memo_hits = 0;
-  std::uint64_t memo_entries = 0;  // stored answers (distinct views / members)
-  std::uint64_t orbits = 0;        // distinct view orbits interned (orbit memo only)
+  std::uint64_t memo_entries = 0;  // stored answers (distinct views)
   std::size_t memo_bytes = 0;      // approximate resident size of the memo
-  int threads = 1;                 // evaluator worker pool size used
   int max_template_nodes = 0;
   std::vector<StepTrace> steps;
 };
@@ -83,16 +81,6 @@ struct AdversaryOptions {
   /// Safety valve: skip any attempt whose estimated largest template would
   /// exceed this many nodes.
   double max_template_nodes = 5e6;
-  /// Worker threads for the picker / Lemma-12 evaluation sweeps.  Outcomes
-  /// are identical to the serial run (the sweeps only pre-warm the
-  /// evaluator memo; every decision is still taken by the serial merge),
-  /// but requires the algorithm's evaluate() to tolerate concurrent const
-  /// calls.
-  int threads = 1;
-  /// Key the evaluator memo by colour-permutation orbit of the view (the
-  /// interned byte store shrinks ~k!-fold; outcomes are bit-identical —
-  /// see Evaluator).  Requires k ≤ colsys::kMaxOrbitColours.
-  bool orbits = false;
 };
 
 /// Runs the §3 construction.  Requires k ≥ 3; see run_lemma4 for k = 2.
@@ -114,13 +102,16 @@ Lemma4Result run_lemma4(const local::LocalAlgorithm& algorithm);
 /// realisation of a template; probes all nodes with norm ≤ norm_limit.
 std::optional<Certificate> hunt_violation(const Template& tmpl, Evaluator& eval, int norm_limit);
 
-/// Resumable-sweep control for hunt_violation (ISSUE 8): start the serial
-/// sweep at index `start_index` of nodes_up_to(norm_limit) and call
-/// `sink(next_index)` after every `checkpoint_every` probed nodes while the
-/// sweep is still unfinished — the natural place to save_hunt_checkpoint.
-/// Because the evaluator's answers are pure and memoised, a resumed hunt
-/// probes the remaining nodes with the exact evaluation history of the
-/// uninterrupted run: same certificate (or none), same counters.
+/// Resumable-sweep control for hunt_violation: start the sweep at index
+/// `start_index` of nodes_up_to(norm_limit) and call `sink(next_index)`
+/// after every `checkpoint_every` probed nodes while the sweep is still
+/// unfinished — the natural place to save_hunt_checkpoint.  Because the
+/// evaluator's answers are pure and memoised, a resumed hunt probes the
+/// remaining nodes with the exact evaluation history of the uninterrupted
+/// run: same certificate (or none), same counters.  The sink only reports
+/// indices inside the sweep, so hunt_violation throws
+/// std::invalid_argument for a nonzero `start_index` at or past its end
+/// (a cursor that would skip the whole hunt).
 struct HuntControl {
   std::size_t start_index = 0;
   std::size_t checkpoint_every = 0;
@@ -145,7 +136,8 @@ void save_hunt_checkpoint(std::ostream& out, const Template& tmpl, int norm_limi
 
 /// Reads the hunt frame and loads the evaluator memo into `eval` (which
 /// must be freshly constructed for the same algorithm — see
-/// Evaluator::load).
+/// Evaluator::load).  A norm limit outside int's range is refused with
+/// std::runtime_error.
 HuntCheckpoint load_hunt_checkpoint(std::istream& in, Evaluator& eval);
 
 }  // namespace dmm::lower

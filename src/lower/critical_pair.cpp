@@ -64,16 +64,6 @@ namespace {
 /// canonical choice without consulting the algorithm.
 std::variant<Picker, Certificate> guided_picker(const Template& tmpl, Evaluator& eval,
                                                 int eval_depth) {
-  // The per-node evaluations are independent; warm the memo with the
-  // worker pool, then let the serial loop (which alone decides choices and
-  // surfaces certificates, in node order) read the cached answers.
-  if (eval.threads() > 1) {
-    std::vector<NodeId> to_evaluate;
-    for (NodeId t = 0; t < tmpl.tree().size(); ++t) {
-      if (tmpl.tree().depth(t) <= eval_depth) to_evaluate.push_back(t);
-    }
-    eval.prefetch(tmpl, to_evaluate);
-  }
   Picker out;
   out.choices.resize(static_cast<std::size_t>(tmpl.tree().size()));
   for (NodeId t = 0; t < tmpl.tree().size(); ++t) {
@@ -248,11 +238,7 @@ StepOutcome inductive_step(const CriticalPair& pair, Evaluator& eval, int result
 
   // Lemma 12 scan: find y with A(X, ξ, y) ∉ C(X, y) among nodes of norm
   // ≤ r+2 (that is where the parity argument places one), checking (M1),
-  // (M2), (M3) and Lemma 9 as we go.  With a worker pool the scan nodes'
-  // answers are precomputed in parallel; the serial loop below still
-  // performs every check in order, so the chosen witness (and any
-  // certificate) is identical to the serial run.
-  if (eval.threads() > 1) eval.prefetch(X, X.tree().nodes_up_to(cap));
+  // (M2), (M3) and Lemma 9 as we go.
   NodeId y = colsys::kNullNode;
   Colour y_output = gk::kNoColour;
   for (NodeId v : X.tree().nodes_up_to(cap)) {

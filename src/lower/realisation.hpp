@@ -18,9 +18,8 @@
 // radius-(r+1) serialisation is emitted straight off the template (no ball
 // tree is materialised on a memo hit), hash-consed into a dense
 // colsys::ViewId by a CanonicalStore, and the memo itself is a flat
-// vector indexed by id.  An optional orbit mode keys the memo by
-// colour-permutation orbit instead (byte store ~k!-fold smaller; answers
-// stay per member unless the algorithm declares colour_equivariant()).
+// vector indexed by id.  The key is exact: A's output is a function of
+// the radius-(r+1) view alone (§2.3), so equal views get equal answers.
 // Every answer is (M1)-checked; any breach is packaged as a Certificate —
 // a finite, re-checkable witness that A is not a correct maximal-matching
 // algorithm (§2.4).
@@ -28,12 +27,9 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "colsys/canon.hpp"
@@ -81,73 +77,36 @@ class Evaluator {
  public:
   /// `memoise = false` disables the canonical-view cache (ablation E15);
   /// results are identical, only the evaluation count and time change.
-  /// `threads > 1` makes the evaluator thread-safe (the memo is guarded by
-  /// a mutex) and sizes prefetch()'s worker pool; it requires the
-  /// algorithm's evaluate() to be safe for concurrent const calls.
-  /// `orbit_memo = true` keys the memo by colour-permutation *orbit* of the
-  /// view instead of by view: the interned byte store (the memory hog)
-  /// shrinks ~k!-fold.  Answers stay exact for every algorithm — a
-  /// colour_equivariant() algorithm stores one answer per orbit and lifts
-  /// it through the witness permutation; any other algorithm stores one
-  /// answer per (orbit, coset), which is per view again but shares the
-  /// orbit key bytes.  Outcomes are bit-identical with the mode off.
-  explicit Evaluator(const local::LocalAlgorithm& algorithm, bool memoise = true,
-                     int threads = 1, bool orbit_memo = false)
-      : algorithm_(algorithm),
-        memoise_(memoise),
-        threads_(threads < 1 ? 1 : threads),
-        orbit_(orbit_memo) {}
+  /// Every evaluation runs on the calling thread.
+  explicit Evaluator(const local::LocalAlgorithm& algorithm, bool memoise = true)
+      : algorithm_(algorithm), memoise_(memoise) {}
 
   /// A(T, τ, t): evaluates the algorithm on the realisation view of t.
   Colour operator()(const Template& tmpl, NodeId t);
 
-  /// Warms the memo with A(T, τ, t) for every listed node, sharded across
-  /// the worker pool.  Outcome-neutral: it only changes which thread first
-  /// computes each canonical view, so serial code that later reads the
-  /// answers behaves exactly as without the prefetch.  No-op unless
-  /// memoising with threads > 1.
-  void prefetch(const Template& tmpl, const std::vector<NodeId>& nodes);
-
   const local::LocalAlgorithm& algorithm() const noexcept { return algorithm_; }
   int radius() const { return algorithm_.running_time() + 1; }
-  int threads() const noexcept { return threads_; }
 
   /// Serialises the whole memo state — interned canonical views, answers,
-  /// orbit tables, counters — as one checksummed "EVAL" frame
-  /// (io/serialize.hpp), so an interrupted adversary hunt can resume with
-  /// the exact evaluation history of the uninterrupted run.  load()
-  /// requires a freshly constructed evaluator with the same algorithm name
-  /// and memo modes (throws std::runtime_error otherwise; byte damage
-  /// raises io::CorruptFrameError).  Serial-path only: the caller must not
-  /// run concurrent evaluations while saving or loading.
+  /// counters — as one checksummed "EVAL" frame (io/serialize.hpp), so an
+  /// interrupted adversary hunt can resume with the exact evaluation
+  /// history of the uninterrupted run.  load() requires a freshly
+  /// constructed evaluator with the same algorithm name and memo mode
+  /// (throws std::runtime_error otherwise; byte damage raises
+  /// io::CorruptFrameError).
   void save(std::ostream& out) const;
   void load(std::istream& in);
 
-  bool orbit_memo() const noexcept { return orbit_; }
-
+  /// Distinct views handed to A (every call when not memoising).
   std::uint64_t evaluations() const noexcept { return evaluations_; }
   std::uint64_t memo_hits() const noexcept { return memo_hits_; }
-  /// Stored answers: distinct canonical views (raw memo) or distinct
-  /// (orbit, coset) / orbit answers (orbit memo).
+  /// Stored answers: distinct canonical views.
   std::uint64_t memo_entries() const noexcept {
-    return orbit_ ? answers_ : static_cast<std::uint64_t>(store_.size());
+    return static_cast<std::uint64_t>(store_.size());
   }
-  /// Distinct colour-permutation orbits interned; 0 unless orbit-memoising.
-  std::uint64_t orbits() const noexcept {
-    return orbit_ ? static_cast<std::uint64_t>(store_.orbit_count()) : 0;
-  }
-  /// Approximate heap footprint of the memo (interned keys + tables).
+  /// Approximate heap footprint of the memo (interned keys + answers).
   std::size_t memo_bytes() const noexcept {
-    std::size_t orbit_tables = 0;
-    for (const OrbitEntry& entry : orbit_memo_) {
-      if (!entry.stabiliser.empty()) {
-        orbit_tables += entry.stabiliser.size() *
-                        (sizeof(colsys::ColourPerm) + entry.stabiliser.front().capacity());
-      }
-      orbit_tables += entry.answers.size() *
-                      (sizeof(std::uint32_t) + sizeof(Colour) + 2 * sizeof(void*));
-    }
-    return store_.resident_bytes() + memo_.capacity() * sizeof(Colour) + orbit_tables;
+    return store_.resident_bytes() + memo_.capacity() * sizeof(Colour);
   }
 
  private:
@@ -155,33 +114,13 @@ class Evaluator {
   /// ⊥ = 0 and colours 1..k ≤ 30).
   static constexpr Colour kUnknownOutput = 0xff;
 
-  /// Per-orbit memo state (orbit mode only).
-  struct OrbitEntry {
-    std::vector<colsys::ColourPerm> stabiliser;  // of the orbit representative
-    /// Non-equivariant algorithms: answer per member, keyed by the Lehmer
-    /// rank of the member's canonical coset representative.
-    std::unordered_map<std::uint32_t, Colour> answers;
-    /// Equivariant algorithms: A(representative), lifted through witnesses.
-    Colour rep_answer = 0xff;
-  };
-
-  Colour evaluate_interned(const Template& tmpl, NodeId t, std::vector<std::uint8_t>& buf);
-  Colour evaluate_orbit(const Template& tmpl, NodeId t, std::vector<std::uint8_t>& buf);
-
   const local::LocalAlgorithm& algorithm_;
   bool memoise_ = true;
-  int threads_ = 1;
-  bool orbit_ = false;
   colsys::CanonicalStore store_;
   std::vector<Colour> memo_;  // by ViewId; kUnknownOutput = pending
-  std::vector<OrbitEntry> orbit_memo_;  // by OrbitId
-  // Guards store_/memo_/counters when threads_ > 1; owned indirectly so
-  // the evaluator stays movable.
-  std::unique_ptr<std::mutex> mutex_ = std::make_unique<std::mutex>();
-  std::vector<std::uint8_t> buf_;  // serial-path scratch
+  std::vector<std::uint8_t> buf_;  // serialisation scratch
   std::uint64_t evaluations_ = 0;
   std::uint64_t memo_hits_ = 0;
-  std::uint64_t answers_ = 0;
 };
 
 /// Evaluates A(T, τ, t) and checks (M1): the output must be ⊥ or a colour

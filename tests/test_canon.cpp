@@ -5,7 +5,7 @@
 // interned pipeline is pinned to them byte for byte: identical view
 // catalogues (content *and* order — view ids are load-bearing), identical
 // pair vectors, identical CSP verdicts serial vs threaded, and identical
-// run_adversary outcomes with interning on/off and with a worker pool.
+// run_adversary outcomes with interning on and off.
 #include "colsys/canon.hpp"
 
 #include <gtest/gtest.h>
@@ -445,7 +445,7 @@ TEST(CspEquivalence, NoTwoRoundAlgorithmK4InTierOne) {
 }
 
 // ---------------------------------------------------------------------------
-// Adversary: interning on/off and worker pool on/off change nothing.
+// Adversary: interning on/off changes nothing.
 // ---------------------------------------------------------------------------
 
 std::string tight_pair_fingerprint(const lower::LowerBoundResult& result) {
@@ -477,60 +477,13 @@ TEST(AdversaryEquivalence, MemoOnOffIdenticalOutcomes) {
   }
 }
 
-TEST(AdversaryEquivalence, OrbitMemoIdenticalOutcomes) {
-  // The colour-permutation orbit memo (ISSUE 5) may change only the memo's
-  // shape, never an outcome: greedy is *not* colour-equivariant, so the
-  // evaluator keeps one answer per (orbit, coset) — the fingerprints are
-  // bit-identical with orbits on and off, while the interned byte store
-  // shrinks to one key per orbit.
-  for (int k = 3; k <= 4; ++k) {
-    const algo::GreedyLocal greedy(k);
-    const lower::LowerBoundResult plain = lower::run_adversary(k, greedy, {.orbits = false});
-    const lower::LowerBoundResult orbit = lower::run_adversary(k, greedy, {.orbits = true});
-    ASSERT_TRUE(plain.tight()) << "k=" << k;
-    ASSERT_TRUE(orbit.tight()) << "k=" << k;
-    EXPECT_EQ(tight_pair_fingerprint(orbit), tight_pair_fingerprint(plain)) << "k=" << k;
-    // Same distinct views evaluated, same stored answers — only the key
-    // space is quotiented.
-    EXPECT_EQ(orbit.stats.evaluations, plain.stats.evaluations);
-    EXPECT_EQ(orbit.stats.memo_entries, plain.stats.memo_entries);
-    EXPECT_GT(orbit.stats.orbits, 0u);
-    EXPECT_LT(orbit.stats.orbits, orbit.stats.memo_entries);
-    EXPECT_EQ(plain.stats.orbits, 0u);
-    EXPECT_NE(orbit.summary().find("orbits"), std::string::npos);
-  }
-  // Refutations survive the orbit memo too.
-  const algo::TruncatedGreedy fast(4, 1);
-  const lower::LowerBoundResult refuted = lower::run_adversary(4, fast, {.orbits = true});
-  ASSERT_TRUE(refuted.refuted());
-  lower::Evaluator eval(fast);
-  EXPECT_TRUE(lower::certificate_holds(std::get<lower::Certificate>(refuted.outcome), eval));
-}
-
-TEST(AdversaryEquivalence, WorkerPoolIdenticalOutcomes) {
-  for (int k = 3; k <= 4; ++k) {
-    const algo::GreedyLocal greedy(k);
-    const lower::LowerBoundResult serial = lower::run_adversary(k, greedy, {.threads = 1});
-    const lower::LowerBoundResult pooled = lower::run_adversary(k, greedy, {.threads = 4});
-    ASSERT_TRUE(serial.tight());
-    ASSERT_TRUE(pooled.tight());
-    EXPECT_EQ(tight_pair_fingerprint(serial), tight_pair_fingerprint(pooled)) << "k=" << k;
-    EXPECT_EQ(pooled.stats.threads, 4);
-  }
-}
-
 TEST(AdversaryEquivalence, RefutationsSurviveTheRewrite) {
-  // Too-fast algorithms are still refuted with re-checkable certificates,
-  // with or without the worker pool.
-  for (int threads : {1, 2}) {
-    const algo::TruncatedGreedy fast(4, 1);
-    const lower::LowerBoundResult result =
-        lower::run_adversary(4, fast, {.threads = threads});
-    ASSERT_TRUE(result.refuted()) << "threads=" << threads;
-    lower::Evaluator eval(fast);
-    EXPECT_TRUE(
-        lower::certificate_holds(std::get<lower::Certificate>(result.outcome), eval));
-  }
+  // Too-fast algorithms are still refuted with re-checkable certificates.
+  const algo::TruncatedGreedy fast(4, 1);
+  const lower::LowerBoundResult result = lower::run_adversary(4, fast);
+  ASSERT_TRUE(result.refuted());
+  lower::Evaluator eval(fast);
+  EXPECT_TRUE(lower::certificate_holds(std::get<lower::Certificate>(result.outcome), eval));
 }
 
 TEST(AdversaryEquivalence, SummaryReportsMemoShape) {

@@ -779,20 +779,25 @@ TEST(EvaluatorCheckpoint, SaveLoadRoundTripPreservesHistory) {
   EXPECT_EQ(loaded.memo_hits(), original.memo_hits());
 }
 
-TEST(EvaluatorCheckpoint, OrbitMemoRoundTrips) {
+TEST(EvaluatorCheckpoint, VersionOneStateIsUnsupported) {
+  // Version 1 carried the orbit memo's sections; its payload no longer
+  // parses as version 2, so it is refused by version before any field.
   const int k = 3;
   const Template tmpl = tight_template(k);
   const algo::GreedyLocal greedy(k);
-  Evaluator original(greedy, /*memoise=*/true, /*threads=*/1, /*orbit_memo=*/true);
+  Evaluator original(greedy);
   for (NodeId v : tmpl.tree().nodes_up_to(2)) (void)original(tmpl, v);
-  std::stringstream bytes;
-  original.save(bytes);
-  Evaluator loaded(greedy, true, 1, true);
-  loaded.load(bytes);
-  EXPECT_EQ(loaded.memo_entries(), original.memo_entries());
-  EXPECT_EQ(loaded.orbits(), original.orbits());
-  for (NodeId v : tmpl.tree().nodes_up_to(2)) {
-    EXPECT_EQ(loaded(tmpl, v), original(tmpl, v));
+  std::stringstream current;
+  original.save(current);
+  std::stringstream v1;
+  io::write_frame(v1, "EVAL", 1, io::read_frame(current, "EVAL").payload);
+  Evaluator fresh(greedy);
+  try {
+    fresh.load(v1);
+    FAIL() << "a version-1 evaluator state was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported state version 1"), std::string::npos)
+        << e.what();
   }
 }
 
@@ -818,7 +823,7 @@ TEST(EvaluatorCheckpoint, MismatchedTargetsAreRejected) {
   EXPECT_THROW(wrong_algo.load(copy2), std::runtime_error);
 
   // Different memo mode.
-  Evaluator wrong_mode(greedy, true, 1, /*orbit_memo=*/true);
+  Evaluator wrong_mode(greedy, /*memoise=*/false);
   std::stringstream copy3(bytes.str());
   EXPECT_THROW(wrong_mode.load(copy3), std::runtime_error);
 }
@@ -918,6 +923,50 @@ TEST(HuntCheckpoint, ResumedHuntMatchesUninterruptedOnARefutedAlgorithm) {
     EXPECT_EQ(again->detail, direct->detail);
     EXPECT_EQ(resumed_eval.evaluations(), whole.evaluations());
     EXPECT_EQ(resumed_eval.memo_hits(), whole.memo_hits());
+  }
+}
+
+TEST(HuntCheckpoint, CursorPastTheSweepIsRejected) {
+  // The direct hunt on a refuted algorithm's certificate template finds a
+  // breach; a checkpoint whose cursor lies past the sweep must not turn
+  // that into "nothing found" by skipping every node.
+  const int k = 4;
+  const algo::TruncatedGreedy fast(k, 2);
+  LowerBoundResult result = run_adversary(k, fast);
+  ASSERT_TRUE(result.refuted());
+  const Template& instance = std::get<Certificate>(result.outcome).instance;
+  const int limit = std::max(k - 1, fast.running_time() + 2);
+  Evaluator whole(fast);
+  ASSERT_TRUE(hunt_violation(instance, whole, limit).has_value());
+
+  std::stringstream bytes;
+  save_hunt_checkpoint(bytes, instance, limit, 1'000'000, Evaluator(fast));
+  Evaluator resumed_eval(fast);
+  const HuntCheckpoint cp = load_hunt_checkpoint(bytes, resumed_eval);
+  HuntControl resume;
+  resume.start_index = cp.next_index;
+  EXPECT_THROW(hunt_violation(cp.tmpl, resumed_eval, cp.norm_limit, resume),
+               std::invalid_argument);
+  // Start index 0 is always a whole sweep, even of an empty node list.
+  EXPECT_FALSE(hunt_violation(cp.tmpl, resumed_eval, -1, HuntControl{}).has_value());
+}
+
+TEST(HuntCheckpoint, NormLimitOutsideIntIsRejected) {
+  // A frame whose checksum is valid but whose norm limit does not fit an
+  // int is refused, not narrowed (2^40 would read as 0).
+  const int k = 3;
+  const Template tmpl = tight_template(k);
+  const algo::GreedyLocal greedy(k);
+  for (const std::int64_t limit : {std::int64_t{1} << 40, -(std::int64_t{1} << 40)}) {
+    io::ByteWriter w;
+    w.bytes(io::write_template(tmpl));
+    w.svarint(limit);
+    w.varint(0);
+    std::stringstream bytes;
+    io::write_frame(bytes, "HUNT", 1, w.buffer());
+    Evaluator(greedy).save(bytes);
+    Evaluator fresh(greedy);
+    EXPECT_THROW(load_hunt_checkpoint(bytes, fresh), std::runtime_error) << limit;
   }
 }
 

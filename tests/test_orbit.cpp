@@ -16,9 +16,7 @@
 #include <map>
 #include <set>
 
-#include "algo/greedy.hpp"
 #include "colsys/canon.hpp"
-#include "lower/adversary.hpp"
 #include "nbhd/csp.hpp"
 #include "util/rng.hpp"
 
@@ -97,7 +95,7 @@ TEST(OrbitCanon, FastPathMatchesBruteForceOnAllGridViews) {
       const std::vector<std::uint8_t> reference = brute_force_canonical(view, g.rho);
       std::vector<std::uint8_t> fast;
       ColourPerm witness;
-      colsys::orbit_canonical_bytes(view, g.rho, fast, &witness);
+      colsys::SerialisedView(view, g.rho).canonicalise(fast, &witness);
       ASSERT_EQ(fast, reference) << "k=" << g.k << " d=" << g.d << " rho=" << g.rho;
       // The witness realises the minimum: π·view serialises to the bytes.
       EXPECT_EQ(view.permuted(witness).serialize(g.rho), reference);
@@ -129,22 +127,6 @@ TEST(OrbitCanon, StabiliserIsTheFullSymmetryGroupOfTheTree) {
   for (const ColourPerm& s : stab) {
     EXPECT_EQ(star.permuted(s).serialize(1), star.serialize(1));
   }
-}
-
-TEST(OrbitCanon, InternOrbitDeduplicatesAcrossRelabellings) {
-  colsys::CanonicalStore store;
-  const ColourSystem view = colsys::regular_system(3, 2, 2);
-  ColourPerm witness;
-  const colsys::OrbitId id = store.intern_orbit(view, 2, &witness);
-  EXPECT_EQ(id, 0);
-  EXPECT_EQ(view.permuted(witness).serialize(2), store.orbit_bytes(id));
-  for (const ColourPerm& pi : colsys::all_perms(3)) {
-    EXPECT_EQ(store.intern_orbit(view.permuted(pi), 2), id);
-  }
-  EXPECT_EQ(store.orbit_count(), 1);
-  EXPECT_THROW(store.orbit_bytes(1), std::out_of_range);
-  // Orbit ids live in their own space: the view-id store is untouched.
-  EXPECT_EQ(store.size(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -392,101 +374,6 @@ TEST(OrbitMetamorphic, RandomRelabellingsAreErasedByTheReduction) {
       EXPECT_EQ(nbhd::solve(permuted).satisfiable, baseline_result.satisfiable);
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Evaluator orbit memo.
-// ---------------------------------------------------------------------------
-
-/// A colour-equivariant probe: matches along the root colour whose branch
-/// is structurally heaviest (strictly more depth-2 descendants than every
-/// other branch), ⊥ otherwise.  "Heaviest branch" commutes with any
-/// relabelling, so A(π·V) = π(A(V)) holds by construction.
-class HeaviestBranchLocal final : public local::LocalAlgorithm {
- public:
-  explicit HeaviestBranchLocal(int k) : k_(k) {}
-  int running_time() const override { return 1; }
-  bool colour_equivariant() const override { return true; }
-  std::string name() const override { return "heaviest-branch"; }
-  Colour evaluate(const ColourSystem& view) const override {
-    Colour best = local::kUnmatched;
-    int best_count = -1;
-    bool tie = false;
-    for (Colour c = 1; c <= static_cast<Colour>(k_); ++c) {
-      const colsys::NodeId child = view.child(ColourSystem::root(), c);
-      if (child == colsys::kNullNode) continue;
-      int count = 0;
-      for (Colour cc = 1; cc <= static_cast<Colour>(k_); ++cc) {
-        if (view.child(child, cc) != colsys::kNullNode) ++count;
-      }
-      if (count > best_count) {
-        best = c;
-        best_count = count;
-        tie = false;
-      } else if (count == best_count) {
-        tie = true;
-      }
-    }
-    return tie ? local::kUnmatched : best;
-  }
-
- private:
-  int k_;
-};
-
-lower::Template permuted_template(const lower::Template& tmpl, const ColourPerm& pi) {
-  std::vector<colsys::NodeId> old_to_new;
-  ColourSystem tree = tmpl.tree().permuted(pi, &old_to_new);
-  std::vector<Colour> tau(static_cast<std::size_t>(tree.size()), gk::kNoColour);
-  for (colsys::NodeId t = 0; t < tmpl.tree().size(); ++t) {
-    tau[static_cast<std::size_t>(old_to_new[static_cast<std::size_t>(t)])] =
-        pi[tmpl.tau(t)];
-  }
-  return lower::Template(std::move(tree), std::move(tau), tmpl.h());
-}
-
-TEST(OrbitEvaluator, EquivariantAlgorithmStoresOneEntryPerOrbit) {
-  const HeaviestBranchLocal probe(4);
-  // A 1-template whose realisation views are asymmetric enough to exercise
-  // the witness lifting.
-  ColourSystem tree(4, colsys::kExactRadius);
-  tree.add_child(ColourSystem::root(), 2);
-  const lower::Template tmpl(std::move(tree), {1, 1}, 1);
-  lower::Evaluator raw_eval(probe);
-  lower::Evaluator orbit_eval(probe, true, 1, true);
-  for (const ColourPerm& pi : colsys::all_perms(4)) {
-    const lower::Template image = permuted_template(tmpl, pi);
-    for (colsys::NodeId t = 0; t < image.tree().size(); ++t) {
-      // Answers are exact (the raw evaluator is the oracle)...
-      EXPECT_EQ(orbit_eval(image, t), raw_eval(image, t));
-    }
-  }
-  // ... and the orbit memo collapsed the 24 relabelled templates into one
-  // orbit per distinct view shape: one stored answer per orbit.
-  EXPECT_EQ(orbit_eval.memo_entries(), orbit_eval.orbits());
-  EXPECT_LT(orbit_eval.evaluations(), raw_eval.evaluations());
-  EXPECT_GT(orbit_eval.memo_hits(), 0u);
-}
-
-TEST(OrbitEvaluator, NonEquivariantAlgorithmKeepsPerMemberAnswers) {
-  // Greedy reads colour order, so relabelled views may answer differently;
-  // the orbit memo must keep them apart (and agree with the raw memo).
-  const algo::GreedyLocal greedy(3);
-  ColourSystem tree(3, colsys::kExactRadius);
-  tree.add_child(ColourSystem::root(), 2);
-  const lower::Template tmpl(std::move(tree), {1, 1}, 1);
-  lower::Evaluator raw_eval(greedy);
-  lower::Evaluator orbit_eval(greedy, true, 1, true);
-  for (const ColourPerm& pi : colsys::all_perms(3)) {
-    const lower::Template image = permuted_template(tmpl, pi);
-    for (colsys::NodeId t = 0; t < image.tree().size(); ++t) {
-      EXPECT_EQ(orbit_eval(image, t), raw_eval(image, t));
-    }
-  }
-  EXPECT_GT(orbit_eval.orbits(), 0u);
-  EXPECT_GT(orbit_eval.memo_entries(), orbit_eval.orbits());
-  // Same distinct-view count as the raw memo: nothing was conflated.
-  EXPECT_EQ(orbit_eval.memo_entries(), raw_eval.memo_entries());
 }
 
 }  // namespace

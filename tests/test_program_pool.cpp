@@ -4,7 +4,8 @@
 // pinned here: a refill reuses the block and replaces the programs, a
 // throwing constructor leaves only what it built (each destroyed once —
 // the ASan+UBSan CI leg aborts on a double destroy or a leak), copies of a
-// source share its state, and the programs sit back to back.
+// source share its state, the programs sit back to back, and pool[v] finds
+// the NodeProgram base wherever it sits inside the program's type.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -117,6 +118,37 @@ TEST(ProgramPool, ProgramsAreContiguous) {
     const auto prev = reinterpret_cast<std::uintptr_t>(pool[v - 1]);
     const auto cur = reinterpret_cast<std::uintptr_t>(pool[v]);
     EXPECT_EQ(cur - prev, sizeof(algo::GreedyProgram));
+  }
+}
+
+/// A program whose NodeProgram base is not at offset 0: another
+/// polymorphic base comes first, so pool[v] must add the base's offset.
+struct Labelled {
+  virtual ~Labelled() = default;
+  std::uint64_t label = 0;
+};
+class LabelledProgram final : public Labelled, public NodeProgram {
+ public:
+  explicit LabelledProgram(int id) : id_(id) { label = 0xfeed; }
+  bool init(std::span<const Colour>) override { return true; }
+  void send(int, Outbox&) override {}
+  bool receive(int, const Inbox&) override { return true; }
+  Colour output() const override { return static_cast<Colour>(id_); }
+
+ private:
+  int id_;
+};
+
+TEST(ProgramPool, FindsABaseThatIsNotAtOffsetZero) {
+  ProgramPool pool;
+  const ProgramSource source = [next = 0]() mutable { return LabelledProgram(next++); };
+  source.build(16, pool);
+  ASSERT_EQ(pool.size(), 16u);
+  for (std::size_t v = 0; v < 16; ++v) {
+    EXPECT_EQ(pool[v]->output(), static_cast<Colour>(v));
+    const auto& program = dynamic_cast<const LabelledProgram&>(*pool[v]);
+    EXPECT_EQ(program.label, 0xfeedu);
+    EXPECT_NE(static_cast<const void*>(pool[v]), static_cast<const void*>(&program));
   }
 }
 

@@ -13,8 +13,7 @@
 //                      [--seed <s>] [--insert-fraction <pct>] [--engine <sync|flat>]
 //                      [--threads <n>] [--oracle] [--json]
 //   dmm_cli adversary  --k <k> --algorithm <spec> [--certificate-out <path>]
-//                      [--pair-out <prefix>] [--no-memo] [--optimistic] [--threads <n>]
-//                      [--orbits]
+//                      [--pair-out <prefix>] [--no-memo] [--optimistic]
 //   dmm_cli views      <k> <d> <rho> [--threads <n>] [--json] [--max-views <n>] [--orbits]
 //   dmm_cli lemma4     --algorithm <spec>
 //   dmm_cli check      --certificate <path> --algorithm <spec>
@@ -607,7 +606,7 @@ int cmd_churn(const std::vector<std::string>& args) {
 int cmd_adversary(const std::vector<std::string>& args) {
   util::Flags flags(
       "adversary: usage: adversary --k K>=3 --algorithm <spec> [--certificate-out <path>]"
-      " [--pair-out <prefix>] [--no-memo] [--optimistic] [--threads N>=1] [--orbits]");
+      " [--pair-out <prefix>] [--no-memo] [--optimistic]");
   int k = 0;
   std::string algo_spec, cert_path, pair_prefix;
   bool no_memo = false;
@@ -617,9 +616,7 @@ int cmd_adversary(const std::vector<std::string>& args) {
       .option("--certificate-out", cert_path)
       .option("--pair-out", pair_prefix)
       .flag("--no-memo", no_memo)
-      .flag("--optimistic", options.optimistic)
-      .number("--threads", options.threads, 1)
-      .flag("--orbits", options.orbits);
+      .flag("--optimistic", options.optimistic);
   flags.parse(args);
   options.memoise = !no_memo;
   const auto algorithm = parse_algorithm(algo_spec);

@@ -101,6 +101,9 @@ METRICS = {
     "repairs": Metric("count", EXACT),
     "touched_nodes": Metric("count", EXACT),
     "recompute_avoided": Metric("count", EXACT),
+    # Recorded, not gated: the banded wall gate's baselines come from a
+    # slower machine, so a per-op bound waits for a same-machine A/B gate.
+    "ns_per_op": Metric("ns", RECORDED),
 }
 
 
