@@ -14,7 +14,9 @@
 // are reachable by the orderly generator (the nightly --scale smoke streams
 // them under a wall budget).  Each row is recorded in BENCH_e17.json with
 // its pipeline metrics (views, pairs, csp_nodes; orbits, orbit_reduction,
-// reps_generated on orbit rows).
+// reps_generated on orbit rows) and the wall time of each phase
+// (enumerate_ms, pairs_ms, solve_ms; wall_ns also covers releasing the
+// catalogue and the pair list).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -36,6 +38,15 @@ struct Row {
   int k, d, rho;
 };
 
+/// Milliseconds from `since` to now; `since` then moves to now, so
+/// successive calls time successive phases.
+double lap_ms(std::chrono::steady_clock::time_point& since) {
+  const auto now = std::chrono::steady_clock::now();
+  const double ms = std::chrono::duration<double, std::milli>(now - since).count();
+  since = now;
+  return ms;
+}
+
 // One table row: the (k, d, rho) catalogue enumerated, paired and solved,
 // raw or from its orbit representatives.
 void print_row(benchjson::Harness& harness, const Row& row, int threads, bool orbits) {
@@ -53,10 +64,14 @@ void print_row(benchjson::Harness& harness, const Row& row, int threads, bool or
   if (orbits) {
     nbhd::OrbitGenStats gen;
     metric["wall_ns"] = benchjson::Harness::time_ns([&] {
+      auto since = std::chrono::steady_clock::now();
       const nbhd::OrbitCatalogue cat =
           nbhd::enumerate_orbits(row.k, row.d, row.rho, 2'000'000, &gen);
+      metric["enumerate_ms"] = lap_ms(since);
       const auto pairs = nbhd::compatible_pairs(cat);
+      metric["pairs_ms"] = lap_ms(since);
       result = nbhd::solve(cat, pairs, {.threads = threads});
+      metric["solve_ms"] = lap_ms(since);
       views = cat.view_count();
       orbit_count = cat.orbit_count();
       pair_count = pairs.size();
@@ -66,9 +81,13 @@ void print_row(benchjson::Harness& harness, const Row& row, int threads, bool or
     metric["reps_generated"] = static_cast<double>(gen.reps_generated);
   } else {
     metric["wall_ns"] = benchjson::Harness::time_ns([&] {
+      auto since = std::chrono::steady_clock::now();
       const nbhd::ViewCatalogue cat = nbhd::enumerate_views(row.k, row.d, row.rho);
+      metric["enumerate_ms"] = lap_ms(since);
       const auto pairs = nbhd::compatible_pairs(cat);
+      metric["pairs_ms"] = lap_ms(since);
       result = nbhd::solve(cat, pairs, {.threads = threads});
+      metric["solve_ms"] = lap_ms(since);
       views = cat.size();
       pair_count = pairs.size();
     });

@@ -80,7 +80,7 @@ graph::EdgeColouredGraph random_bipartite(int n_left, int n_right, int k, double
   std::vector<graph::NodeIndex> right(static_cast<std::size_t>(n_right));
   for (int i = 0; i < n_left; ++i) left[static_cast<std::size_t>(i)] = i;
   for (int i = 0; i < n_right; ++i) right[static_cast<std::size_t>(i)] = n_left + i;
-  for (gk::Colour c = 1; c <= k; ++c) {
+  for (int c = 1; c <= k; ++c) {
     std::shuffle(left.begin(), left.end(), rng.engine());
     std::shuffle(right.begin(), right.end(), rng.engine());
     const int pairs = std::min(n_left, n_right);

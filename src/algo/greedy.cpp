@@ -7,7 +7,7 @@ namespace dmm::algo {
 
 std::vector<Colour> greedy_outputs(const graph::EdgeColouredGraph& g) {
   std::vector<Colour> out(static_cast<std::size_t>(g.node_count()), local::kUnmatched);
-  for (Colour c = 1; c <= g.k(); ++c) {
+  for (int c = 1; c <= g.k(); ++c) {
     for (const graph::Edge& e : g.edges()) {
       if (e.colour != c) continue;
       if (out[static_cast<std::size_t>(e.u)] == local::kUnmatched &&
@@ -22,7 +22,7 @@ std::vector<Colour> greedy_outputs(const graph::EdgeColouredGraph& g) {
 
 std::vector<Colour> greedy_outputs(const colsys::ColourSystem& system) {
   std::vector<Colour> out(static_cast<std::size_t>(system.size()), local::kUnmatched);
-  for (Colour c = 1; c <= system.k(); ++c) {
+  for (int c = 1; c <= system.k(); ++c) {
     for (colsys::NodeId v = 1; v < system.size(); ++v) {
       if (system.parent_colour(v) != c) continue;
       const colsys::NodeId p = system.parent(v);

@@ -9,7 +9,7 @@ namespace {
 
 std::vector<Colour> mask_colours(int k, unsigned mask) {
   std::vector<Colour> out;
-  for (Colour c = 1; c <= k; ++c) {
+  for (int c = 1; c <= k; ++c) {
     if (mask & (1u << (c - 1))) out.push_back(c);
   }
   return out;

@@ -44,7 +44,7 @@ ColourPerm inverse_perm(const ColourPerm& p) {
 std::vector<ColourPerm> all_perms(int k) {
   require_orbit_k(k, "all_perms");
   std::vector<Colour> images;
-  for (Colour c = 1; c <= k; ++c) images.push_back(c);
+  for (int c = 1; c <= k; ++c) images.push_back(c);
   std::vector<ColourPerm> out;
   do {
     ColourPerm p(static_cast<std::size_t>(k) + 1, gk::kNoColour);
@@ -341,7 +341,7 @@ struct SerialisedView::PrefixWalk {
       if (reject_mode) {
         // The smallest unused values give the lex-min composite list; see
         // the struct comment for why this loses no certificate and no tie.
-        for (Colour v = 1; static_cast<int>(v) <= k && images.size() < unassigned.size(); ++v) {
+        for (int v = 1; v <= k && images.size() < unassigned.size(); ++v) {
           if (!value_used[v]) images.push_back(v);
         }
       } else {
@@ -360,7 +360,7 @@ struct SerialisedView::PrefixWalk {
           if (needed[perm[c]] == 0) return;  // fixed image not in ref's segment
           --needed[perm[c]];
         }
-        for (Colour v = 1; static_cast<int>(v) <= k; ++v) {
+        for (int v = 1; v <= k; ++v) {
           if (needed[v] > 1 || (needed[v] == 1 && value_used[v])) return;
           if (needed[v] == 1) images.push_back(v);
         }
@@ -407,10 +407,10 @@ struct SerialisedView::PrefixWalk {
     // emitted bytes extend to every bijection onto the unused values.
     if (ties == nullptr) return;
     std::vector<Colour> free_cols, free_vals;
-    for (Colour c = 1; static_cast<int>(c) <= k; ++c) {
+    for (int c = 1; c <= k; ++c) {
       if (perm[c] == gk::kNoColour) free_cols.push_back(c);
     }
-    for (Colour v = 1; static_cast<int>(v) <= k; ++v) {
+    for (int v = 1; v <= k; ++v) {
       if (!value_used[v]) free_vals.push_back(v);
     }
     do {
@@ -554,7 +554,7 @@ struct SerialisedView::Canon {
       // Branch point.  The image set is forced: the smallest unused values.
       std::sort(unassigned.begin(), unassigned.end());
       std::vector<Colour> images;
-      for (Colour v = 1; static_cast<int>(v) <= k &&
+      for (int v = 1; v <= k &&
                          images.size() < unassigned.size(); ++v) {
         if (!value_used[v]) images.push_back(v);
       }
@@ -629,37 +629,66 @@ std::vector<ColourPerm> serialisation_stabiliser(const std::vector<std::uint8_t>
 // ---------------------------------------------------------------------------
 
 ViewId CanonicalStore::intern(const std::vector<std::uint8_t>& bytes) {
-  const auto [it, inserted] = index_.try_emplace(bytes, static_cast<ViewId>(keys_.size()));
-  if (inserted) {
-    keys_.push_back(&it->first);
-    key_bytes_ += bytes.size();
-  }
-  return it->second;
+  return intern(bytes.data(), bytes.size());
 }
 
 ViewId CanonicalStore::intern(const ColourSystem& view, int radius) {
   scratch_.clear();
   view.serialize_into(radius, scratch_);
-  return intern(scratch_);
+  return intern(scratch_.data(), scratch_.size());
+}
+
+ViewId CanonicalStore::intern(const std::uint8_t* data, std::size_t n) {
+  if (2 * (hashes_.size() + 1) > table_.size()) grow();
+  const std::uint64_t hash = mix64(fnv1a(data, n));
+  const std::size_t s = slot(data, n, hash);
+  if (table_[s] != kNullView) return table_[s];
+  const ViewId id = size();
+  table_[s] = id;
+  arena_.insert(arena_.end(), data, data + n);
+  offsets_.push_back(arena_.size());
+  hashes_.push_back(hash);
+  return id;
 }
 
 ViewId CanonicalStore::find(const std::vector<std::uint8_t>& bytes) const {
-  const auto it = index_.find(bytes);
-  return it == index_.end() ? kNullView : it->second;
+  if (table_.empty()) return kNullView;
+  return table_[slot(bytes.data(), bytes.size(), mix64(fnv1a(bytes)))];
 }
 
-const std::vector<std::uint8_t>& CanonicalStore::bytes(ViewId id) const {
+std::size_t CanonicalStore::slot(const std::uint8_t* data, std::size_t n,
+                                 std::uint64_t hash) const {
+  const std::size_t mask = table_.size() - 1;
+  for (std::size_t s = hash & mask;; s = (s + 1) & mask) {
+    const ViewId id = table_[s];
+    if (id == kNullView) return s;
+    const auto i = static_cast<std::size_t>(id);
+    if (hashes_[i] == hash && offsets_[i + 1] - offsets_[i] == n &&
+        std::equal(data, data + n, arena_.data() + offsets_[i])) {
+      return s;
+    }
+  }
+}
+
+void CanonicalStore::grow() {
+  table_.assign(table_.empty() ? 16 : 2 * table_.size(), kNullView);
+  const std::size_t mask = table_.size() - 1;
+  for (std::size_t id = 0; id < hashes_.size(); ++id) {
+    std::size_t s = hashes_[id] & mask;
+    while (table_[s] != kNullView) s = (s + 1) & mask;
+    table_[s] = static_cast<ViewId>(id);
+  }
+}
+
+std::vector<std::uint8_t> CanonicalStore::bytes(ViewId id) const {
   if (id < 0 || id >= size()) throw std::out_of_range("CanonicalStore::bytes: bad id");
-  return *keys_[static_cast<std::size_t>(id)];
+  const auto i = static_cast<std::size_t>(id);
+  return std::vector<std::uint8_t>(arena_.data() + offsets_[i], arena_.data() + offsets_[i + 1]);
 }
 
 std::size_t CanonicalStore::resident_bytes() const noexcept {
-  // Keys + per-node map overhead (key vector header, id, next pointer) +
-  // bucket array + the id→key pointer table.  An estimate, not an audit.
-  constexpr std::size_t kNodeOverhead =
-      sizeof(std::vector<std::uint8_t>) + sizeof(ViewId) + 2 * sizeof(void*);
-  return key_bytes_ + keys_.size() * (kNodeOverhead + sizeof(void*)) +
-         index_.bucket_count() * sizeof(void*);
+  return arena_.capacity() + offsets_.capacity() * sizeof(std::size_t) +
+         hashes_.capacity() * sizeof(std::uint64_t) + table_.capacity() * sizeof(ViewId);
 }
 
 }  // namespace dmm::colsys

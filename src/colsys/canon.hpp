@@ -7,7 +7,11 @@
 // seed implementation re-serialised and copied those byte vectors at every
 // lookup; a CanonicalStore interns each distinct serialisation exactly once
 // and hands out a dense ViewId, so equality of trees becomes equality of
-// 32-bit integers and memo tables become flat vectors indexed by id.
+// 32-bit integers and memo tables become flat vectors indexed by id.  The
+// store itself is flat hash-consing (Filliâtre and Conchon, "Type-safe
+// modular hash-consing", 2006): the keys lie back to back in one byte arena
+// and one open-addressed table of ids indexes them, so interning a key
+// allocates nothing beyond amortised growth of those arrays.
 //
 // A TransformCache is the companion structure for the root surgeries the
 // neighbourhood pipeline performs per (view, colour) — "the subtree across
@@ -28,8 +32,8 @@
 // per-colour data between a raw view and its orbit representative.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "colsys/colour_system.hpp"
@@ -220,23 +224,32 @@ class CanonicalStore {
   /// Id of a previously interned serialisation, or kNullView.
   ViewId find(const std::vector<std::uint8_t>& bytes) const;
 
-  /// The interned bytes of an id (valid for the store's lifetime).
-  const std::vector<std::uint8_t>& bytes(ViewId id) const;
+  /// A copy of the interned bytes of an id.
+  std::vector<std::uint8_t> bytes(ViewId id) const;
 
-  std::int32_t size() const noexcept { return static_cast<std::int32_t>(keys_.size()); }
+  std::int32_t size() const noexcept { return static_cast<std::int32_t>(hashes_.size()); }
 
-  /// Approximate heap footprint: interned key bytes plus index/bucket
-  /// overhead.  Reported by AdversaryStats so memo growth is observable.
+  /// Heap footprint: the key arena, the per-id offsets and hashes, and the
+  /// id table.  Reported by AdversaryStats so memo growth is observable.
   std::size_t resident_bytes() const noexcept;
 
  private:
-  using Index = std::unordered_map<std::vector<std::uint8_t>, ViewId, SerialisationHash>;
+  ViewId intern(const std::uint8_t* data, std::size_t n);
+  /// The table slot holding the key's id, or the empty slot where the
+  /// probe for it ends.  Requires a non-empty table.
+  std::size_t slot(const std::uint8_t* data, std::size_t n, std::uint64_t hash) const;
+  /// Doubles the table (16 slots at first) and re-files every id from its
+  /// stored hash.
+  void grow();
 
-  // Keys live in the node-based map; keys_ holds stable pointers to them in
-  // id order, so each serialisation is stored exactly once.
-  Index index_;
-  std::vector<const std::vector<std::uint8_t>*> keys_;
-  std::size_t key_bytes_ = 0;
+  // Key `id` is arena_[offsets_[id], offsets_[id + 1]); ids are dense and in
+  // first-seen order.  hashes_[id] is mix64(fnv1a(key)), whose low bits pick
+  // the home slot of the power-of-two table_ (linear probing, kNullView =
+  // empty, at most half full).
+  std::vector<std::uint8_t> arena_;
+  std::vector<std::size_t> offsets_{0};
+  std::vector<std::uint64_t> hashes_;
+  std::vector<ViewId> table_;
   std::vector<std::uint8_t> scratch_;
 };
 

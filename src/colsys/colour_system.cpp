@@ -17,7 +17,9 @@ int shrink_radius(int valid_radius, int delta) {
 }  // namespace
 
 ColourSystem::ColourSystem(int k, int valid_radius) : k_(k), valid_radius_(valid_radius) {
-  if (k < 1) throw std::invalid_argument("ColourSystem: k must be >= 1");
+  if (k < 1 || k > gk::kMaxColours) {
+    throw std::invalid_argument("ColourSystem: k must be in [1, 255]");
+  }
   if (valid_radius < 0) throw std::invalid_argument("ColourSystem: negative valid_radius");
   nodes_.push_back(Node{});
   children_.assign(static_cast<std::size_t>(k_), kNullNode);
@@ -48,6 +50,11 @@ NodeId ColourSystem::neighbour(NodeId v, Colour c) const {
   return child(v, c);
 }
 
+void ColourSystem::reserve(int nodes) {
+  nodes_.reserve(static_cast<std::size_t>(nodes));
+  children_.reserve(static_cast<std::size_t>(nodes) * static_cast<std::size_t>(k_));
+}
+
 NodeId ColourSystem::add_child(NodeId v, Colour c) {
   check(v);
   if (c < 1 || c > k_) throw std::invalid_argument("ColourSystem::add_child: colour out of range");
@@ -71,7 +78,7 @@ NodeId ColourSystem::add_child(NodeId v, Colour c) {
 std::vector<Colour> ColourSystem::colours_at(NodeId v) const {
   check(v);
   std::vector<Colour> out;
-  for (Colour c = 1; c <= k_; ++c) {
+  for (int c = 1; c <= k_; ++c) {
     if (nodes_[v].pcolour == c || children_[child_slot(v, c)] != kNullNode) out.push_back(c);
   }
   return out;
@@ -80,7 +87,7 @@ std::vector<Colour> ColourSystem::colours_at(NodeId v) const {
 int ColourSystem::degree(NodeId v) const {
   check(v);
   int d = nodes_[v].pcolour != gk::kNoColour ? 1 : 0;
-  for (Colour c = 1; c <= k_; ++c) {
+  for (int c = 1; c <= k_; ++c) {
     if (children_[child_slot(v, c)] != kNullNode) ++d;
   }
   return d;
@@ -111,7 +118,7 @@ std::vector<NodeId> ColourSystem::nodes_up_to(int h) const {
     queue.pop_front();
     if (nodes_[v].depth > h) continue;
     out.push_back(v);
-    for (Colour c = 1; c <= k_; ++c) {
+    for (int c = 1; c <= k_; ++c) {
       const NodeId u = children_[child_slot(v, c)];
       if (u != kNullNode) queue.push_back(u);
     }
@@ -163,7 +170,7 @@ ColourSystem ColourSystem::rerooted(NodeId y, std::vector<NodeId>* old_to_new) c
       queue.push_back(u);
     };
     if (nodes_[v].parent != kNullNode) visit(nodes_[v].parent, nodes_[v].pcolour);
-    for (Colour c = 1; c <= k_; ++c) visit(children_[child_slot(v, c)], c);
+    for (int c = 1; c <= k_; ++c) visit(children_[child_slot(v, c)], c);
   }
   if (old_to_new) *old_to_new = std::move(map);
   return out;
@@ -177,7 +184,7 @@ ColourSystem ColourSystem::pruned(Colour c, std::vector<NodeId>* old_to_new) con
   std::vector<NodeId> map(nodes_.size(), kNullNode);
   map[root()] = out.root();
   std::deque<NodeId> queue;
-  for (Colour cc = 1; cc <= k_; ++cc) {
+  for (int cc = 1; cc <= k_; ++cc) {
     const NodeId u = children_[child_slot(root(), cc)];
     if (u != kNullNode && cc != c) {
       map[u] = out.add_child(out.root(), cc);
@@ -187,7 +194,7 @@ ColourSystem ColourSystem::pruned(Colour c, std::vector<NodeId>* old_to_new) con
   while (!queue.empty()) {
     const NodeId v = queue.front();
     queue.pop_front();
-    for (Colour cc = 1; cc <= k_; ++cc) {
+    for (int cc = 1; cc <= k_; ++cc) {
       const NodeId u = children_[child_slot(v, cc)];
       if (u != kNullNode) {
         map[u] = out.add_child(map[v], cc);
@@ -212,7 +219,7 @@ ColourSystem ColourSystem::grafted(Colour c, const ColourSystem& other,
   std::vector<NodeId> self_map(nodes_.size(), kNullNode);
   self_map[root()] = out.root();
   std::deque<NodeId> queue;
-  for (Colour cc = 1; cc <= k_; ++cc) {
+  for (int cc = 1; cc <= k_; ++cc) {
     const NodeId u = children_[child_slot(root(), cc)];
     if (u != kNullNode && cc != c) {
       self_map[u] = out.add_child(out.root(), cc);
@@ -222,7 +229,7 @@ ColourSystem ColourSystem::grafted(Colour c, const ColourSystem& other,
   while (!queue.empty()) {
     const NodeId v = queue.front();
     queue.pop_front();
-    for (Colour cc = 1; cc <= k_; ++cc) {
+    for (int cc = 1; cc <= k_; ++cc) {
       const NodeId u = children_[child_slot(v, cc)];
       if (u != kNullNode) {
         self_map[u] = out.add_child(self_map[v], cc);
@@ -238,7 +245,7 @@ ColourSystem ColourSystem::grafted(Colour c, const ColourSystem& other,
   while (!queue.empty()) {
     const NodeId v = queue.front();
     queue.pop_front();
-    for (Colour cc = 1; cc <= k_; ++cc) {
+    for (int cc = 1; cc <= k_; ++cc) {
       const NodeId u = other.children_[child_slot(v, cc)];
       if (u != kNullNode) {
         other_map[u] = out.add_child(other_map[v], cc);
@@ -266,7 +273,7 @@ ColourSystem ColourSystem::permuted(const std::vector<Colour>& perm) const {
     const NodeId v = queue.front();
     queue.pop_front();
     order.clear();
-    for (Colour c = 1; c <= k_; ++c) {
+    for (int c = 1; c <= k_; ++c) {
       const NodeId u = children_[child_slot(v, c)];
       if (u != kNullNode) order.emplace_back(perm[c], u);
     }
@@ -298,7 +305,7 @@ ColourSystem ColourSystem::ball(NodeId v, int radius) const {
         next.emplace_back(u, out.add_child(dst, edge_colour));
       };
       if (nodes_[src].parent != kNullNode) visit(nodes_[src].parent, nodes_[src].pcolour);
-      for (Colour c = 1; c <= k_; ++c) visit(children_[child_slot(src, c)], c);
+      for (int c = 1; c <= k_; ++c) visit(children_[child_slot(src, c)], c);
     }
     frontier.swap(next);
   }
@@ -324,38 +331,50 @@ void ColourSystem::serialize_subtree_into(NodeId top, Colour dropped, int radius
         "ColourSystem: serialize_subtree_into reads beyond the faithful truncation radius");
   }
   out.push_back(static_cast<std::uint8_t>(k_));
-  // Pre-order DFS with children in colour order; depth-limited.  Each node
-  // emits the sorted list of child colours present, then recurses.  Because
-  // child order is canonical, equal trees serialise identically.
-  struct Frame {
-    NodeId v;
-    int depth;
+  // Pre-order walk with children in colour order, depth-limited: each node
+  // emits the sorted list of its child colours, then its subtrees.  Because
+  // child order is canonical, equal trees serialise identically.  The walk
+  // keeps no stack: it descends to a node's first child and, once a subtree
+  // is done, climbs parent links to the next sibling colour, never above
+  // `top`.
+  const auto next_child = [&](NodeId v, int after) {
+    const int omitted = v == top ? dropped : gk::kNoColour;
+    for (int c = after + 1; c <= k_; ++c) {
+      const NodeId u = children_[child_slot(v, static_cast<Colour>(c))];
+      if (c != omitted && u != kNullNode) return u;
+    }
+    return kNullNode;
   };
-  std::vector<Frame> stack{{top, 0}};
-  while (!stack.empty()) {
-    const Frame f = stack.back();
-    stack.pop_back();
-    if (f.depth == radius) {
+  NodeId v = top;
+  int depth = 0;
+  while (true) {
+    if (depth == radius) {
       out.push_back(0xff);  // leaf-by-truncation marker
-      continue;
-    }
-    const Colour omitted = f.v == top ? dropped : gk::kNoColour;
-    std::uint8_t mask_count = 0;
-    for (Colour c = 1; c <= k_; ++c) {
-      if (c != omitted && children_[child_slot(f.v, c)] != kNullNode) ++mask_count;
-    }
-    out.push_back(mask_count);
-    // Push in reverse colour order so DFS visits ascending colours.
-    for (Colour c = k_; c >= 1; --c) {
-      const NodeId u = children_[child_slot(f.v, c)];
-      if (c != omitted && u != kNullNode) {
-        // Emitting the colour here (before the subtree) keeps the encoding
-        // prefix-free per node.
-        stack.push_back({u, f.depth + 1});
+    } else {
+      // The child count is back-patched once the colours are out.
+      const std::size_t count_at = out.size();
+      out.push_back(0);
+      const NodeId first = next_child(v, 0);
+      for (NodeId u = first; u != kNullNode; u = next_child(v, nodes_[u].pcolour)) {
+        out.push_back(nodes_[u].pcolour);
+      }
+      out[count_at] = static_cast<std::uint8_t>(out.size() - count_at - 1);
+      if (first != kNullNode) {
+        v = first;
+        ++depth;
+        continue;
       }
     }
-    for (Colour c = 1; c <= k_; ++c) {
-      if (c != omitted && children_[child_slot(f.v, c)] != kNullNode) out.push_back(c);
+    // v's subtree is done: climb to the nearest ancestor with a next child.
+    while (true) {
+      if (v == top) return;
+      const NodeId next = next_child(nodes_[v].parent, nodes_[v].pcolour);
+      if (next != kNullNode) {
+        v = next;
+        break;
+      }
+      v = nodes_[v].parent;
+      --depth;
     }
   }
 }
@@ -383,7 +402,7 @@ std::string ColourSystem::str(int max_depth) const {
     }
     out += "\n";
     if (nodes_[f.v].depth >= max_depth) continue;
-    for (Colour c = k_; c >= 1; --c) {
+    for (int c = k_; c >= 1; --c) {
       const NodeId u = children_[child_slot(f.v, c)];
       if (u != kNullNode) stack.push_back({u, f.indent + 1});
     }
@@ -411,7 +430,7 @@ ColourSystem regular_system(int k, int d, int depth) {
     if (out.depth(v) >= depth) continue;
     const Colour pc = out.parent_colour(v);
     int added = pc != gk::kNoColour ? 1 : 0;  // parent edge counts towards d
-    for (Colour c = 1; c <= k && added < d; ++c) {
+    for (int c = 1; c <= k && added < d; ++c) {
       if (c == pc) continue;
       queue.push_back(out.add_child(v, c));
       ++added;

@@ -44,7 +44,7 @@ inline constexpr int kExactRadius = std::numeric_limits<int>::max();
 
 class ColourSystem {
  public:
-  /// The singleton system Z = {e}.
+  /// The singleton system Z = {e}.  Requires 1 ≤ k ≤ gk::kMaxColours.
   explicit ColourSystem(int k, int valid_radius = kExactRadius);
 
   int k() const noexcept { return k_; }
@@ -68,6 +68,10 @@ class ColourSystem {
   /// Appends a child; used by builders.  Throws if the slot is taken or the
   /// colour equals the parent colour (words must stay reduced).
   NodeId add_child(NodeId v, Colour c);
+
+  /// Reserves room for `nodes` nodes in total, so a builder that knows its
+  /// tree's size grows it by add_child without reallocating.
+  void reserve(int nodes);
 
   /// C(V, v): the sorted set of colours incident to v in Γ_k(V).
   std::vector<Colour> colours_at(NodeId v) const;
@@ -138,7 +142,8 @@ class ColourSystem {
   ///   rerooted(top).pruned(tail)…restricted(radius).serialize(radius)
   /// produced in the seed pipeline, but no intermediate trees are built —
   /// this is what makes the compatible-pair index allocation-free per
-  /// lookup.  Requires depth(top) + radius ≤ valid_radius.
+  /// lookup.  The walk keeps no stack, so it allocates nothing beyond `out`
+  /// and works at any depth.  Requires depth(top) + radius ≤ valid_radius.
   void serialize_subtree_into(NodeId top, Colour dropped, int radius,
                               std::vector<std::uint8_t>& out) const;
 

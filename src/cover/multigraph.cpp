@@ -51,7 +51,7 @@ bool Multigraph::has_loop(NodeIndex v, Colour c) const {
 std::vector<Colour> Multigraph::colours_at(NodeIndex v) const {
   check(v, 1);
   std::vector<Colour> out;
-  for (Colour c = 1; c <= k_; ++c) {
+  for (int c = 1; c <= k_; ++c) {
     if (ports_[static_cast<std::size_t>(v)][c - 1] != -1) out.push_back(c);
   }
   return out;

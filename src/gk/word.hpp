@@ -19,6 +19,9 @@ namespace dmm::gk {
 /// A colour in [k]; 1-based.  Colour 0 is reserved as "no colour".
 using Colour = std::uint8_t;
 inline constexpr Colour kNoColour = 0;
+/// The largest k a Colour can name.  Loops over the colours [1, k] count in
+/// int: a Colour counter would wrap from 255 to 0 and never end at k = 255.
+inline constexpr int kMaxColours = 255;
 
 /// An element of G_k in reduced form.
 ///

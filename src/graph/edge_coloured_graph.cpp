@@ -74,7 +74,9 @@ void EdgeColouredGraph::release(Storage* s) noexcept {
 
 EdgeColouredGraph::EdgeColouredGraph(int n, int k) {
   if (n < 0) throw std::invalid_argument("EdgeColouredGraph: negative node count");
-  if (k < 1) throw std::invalid_argument("EdgeColouredGraph: k must be >= 1");
+  if (k < 1 || k > gk::kMaxColours) {
+    throw std::invalid_argument("EdgeColouredGraph: k must be in [1, 255]");
+  }
   bind(new Storage(n, k));
 }
 

@@ -72,7 +72,7 @@ std::vector<std::size_t> csr_row_offsets(const std::vector<int>& degrees);
 
 class EdgeColouredGraph {
  public:
-  /// An empty graph on n nodes with palette [k].
+  /// An empty graph on n nodes with palette [k], 1 ≤ k ≤ gk::kMaxColours.
   EdgeColouredGraph(int n, int k);
 
   /// Bulk construction: takes the whole edge list at once and validates it

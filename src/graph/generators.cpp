@@ -99,7 +99,7 @@ EdgeColouredGraph random_coloured_graph(std::int64_t n, int k, double density, R
   EdgeColouredGraph g(nodes, k);
   std::vector<NodeIndex> order(static_cast<std::size_t>(nodes));
   std::iota(order.begin(), order.end(), 0);
-  for (Colour c = 1; c <= k; ++c) {
+  for (int c = 1; c <= k; ++c) {
     std::shuffle(order.begin(), order.end(), rng.engine());
     for (std::int64_t i = 0; i + 1 < n; i += 2) {
       // Two colour classes may randomly propose the same pair; simple

@@ -17,7 +17,7 @@ void graft_below(const colsys::ColourSystem& src, colsys::ColourSystem& dst,
   while (!queue.empty()) {
     const auto [from, to] = queue.front();
     queue.pop_front();
-    for (Colour c = 1; c <= src.k(); ++c) {
+    for (int c = 1; c <= src.k(); ++c) {
       const colsys::NodeId child = src.child(from, c);
       if (child != colsys::kNullNode) queue.push_back({child, dst.add_child(to, c)});
     }

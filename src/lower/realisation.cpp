@@ -24,7 +24,7 @@ void Evaluator::save(std::ostream& out) const {
   // same order on load reproduces the identical ViewId assignment.
   w.varint(static_cast<std::uint64_t>(store_.size()));
   for (colsys::ViewId id = 0; id < store_.size(); ++id) {
-    const std::vector<std::uint8_t>& key = store_.bytes(id);
+    const std::vector<std::uint8_t> key = store_.bytes(id);
     w.bytes(std::string_view(reinterpret_cast<const char*>(key.data()), key.size()));
   }
   w.bytes(std::string_view(reinterpret_cast<const char*>(memo_.data()), memo_.size()));
@@ -87,11 +87,11 @@ ColourSystem realisation_ball(const Template& tmpl, NodeId t, int radius) {
     queue.pop_front();
     if (it.d == radius) continue;
     const Colour forbidden = tmpl.tau(it.label);
-    for (Colour c = 1; c <= T.k(); ++c) {
+    for (int c = 1; c <= T.k(); ++c) {
       if (c == forbidden || c == it.arrived) continue;
       const NodeId tree_next = T.neighbour(it.label, c);
       const NodeId label_next = tree_next != colsys::kNullNode ? tree_next : it.label;
-      queue.push_back({label_next, out.add_child(it.lift, c), c, it.d + 1});
+      queue.push_back({label_next, out.add_child(it.lift, c), static_cast<Colour>(c), it.d + 1});
     }
   }
   return out;
@@ -133,7 +133,7 @@ void serialize_realisation_into(const Template& tmpl, NodeId t, int radius,
       const NodeId tree_next = T.neighbour(f.label, c);
       stack.push_back({tree_next != colsys::kNullNode ? tree_next : f.label, c, f.depth + 1});
     }
-    for (Colour c = 1; c <= k; ++c) {
+    for (int c = 1; c <= k; ++c) {
       if (c != forbidden && c != f.arrived) out.push_back(c);
     }
   }

@@ -33,7 +33,7 @@ Template make_template_unchecked(ColourSystem tree, std::vector<Colour> tau, int
 std::vector<Colour> Template::free_colours(NodeId t) const {
   std::vector<Colour> out;
   const Colour forbidden = tau(t);
-  for (Colour c = 1; c <= tree_.k(); ++c) {
+  for (int c = 1; c <= tree_.k(); ++c) {
     if (c != forbidden && tree_.neighbour(t, c) == colsys::kNullNode) out.push_back(c);
   }
   return out;
@@ -42,7 +42,7 @@ std::vector<Colour> Template::free_colours(NodeId t) const {
 std::vector<Colour> Template::open_colours(NodeId t) const {
   std::vector<Colour> out;
   const Colour forbidden = tau(t);
-  for (Colour c = 1; c <= tree_.k(); ++c) {
+  for (int c = 1; c <= tree_.k(); ++c) {
     if (c != forbidden) out.push_back(c);
   }
   return out;

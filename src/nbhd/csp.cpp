@@ -81,7 +81,7 @@ inline ClassCounts share(Mask dom, Colour c) {
 Mask supported(const BicliqueIndex& index, const std::vector<ClassCounts>& counts,
                std::int32_t x, Mask dom, Mask all_colours) {
   Mask keep = all_colours | Mask{1};
-  for (Colour c = 1; c <= index.k(); ++c) {
+  for (int c = 1; c <= index.k(); ++c) {
     const std::int32_t cls = index.class_of(x, c);
     if (cls == kNoClass) continue;
     const std::int32_t partner = index.partner(cls);
@@ -115,7 +115,7 @@ bool arc_consistency(Problem& problem, Mask all_colours) {
     changed = false;
     counts.assign(static_cast<std::size_t>(index.class_count()), ClassCounts{});
     for (std::int32_t x = 0; x < problem.n; ++x) {
-      for (Colour c = 1; c <= index.k(); ++c) {
+      for (int c = 1; c <= index.k(); ++c) {
         const std::int32_t cls = index.class_of(x, c);
         if (cls == kNoClass) continue;
         counts[static_cast<std::size_t>(cls)] += share(domains[static_cast<std::size_t>(x)], c);
@@ -210,8 +210,8 @@ struct SearchState {
 
 struct Frame {
   std::int32_t variable;
-  Mask values;  // values of the variable's domain not yet tried
-  std::vector<std::pair<std::int32_t, Mask>> saved;
+  Mask values;             // values of the variable's domain not yet tried
+  std::size_t trail_mark;  // where the current value's prunes start on the trail
 };
 
 /// Serial backtracking from a prepared state.  `first_value_mask`, when
@@ -221,26 +221,33 @@ struct Frame {
 /// deterministic merge).
 bool search(const Problem& problem, SearchState& state, Mask first_value_mask,
             const std::atomic<bool>* cancel) {
+  // One undo trail for the whole search (Schulte, "Comparing trailing and
+  // copying for constraint programming", ICLP 1999): every prune pushes the
+  // domain it replaced, and each frame's prunes are the segment from its
+  // mark to the next frame's.
+  std::vector<std::pair<std::int32_t, Mask>> trail;
   std::vector<Frame> stack;
   const std::int32_t first = state.pick();
   if (first < 0) return true;  // no variables at all
   stack.push_back({first,
                    first_value_mask ? first_value_mask & state.domains[static_cast<std::size_t>(first)]
                                     : state.domains[static_cast<std::size_t>(first)],
-                   {}});
+                   0});
 
-  // Restores run oldest first, so a variable pruned twice under one value
-  // (reached through partner classes of two colours) comes back with its
-  // first prune still applied: an over-prune that outlives the value.  The
-  // pinned search-node counts are this search's; restoring newest first
-  // gives the same verdicts over larger trees (docs/lowerbound.md, "Known
-  // issue: the undo order").
-  auto undo = [&](Frame& frame) {
-    for (auto& [other, mask] : frame.saved) {
+  // Restores the frame's trail segment front to back, oldest first, so a
+  // variable pruned twice under one value (reached through partner classes
+  // of two colours) comes back with its first prune still applied: an
+  // over-prune that outlives the value.  The pinned search-node counts are
+  // this search's; walking the segment back to front gives the same
+  // verdicts over larger trees (docs/lowerbound.md, "Known issue: the undo
+  // order").
+  auto undo = [&](const Frame& frame) {
+    for (std::size_t i = frame.trail_mark; i < trail.size(); ++i) {
+      const auto [other, mask] = trail[i];
       state.domains[static_cast<std::size_t>(other)] = mask;
       state.touch(other);
     }
-    frame.saved.clear();
+    trail.resize(frame.trail_mark);
     state.assigned[static_cast<std::size_t>(frame.variable)] = 0;
   };
 
@@ -269,7 +276,7 @@ bool search(const Problem& problem, SearchState& state, Mask first_value_mask,
     // Forward checking, one partner class per incident colour.
     const BicliqueIndex& index = problem.index;
     bool dead = false;
-    for (Colour c = 1; c <= index.k() && !dead; ++c) {
+    for (int c = 1; c <= index.k() && !dead; ++c) {
       const std::int32_t cls = index.class_of(var, c);
       if (cls == kNoClass) continue;
       const std::int32_t partner = index.partner(cls);
@@ -288,7 +295,7 @@ bool search(const Problem& problem, SearchState& state, Mask first_value_mask,
         Mask& dom = state.domains[static_cast<std::size_t>(other)];
         const Mask pruned = dom & allowed;
         if (pruned != dom) {
-          frame.saved.emplace_back(other, dom);
+          trail.emplace_back(other, dom);
           dom = pruned;
           state.touch(other);
           if (pruned == 0) {
@@ -305,7 +312,7 @@ bool search(const Problem& problem, SearchState& state, Mask first_value_mask,
     }
     const std::int32_t next = state.pick();
     if (next < 0) return true;  // complete assignment
-    stack.push_back({next, state.domains[static_cast<std::size_t>(next)], {}});
+    stack.push_back({next, state.domains[static_cast<std::size_t>(next)], trail.size()});
   }
   return false;
 }
@@ -355,7 +362,7 @@ Problem build_problem(BicliqueIndex index, std::vector<Mask> domains) {
     }
   }
   Mask all_colours = 0;
-  for (Colour c = 1; c <= classes.k(); ++c) all_colours |= Mask{1} << c;
+  for (int c = 1; c <= classes.k(); ++c) all_colours |= Mask{1} << c;
   problem.wiped_out = !arc_consistency(problem, all_colours);
   return problem;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <map>
@@ -22,7 +21,7 @@ namespace {
 /// catalogue is defined by (lexicographic over the ascending colour pool).
 void subsets(int k, int count, Colour forced, std::vector<std::vector<Colour>>& out) {
   std::vector<Colour> pool;
-  for (Colour c = 1; c <= k; ++c) {
+  for (int c = 1; c <= k; ++c) {
     if (c != forced) pool.push_back(c);
   }
   const int pick = forced == gk::kNoColour ? count : count - 1;
@@ -60,6 +59,7 @@ void subsets(int k, int count, Colour forced, std::vector<std::vector<Colour>>& 
 void for_each_view(int k, int d, int rho, int max_views,
                    const std::function<void(ColourSystem&&)>& fn) {
   if (d < 1 || d > k) throw std::invalid_argument("enumerate_views: need 1 <= d <= k");
+  if (k > gk::kMaxColours) throw std::invalid_argument("enumerate_views: need k <= 255");
   if (rho < 1) throw std::invalid_argument("enumerate_views: need rho >= 1");
 
   // The choice structure of a complete d-regular depth-rho view: the root
@@ -75,7 +75,7 @@ void for_each_view(int k, int d, int rho, int max_views,
   // Child option lists per parent colour, with the parent colour removed
   // (it names the upward edge): the remaining d-1 downward colours.
   std::vector<std::vector<std::vector<Colour>>> child_options(static_cast<std::size_t>(k) + 1);
-  for (Colour p = 1; p <= k; ++p) {
+  for (int p = 1; p <= k; ++p) {
     std::vector<std::vector<Colour>> with;
     subsets(k, d, p, with);
     for (auto& s : with) {
@@ -105,6 +105,12 @@ void for_each_view(int k, int d, int rho, int max_views,
     }
   }
   const std::size_t count = static_cast<std::size_t>(total);
+  // Nodes per view: the internal levels plus the d·(d-1)^(rho-1) leaves.
+  const double tree_nodes =
+      static_cast<double>(internal_nodes) + d * std::pow(d - 1.0, rho - 1.0);
+  if (tree_nodes > std::numeric_limits<colsys::NodeId>::max()) {
+    throw std::runtime_error("enumerate_views: a view exceeds the node id range");
+  }
 
   std::vector<std::size_t> choices(internal_nodes, 0);  // BFS layout, root first
   std::vector<std::size_t> level_offset(static_cast<std::size_t>(rho), 0);
@@ -112,12 +118,6 @@ void for_each_view(int k, int d, int rho, int max_views,
     level_offset[static_cast<std::size_t>(t)] =
         level_offset[static_cast<std::size_t>(t - 1)] + level_nodes[static_cast<std::size_t>(t - 1)];
   }
-  struct Slot {
-    colsys::NodeId v;
-    Colour pc;
-    int depth;
-  };
-  std::deque<Slot> queue;
   for (std::size_t n = 0; n < count; ++n) {
     std::size_t rem = n;
     for (int t = rho - 1; t >= 1; --t) {
@@ -129,19 +129,15 @@ void for_each_view(int k, int d, int rho, int max_views,
     }
     choices[0] = rem;
 
+    // One block per tree.  Nodes are appended in BFS order, so the node
+    // array is its own BFS queue, and the internal nodes are its first
+    // internal_nodes entries: node v takes choice v.
     ColourSystem view(k, colsys::kExactRadius);
-    queue.clear();
-    queue.push_back({ColourSystem::root(), gk::kNoColour, 0});
-    std::size_t next_choice = 0;
-    while (!queue.empty()) {
-      const Slot slot = queue.front();
-      queue.pop_front();
-      if (slot.depth == rho) continue;
-      const auto& options = slot.depth == 0 ? root_options : child_options[slot.pc];
-      for (Colour c : options[choices[next_choice]]) {
-        queue.push_back({view.add_child(slot.v, c), c, slot.depth + 1});
-      }
-      ++next_choice;
+    view.reserve(static_cast<int>(tree_nodes));
+    for (std::size_t v = 0; v < internal_nodes; ++v) {
+      const auto node = static_cast<colsys::NodeId>(v);
+      const auto& options = v == 0 ? root_options : child_options[view.parent_colour(node)];
+      for (Colour c : options[choices[v]]) view.add_child(node, c);
     }
     fn(std::move(view));
   }
@@ -194,7 +190,7 @@ BicliqueIndex::BicliqueIndex(const ViewCatalogue& catalogue)
   std::vector<std::uint8_t> buf;
   for (int a = 0; a < views_; ++a) {
     const ColourSystem& view = catalogue.views[static_cast<std::size_t>(a)];
-    for (Colour c = 1; c <= k_; ++c) {
+    for (int c = 1; c <= k_; ++c) {
       const colsys::NodeId child = view.child(ColourSystem::root(), c);
       if (child == colsys::kNullNode) continue;
       buf.clear();
@@ -223,7 +219,7 @@ void BicliqueIndex::group(const colsys::TransformCache& remainder,
   class_of_.assign(static_cast<std::size_t>(views_) * static_cast<std::size_t>(k_), kNoClass);
   start_.assign(1, 0);
   for (int v = 0; v < views_; ++v) {
-    for (Colour c = 1; c <= k_; ++c) {
+    for (int c = 1; c <= k_; ++c) {
       const colsys::ViewId acr = across.get(v, c);
       if (acr == colsys::kUncachedView) continue;
       const std::uint64_t h = halves(remainder.get(v, c), acr);
@@ -243,7 +239,7 @@ void BicliqueIndex::group(const colsys::TransformCache& remainder,
   members_.resize(start_.back());
   std::vector<std::size_t> fill(start_.begin(), start_.end() - 1);
   for (int v = 0; v < views_; ++v) {
-    for (Colour c = 1; c <= k_; ++c) {
+    for (int c = 1; c <= k_; ++c) {
       const std::int32_t cls = class_of(v, c);
       if (cls != kNoClass) members_[fill[static_cast<std::size_t>(cls)]++] = v;
     }
@@ -587,7 +583,7 @@ OrbitGenStats orderly_orbit_reps(int k, int d, int rho,
   std::vector<std::vector<Colour>> root_options;
   subsets(k, d, gk::kNoColour, root_options);
   std::vector<std::vector<std::vector<Colour>>> child_options(static_cast<std::size_t>(k) + 1);
-  for (Colour p = 1; p <= k; ++p) {
+  for (int p = 1; p <= k; ++p) {
     std::vector<std::vector<Colour>> with;
     subsets(k, d, p, with);
     for (auto& s : with) {
@@ -766,7 +762,7 @@ BicliqueIndex::BicliqueIndex(const OrbitCatalogue& catalogue) : k_(catalogue.k) 
       coset_canon.push_back(std::move(table));
     }
     const ColourPerm lift = colsys::inverse_perm(witness);
-    for (Colour c = 1; c <= k; ++c) ref.lift[c] = lift[c];
+    for (int c = 1; c <= k; ++c) ref.lift[c] = lift[c];
     by_serial.push_back(ref);
     return ref;
   };
@@ -776,7 +772,7 @@ BicliqueIndex::BicliqueIndex(const OrbitCatalogue& catalogue) : k_(catalogue.k) 
   std::vector<std::uint8_t> buf;
   for (int o = 0; o < orbit_count; ++o) {
     const ColourSystem& rep = catalogue.reps[static_cast<std::size_t>(o)];
-    for (Colour a = 1; a <= k; ++a) {
+    for (int a = 1; a <= k; ++a) {
       const colsys::NodeId child = rep.child(ColourSystem::root(), a);
       if (child == colsys::kNullNode) continue;
       const std::size_t slot = static_cast<std::size_t>(o) * k + (a - 1);
@@ -823,8 +819,8 @@ BicliqueIndex::BicliqueIndex(const OrbitCatalogue& catalogue) : k_(catalogue.k) 
   Colour sigma_inv[colsys::kMaxOrbitColours + 1];
   for (int o = 0; o < orbit_count; ++o) {
     for (const ColourPerm& sigma : catalogue.cosets[static_cast<std::size_t>(o)]) {
-      for (Colour c = 1; c <= k; ++c) sigma_inv[sigma[c]] = c;
-      for (Colour c = 1; c <= k; ++c) {
+      for (int c = 1; c <= k; ++c) sigma_inv[sigma[c]] = c;
+      for (int c = 1; c <= k; ++c) {
         const Colour a = sigma_inv[c];
         const std::size_t rep_slot = static_cast<std::size_t>(o) * k + (a - 1);
         if (across_ref[rep_slot].id == colsys::kNullView) continue;

@@ -233,11 +233,13 @@ class BicliqueIndex {
   template <class Fn>
   void for_each_pair(Fn&& fn) const {
     for (int a = 0; a < views_; ++a) {
-      for (Colour c = 1; c <= k_; ++c) {
+      for (int c = 1; c <= k_; ++c) {
         const std::int32_t cls = class_of(a, c);
         if (cls == kNoClass || partner(cls) == kNoClass) continue;
         const std::span<const std::int32_t> bs = members(partner(cls));
-        for (auto b = std::lower_bound(bs.begin(), bs.end(), a); b != bs.end(); ++b) fn(a, *b, c);
+        for (auto b = std::lower_bound(bs.begin(), bs.end(), a); b != bs.end(); ++b) {
+          fn(a, *b, static_cast<Colour>(c));
+        }
       }
     }
   }

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <map>
+#include <random>
 #include <set>
 #include <string>
 
@@ -205,6 +206,69 @@ TEST(CanonicalStore, InternByTreeMatchesSerialize) {
   EXPECT_EQ(store.intern(ball, 2), id);
   // A different radius is a different canonical form.
   EXPECT_NE(store.intern(ball, 1), id);
+}
+
+TEST(CanonicalStore, StaysExactAcrossRehashes) {
+  // 200 000 distinct keys of lengths 0 to 64 take the id table through
+  // fifteen doublings.  Most keys are built from the key before: a prefix
+  // of it, it with one byte more, or it with only its last byte changed,
+  // so probes keep meeting near-equal keys.  `model` is the reference: a
+  // fresh key's id is the number of distinct keys before it.
+  std::mt19937_64 rng(27);
+  std::map<std::vector<std::uint8_t>, ViewId> model;
+  std::vector<std::vector<std::uint8_t>> keys;  // distinct, in first-seen order
+  CanonicalStore store;
+  std::vector<std::uint8_t> key;
+  while (keys.size() < 200000) {
+    switch (rng() % 4) {
+      case 0:
+        key.resize(rng() % 65);
+        for (std::uint8_t& b : key) b = static_cast<std::uint8_t>(rng());
+        break;
+      case 1:
+        key.resize(rng() % (key.size() + 1));
+        break;
+      case 2:
+        if (key.size() < 64) key.push_back(static_cast<std::uint8_t>(rng()));
+        break;
+      default:
+        if (!key.empty()) key.back() = static_cast<std::uint8_t>(key.back() + 1 + rng() % 255);
+        break;
+    }
+    const auto [it, fresh] = model.try_emplace(key, static_cast<ViewId>(keys.size()));
+    if (fresh) keys.push_back(key);
+    ASSERT_EQ(store.intern(key), it->second);
+  }
+  ASSERT_EQ(store.size(), 200000);
+  for (ViewId id = 0; id < store.size(); ++id) {
+    const std::vector<std::uint8_t>& k = keys[static_cast<std::size_t>(id)];
+    ASSERT_EQ(store.intern(k), id);
+    ASSERT_EQ(store.find(k), id);
+    ASSERT_EQ(store.bytes(id), k);
+  }
+  // Absent keys: interned keys with one byte appended, and a key longer
+  // than any interned one.
+  int absent = 0;
+  for (std::size_t i = 0; i < keys.size(); i += 97) {
+    std::vector<std::uint8_t> probe = keys[i];
+    probe.push_back(0x5a);
+    if (model.count(probe) != 0) continue;
+    ++absent;
+    EXPECT_EQ(store.find(probe), colsys::kNullView);
+  }
+  EXPECT_GT(absent, 1000);
+  EXPECT_EQ(store.find(std::vector<std::uint8_t>(65, 0)), colsys::kNullView);
+  EXPECT_EQ(store.size(), 200000);
+  // Interning a tree equals interning its serialisation, either way round.
+  const nbhd::ViewCatalogue cat = nbhd::enumerate_views(3, 2, 3);
+  for (const ColourSystem& view : cat.views) {
+    for (int r = 0; r <= 3; ++r) {
+      const ViewId by_tree = store.intern(view, r);
+      EXPECT_EQ(store.intern(view.serialize(r)), by_tree);
+      EXPECT_EQ(store.bytes(by_tree), view.serialize(r));
+    }
+  }
+  EXPECT_GT(store.size(), 200000);
 }
 
 TEST(TransformCache, StoresPerColourEntries) {

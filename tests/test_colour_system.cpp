@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace dmm::colsys {
@@ -258,6 +261,162 @@ TEST(ColourSystem, NodesUpToIsBfsOrdered) {
     EXPECT_GE(g.depth(n), last_depth);
     last_depth = g.depth(n);
   }
+}
+
+
+TEST(ColourSystem, Palette255TreesSerialiseAndReportColours) {
+  // Colour 255 is the last a gk::Colour can name; a Colour loop counter
+  // would wrap to 0 there and never end.
+  ColourSystem s(255);
+  const NodeId top = s.add_child(ColourSystem::root(), 255);
+  s.add_child(ColourSystem::root(), 1);
+  s.add_child(ColourSystem::root(), 128);
+  s.add_child(top, 254);
+  EXPECT_EQ(s.colours_at(ColourSystem::root()), (std::vector<gk::Colour>{1, 128, 255}));
+  EXPECT_EQ(s.colours_at(top), (std::vector<gk::Colour>{254, 255}));
+  EXPECT_EQ(s.degree(ColourSystem::root()), 3);
+  EXPECT_EQ(s.nodes_up_to(2).size(), 5u);
+  EXPECT_EQ(s.serialize(2), (std::vector<std::uint8_t>{255, 3, 1, 128, 255, 0, 0, 1, 254, 0xff}));
+  EXPECT_EQ(s.rerooted(top).colours_at(ColourSystem::root()),
+            (std::vector<gk::Colour>{254, 255}));
+  EXPECT_EQ(s.pruned(255).size(), 3);
+  const ColourSystem star = cayley_ball(255, 1);
+  EXPECT_EQ(star.size(), 256);
+  EXPECT_EQ(star.colours_at(ColourSystem::root()).size(), 255u);
+  EXPECT_TRUE(star.is_regular(255));
+  EXPECT_EQ(star.serialize(1).size(), 1u + 1u + 255u + 255u);
+}
+
+TEST(ColourSystem, PaletteBeyond255Throws) {
+  EXPECT_THROW(ColourSystem(256), std::invalid_argument);
+  EXPECT_THROW(ColourSystem(0), std::invalid_argument);
+  EXPECT_NO_THROW(ColourSystem(255));
+}
+
+// ---------------------------------------------------------------------------
+// serialize_subtree_into's stack-free walk against the stack-based walk it
+// replaced, beyond the complete d-regular views of the view catalogues.
+// ---------------------------------------------------------------------------
+
+/// The stack-based pre-order walk, kept as the reference: an explicit DFS
+/// stack, children pushed in reverse colour order.  Reads the tree through
+/// the public API only.
+std::vector<std::uint8_t> stack_walk(const ColourSystem& s, NodeId top, int dropped,
+                                     int radius) {
+  std::vector<std::uint8_t> out{static_cast<std::uint8_t>(s.k())};
+  struct Frame {
+    NodeId v;
+    int depth;
+  };
+  std::vector<Frame> stack{{top, 0}};
+  while (!stack.empty()) {
+    const Frame f = stack.back();
+    stack.pop_back();
+    if (f.depth == radius) {
+      out.push_back(0xff);
+      continue;
+    }
+    const int omitted = f.v == top ? dropped : gk::kNoColour;
+    std::vector<std::uint8_t> colours;
+    for (int c = 1; c <= s.k(); ++c) {
+      if (c != omitted && s.child(f.v, static_cast<gk::Colour>(c)) != kNullNode) {
+        colours.push_back(static_cast<std::uint8_t>(c));
+      }
+    }
+    out.push_back(static_cast<std::uint8_t>(colours.size()));
+    out.insert(out.end(), colours.begin(), colours.end());
+    for (auto c = colours.rbegin(); c != colours.rend(); ++c) {
+      stack.push_back({s.child(f.v, *c), f.depth + 1});
+    }
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> walk(const ColourSystem& s, NodeId top, int dropped, int radius) {
+  std::vector<std::uint8_t> out;
+  s.serialize_subtree_into(top, static_cast<gk::Colour>(dropped), radius, out);
+  return out;
+}
+
+int max_depth(const ColourSystem& s) {
+  int deepest = 0;
+  for (NodeId v = 0; v < s.size(); ++v) deepest = std::max(deepest, s.depth(v));
+  return deepest;
+}
+
+TEST(SubtreeWalk, MatchesTheStackWalkOnRandomIrregularTrees) {
+  // Every top, every dropped colour (none, each of top's child colours, and
+  // the colours top lacks, its parent colour among them), every radius from
+  // 0 to past the deepest leaf.
+  Rng rng(2718);
+  int absent_drops = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const int k = static_cast<int>(rng.uniform(2, 6));
+    const ColourSystem s = random_system(rng, k, static_cast<int>(rng.uniform(1, 40)));
+    const int deepest = max_depth(s);
+    for (NodeId top = 0; top < s.size(); ++top) {
+      for (int dropped = gk::kNoColour; dropped <= k; ++dropped) {
+        if (dropped != gk::kNoColour &&
+            s.child(top, static_cast<gk::Colour>(dropped)) == kNullNode) {
+          ++absent_drops;
+        }
+        for (int radius = 0; radius <= deepest + 1; ++radius) {
+          ASSERT_EQ(walk(s, top, dropped, radius), stack_walk(s, top, dropped, radius))
+              << "trial " << trial << " top " << top << " dropped " << dropped << " radius "
+              << radius;
+        }
+      }
+    }
+  }
+  EXPECT_GT(absent_drops, 0);
+}
+
+TEST(SubtreeWalk, MatchesTheStackWalkOnTruncatedSystems) {
+  // Truncated systems, one of them re-rooted so that it holds nodes below
+  // its faithful radius: the walk reads up to valid_radius and throws past
+  // it.
+  std::vector<ColourSystem> systems;
+  systems.push_back(regular_system(3, 3, 3));
+  systems.push_back(regular_system(4, 3, 3));
+  systems.push_back(regular_system(4, 2, 5));
+  systems.push_back(regular_system(3, 3, 4).rerooted(5));
+  for (const ColourSystem& s : systems) {
+    ASSERT_FALSE(s.is_exact());
+    for (NodeId top = 0; top < s.size(); ++top) {
+      for (int dropped = gk::kNoColour; dropped <= s.k(); ++dropped) {
+        const int budget = s.valid_radius() - s.depth(top);
+        for (int radius = 0; radius <= budget; ++radius) {
+          ASSERT_EQ(walk(s, top, dropped, radius), stack_walk(s, top, dropped, radius))
+              << "top " << top << " dropped " << dropped << " radius " << radius;
+        }
+        EXPECT_THROW(walk(s, top, dropped, std::max(budget, 0) + 1), std::logic_error);
+      }
+    }
+  }
+}
+
+TEST(SubtreeWalk, WalksA20000DeepPathAtFullRadius) {
+  constexpr int kDepth = 20000;
+  std::vector<gk::Colour> colours(kDepth);
+  for (int i = 0; i < kDepth; ++i) {
+    colours[static_cast<std::size_t>(i)] = static_cast<gk::Colour>(1 + i % 3);
+  }
+  const ColourSystem path = path_system(3, colours);
+  ASSERT_EQ(max_depth(path), kDepth);
+  // Full radius: each internal node is a count and a colour, the deepest
+  // node a truncation marker; one level more makes it a count-0 leaf.
+  const std::vector<std::uint8_t> full = walk(path, ColourSystem::root(), gk::kNoColour, kDepth);
+  EXPECT_EQ(full.size(), 1u + 2u * kDepth + 1u);
+  EXPECT_EQ(full, stack_walk(path, ColourSystem::root(), gk::kNoColour, kDepth));
+  EXPECT_EQ(walk(path, ColourSystem::root(), gk::kNoColour, kDepth + 1),
+            stack_walk(path, ColourSystem::root(), gk::kNoColour, kDepth + 1));
+  // From the middle, and with the only child dropped at the top.
+  const NodeId middle = kDepth / 2;  // path_system numbers its nodes by depth
+  ASSERT_EQ(path.depth(middle), kDepth / 2);
+  EXPECT_EQ(walk(path, middle, gk::kNoColour, kDepth / 2),
+            stack_walk(path, middle, gk::kNoColour, kDepth / 2));
+  const int next = colours[kDepth / 2];
+  EXPECT_EQ(walk(path, middle, next, kDepth / 2), (std::vector<std::uint8_t>{3, 0}));
 }
 
 }  // namespace

@@ -52,6 +52,20 @@ TEST(Generators, RandomColouredGraphAlwaysProper) {
   }
 }
 
+TEST(Generators, RandomColouredGraphAtPalette255) {
+  // Colour 255 is the last a gk::Colour can name: the colour loop must end
+  // there rather than wrap to colour 0.
+  Rng rng(255);
+  const EdgeColouredGraph g = random_coloured_graph(100, 255, 0.5, rng);
+  EXPECT_TRUE(g.is_properly_coloured());
+  EXPECT_LE(g.max_degree(), 255);
+  bool last_colour = false;
+  for (const Edge& e : g.edges()) last_colour |= e.colour == 255;
+  EXPECT_TRUE(last_colour);
+  EXPECT_THROW(EdgeColouredGraph(4, 256), std::invalid_argument);
+  EXPECT_THROW(random_coloured_graph(4, 256, 0.5, rng), std::invalid_argument);
+}
+
 TEST(Generators, RandomColouredGraphDensityZeroIsEmpty) {
   Rng rng(5);
   const EdgeColouredGraph g = random_coloured_graph(20, 3, 0.0, rng);

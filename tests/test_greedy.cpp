@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string_view>
 #include <vector>
 
@@ -116,6 +117,16 @@ TEST(Greedy, OnColourSystems) {
   const std::vector<Colour> on_system = greedy_outputs(s);
   const std::vector<Colour> on_graph = greedy_outputs(g);
   EXPECT_EQ(on_system, on_graph);
+}
+
+TEST(Greedy, FinishesAtPalette255) {
+  Rng rng(7);
+  const EdgeColouredGraph g = graph::random_coloured_graph(100, 255, 0.5, rng);
+  expect_valid_maximal(g, greedy_outputs(g));
+  // The 255-leaf star: the root takes its colour-1 edge.
+  const std::vector<Colour> star = greedy_outputs(colsys::cayley_ball(255, 1));
+  EXPECT_EQ(star[0], 1);
+  EXPECT_EQ(std::count(star.begin(), star.end(), local::kUnmatched), 254);
 }
 
 TEST(GreedyLocal, DeterministicFunctionOfView) {

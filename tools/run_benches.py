@@ -85,6 +85,11 @@ METRICS = {
     "orbits": Metric("count", EXACT),
     "orbit_reduction": Metric("ratio", TOLERANCE, minimum=1),
     "reps_generated": Metric("count", EXACT),
+    # e17's phases, the names `dmm_cli views --json` prints.  Recorded,
+    # not gated, like the engines' phase split.
+    "enumerate_ms": Metric("ms", RECORDED),
+    "pairs_ms": Metric("ms", RECORDED),
+    "solve_ms": Metric("ms", RECORDED),
     # Faults and recovery (e9, e10).
     "crashes": Metric("count", EXACT),
     "restarts": Metric("count", EXACT),
