@@ -13,10 +13,11 @@
 // ~2.1e10 views, ~1.8e8 orbits — by pure Burnside arithmetic; its *reps*
 // are reachable by the orderly generator (the nightly --scale smoke streams
 // them under a wall budget).  Each row is recorded in BENCH_e17.json with
-// its pipeline metrics (views, pairs, csp_nodes; orbits, orbit_reduction,
-// reps_generated on orbit rows) and the wall time of each phase
-// (enumerate_ms, pairs_ms, solve_ms; wall_ns also covers releasing the
-// catalogue and the pair list).
+// its pipeline metrics (views, pairs, csp_nodes, class_walks; orbits,
+// orbit_reduction, reps_generated on orbit rows) and the wall time of each
+// phase (enumerate_ms with the catalogue's pair index, pairs_ms for the
+// list alone, solve_ms for the list check and the search; wall_ns also
+// covers releasing the catalogue and the pair list).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -95,6 +96,7 @@ void print_row(benchjson::Harness& harness, const Row& row, int threads, bool or
   metric["views"] = static_cast<double>(views);
   metric["pairs"] = static_cast<double>(pair_count);
   metric["csp_nodes"] = static_cast<double>(result.nodes_explored);
+  metric["class_walks"] = static_cast<double>(result.class_walks);
   std::printf("%4d %4d %5d %11lld %9lld %10zu %12s %14llu %10.1f\n", row.k, row.d, row.rho,
               views, orbit_count, pair_count, result.satisfiable ? "SAT" : "UNSAT",
               static_cast<unsigned long long>(result.nodes_explored), metric["wall_ns"] / 1e6);

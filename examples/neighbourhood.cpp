@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
       std::cout << "  the views are the root colour sets:\n";
       for (int v = 0; v < cat.size(); ++v) {
         std::cout << "    view " << v << ": { ";
-        for (gk::Colour c : cat.views[static_cast<std::size_t>(v)].colours_at(0)) {
+        for (gk::Colour c : cat.view(v).colours_at(0)) {
           std::cout << static_cast<int>(c) << " ";
         }
         std::cout << "}\n";

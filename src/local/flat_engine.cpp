@@ -46,7 +46,7 @@ constexpr std::uint8_t kSleepingLen = 0x80;
 
 /// Builds without NDEBUG, and sanitizer builds (CMakeLists.txt), step every
 /// sleeper anyway and check the next_active_round contract.
-#if !defined(NDEBUG) || defined(DMM_SLEEP_CONTRACT_CHECK)
+#if !defined(NDEBUG) || defined(DMM_CONTRACT_CHECKS)
 constexpr bool kCheckSleepers = true;
 #else
 constexpr bool kCheckSleepers = false;

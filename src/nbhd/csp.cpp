@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <exception>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -27,10 +28,19 @@ inline int domain_size(Mask m) { return std::popcount(m); }
 
 constexpr std::int32_t kNoClass = BicliqueIndex::kNoClass;
 
-/// The shared, read-only half of the problem: the class index and the
-/// domains after the initial arc-consistency pass.
+/// Builds without NDEBUG, and sanitizer builds (CMakeLists.txt), walk every
+/// class a guard lets the search skip and throw std::logic_error if that
+/// walk would have pruned a domain or met a conflict.
+#if !defined(NDEBUG) || defined(DMM_CONTRACT_CHECKS)
+constexpr bool kCheckGuards = true;
+#else
+constexpr bool kCheckGuards = false;
+#endif
+
+/// The shared, read-only half of the problem: the catalogue's class index
+/// and the domains after the initial arc-consistency pass.
 struct Problem {
-  BicliqueIndex index;
+  const BicliqueIndex& index;
   int n = 0;
   std::vector<Mask> base_domains;
   bool wiped_out = false;  // arc consistency emptied a domain: UNSAT, no search
@@ -143,12 +153,17 @@ struct SearchState {
   std::vector<Mask> domains;
   std::vector<Colour> assignment;
   std::vector<char> assigned;
+  /// Per class: the AND of the masks that the values on the current path
+  /// have applied to its members, all ones where none has.
+  std::vector<Mask> guards;
   std::uint64_t explored = 0;
+  std::uint64_t class_walks = 0;
 
   explicit SearchState(const Problem& problem)
       : domains(problem.base_domains),
         assignment(static_cast<std::size_t>(problem.n), gk::kNoColour),
         assigned(static_cast<std::size_t>(problem.n), 0),
+        guards(static_cast<std::size_t>(problem.index.class_count()), ~Mask{0}),
         sizes_(static_cast<std::size_t>(problem.index.k()) + 2),
         words_((static_cast<std::size_t>(problem.n) + 63) / 64),
         summaries_((words_ + 63) / 64),
@@ -212,7 +227,25 @@ struct Frame {
   std::int32_t variable;
   Mask values;             // values of the variable's domain not yet tried
   std::size_t trail_mark;  // where the current value's prunes start on the trail
+  std::size_t guard_mark;  // ... and its guard narrowings on the guard trail
 };
+
+/// The guard contract, checked on a walk the guard skipped: walking class
+/// `cls` with `allowed` for variable `var` would prune nothing and meet no
+/// conflict.
+void check_skipped_walk(const BicliqueIndex& index, const SearchState& state, std::int32_t cls,
+                        std::int32_t var, Mask allowed) {
+  for (const std::int32_t other : index.members(cls)) {
+    if (other == var) continue;
+    const auto x = static_cast<std::size_t>(other);
+    const bool quiet = state.assigned[x] ? (allowed & (Mask{1} << state.assignment[x])) != 0
+                                         : (state.domains[x] & ~allowed) == 0;
+    if (!quiet) {
+      throw std::logic_error("solve: the guard of class " + std::to_string(cls) +
+                             " skipped a walk that changes view " + std::to_string(other));
+    }
+  }
+}
 
 /// Serial backtracking from a prepared state.  `first_value_mask`, when
 /// non-zero, restricts the root frame to a subset of its domain (the unit
@@ -224,15 +257,17 @@ bool search(const Problem& problem, SearchState& state, Mask first_value_mask,
   // One undo trail for the whole search (Schulte, "Comparing trailing and
   // copying for constraint programming", ICLP 1999): every prune pushes the
   // domain it replaced, and each frame's prunes are the segment from its
-  // mark to the next frame's.
+  // mark to the next frame's.  The guards keep a second trail, marked the
+  // same way.
   std::vector<std::pair<std::int32_t, Mask>> trail;
+  std::vector<std::pair<std::int32_t, Mask>> guard_trail;
   std::vector<Frame> stack;
   const std::int32_t first = state.pick();
   if (first < 0) return true;  // no variables at all
   stack.push_back({first,
                    first_value_mask ? first_value_mask & state.domains[static_cast<std::size_t>(first)]
                                     : state.domains[static_cast<std::size_t>(first)],
-                   0});
+                   0, 0});
 
   // Restores the frame's trail segment front to back, oldest first, so a
   // variable pruned twice under one value (reached through partner classes
@@ -248,6 +283,13 @@ bool search(const Problem& problem, SearchState& state, Mask first_value_mask,
       state.touch(other);
     }
     trail.resize(frame.trail_mark);
+    // A value narrows each guard at most once, so this segment names each
+    // class once and its order does not matter.
+    for (std::size_t i = frame.guard_mark; i < guard_trail.size(); ++i) {
+      const auto [cls, mask] = guard_trail[i];
+      state.guards[static_cast<std::size_t>(cls)] = mask;
+    }
+    guard_trail.resize(frame.guard_mark);
     state.assigned[static_cast<std::size_t>(frame.variable)] = 0;
   };
 
@@ -273,7 +315,17 @@ bool search(const Problem& problem, SearchState& state, Mask first_value_mask,
     state.assignment[static_cast<std::size_t>(var)] = value;
     state.assigned[static_cast<std::size_t>(var)] = 1;
 
-    // Forward checking, one partner class per incident colour.
+    // Forward checking, one partner class per incident colour, skipping a
+    // class whose guard already lies within `allowed`.  While the values
+    // that narrowed guard[P] stand, every unassigned member of P has its
+    // domain inside it: domains only shrink, and an undo restores a domain
+    // recorded after the mask went on (or, under the oldest-first order, a
+    // subset of one).  Every assigned member's value lies inside it too:
+    // it was checked when the mask went on, or drawn later from such a
+    // domain; and a variable walking its own self-partnered class never
+    // holds ⊥, which the unary ban removed.  So the skipped walk would
+    // prune nothing and meet no conflict: the trail, the buckets and the
+    // search tree are the same as without guards.
     const BicliqueIndex& index = problem.index;
     bool dead = false;
     for (int c = 1; c <= index.k() && !dead; ++c) {
@@ -282,6 +334,12 @@ bool search(const Problem& problem, SearchState& state, Mask first_value_mask,
       const std::int32_t partner = index.partner(cls);
       if (partner == kNoClass) continue;
       const Mask allowed = partner_values(value, c);
+      Mask& guard = state.guards[static_cast<std::size_t>(partner)];
+      if ((guard & ~allowed) == 0) {
+        if constexpr (kCheckGuards) check_skipped_walk(index, state, partner, var, allowed);
+        continue;
+      }
+      ++state.class_walks;
       for (const std::int32_t other : index.members(partner)) {
         if (other == var) continue;  // the self pair: the unary ⊥ ban
         if (state.assigned[static_cast<std::size_t>(other)]) {
@@ -304,6 +362,10 @@ bool search(const Problem& problem, SearchState& state, Mask first_value_mask,
           }
         }
       }
+      if (!dead) {
+        guard_trail.emplace_back(partner, guard);
+        guard &= allowed;
+      }
     }
     if (dead) {
       // Roll back this value's prunes; the frame then tries its next value.
@@ -312,57 +374,39 @@ bool search(const Problem& problem, SearchState& state, Mask first_value_mask,
     }
     const std::int32_t next = state.pick();
     if (next < 0) return true;  // complete assignment
-    stack.push_back({next, state.domains[static_cast<std::size_t>(next)], trail.size()});
+    stack.push_back(
+        {next, state.domains[static_cast<std::size_t>(next)], trail.size(), guard_trail.size()});
   }
   return false;
 }
 
-/// (M1) domains: ⊥ plus the root's incident colours, per view.
-std::vector<Mask> base_domains(const ViewCatalogue& catalogue) {
-  std::vector<Mask> domains(static_cast<std::size_t>(catalogue.size()));
-  for (int v = 0; v < catalogue.size(); ++v) {
-    Mask dom = Mask{1};
-    for (Colour c : catalogue.views[static_cast<std::size_t>(v)].colours_at(
-             colsys::ColourSystem::root())) {
-      dom |= Mask{1} << c;
-    }
-    domains[static_cast<std::size_t>(v)] = dom;
+/// (M1): ⊥ plus every colour c of view v's root, read off the index (v
+/// has a c-membership iff it has a c-edge).
+Mask base_domain(const BicliqueIndex& index, std::int32_t v) {
+  Mask dom = Mask{1};
+  for (int c = 1; c <= index.k(); ++c) {
+    if (index.class_of(v, c) != kNoClass) dom |= Mask{1} << c;
   }
-  return domains;
+  return dom;
 }
 
-/// Same for the members of an orbit catalogue, read off the representatives
-/// through the coset witnesses: member (o, σ) is σ·rep, so its root colours
-/// are the σ-images of the representative's — no member tree needed.
-std::vector<Mask> base_domains(const OrbitCatalogue& catalogue) {
-  std::vector<Mask> domains;
-  domains.reserve(static_cast<std::size_t>(catalogue.view_count()));
-  for (int o = 0; o < catalogue.orbit_count(); ++o) {
-    const std::vector<Colour> roots = catalogue.reps[static_cast<std::size_t>(o)].colours_at(
-        colsys::ColourSystem::root());
-    for (const ColourPerm& sigma : catalogue.cosets[static_cast<std::size_t>(o)]) {
-      Mask dom = Mask{1};
-      for (Colour c : roots) dom |= Mask{1} << sigma[c];
-      domains.push_back(dom);
-    }
+Problem build_problem(const BicliqueIndex& index) {
+  Problem problem{index, index.view_count(), {}};
+  problem.base_domains.resize(static_cast<std::size_t>(problem.n));
+  for (std::int32_t v = 0; v < problem.n; ++v) {
+    problem.base_domains[static_cast<std::size_t>(v)] = base_domain(index, v);
   }
-  return domains;
-}
-
-Problem build_problem(BicliqueIndex index, std::vector<Mask> domains) {
-  Problem problem{std::move(index), static_cast<int>(domains.size()), std::move(domains)};
   // Self pairs (a view compatible with itself along c: every member of a
   // self-partnered class) are a unary constraint — (M3) bans ⊥ — applied
   // to the domain directly.
-  const BicliqueIndex& classes = problem.index;
-  for (std::int32_t cls = 0; cls < classes.class_count(); ++cls) {
-    if (classes.partner(cls) != cls) continue;
-    for (const std::int32_t x : classes.members(cls)) {
+  for (std::int32_t cls = 0; cls < index.class_count(); ++cls) {
+    if (index.partner(cls) != cls) continue;
+    for (const std::int32_t x : index.members(cls)) {
       problem.base_domains[static_cast<std::size_t>(x)] &= ~Mask{1};
     }
   }
   Mask all_colours = 0;
-  for (int c = 1; c <= classes.k(); ++c) all_colours |= Mask{1} << c;
+  for (int c = 1; c <= index.k(); ++c) all_colours |= Mask{1} << c;
   problem.wiped_out = !arc_consistency(problem, all_colours);
   return problem;
 }
@@ -400,6 +444,7 @@ CspResult solve_problem(const Problem& problem, const CspOptions& options) {
     SearchState state(problem);
     result.satisfiable = search(problem, state, 0, nullptr);
     result.nodes_explored = state.explored;
+    result.class_walks = state.class_walks;
     if (result.satisfiable) result.labelling = std::move(state.assignment);
     return result;
   }
@@ -427,6 +472,10 @@ CspResult solve_problem(const Problem& problem, const CspOptions& options) {
   std::vector<char> found(static_cast<std::size_t>(branch_count), 0);
   std::vector<std::vector<Colour>> labellings(static_cast<std::size_t>(branch_count));
   std::vector<std::uint64_t> explored(static_cast<std::size_t>(branch_count), 0);
+  std::vector<std::uint64_t> walks(static_cast<std::size_t>(branch_count), 0);
+  // An exception from a branch's search (a broken guard contract, say) is
+  // rethrown on the calling thread once every worker has joined.
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(branch_count));
   std::atomic<int> best{branch_count};
   std::vector<std::atomic<bool>> cancel(static_cast<std::size_t>(branch_count));
   for (auto& flag : cancel) flag.store(false, std::memory_order_relaxed);
@@ -437,10 +486,16 @@ CspResult solve_problem(const Problem& problem, const CspOptions& options) {
       const int i = next_branch.fetch_add(1, std::memory_order_relaxed);
       if (i >= branch_count) return;
       if (best.load(std::memory_order_acquire) < i) continue;
+      bool sat = false;
       SearchState state(problem);
-      const bool sat = search(problem, state, branch_bits[static_cast<std::size_t>(i)],
-                              &cancel[static_cast<std::size_t>(i)]);
+      try {
+        sat = search(problem, state, branch_bits[static_cast<std::size_t>(i)],
+                     &cancel[static_cast<std::size_t>(i)]);
+      } catch (...) {
+        errors[static_cast<std::size_t>(i)] = std::current_exception();
+      }
       explored[static_cast<std::size_t>(i)] = state.explored;
+      walks[static_cast<std::size_t>(i)] = state.class_walks;
       if (sat) {
         found[static_cast<std::size_t>(i)] = 1;
         labellings[static_cast<std::size_t>(i)] = std::move(state.assignment);
@@ -461,7 +516,11 @@ CspResult solve_problem(const Problem& problem, const CspOptions& options) {
   for (int t = 0; t < workers; ++t) pool.emplace_back(worker);
   for (std::thread& t : pool) t.join();
 
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
   for (std::uint64_t count : explored) result.nodes_explored += count;
+  for (std::uint64_t count : walks) result.class_walks += count;
   const int winner = best.load(std::memory_order_acquire);
   if (winner < branch_count) {
     result.satisfiable = true;
@@ -471,44 +530,45 @@ CspResult solve_problem(const Problem& problem, const CspOptions& options) {
 }
 
 /// The four public entry points: raw or orbit catalogue, with or without a
-/// caller's pair list to check against the index.
-template <class Catalogue>
-CspResult solve_catalogue(const Catalogue& catalogue, const std::vector<CompatiblePair>* pairs,
-                          const CspOptions& options) {
-  if (catalogue.k + 1 >= 32) throw std::invalid_argument("solve: k too large for mask domains");
-  BicliqueIndex index(catalogue);
+/// caller's pair list to check against the catalogue's index.
+CspResult solve_index(const BicliqueIndex& index, const std::vector<CompatiblePair>* pairs,
+                      const CspOptions& options) {
+  if (index.k() > kMaxCspColours) {
+    throw std::invalid_argument("solve: k = " + std::to_string(index.k()) + " exceeds the " +
+                                std::to_string(kMaxCspColours) + " colours of mask domains");
+  }
   if (pairs != nullptr) require_index_pairs(index, *pairs);
-  return solve_problem(build_problem(std::move(index), base_domains(catalogue)), options);
+  return solve_problem(build_problem(index), options);
 }
 
 }  // namespace
 
 CspResult solve(const ViewCatalogue& catalogue, const std::vector<CompatiblePair>& pairs,
                 const CspOptions& options) {
-  return solve_catalogue(catalogue, &pairs, options);
+  return solve_index(catalogue.index(), &pairs, options);
 }
 
 CspResult solve(const ViewCatalogue& catalogue, const CspOptions& options) {
-  return solve_catalogue(catalogue, nullptr, options);
+  return solve_index(catalogue.index(), nullptr, options);
 }
 
 CspResult solve(const OrbitCatalogue& catalogue, const std::vector<CompatiblePair>& pairs,
                 const CspOptions& options) {
-  return solve_catalogue(catalogue, &pairs, options);
+  return solve_index(catalogue.index(), &pairs, options);
 }
 
 CspResult solve(const OrbitCatalogue& catalogue, const CspOptions& options) {
-  return solve_catalogue(catalogue, nullptr, options);
+  return solve_index(catalogue.index(), nullptr, options);
 }
 
 std::vector<Colour> induced_labelling(const ViewCatalogue& catalogue,
                                       const local::LocalAlgorithm& algorithm) {
-  if (algorithm.running_time() + 1 != catalogue.rho) {
+  if (algorithm.running_time() + 1 != catalogue.rho()) {
     throw std::invalid_argument("induced_labelling: algorithm radius does not match catalogue");
   }
   std::vector<Colour> out;
   out.reserve(static_cast<std::size_t>(catalogue.size()));
-  for (const colsys::ColourSystem& view : catalogue.views) {
+  for (const colsys::ColourSystem& view : catalogue.views()) {
     out.push_back(algorithm.evaluate(view));
   }
   return out;
@@ -519,20 +579,17 @@ std::optional<CompatiblePair> check_labelling(const ViewCatalogue& catalogue,
   if (labelling.size() != static_cast<std::size_t>(catalogue.size())) {
     throw std::invalid_argument("check_labelling: size mismatch");
   }
-  // (M1).
+  const BicliqueIndex& index = catalogue.index();
+  // (M1): ⊥, or a colour of the view's root.
   for (int v = 0; v < catalogue.size(); ++v) {
     const Colour out = labelling[static_cast<std::size_t>(v)];
     if (out == gk::kNoColour) continue;
-    const auto incident =
-        catalogue.views[static_cast<std::size_t>(v)].colours_at(colsys::ColourSystem::root());
-    if (std::find(incident.begin(), incident.end(), out) == incident.end()) {
-      return CompatiblePair{v, v, out};
-    }
+    if (out > index.k() || index.class_of(v, out) == kNoClass) return CompatiblePair{v, v, out};
   }
   // The pairs in compatible_pairs order, straight off the index: the list
   // itself (115 MB at k = 4, ρ = 3) is never built.
   std::optional<CompatiblePair> violated;
-  BicliqueIndex(catalogue).for_each_pair([&](int a, int b, Colour c) {
+  index.for_each_pair([&](int a, int b, Colour c) {
     if (violated) return;
     const CompatiblePair pair{a, b, c};
     if (!consistent(pair, labelling[static_cast<std::size_t>(a)],

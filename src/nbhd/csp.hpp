@@ -24,11 +24,19 @@
 
 namespace dmm::nbhd {
 
+/// The most colours a catalogue may have for solve: domains are 32-bit
+/// masks, bit 0 for ⊥ and bit c for colour c.
+inline constexpr int kMaxCspColours = 30;
+
 struct CspResult {
   bool satisfiable = false;
   /// One solution when satisfiable: out[view id] (⊥ = kNoColour).
   std::vector<Colour> labelling;
   std::uint64_t nodes_explored = 0;
+  /// Forward-checking walks over a partner class that the search made; a
+  /// walk the class's guard shows to be a no-op is skipped and not
+  /// counted.  Like nodes_explored, deterministic only at threads == 1.
+  std::uint64_t class_walks = 0;
 };
 
 struct CspOptions {
@@ -42,10 +50,11 @@ struct CspOptions {
 };
 
 /// Decides whether a valid labelling of the catalogue exists.  The
-/// constraints are read off the catalogue's BicliqueIndex, built per call:
-/// bitset domains (at most d+1 values), arc consistency on per-class
-/// counters, then backtracking with MRV and forward checking along partner
-/// classes.  No pair or arc list is built.
+/// constraints are read off catalogue.index(): bitset domains (at most
+/// d+1 values), arc consistency on per-class counters, then backtracking
+/// with MRV and forward checking along partner classes, each class guarded
+/// by the masks the current path has already applied to it.  No pair or arc
+/// list is built.  Throws std::invalid_argument when k > kMaxCspColours.
 CspResult solve(const ViewCatalogue& catalogue, const CspOptions& options = {});
 
 /// Same, for a caller that already holds compatible_pairs(catalogue).  The
@@ -59,9 +68,9 @@ CspResult solve(const ViewCatalogue& catalogue, const std::vector<CompatiblePair
 /// Orbit-mode solve: decides the SAME CSP as solve(expand_catalogue(c))
 /// — every member view is a variable; the catalogue's symmetry quotient is
 /// NOT applied to the solution space (a satisfiable instance need not have
-/// a colour-symmetric labelling; see docs/lowerbound.md).  Domains are read
-/// off the orbit representatives through the coset witnesses, so no member
-/// tree is materialised.  Because the orbit catalogue is canonically
+/// a colour-symmetric labelling; see docs/lowerbound.md).  Domains and
+/// constraints are read off the catalogue's member-level index, so no
+/// member tree is materialised.  Because the orbit catalogue is canonically
 /// ordered, verdict *and* nodes_explored are invariant under any global
 /// colour relabelling of the original catalogue.  The labelling is indexed
 /// by member (orbit, coset) order.
@@ -77,8 +86,8 @@ CspResult solve(const OrbitCatalogue& catalogue, const std::vector<CompatiblePai
 std::vector<Colour> induced_labelling(const ViewCatalogue& catalogue,
                                       const local::LocalAlgorithm& algorithm);
 
-/// Checks a labelling against (M1)+(M2)+(M3); returns the first violated
-/// pair, if any.
+/// Checks a labelling against (M1)+(M2)+(M3), reading catalogue.index();
+/// returns the first violated pair, if any ((M1) as the pair {v, v, out}).
 std::optional<CompatiblePair> check_labelling(const ViewCatalogue& catalogue,
                                               const std::vector<Colour>& labelling);
 

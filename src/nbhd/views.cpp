@@ -7,10 +7,12 @@
 #include <limits>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <unordered_map>
 
 #include "colsys/canon.hpp"
+#include "util/hash.hpp"
 
 namespace dmm::nbhd {
 
@@ -146,19 +148,12 @@ void for_each_view(int k, int d, int rho, int max_views,
 }  // namespace
 
 ViewCatalogue enumerate_views(int k, int d, int rho, int max_views) {
-  ViewCatalogue catalogue;
-  catalogue.k = k;
-  catalogue.d = d;
-  catalogue.rho = rho;
-  // Canonical dedup (choice vectors are canonical already, but be safe):
-  // the interner keeps the first occurrence, so ViewId == view index.
-  colsys::CanonicalStore store;
-  for_each_view(k, d, rho, max_views, [&](ColourSystem&& view) {
-    if (store.intern(view, rho) == static_cast<colsys::ViewId>(catalogue.views.size())) {
-      catalogue.views.push_back(std::move(view));
-    }
-  });
-  return catalogue;
+  // Each choice vector is a different tree, so the views are distinct as
+  // built; the constructor's check confirms it through the index.
+  std::vector<ColourSystem> views;
+  for_each_view(k, d, rho, max_views,
+                [&](ColourSystem&& view) { views.push_back(std::move(view)); });
+  return ViewCatalogue(k, d, rho, std::move(views));
 }
 
 bool c_compatible(const ColourSystem& a, const ColourSystem& b, Colour c, int rho) {
@@ -178,18 +173,50 @@ bool c_compatible(const ColourSystem& a, const ColourSystem& b, Colour c, int rh
   return lhs == rhs;
 }
 
+namespace {
+
+/// Throws unless the views' class rows are pairwise distinct.  A view's
+/// c-class fixes its c-branch to depth ρ (the across half) and whether it
+/// has one, so the rows are equal iff the views are equal to radius ρ.
+/// The rows are interned in one open-addressed table of view ids.
+void require_distinct_views(const BicliqueIndex& index) {
+  const int n = index.view_count();
+  const std::size_t capacity = std::bit_ceil(2 * static_cast<std::size_t>(n) + 16);
+  std::vector<std::int32_t> table(capacity, -1);
+  for (int v = 0; v < n; ++v) {
+    const std::span<const std::int32_t> row = index.classes(v);
+    std::size_t at = mix64(fnv1a(row.data(), row.size_bytes())) & (capacity - 1);
+    for (; table[at] >= 0; at = (at + 1) & (capacity - 1)) {
+      if (std::ranges::equal(index.classes(table[at]), row)) {
+        throw std::invalid_argument("ViewCatalogue: views " + std::to_string(table[at]) +
+                                    " and " + std::to_string(v) + " are equal to radius rho");
+      }
+    }
+    table[at] = v;
+  }
+}
+
+}  // namespace
+
+ViewCatalogue::ViewCatalogue(int k, int d, int rho, std::vector<ColourSystem> views)
+    : k_(k), d_(d), rho_(rho), views_(std::move(views)) {
+  if (rho < 1) throw std::invalid_argument("ViewCatalogue: need rho >= 1");
+  index_ = BicliqueIndex(*this);
+  require_distinct_views(index_);
+}
+
 BicliqueIndex::BicliqueIndex(const ViewCatalogue& catalogue)
-    : k_(catalogue.k), views_(catalogue.size()) {
+    : k_(catalogue.k()), views_(catalogue.size()) {
   // The per-view work is two direct subtree serialisations (no rerooted,
   // pruned or restricted tree copies), interned into one id space, so a
   // match between halves is integer equality.  The two per-(view, colour)
   // root transforms are dense maps keyed by the view's catalogue index.
-  const int rho = catalogue.rho;
+  const int rho = catalogue.rho();
   colsys::CanonicalStore store;
   colsys::TransformCache across(k_), remainder(k_);
   std::vector<std::uint8_t> buf;
   for (int a = 0; a < views_; ++a) {
-    const ColourSystem& view = catalogue.views[static_cast<std::size_t>(a)];
+    const ColourSystem& view = catalogue.view(a);
     for (int c = 1; c <= k_; ++c) {
       const colsys::NodeId child = view.child(ColourSystem::root(), c);
       if (child == colsys::kNullNode) continue;
@@ -275,7 +302,7 @@ std::vector<CompatiblePair> pair_list(const BicliqueIndex& index) {
 }  // namespace
 
 std::vector<CompatiblePair> compatible_pairs(const ViewCatalogue& catalogue) {
-  return pair_list(BicliqueIndex(catalogue));
+  return pair_list(catalogue.index());
 }
 
 // ---------------------------------------------------------------------------
@@ -426,10 +453,6 @@ class OrbitBuilder {
   }
 
   OrbitCatalogue finish() {
-    OrbitCatalogue catalogue;
-    catalogue.k = k_;
-    catalogue.d = d_;
-    catalogue.rho = rho_;
     // Canonical-bytes order: independent of the order (and of any global
     // colour relabelling) of the input views.
     std::vector<std::size_t> order(orbits_.size());
@@ -447,20 +470,20 @@ class OrbitBuilder {
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
       return bytes_less(orbits_[a].canonical, orbits_[b].canonical);
     });
-    catalogue.offsets.push_back(0);
+    std::vector<ColourSystem> reps;
+    std::vector<std::vector<ColourPerm>> stabilisers, cosets;
     for (const std::size_t i : order) {
       Orbit& orbit = orbits_[i];
       std::vector<ColourPerm> present_cosets;
       for (std::size_t j = 0; j < orbit.cosets.size(); ++j) {
         if (orbit.present[j]) present_cosets.push_back(orbit.cosets[j]);
       }
-      catalogue.offsets.push_back(catalogue.offsets.back() +
-                                  static_cast<std::int64_t>(present_cosets.size()));
-      catalogue.reps.push_back(std::move(orbit.rep));
-      catalogue.stabilisers.push_back(std::move(orbit.stabiliser));
-      catalogue.cosets.push_back(std::move(present_cosets));
+      reps.push_back(std::move(orbit.rep));
+      stabilisers.push_back(std::move(orbit.stabiliser));
+      cosets.push_back(std::move(present_cosets));
     }
-    return catalogue;
+    return OrbitCatalogue(k_, d_, rho_, std::move(reps), std::move(stabilisers),
+                          std::move(cosets));
   }
 
  private:
@@ -652,58 +675,74 @@ OrbitCatalogue enumerate_orbits(int k, int d, int rho, int max_views, OrbitGenSt
   if (census.orbits > static_cast<double>(max_views)) {
     throw std::runtime_error("enumerate_orbits: orbit catalogue exceeds max_views");
   }
-  OrbitCatalogue catalogue;
-  catalogue.k = k;
-  catalogue.d = d;
-  catalogue.rho = rho;
-  catalogue.reps.reserve(static_cast<std::size_t>(census.orbits));
-  catalogue.stabilisers.reserve(static_cast<std::size_t>(census.orbits));
-  catalogue.cosets.reserve(static_cast<std::size_t>(census.orbits));
-  catalogue.offsets.reserve(static_cast<std::size_t>(census.orbits) + 1);
-  catalogue.offsets.push_back(0);
+  if (census.views > static_cast<double>(std::numeric_limits<std::int32_t>::max())) {
+    throw std::runtime_error("enumerate_orbits: member views exceed the index's int32 ids");
+  }
+  const auto orbits = static_cast<std::size_t>(census.orbits);
+  std::vector<ColourSystem> reps;
+  std::vector<std::vector<ColourPerm>> stabilisers, cosets;
+  reps.reserve(orbits);
+  stabilisers.reserve(orbits);
+  cosets.reserve(orbits);
+  double members = 0;
   const std::vector<ColourPerm> perms = colsys::all_perms(k);
   const OrbitGenStats gen = orderly_orbit_reps(k, d, rho, [&](OrderlyRep&& rep) {
-    catalogue.reps.push_back(view_from_bytes(k, rep.bytes));
-    std::vector<ColourPerm> cosets = all_cosets(perms, rep.stabiliser);
-    catalogue.offsets.push_back(catalogue.offsets.back() +
-                                static_cast<std::int64_t>(cosets.size()));
-    catalogue.cosets.push_back(std::move(cosets));
-    catalogue.stabilisers.push_back(std::move(rep.stabiliser));
+    reps.push_back(view_from_bytes(k, rep.bytes));
+    cosets.push_back(all_cosets(perms, rep.stabiliser));
+    members += static_cast<double>(cosets.back().size());
+    stabilisers.push_back(std::move(rep.stabiliser));
     return true;
   });
   // A generation bug would silently drop orbits and flip UNSAT verdicts;
   // the census is exact and independent, so disagreeing with it is fatal.
-  if (static_cast<double>(catalogue.orbit_count()) != census.orbits ||
-      static_cast<double>(catalogue.view_count()) != census.views) {
+  if (static_cast<double>(reps.size()) != census.orbits || members != census.views) {
     throw std::logic_error(
         "enumerate_orbits: orderly generation disagrees with the Burnside census");
   }
   if (stats != nullptr) *stats = gen;
-  return catalogue;
+  return OrbitCatalogue(k, d, rho, std::move(reps), std::move(stabilisers), std::move(cosets));
 }
 
 OrbitCatalogue reduce_catalogue(const ViewCatalogue& catalogue) {
-  OrbitBuilder builder(catalogue.k, catalogue.d, catalogue.rho);
-  builder.reserve(catalogue.views.size());
-  for (const ColourSystem& view : catalogue.views) builder.add(view);
+  OrbitBuilder builder(catalogue.k(), catalogue.d(), catalogue.rho());
+  builder.reserve(catalogue.views().size());
+  for (const ColourSystem& view : catalogue.views()) builder.add(view);
   return builder.finish();
 }
 
 ViewCatalogue expand_catalogue(const OrbitCatalogue& catalogue) {
-  ViewCatalogue out;
-  out.k = catalogue.k;
-  out.d = catalogue.d;
-  out.rho = catalogue.rho;
-  out.views.reserve(static_cast<std::size_t>(catalogue.view_count()));
+  std::vector<ColourSystem> views;
+  views.reserve(static_cast<std::size_t>(catalogue.view_count()));
   for (int o = 0; o < catalogue.orbit_count(); ++o) {
-    for (const ColourPerm& sigma : catalogue.cosets[static_cast<std::size_t>(o)]) {
-      out.views.push_back(catalogue.reps[static_cast<std::size_t>(o)].permuted(sigma));
+    for (const ColourPerm& sigma : catalogue.cosets()[static_cast<std::size_t>(o)]) {
+      views.push_back(catalogue.reps()[static_cast<std::size_t>(o)].permuted(sigma));
     }
   }
-  return out;
+  return ViewCatalogue(catalogue.k(), catalogue.d(), catalogue.rho(), std::move(views));
 }
 
-BicliqueIndex::BicliqueIndex(const OrbitCatalogue& catalogue) : k_(catalogue.k) {
+OrbitCatalogue::OrbitCatalogue(int k, int d, int rho, std::vector<ColourSystem> reps,
+                               std::vector<std::vector<ColourPerm>> stabilisers,
+                               std::vector<std::vector<ColourPerm>> cosets)
+    : k_(k),
+      d_(d),
+      rho_(rho),
+      reps_(std::move(reps)),
+      stabilisers_(std::move(stabilisers)),
+      cosets_(std::move(cosets)),
+      offsets_{0} {
+  if (rho < 1) throw std::invalid_argument("OrbitCatalogue: need rho >= 1");
+  if (stabilisers_.size() != reps_.size() || cosets_.size() != reps_.size()) {
+    throw std::invalid_argument("OrbitCatalogue: one stabiliser and coset list per orbit");
+  }
+  offsets_.reserve(cosets_.size() + 1);
+  for (const std::vector<ColourPerm>& orbit : cosets_) {
+    offsets_.push_back(offsets_.back() + static_cast<std::int64_t>(orbit.size()));
+  }
+  index_ = BicliqueIndex(*this);
+}
+
+BicliqueIndex::BicliqueIndex(const OrbitCatalogue& catalogue) : k_(catalogue.k()) {
   // The raw index interns two half-trees per (view, colour) and keys
   // classes on both ids.  At orbit level a member (o, σ) is σ·rep, so its
   // half along c is σ·half(rep, σ⁻¹(c)) — i.e. (σ ∘ w⁻¹)·H where H is the
@@ -713,10 +752,10 @@ BicliqueIndex::BicliqueIndex(const OrbitCatalogue& catalogue) : k_(catalogue.k) 
   // per distinct serialisation, and every member key is a handful of
   // permutation compositions.
   const int k = k_;
-  const int rho = catalogue.rho;
+  const int rho = catalogue.rho();
   const int orbit_count = catalogue.orbit_count();
   if (catalogue.view_count() > std::numeric_limits<std::int32_t>::max()) {
-    throw std::invalid_argument("BicliqueIndex: orbit catalogue too large to expand");
+    throw std::invalid_argument("OrbitCatalogue: member views exceed the index's int32 ids");
   }
   views_ = static_cast<int>(catalogue.view_count());
   std::uint64_t fact = 1;
@@ -771,7 +810,7 @@ BicliqueIndex::BicliqueIndex(const OrbitCatalogue& catalogue) : k_(catalogue.k) 
   std::vector<HalfRef> remainder_ref(static_cast<std::size_t>(orbit_count) * k);
   std::vector<std::uint8_t> buf;
   for (int o = 0; o < orbit_count; ++o) {
-    const ColourSystem& rep = catalogue.reps[static_cast<std::size_t>(o)];
+    const ColourSystem& rep = catalogue.reps()[static_cast<std::size_t>(o)];
     for (int a = 1; a <= k; ++a) {
       const colsys::NodeId child = rep.child(ColourSystem::root(), a);
       if (child == colsys::kNullNode) continue;
@@ -818,7 +857,7 @@ BicliqueIndex::BicliqueIndex(const OrbitCatalogue& catalogue) : k_(catalogue.k) 
   colsys::ViewId v = 0;
   Colour sigma_inv[colsys::kMaxOrbitColours + 1];
   for (int o = 0; o < orbit_count; ++o) {
-    for (const ColourPerm& sigma : catalogue.cosets[static_cast<std::size_t>(o)]) {
+    for (const ColourPerm& sigma : catalogue.cosets()[static_cast<std::size_t>(o)]) {
       for (int c = 1; c <= k; ++c) sigma_inv[sigma[c]] = c;
       for (int c = 1; c <= k; ++c) {
         const Colour a = sigma_inv[c];
@@ -834,7 +873,7 @@ BicliqueIndex::BicliqueIndex(const OrbitCatalogue& catalogue) : k_(catalogue.k) 
 }
 
 std::vector<CompatiblePair> compatible_pairs(const OrbitCatalogue& catalogue) {
-  return pair_list(BicliqueIndex(catalogue));
+  return pair_list(catalogue.index());
 }
 
 }  // namespace dmm::nbhd

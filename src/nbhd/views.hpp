@@ -30,19 +30,138 @@ using colsys::ColourPerm;
 using colsys::ColourSystem;
 using gk::Colour;
 
-struct ViewCatalogue {
-  int k = 0;
-  int d = 0;
-  int rho = 0;
-  /// All complete depth-ρ views, canonically deduplicated; index = view id.
-  std::vector<ColourSystem> views;
+class ViewCatalogue;
+class OrbitCatalogue;
 
-  int size() const noexcept { return static_cast<int>(views.size()); }
+// ---------------------------------------------------------------------------
+// The compatible-pair relation as complete bipartite classes.
+//
+// (A, B, c) is compatible iff across(A, c) = remainder(B, c) and
+// across(B, c) = remainder(A, c), where across is the subtree at the root's
+// c-child and remainder the view without its c-branch, both cut to depth
+// ρ-1.  So the (view, colour) memberships sharing one (remainder, across, c)
+// triple form a class, and every member of a class is compatible with every
+// member of its partner class: the triple with its two halves swapped.  A
+// class whose halves coincide is its own partner — its members are pairwise
+// compatible, each with itself too.  The relation is the union of these
+// bicliques: at k = 4, ρ = 3 its 9 570 312 pairs (19.1 M directed arcs) are
+// 2 916 classes over 236 196 memberships, so the CSP solver and the pair
+// emitter both work class by class and never build a per-arc structure.
+//
+// Each catalogue builds its index once, in its constructor, and keeps it:
+// compatible_pairs, solve and check_labelling all read that one object, and
+// nothing else can build one.
+// ---------------------------------------------------------------------------
+
+class BicliqueIndex {
+ public:
+  static constexpr std::int32_t kNoClass = -1;
+
+  int k() const noexcept { return k_; }
+  int view_count() const noexcept { return views_; }
+  std::int32_t class_count() const noexcept { return static_cast<std::int32_t>(colour_.size()); }
+
+  /// The class of membership (view, c), or kNoClass when the view has no
+  /// c-edge.
+  std::int32_t class_of(int view, Colour c) const { return class_of_[slot(view, c)]; }
+  /// class_of(view, c) for c = 1..k.  Since the halves cover the view's
+  /// branches, two views are equal to radius ρ iff these rows are equal.
+  std::span<const std::int32_t> classes(int view) const {
+    return {class_of_.data() + slot(view, 1), static_cast<std::size_t>(k_)};
+  }
+  Colour colour(std::int32_t cls) const { return colour_[static_cast<std::size_t>(cls)]; }
+  /// The class whose members are cls's partners (the same colour), or
+  /// kNoClass when no membership completes cls.
+  std::int32_t partner(std::int32_t cls) const { return partner_[static_cast<std::size_t>(cls)]; }
+  /// The members of cls, ascending.
+  std::span<const std::int32_t> members(std::int32_t cls) const {
+    const std::size_t first = start_[static_cast<std::size_t>(cls)];
+    return {members_.data() + first, start_[static_cast<std::size_t>(cls) + 1] - first};
+  }
+  /// The number of compatible pairs: |K|·|P| per class pair {K, P},
+  /// |K|(|K|+1)/2 per self-partnered class K.
+  std::uint64_t pair_count() const noexcept { return pair_count_; }
+
+  /// Calls fn(a, b, c) for every compatible pair, a <= b, ascending in
+  /// (a, c, b) — each unordered pair once, from its smaller view.
+  template <class Fn>
+  void for_each_pair(Fn&& fn) const {
+    for (int a = 0; a < views_; ++a) {
+      for (int c = 1; c <= k_; ++c) {
+        const std::int32_t cls = class_of(a, c);
+        if (cls == kNoClass || partner(cls) == kNoClass) continue;
+        const std::span<const std::int32_t> bs = members(partner(cls));
+        for (auto b = std::lower_bound(bs.begin(), bs.end(), a); b != bs.end(); ++b) {
+          fn(a, *b, static_cast<Colour>(c));
+        }
+      }
+    }
+  }
+
+ private:
+  friend class ViewCatalogue;
+  friend class OrbitCatalogue;
+
+  BicliqueIndex() = default;
+
+  /// Both halves of every membership are serialised and interned into dense
+  /// ids, and the classes are keyed exactly on (remainder id, across id)
+  /// per colour.
+  explicit BicliqueIndex(const ViewCatalogue& catalogue);
+
+  /// The same index over the member (orbit, coset) indices, built at orbit
+  /// level: the two halves are serialised once per (representative, colour)
+  /// and canonised once per distinct serialisation, and each member's half
+  /// identity is the group element lifting it through the representative's
+  /// witness — no per-member serialisation.  Equals the index of
+  /// expand_catalogue(c) class for class.
+  explicit BicliqueIndex(const OrbitCatalogue& catalogue);
+
+  std::size_t slot(int view, Colour c) const {
+    return static_cast<std::size_t>(view) * static_cast<std::size_t>(k_) +
+           static_cast<std::size_t>(c - 1);
+  }
+  /// Groups the memberships into classes from their interned halves.
+  void group(const colsys::TransformCache& remainder, const colsys::TransformCache& across);
+
+  int k_ = 0;
+  int views_ = 0;
+  std::vector<std::int32_t> class_of_;  // per slot view * k + (c - 1)
+  std::vector<Colour> colour_;          // per class
+  std::vector<std::int32_t> partner_;   // per class
+  std::vector<std::size_t> start_;      // class_count() + 1 offsets into members_
+  std::vector<std::int32_t> members_;
+  std::uint64_t pair_count_ = 0;
 };
 
-/// Enumerates every radius-ρ view arising in d-regular k-colour systems.
-/// Throws if the catalogue would exceed `max_views` (guards the
-/// exponential blow-up).
+/// A catalogue of radius-ρ views (index = view id) with the biclique index
+/// of their compatible pairs.  Read-only once built.
+class ViewCatalogue {
+ public:
+  /// Takes the views and builds their BicliqueIndex.  Throws
+  /// std::invalid_argument when rho < 1 or when two views are equal to
+  /// radius rho (their class rows, BicliqueIndex::classes, are compared).
+  ViewCatalogue(int k, int d, int rho, std::vector<ColourSystem> views);
+
+  int k() const noexcept { return k_; }
+  int d() const noexcept { return d_; }
+  int rho() const noexcept { return rho_; }
+  int size() const noexcept { return static_cast<int>(views_.size()); }
+  const std::vector<ColourSystem>& views() const noexcept { return views_; }
+  const ColourSystem& view(int id) const { return views_[static_cast<std::size_t>(id)]; }
+  const BicliqueIndex& index() const noexcept { return index_; }
+
+ private:
+  int k_;
+  int d_;
+  int rho_;
+  std::vector<ColourSystem> views_;
+  BicliqueIndex index_;
+};
+
+/// Enumerates every radius-ρ view arising in d-regular k-colour systems
+/// (distinct by construction: one per choice vector).  Throws if the
+/// catalogue would exceed `max_views` (guards the exponential blow-up).
 ViewCatalogue enumerate_views(int k, int d, int rho, int max_views = 2'000'000);
 
 /// True iff views A and B can sit at the two ends of a colour-c edge of
@@ -56,7 +175,7 @@ struct CompatiblePair {
 };
 
 /// All compatible (a, b, c) triples with a <= b, ascending in (a, c, b):
-/// BicliqueIndex(catalogue)'s for_each_pair as a vector.
+/// the catalogue index's for_each_pair as a vector.
 std::vector<CompatiblePair> compatible_pairs(const ViewCatalogue& catalogue);
 
 // ---------------------------------------------------------------------------
@@ -88,27 +207,52 @@ struct OrbitCensus {
 };
 OrbitCensus orbit_census(int k, int d, int rho);
 
-struct OrbitCatalogue {
-  int k = 0;
-  int d = 0;
-  int rho = 0;
+/// One representative per orbit with its stabiliser and member cosets, and
+/// the biclique index over the member views.  Read-only once built.  The
+/// members are distinct by the coset construction, so unlike ViewCatalogue
+/// the constructor does not compare them.
+class OrbitCatalogue {
+ public:
+  /// Takes the orbits (three vectors of one length) and builds the index
+  /// over their members.  Throws std::invalid_argument when the lengths
+  /// differ, rho < 1, or the members overflow the index's int32 ids.
+  OrbitCatalogue(int k, int d, int rho, std::vector<ColourSystem> reps,
+                 std::vector<std::vector<ColourPerm>> stabilisers,
+                 std::vector<std::vector<ColourPerm>> cosets);
+
+  int k() const noexcept { return k_; }
+  int d() const noexcept { return d_; }
+  int rho() const noexcept { return rho_; }
   /// One orbit-canonical representative per orbit, sorted by canonical
   /// serialisation bytes — an order independent of any relabelling of the
   /// input, which is what makes the orbit pipeline metamorphically stable.
-  std::vector<ColourSystem> reps;
+  const std::vector<ColourSystem>& reps() const noexcept { return reps_; }
   /// Per orbit: the stabiliser of the representative in S_k (contains id).
-  std::vector<std::vector<ColourPerm>> stabilisers;
+  const std::vector<std::vector<ColourPerm>>& stabilisers() const noexcept {
+    return stabilisers_;
+  }
   /// Per orbit: sorted canonical left-coset representatives σ; the orbit's
-  /// members are σ·rep, so cosets[o].size() == k!/|stabilisers[o]| and the
-  /// member views of the whole catalogue are indexed (orbit, coset) in
+  /// members are σ·rep, so cosets()[o].size() == k!/|stabilisers()[o]| and
+  /// the member views of the whole catalogue are indexed (orbit, coset) in
   /// lexicographic order.
-  std::vector<std::vector<ColourPerm>> cosets;
-  /// offsets[o] is the member index of cosets[o][0]; offsets.back() is the
-  /// total member count (== the raw catalogue size).
-  std::vector<std::int64_t> offsets;
+  const std::vector<std::vector<ColourPerm>>& cosets() const noexcept { return cosets_; }
+  /// offsets()[o] is the member index of cosets()[o][0]; offsets().back()
+  /// is the total member count (== the raw catalogue size).
+  const std::vector<std::int64_t>& offsets() const noexcept { return offsets_; }
+  const BicliqueIndex& index() const noexcept { return index_; }
 
-  int orbit_count() const noexcept { return static_cast<int>(reps.size()); }
-  std::int64_t view_count() const noexcept { return offsets.empty() ? 0 : offsets.back(); }
+  int orbit_count() const noexcept { return static_cast<int>(reps_.size()); }
+  std::int64_t view_count() const noexcept { return offsets_.back(); }
+
+ private:
+  int k_;
+  int d_;
+  int rho_;
+  std::vector<ColourSystem> reps_;
+  std::vector<std::vector<ColourPerm>> stabilisers_;
+  std::vector<std::vector<ColourPerm>> cosets_;
+  std::vector<std::int64_t> offsets_;
+  BicliqueIndex index_;
 };
 
 /// Counters from an orderly generation run (orderly_orbit_reps /
@@ -152,11 +296,12 @@ OrbitGenStats orderly_orbit_reps(int k, int d, int rho,
 
 /// Enumerates the catalogue modulo colour permutation via orderly
 /// generation: only the canonical representatives are built (+ stabiliser
-/// and member cosets per orbit), so `max_views` now guards *reps
-/// generated*, not raw members — `k = 5, ρ = 3` (1.79×10⁸ reps over
-/// 2.1×10¹⁰ raw views) is reachable by raising it.  The rep set is
-/// cross-checked against the closed-form Burnside census before returning;
-/// `stats`, when given, receives the generation counters.
+/// and member cosets per orbit), so `max_views` guards *reps generated*,
+/// not raw members.  The member views must still fit the index's int32 ids
+/// (k = 5, ρ = 3, with 2.1×10¹⁰ members, throws before generating; its reps
+/// stream through orderly_orbit_reps).  The rep set is cross-checked against
+/// the closed-form Burnside census before returning; `stats`, when given,
+/// receives the generation counters.
 OrbitCatalogue enumerate_orbits(int k, int d, int rho, int max_views = 2'000'000,
                                 OrbitGenStats* stats = nullptr);
 
@@ -170,96 +315,8 @@ OrbitCatalogue reduce_catalogue(const ViewCatalogue& catalogue);
 ViewCatalogue expand_catalogue(const OrbitCatalogue& catalogue);
 
 /// All compatible (a, b, c) triples over the member index space, a <= b,
-/// ascending in (a, c, b): BicliqueIndex(catalogue)'s for_each_pair as a
-/// vector, which equals compatible_pairs(expand_catalogue(catalogue))
-/// exactly.
+/// ascending in (a, c, b): the catalogue index's for_each_pair as a vector,
+/// which equals compatible_pairs(expand_catalogue(catalogue)) exactly.
 std::vector<CompatiblePair> compatible_pairs(const OrbitCatalogue& catalogue);
-
-// ---------------------------------------------------------------------------
-// The compatible-pair relation as complete bipartite classes.
-//
-// (A, B, c) is compatible iff across(A, c) = remainder(B, c) and
-// across(B, c) = remainder(A, c), where across is the subtree at the root's
-// c-child and remainder the view without its c-branch, both cut to depth
-// ρ-1.  So the (view, colour) memberships sharing one (remainder, across, c)
-// triple form a class, and every member of a class is compatible with every
-// member of its partner class: the triple with its two halves swapped.  A
-// class whose halves coincide is its own partner — its members are pairwise
-// compatible, each with itself too.  The relation is the union of these
-// bicliques: at k = 4, ρ = 3 its 9 570 312 pairs (19.1 M directed arcs) are
-// 2 916 classes over 236 196 memberships, so the CSP solver and the pair
-// emitter both work class by class and never build a per-arc structure.
-// ---------------------------------------------------------------------------
-
-class BicliqueIndex {
- public:
-  static constexpr std::int32_t kNoClass = -1;
-
-  /// Both halves of every membership are serialised and interned into dense
-  /// ids, and the classes are keyed exactly on (remainder id, across id)
-  /// per colour.
-  explicit BicliqueIndex(const ViewCatalogue& catalogue);
-
-  /// The same index over the member (orbit, coset) indices, built at orbit
-  /// level: the two halves are serialised once per (representative, colour)
-  /// and canonised once per distinct serialisation, and each member's half
-  /// identity is the group element lifting it through the representative's
-  /// witness — no per-member serialisation.  Equals
-  /// BicliqueIndex(expand_catalogue(c)) class for class.
-  explicit BicliqueIndex(const OrbitCatalogue& catalogue);
-
-  int k() const noexcept { return k_; }
-  int view_count() const noexcept { return views_; }
-  std::int32_t class_count() const noexcept { return static_cast<std::int32_t>(colour_.size()); }
-
-  /// The class of membership (view, c), or kNoClass when the view has no
-  /// c-edge.
-  std::int32_t class_of(int view, Colour c) const { return class_of_[slot(view, c)]; }
-  Colour colour(std::int32_t cls) const { return colour_[static_cast<std::size_t>(cls)]; }
-  /// The class whose members are cls's partners (the same colour), or
-  /// kNoClass when no membership completes cls.
-  std::int32_t partner(std::int32_t cls) const { return partner_[static_cast<std::size_t>(cls)]; }
-  /// The members of cls, ascending.
-  std::span<const std::int32_t> members(std::int32_t cls) const {
-    const std::size_t first = start_[static_cast<std::size_t>(cls)];
-    return {members_.data() + first, start_[static_cast<std::size_t>(cls) + 1] - first};
-  }
-  /// The number of compatible pairs: |K|·|P| per class pair {K, P},
-  /// |K|(|K|+1)/2 per self-partnered class K.
-  std::uint64_t pair_count() const noexcept { return pair_count_; }
-
-  /// Calls fn(a, b, c) for every compatible pair, a <= b, ascending in
-  /// (a, c, b) — each unordered pair once, from its smaller view.
-  template <class Fn>
-  void for_each_pair(Fn&& fn) const {
-    for (int a = 0; a < views_; ++a) {
-      for (int c = 1; c <= k_; ++c) {
-        const std::int32_t cls = class_of(a, c);
-        if (cls == kNoClass || partner(cls) == kNoClass) continue;
-        const std::span<const std::int32_t> bs = members(partner(cls));
-        for (auto b = std::lower_bound(bs.begin(), bs.end(), a); b != bs.end(); ++b) {
-          fn(a, *b, static_cast<Colour>(c));
-        }
-      }
-    }
-  }
-
- private:
-  std::size_t slot(int view, Colour c) const {
-    return static_cast<std::size_t>(view) * static_cast<std::size_t>(k_) +
-           static_cast<std::size_t>(c - 1);
-  }
-  /// Groups the memberships into classes from their interned halves.
-  void group(const colsys::TransformCache& remainder, const colsys::TransformCache& across);
-
-  int k_ = 0;
-  int views_ = 0;
-  std::vector<std::int32_t> class_of_;  // per slot view * k + (c - 1)
-  std::vector<Colour> colour_;          // per class
-  std::vector<std::int32_t> partner_;   // per class
-  std::vector<std::size_t> start_;      // class_count() + 1 offsets into members_
-  std::vector<std::int32_t> members_;
-  std::uint64_t pair_count_ = 0;
-};
 
 }  // namespace dmm::nbhd

@@ -64,10 +64,7 @@ void reference_subsets(int k, int count, Colour forced,
 }
 
 nbhd::ViewCatalogue reference_enumerate_views(int k, int d, int rho) {
-  nbhd::ViewCatalogue catalogue;
-  catalogue.k = k;
-  catalogue.d = d;
-  catalogue.rho = rho;
+  std::vector<ColourSystem> views;
   std::vector<ColourSystem> frontier{ColourSystem(k, colsys::kExactRadius)};
   for (int depth = 0; depth < rho; ++depth) {
     std::vector<ColourSystem> next;
@@ -112,15 +109,15 @@ nbhd::ViewCatalogue reference_enumerate_views(int k, int d, int rho) {
   std::set<std::vector<std::uint8_t>> seen;
   for (ColourSystem& view : frontier) {
     if (seen.insert(view.serialize(rho)).second) {
-      catalogue.views.push_back(std::move(view));
+      views.push_back(std::move(view));
     }
   }
-  return catalogue;
+  return nbhd::ViewCatalogue(k, d, rho, std::move(views));
 }
 
 std::vector<nbhd::CompatiblePair> reference_compatible_pairs(
     const nbhd::ViewCatalogue& catalogue) {
-  const int rho = catalogue.rho;
+  const int rho = catalogue.rho();
   struct Halves {
     std::vector<std::uint8_t> across;
     std::vector<std::uint8_t> remainder;
@@ -130,9 +127,9 @@ std::vector<nbhd::CompatiblePair> reference_compatible_pairs(
   std::map<std::pair<Colour, std::vector<std::uint8_t>>, std::vector<int>> by_remainder;
   for (int a = 0; a < catalogue.size(); ++a) {
     auto& mine = halves[static_cast<std::size_t>(a)];
-    mine.resize(static_cast<std::size_t>(catalogue.k) + 1);
-    const ColourSystem& view = catalogue.views[static_cast<std::size_t>(a)];
-    for (Colour c = 1; c <= catalogue.k; ++c) {
+    mine.resize(static_cast<std::size_t>(catalogue.k()) + 1);
+    const ColourSystem& view = catalogue.view(a);
+    for (Colour c = 1; c <= catalogue.k(); ++c) {
       const colsys::NodeId child = view.child(ColourSystem::root(), c);
       if (child == colsys::kNullNode) continue;
       Halves& h = mine[c];
@@ -144,7 +141,7 @@ std::vector<nbhd::CompatiblePair> reference_compatible_pairs(
   }
   std::vector<nbhd::CompatiblePair> out;
   for (int a = 0; a < catalogue.size(); ++a) {
-    for (Colour c = 1; c <= catalogue.k; ++c) {
+    for (Colour c = 1; c <= catalogue.k(); ++c) {
       const Halves& ha = halves[static_cast<std::size_t>(a)][c];
       if (!ha.has_colour) continue;
       const auto it = by_remainder.find({c, ha.across});
@@ -261,7 +258,7 @@ TEST(CanonicalStore, StaysExactAcrossRehashes) {
   EXPECT_EQ(store.size(), 200000);
   // Interning a tree equals interning its serialisation, either way round.
   const nbhd::ViewCatalogue cat = nbhd::enumerate_views(3, 2, 3);
-  for (const ColourSystem& view : cat.views) {
+  for (const ColourSystem& view : cat.views()) {
     for (int r = 0; r <= 3; ++r) {
       const ViewId by_tree = store.intern(view, r);
       EXPECT_EQ(store.intern(view.serialize(r)), by_tree);
@@ -290,7 +287,7 @@ TEST(SubtreeSerialisation, MatchesRerootPruneRestrictComposition) {
     if (g.rho < 2) continue;
     const nbhd::ViewCatalogue cat = nbhd::enumerate_views(g.k, g.d, g.rho);
     for (int a = 0; a < std::min(cat.size(), 40); ++a) {
-      const ColourSystem& view = cat.views[static_cast<std::size_t>(a)];
+      const ColourSystem& view = cat.view(a);
       for (Colour c = 1; c <= g.k; ++c) {
         const colsys::NodeId child = view.child(ColourSystem::root(), c);
         if (child == colsys::kNullNode) continue;
@@ -315,8 +312,7 @@ TEST(InternedPipeline, CataloguesAreByteIdenticalToSeed) {
     const nbhd::ViewCatalogue now = nbhd::enumerate_views(g.k, g.d, g.rho);
     ASSERT_EQ(now.size(), seed.size()) << "k=" << g.k << " d=" << g.d << " rho=" << g.rho;
     for (int i = 0; i < now.size(); ++i) {
-      EXPECT_EQ(now.views[static_cast<std::size_t>(i)].serialize(g.rho),
-                seed.views[static_cast<std::size_t>(i)].serialize(g.rho))
+      EXPECT_EQ(now.view(i).serialize(g.rho), seed.view(i).serialize(g.rho))
           << "view " << i << " at k=" << g.k << " d=" << g.d << " rho=" << g.rho;
     }
   }
@@ -343,7 +339,7 @@ TEST(InternedPipeline, GoldenCatalogueAndPairCounts) {
   EXPECT_EQ(nbhd::compatible_pairs(cat).size(), 9570312u);
   // Its 236 196 (view, colour) memberships fall into 2 916 biclique
   // classes; 108 of them are their own partner.
-  const nbhd::BicliqueIndex index(cat);
+  const nbhd::BicliqueIndex& index = cat.index();
   EXPECT_EQ(index.class_count(), 2916);
   EXPECT_EQ(index.pair_count(), 9570312u);
   std::size_t memberships = 0;
@@ -459,7 +455,7 @@ void expect_only_its_own_pairs_accepted(const Catalogue& cat) {
 
   for (const std::size_t i : {std::size_t{0}, mid, pairs.size() - 1}) {
     auto recoloured = pairs;
-    recoloured[i].colour = static_cast<Colour>(recoloured[i].colour % cat.k + 1);
+    recoloured[i].colour = static_cast<Colour>(recoloured[i].colour % cat.k() + 1);
     expect_rejected(cat, recoloured, "one colour changed at pair " + std::to_string(i));
   }
 }
@@ -499,13 +495,16 @@ TEST(CspEquivalence, VerdictFrontierMatchesTheorem5) {
 
 // ~2 s: the full k = 4, rho = 3 frontier (78 732 views, ~9.6M constraints)
 // — the row the canonical-form rewrite brought from ~20 s into tier-1
-// reach.  UNSAT here is "no 2-round algorithm exists for k = 4".
+// reach.  UNSAT here is "no 2-round algorithm exists for k = 4".  The
+// class walks pin the guards: a search that walked every partner class
+// again would make 407 542.
 TEST(CspEquivalence, NoTwoRoundAlgorithmK4InTierOne) {
   const nbhd::ViewCatalogue cat = nbhd::enumerate_views(4, 3, 3);
   const auto pairs = nbhd::compatible_pairs(cat);
   const nbhd::CspResult result = nbhd::solve(cat, pairs);
   EXPECT_FALSE(result.satisfiable);
   EXPECT_EQ(result.nodes_explored, 135864u);
+  EXPECT_EQ(result.class_walks, 5796u);
 }
 
 // ---------------------------------------------------------------------------

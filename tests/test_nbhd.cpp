@@ -11,6 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <tuple>
+#include <type_traits>
 
 #include "algo/greedy.hpp"
 #include "algo/truncated_greedy.hpp"
@@ -34,7 +37,7 @@ TEST(Views, CatalogueSizesK4) {
 
 TEST(Views, AllViewsAreRegularTrees) {
   const ViewCatalogue cat = enumerate_views(3, 2, 2);
-  for (const auto& view : cat.views) {
+  for (const auto& view : cat.views()) {
     for (colsys::NodeId v : view.nodes_up_to(1)) {
       EXPECT_EQ(view.degree(v), 2);
     }
@@ -50,13 +53,13 @@ TEST(Views, CompatibilityIsSymmetricAndNeedsSharedColour) {
   for (int a = 0; a < cat.size(); ++a) {
     for (int b = 0; b < cat.size(); ++b) {
       for (Colour c = 1; c <= 3; ++c) {
-        const bool ab = c_compatible(cat.views[static_cast<std::size_t>(a)],
-                                     cat.views[static_cast<std::size_t>(b)], c, 2);
-        const bool ba = c_compatible(cat.views[static_cast<std::size_t>(b)],
-                                     cat.views[static_cast<std::size_t>(a)], c, 2);
+        const bool ab = c_compatible(cat.view(a),
+                                     cat.view(b), c, 2);
+        const bool ba = c_compatible(cat.view(b),
+                                     cat.view(a), c, 2);
         EXPECT_EQ(ab, ba);
         if (ab) {
-          const auto ca = cat.views[static_cast<std::size_t>(a)].colours_at(0);
+          const auto ca = cat.view(a).colours_at(0);
           EXPECT_NE(std::find(ca.begin(), ca.end(), c), ca.end());
         }
       }
@@ -75,8 +78,8 @@ TEST(Views, HashedPairsMatchBruteForce) {
     for (int a = 0; a < cat.size(); ++a) {
       for (int b = a; b < cat.size(); ++b) {
         for (Colour c = 1; c <= 3; ++c) {
-          if (c_compatible(cat.views[static_cast<std::size_t>(a)],
-                           cat.views[static_cast<std::size_t>(b)], c, rho)) {
+          if (c_compatible(cat.view(a),
+                           cat.view(b), c, rho)) {
             brute.insert({a, b, c});
           }
         }
@@ -96,13 +99,13 @@ TEST(Views, BicliqueIndexIsExactlyTheCompatibilityRelation) {
   };
   for (const Row& row : {Row{3, 2, 3}, Row{4, 3, 2}, Row{4, 2, 2}}) {
     const ViewCatalogue cat = enumerate_views(row.k, row.d, row.rho);
-    const BicliqueIndex index(cat);
+    const BicliqueIndex& index = cat.index();
     std::uint64_t compatible = 0;
     for (int a = 0; a < cat.size(); ++a) {
       for (int b = a; b < cat.size(); ++b) {
         for (Colour c = 1; c <= row.k; ++c) {
-          const bool direct = c_compatible(cat.views[static_cast<std::size_t>(a)],
-                                           cat.views[static_cast<std::size_t>(b)], c, row.rho);
+          const bool direct = c_compatible(cat.view(a),
+                                           cat.view(b), c, row.rho);
           const std::int32_t cls = index.class_of(a, c);
           const bool indexed = cls != BicliqueIndex::kNoClass &&
                                index.partner(cls) != BicliqueIndex::kNoClass &&
@@ -127,6 +130,81 @@ TEST(Views, BicliqueIndexIsExactlyTheCompatibilityRelation) {
     }
     EXPECT_EQ(memberships, static_cast<std::size_t>(cat.size() * row.d));
   }
+}
+
+TEST(Views, ViewsEqualToRadiusRhoAreRefused) {
+  // The constructor compares the views' class rows, which are equal iff the
+  // views are equal to radius rho: a repeat throws, and so do two views
+  // that differ only below depth rho.
+  ColourSystem a(3);
+  a.add_child(a.add_child(ColourSystem::root(), 1), 2);
+  a.add_child(ColourSystem::root(), 3);
+  ColourSystem deeper = a;
+  deeper.add_child(deeper.child(deeper.child(ColourSystem::root(), 1), 2), 3);
+  ColourSystem b(3);
+  b.add_child(b.add_child(ColourSystem::root(), 1), 3);
+  b.add_child(ColourSystem::root(), 3);
+  EXPECT_NO_THROW(ViewCatalogue(3, 2, 2, {a, b}));
+  EXPECT_THROW(ViewCatalogue(3, 2, 2, {a, b, a}), std::invalid_argument);
+  EXPECT_THROW(ViewCatalogue(3, 2, 2, {a, deeper}), std::invalid_argument);
+  EXPECT_NO_THROW(ViewCatalogue(3, 2, 3, {a, deeper}));
+  EXPECT_THROW(ViewCatalogue(3, 2, 0, {a}), std::invalid_argument);
+}
+
+TEST(Views, CompatiblePairsAreTheIndexWalk) {
+  const auto expect_walk = [](const auto& cat, const std::string& what) {
+    std::vector<CompatiblePair> walked;
+    cat.index().for_each_pair([&](int a, int b, Colour c) { walked.push_back({a, b, c}); });
+    const std::vector<CompatiblePair> listed = compatible_pairs(cat);
+    ASSERT_EQ(listed.size(), walked.size()) << what;
+    EXPECT_EQ(listed.size(), cat.index().pair_count()) << what;
+    for (std::size_t i = 0; i < listed.size(); ++i) {
+      EXPECT_EQ(std::tie(listed[i].a, listed[i].b, listed[i].colour),
+                std::tie(walked[i].a, walked[i].b, walked[i].colour))
+          << what << " pair " << i;
+    }
+  };
+  for (const auto& [k, d, rho] : {std::tuple{3, 2, 3}, std::tuple{4, 3, 2}, std::tuple{4, 2, 2}}) {
+    const std::string what = "k=" + std::to_string(k) + " d=" + std::to_string(d) +
+                             " rho=" + std::to_string(rho);
+    expect_walk(enumerate_views(k, d, rho), what);
+    expect_walk(enumerate_orbits(k, d, rho), what + " orbits");
+  }
+}
+
+TEST(Views, CataloguesOwnTheOnlyIndex) {
+  // Only a catalogue can build a BicliqueIndex, in its constructor, so
+  // compatible_pairs, solve and check_labelling all read that one object.
+  static_assert(!std::is_default_constructible_v<BicliqueIndex>);
+  static_assert(!std::is_constructible_v<BicliqueIndex, const ViewCatalogue&>);
+  static_assert(!std::is_constructible_v<BicliqueIndex, const OrbitCatalogue&>);
+  // Catalogues move with their index (perfbench holds them in
+  // std::optional and assigns over them).
+  static_assert(std::is_move_constructible_v<ViewCatalogue> &&
+                std::is_move_assignable_v<ViewCatalogue>);
+  static_assert(std::is_move_constructible_v<OrbitCatalogue> &&
+                std::is_move_assignable_v<OrbitCatalogue>);
+  ViewCatalogue source = enumerate_views(3, 2, 3);
+  const CspResult before = solve(source);
+  const std::uint64_t pairs = source.index().pair_count();
+  std::optional<ViewCatalogue> held;
+  held = std::move(source);
+  EXPECT_EQ(held->index().view_count(), held->size());
+  EXPECT_EQ(held->index().pair_count(), pairs);
+  EXPECT_EQ(compatible_pairs(*held).size(), pairs);
+  const CspResult after = solve(*held);
+  ASSERT_TRUE(after.satisfiable);
+  EXPECT_EQ(after.labelling, before.labelling);
+  EXPECT_EQ(after.nodes_explored, before.nodes_explored);
+  EXPECT_FALSE(check_labelling(*held, after.labelling).has_value());
+  held = enumerate_views(3, 2, 2);
+  EXPECT_EQ(held->index().view_count(), 12);
+  EXPECT_FALSE(solve(*held).satisfiable);
+  std::optional<OrbitCatalogue> orbits;
+  orbits = enumerate_orbits(3, 2, 3);
+  orbits = enumerate_orbits(3, 2, 2);
+  EXPECT_EQ(orbits->index().view_count(), 12);
+  EXPECT_EQ(solve(*orbits).nodes_explored, 14u);
 }
 
 TEST(Views, CompatiblePairsNonEmpty) {
@@ -205,7 +283,7 @@ TEST(Csp, CheckLabellingReportsTheFirstViolationInPairOrder) {
   };
   int violated = 0;
   for (int v = 0; v < cat.size(); ++v) {
-    std::vector<Colour> values = cat.views[static_cast<std::size_t>(v)].colours_at(
+    std::vector<Colour> values = cat.view(v).colours_at(
         ColourSystem::root());
     values.push_back(gk::kNoColour);
     for (const Colour value : values) {
@@ -232,6 +310,25 @@ TEST(Csp, TruncatedGreedyLabellingViolatesConstraints) {
   const algo::TruncatedGreedy fast(3, 1);
   const std::vector<Colour> labelling = induced_labelling(cat, fast);
   EXPECT_TRUE(check_labelling(cat, labelling).has_value());
+}
+
+TEST(Csp, KBeyondTheMaskColoursIsRefused) {
+  // Domains are 32-bit masks, so solve refuses k > kMaxCspColours; the
+  // catalogue, its pairs and check_labelling do not use the masks.
+  const ViewCatalogue cat = enumerate_views(kMaxCspColours + 1, 1, 1);
+  ASSERT_EQ(cat.size(), kMaxCspColours + 1);
+  const std::vector<CompatiblePair> pairs = compatible_pairs(cat);
+  EXPECT_EQ(pairs.size(), 31u);  // each single-edge view with itself
+  EXPECT_THROW(solve(cat), std::invalid_argument);
+  EXPECT_THROW(solve(cat, pairs), std::invalid_argument);
+  std::vector<Colour> own(static_cast<std::size_t>(cat.size()));
+  for (int v = 0; v < cat.size(); ++v) {
+    own[static_cast<std::size_t>(v)] = cat.view(v).colours_at(ColourSystem::root())[0];
+  }
+  EXPECT_FALSE(check_labelling(cat, own).has_value());
+  const CspResult widest = solve(enumerate_views(kMaxCspColours, 1, 1));
+  ASSERT_TRUE(widest.satisfiable);
+  EXPECT_EQ(widest.labelling.size(), static_cast<std::size_t>(kMaxCspColours));
 }
 
 TEST(Csp, NoZeroRoundAlgorithmK4) {
@@ -266,11 +363,7 @@ TEST(Csp, ArcConsistencyBansBottomBesideADegreeOneView) {
   y.add_child(ColourSystem::root(), 2);
   ColourSystem x(3);
   x.add_child(x.add_child(ColourSystem::root(), 1), 2);
-  ViewCatalogue cat;
-  cat.k = 3;
-  cat.d = 2;
-  cat.rho = 2;
-  cat.views = {y, x};
+  const ViewCatalogue cat(3, 2, 2, {y, x});
   ASSERT_TRUE(c_compatible(y, x, 1, 2));
   ASSERT_EQ(compatible_pairs(cat).size(), 1u);
   const CspResult result = solve(cat);

@@ -91,7 +91,7 @@ TEST(ColourPerms, PermutedTreeRoundTrips) {
 TEST(OrbitCanon, FastPathMatchesBruteForceOnAllGridViews) {
   for (const Grid& g : kCanonGrid) {
     const nbhd::ViewCatalogue cat = nbhd::enumerate_views(g.k, g.d, g.rho);
-    for (const ColourSystem& view : cat.views) {
+    for (const ColourSystem& view : cat.views()) {
       const std::vector<std::uint8_t> reference = brute_force_canonical(view, g.rho);
       std::vector<std::uint8_t> fast;
       ColourPerm witness;
@@ -108,12 +108,12 @@ TEST(OrbitCanon, WitnessAndPermutedSerialisationAgree) {
   // the member-map folding and the pair lifting both rest on.
   const nbhd::ViewCatalogue cat = nbhd::enumerate_views(4, 3, 2);
   for (int i = 0; i < cat.size(); i += 7) {
-    const ColourSystem& view = cat.views[static_cast<std::size_t>(i)];
-    const colsys::SerialisedView parsed(view, cat.rho);
+    const ColourSystem& view = cat.view(i);
+    const colsys::SerialisedView parsed(view, cat.rho());
     for (const ColourPerm& pi : colsys::all_perms(4)) {
       std::vector<std::uint8_t> direct;
       parsed.serialise(pi, direct);
-      EXPECT_EQ(direct, view.permuted(pi).serialize(cat.rho));
+      EXPECT_EQ(direct, view.permuted(pi).serialize(cat.rho()));
     }
   }
 }
@@ -137,8 +137,8 @@ TEST(OrbitCanon, StabiliserIsTheFullSymmetryGroupOfTheTree) {
 /// force (k! serialisations per view, set union).
 int brute_force_orbit_count(const nbhd::ViewCatalogue& cat) {
   std::set<std::vector<std::uint8_t>> reps;
-  for (const ColourSystem& view : cat.views) {
-    reps.insert(brute_force_canonical(view, cat.rho));
+  for (const ColourSystem& view : cat.views()) {
+    reps.insert(brute_force_canonical(view, cat.rho()));
   }
   return static_cast<int>(reps.size());
 }
@@ -204,24 +204,24 @@ TEST(OrbitCatalogue, EnumerateEqualsReduceAndMatchesCensus) {
     ASSERT_EQ(enumerated.orbit_count(), static_cast<int>(census.orbits));
     ASSERT_EQ(enumerated.view_count(), raw.size());
     ASSERT_EQ(reduced.orbit_count(), enumerated.orbit_count());
-    ASSERT_EQ(reduced.offsets, enumerated.offsets);
+    ASSERT_EQ(reduced.offsets(), enumerated.offsets());
     for (int o = 0; o < enumerated.orbit_count(); ++o) {
       const std::size_t i = static_cast<std::size_t>(o);
-      EXPECT_EQ(reduced.reps[i].serialize(g.rho), enumerated.reps[i].serialize(g.rho));
-      EXPECT_EQ(reduced.cosets[i], enumerated.cosets[i]);
-      EXPECT_EQ(reduced.stabilisers[i], enumerated.stabilisers[i]);
+      EXPECT_EQ(reduced.reps()[i].serialize(g.rho), enumerated.reps()[i].serialize(g.rho));
+      EXPECT_EQ(reduced.cosets()[i], enumerated.cosets()[i]);
+      EXPECT_EQ(reduced.stabilisers()[i], enumerated.stabilisers()[i]);
       // |orbit| · |stabiliser| = k! (orbit–stabiliser theorem).
       std::size_t fact = 1;
       for (int f = 2; f <= g.k; ++f) fact *= static_cast<std::size_t>(f);
-      EXPECT_EQ(enumerated.cosets[i].size() * enumerated.stabilisers[i].size(), fact);
+      EXPECT_EQ(enumerated.cosets()[i].size() * enumerated.stabilisers()[i].size(), fact);
       // The representative is canonical: its own orbit minimum.
-      EXPECT_EQ(enumerated.reps[i].serialize(g.rho),
-                brute_force_canonical(enumerated.reps[i], g.rho));
+      EXPECT_EQ(enumerated.reps()[i].serialize(g.rho),
+                brute_force_canonical(enumerated.reps()[i], g.rho));
     }
     // Orbit order is canonical-bytes order.
     for (int o = 0; o + 1 < enumerated.orbit_count(); ++o) {
-      EXPECT_LT(enumerated.reps[static_cast<std::size_t>(o)].serialize(g.rho),
-                enumerated.reps[static_cast<std::size_t>(o + 1)].serialize(g.rho));
+      EXPECT_LT(enumerated.reps()[static_cast<std::size_t>(o)].serialize(g.rho),
+                enumerated.reps()[static_cast<std::size_t>(o + 1)].serialize(g.rho));
     }
   }
 }
@@ -233,8 +233,8 @@ TEST(OrbitCatalogue, ExpansionIsTheRawCatalogueUpToOrder) {
         nbhd::expand_catalogue(nbhd::enumerate_orbits(g.k, g.d, g.rho));
     ASSERT_EQ(expanded.size(), raw.size());
     std::set<std::vector<std::uint8_t>> raw_bytes, expanded_bytes;
-    for (const ColourSystem& v : raw.views) raw_bytes.insert(v.serialize(g.rho));
-    for (const ColourSystem& v : expanded.views) expanded_bytes.insert(v.serialize(g.rho));
+    for (const ColourSystem& v : raw.views()) raw_bytes.insert(v.serialize(g.rho));
+    for (const ColourSystem& v : expanded.views()) expanded_bytes.insert(v.serialize(g.rho));
     EXPECT_EQ(expanded_bytes, raw_bytes);  // sets equal + sizes equal ⇒ no dup
   }
 }
@@ -267,8 +267,9 @@ TEST(OrbitPairs, OrbitIndexEqualsRawIndexOnExpandedCatalogue) {
   inputs.push_back({4, 3, 3});
   for (const Grid& g : inputs) {
     const nbhd::OrbitCatalogue orbits = nbhd::enumerate_orbits(g.k, g.d, g.rho);
-    const nbhd::BicliqueIndex lifted(orbits);
-    const nbhd::BicliqueIndex raw(nbhd::expand_catalogue(orbits));
+    const nbhd::ViewCatalogue expanded = nbhd::expand_catalogue(orbits);
+    const nbhd::BicliqueIndex& lifted = orbits.index();
+    const nbhd::BicliqueIndex& raw = expanded.index();
     ASSERT_EQ(lifted.view_count(), raw.view_count());
     ASSERT_EQ(lifted.class_count(), raw.class_count())
         << "k=" << g.k << " d=" << g.d << " rho=" << g.rho;
@@ -320,13 +321,15 @@ TEST(OrbitCsp, TheoremFiveFrontierSurvivesTheQuotient) {
 
 TEST(OrbitCsp, NoTwoRoundAlgorithmK4FromOrbitsInTierOne) {
   // The k = 4, ρ = 3 verdict from its 3 330 orbit representatives: the
-  // same 9 570 312 member pairs, UNSAT after the pinned 66 117 nodes.
+  // same 9 570 312 member pairs, UNSAT after the pinned 66 117 nodes and
+  // 2 960 class walks (198 346 without the guards).
   const nbhd::OrbitCatalogue orbits = nbhd::enumerate_orbits(4, 3, 3);
   const auto pairs = nbhd::compatible_pairs(orbits);
   EXPECT_EQ(pairs.size(), 9570312u);
   const nbhd::CspResult result = nbhd::solve(orbits, pairs);
   EXPECT_FALSE(result.satisfiable);
   EXPECT_EQ(result.nodes_explored, 66117u);
+  EXPECT_EQ(result.class_walks, 2960u);
 }
 
 // ---------------------------------------------------------------------------
@@ -336,12 +339,9 @@ TEST(OrbitCsp, NoTwoRoundAlgorithmK4FromOrbitsInTierOne) {
 // ---------------------------------------------------------------------------
 
 nbhd::ViewCatalogue permute_catalogue(const nbhd::ViewCatalogue& cat, const ColourPerm& pi) {
-  nbhd::ViewCatalogue out;
-  out.k = cat.k;
-  out.d = cat.d;
-  out.rho = cat.rho;
-  for (const ColourSystem& view : cat.views) out.views.push_back(view.permuted(pi));
-  return out;
+  std::vector<ColourSystem> views;
+  for (const ColourSystem& view : cat.views()) views.push_back(view.permuted(pi));
+  return nbhd::ViewCatalogue(cat.k(), cat.d(), cat.rho(), std::move(views));
 }
 
 TEST(OrbitMetamorphic, RandomRelabellingsAreErasedByTheReduction) {
@@ -358,11 +358,11 @@ TEST(OrbitMetamorphic, RandomRelabellingsAreErasedByTheReduction) {
       const nbhd::OrbitCatalogue reduced = nbhd::reduce_catalogue(permuted);
       // The reduced catalogue is identical object by object...
       ASSERT_EQ(reduced.orbit_count(), baseline.orbit_count());
-      ASSERT_EQ(reduced.offsets, baseline.offsets);
+      ASSERT_EQ(reduced.offsets(), baseline.offsets());
       for (int o = 0; o < reduced.orbit_count(); ++o) {
         const std::size_t i = static_cast<std::size_t>(o);
-        ASSERT_EQ(reduced.reps[i].serialize(g.rho), baseline.reps[i].serialize(g.rho));
-        ASSERT_EQ(reduced.cosets[i], baseline.cosets[i]);
+        ASSERT_EQ(reduced.reps()[i].serialize(g.rho), baseline.reps()[i].serialize(g.rho));
+        ASSERT_EQ(reduced.cosets()[i], baseline.cosets()[i]);
       }
       // ... so the orbit solve returns the same verdict AND csp_nodes.
       const nbhd::CspResult result = nbhd::solve(reduced);

@@ -58,13 +58,13 @@ void expect_catalogues_equal(const nbhd::OrbitCatalogue& got, const nbhd::OrbitC
                              const char* what) {
   ASSERT_EQ(got.orbit_count(), want.orbit_count()) << what;
   ASSERT_EQ(got.view_count(), want.view_count()) << what;
-  EXPECT_EQ(got.offsets, want.offsets) << what;
+  EXPECT_EQ(got.offsets(), want.offsets()) << what;
   for (int o = 0; o < got.orbit_count(); ++o) {
     const auto i = static_cast<std::size_t>(o);
-    EXPECT_EQ(serialised(got.reps[i], got.rho), serialised(want.reps[i], want.rho))
+    EXPECT_EQ(serialised(got.reps()[i], got.rho()), serialised(want.reps()[i], want.rho()))
         << what << " orbit " << o;
-    EXPECT_EQ(got.stabilisers[i], want.stabilisers[i]) << what << " orbit " << o;
-    EXPECT_EQ(got.cosets[i], want.cosets[i]) << what << " orbit " << o;
+    EXPECT_EQ(got.stabilisers()[i], want.stabilisers()[i]) << what << " orbit " << o;
+    EXPECT_EQ(got.cosets()[i], want.cosets()[i]) << what << " orbit " << o;
   }
 }
 
@@ -135,14 +135,12 @@ TEST(Orderly, MetamorphicRelabellingFuzz) {
     SCOPED_TRACE(testing::Message() << "k=" << g.k << " d=" << g.d << " rho=" << g.rho);
     const nbhd::OrbitCatalogue orderly = nbhd::enumerate_orbits(g.k, g.d, g.rho);
     const auto perms = colsys::all_perms(g.k);
-    nbhd::ViewCatalogue raw = nbhd::enumerate_views(g.k, g.d, g.rho);
+    const nbhd::ViewCatalogue raw = nbhd::enumerate_views(g.k, g.d, g.rho);
     for (int trial = 0; trial < 3; ++trial) {
       const ColourPerm& pi = perms[rng.index(perms.size())];
-      nbhd::ViewCatalogue relabelled;
-      relabelled.k = raw.k;
-      relabelled.d = raw.d;
-      relabelled.rho = raw.rho;
-      for (const ColourSystem& view : raw.views) relabelled.views.push_back(view.permuted(pi));
+      std::vector<ColourSystem> views;
+      for (const ColourSystem& view : raw.views()) views.push_back(view.permuted(pi));
+      const nbhd::ViewCatalogue relabelled(raw.k(), raw.d(), raw.rho(), std::move(views));
       expect_catalogues_equal(nbhd::reduce_catalogue(relabelled), orderly,
                               "relabelled fold vs orderly");
     }
@@ -172,6 +170,9 @@ TEST(Orderly, StreamsKFiveRhoThreePastTheRawViewGuard) {
   EXPECT_EQ(stats.views_replayed, 0);
   // The guard itself still protects enumerate_orbits: 1.79e8 reps > 2e6.
   EXPECT_THROW(nbhd::enumerate_orbits(5, 4, 3), std::runtime_error);
+  // Past the guard, the 2.1e10 members would overflow the catalogue's
+  // index: that throws before any rep is generated.
+  EXPECT_THROW(nbhd::enumerate_orbits(5, 4, 3, 200'000'000), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -300,7 +301,7 @@ TEST(Orderly, StabiliserWalkMatchesBruteForce) {
     SCOPED_TRACE(testing::Message() << "k=" << g.k << " d=" << g.d << " rho=" << g.rho);
     const nbhd::ViewCatalogue raw = nbhd::enumerate_views(g.k, g.d, g.rho);
     const auto perms = colsys::all_perms(g.k);
-    for (const ColourSystem& view : raw.views) {
+    for (const ColourSystem& view : raw.views()) {
       const SerialisedView sv(serialised(view, g.rho));
       std::vector<ColourPerm> brute;
       std::vector<std::uint8_t> ref, buf;

@@ -24,9 +24,11 @@
 // required flag or a stray argument prints the verb's usage line and exits 2.
 //
 // `views` runs the Remark-2 / Linial pipeline end to end — catalogue size,
-// compatible-pair count, CSP verdict, and the wall time of its enumerate,
-// pairs and solve phases — so the UNSAT frontier is
-// reproducible without building the bench binaries.  `--orbits` switches
+// compatible-pair count, CSP verdict, and the wall time of its enumerate
+// (with the catalogue's pair index), pairs (the list alone) and solve (the
+// list check and the search) phases — so the UNSAT frontier is
+// reproducible without building the bench binaries.  A k beyond the CSP's
+// 30 mask colours exits 2 before anything is enumerated.  `--orbits` switches
 // to the colour-permutation orbit pipeline (identical verdicts, ~k!-fold
 // smaller materialised catalogue); on catalogues beyond the max_views
 // guard it falls back to the Burnside census alone, which is how
@@ -82,6 +84,8 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "core/dmm.hpp"
@@ -657,6 +661,12 @@ int cmd_views(const std::vector<std::string>& args) {
       .flag("--json", json)
       .flag("--orbits", orbits);
   flags.parse(args);
+  // Refused before anything is enumerated: a catalogue the CSP cannot hold
+  // would be built, paired and indexed only to be turned away by solve.
+  if (k > nbhd::kMaxCspColours) {
+    throw std::invalid_argument("views: k = " + std::to_string(k) + " exceeds the CSP's " +
+                                std::to_string(nbhd::kMaxCspColours) + " colours");
+  }
 
   long long views = 0, orbit_count = 0;
   std::size_t pair_count = 0;
@@ -719,6 +729,7 @@ int cmd_views(const std::vector<std::string>& args) {
       std::cout << ",\"pairs\":" << pair_count
                 << ",\"satisfiable\":" << (result.satisfiable ? "true" : "false")
                 << ",\"csp_nodes\":" << result.nodes_explored
+                << ",\"class_walks\":" << result.class_walks
                 << ",\"enumerate_ms\":" << enumerate_ms << ",\"pairs_ms\":" << pairs_ms
                 << ",\"solve_ms\":" << solve_ms;
     }
@@ -740,7 +751,8 @@ int cmd_views(const std::vector<std::string>& args) {
       }
       std::cout << "compatible pairs: " << pair_count << "\n";
       std::cout << "labelling CSP: " << (result.satisfiable ? "SAT" : "UNSAT") << " ("
-                << result.nodes_explored << " search nodes";
+                << result.nodes_explored << " search nodes, " << result.class_walks
+                << " class walks";
       if (threads > 1) std::cout << ", " << threads << " threads";
       std::cout << ")\n";
       std::cout << "time: enumerate " << enumerate_ms << " ms, pairs " << pairs_ms

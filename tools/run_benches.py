@@ -90,6 +90,9 @@ METRICS = {
     "enumerate_ms": Metric("ms", RECORDED),
     "pairs_ms": Metric("ms", RECORDED),
     "solve_ms": Metric("ms", RECORDED),
+    # The CSP search's forward-checking walks (e17): recorded, since a
+    # threaded row's count depends on where cancelled branches stop.
+    "class_walks": Metric("count", RECORDED),
     # Faults and recovery (e9, e10).
     "crashes": Metric("count", EXACT),
     "restarts": Metric("count", EXACT),

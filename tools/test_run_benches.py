@@ -183,7 +183,7 @@ class CompareTest(GateTest):
         recorded = {name: 1.0 for name, spec in rb.METRICS.items() if spec.gate == rb.RECORDED}
         self.assertEqual(set(recorded),
                          {"init_ms", "send_ms", "receive_ms", "rss_bytes", "restore_ms",
-                          "ns_per_op", "enumerate_ms", "pairs_ms", "solve_ms"})
+                          "ns_per_op", "enumerate_ms", "pairs_ms", "solve_ms", "class_walks"})
         self.assertEqual(self.compare([row(**{k: 1000.0 for k in recorded})], [row()]), 1)
 
     def test_a_file_without_baseline_passes_and_a_bad_baseline_fails(self):
